@@ -2,7 +2,8 @@
 
 Subcommands: simulate, map, hom, compile, loss, replay.  Each run writes
 its outputs plus a manifest.json into --out; `replay <manifest>` re-runs
-the recorded command into a fresh directory.
+the recorded command into a fresh directory, and refuses a manifest written
+by another rwasim version.
 
 Exit codes: 0 success, 2 usage error, 3 validation error, 4 numerical
 failure.
@@ -237,6 +238,11 @@ def _cmd_loss(args, argv) -> int:
 
 def _cmd_replay(args, _argv) -> int:
     man = read_manifest(args.manifest)
+    if man.version != __version__:
+        print(f"error: {args.manifest} was written by rwasim {man.version}; "
+              f"this is rwasim {__version__}, whose outputs may differ. "
+              "Refusing to replay.", file=sys.stderr)
+        return EXIT_VALIDATION
     return main(list(man.argv) + ["--out", args.out])
 
 

@@ -6,20 +6,27 @@ leakage fractions:
 
     (1-F1)^2 + (1-F2)^2 + ct1^2 + ct2^2 + leak1^2 + leak2^2
 
-Each restart runs a bound-constrained quasi-Newton local search with
-central finite-difference gradients from a uniform random start; the winner
-is picked by (objective, restart index) so the result is deterministic for
-a given seed under any scheduling of the restarts.
+Each restart runs a bound-constrained quasi-Newton local search from a
+uniform random start.  The search gets the objective together with its
+exact gradient from one eigendecomposition of H = Q diag(w) Q^T: the
+derivative of U = exp(-iHL) is Q (G o Q^T dH Q) Q^T with the divided
+differences G_ab = (e^{-iw_a L} - e^{-iw_b L}) / (w_a - w_b) (Daleckii-Krein;
+Najfeld & Havel 1995), and the chain rule runs backwards from the objective
+to the electrode voltages.  The winner is picked by (objective, restart
+index) so the result is deterministic for a given seed under any scheduling
+of the restarts.
 """
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .device import DeviceSpec, VoltageConfig, build_hamiltonian
+from . import evolution
+from .device import DeviceSpec, VoltageBoundError, VoltageConfig, build_hamiltonian
 from .evolution import unitary
 from .subcircuits import (
     SubcircuitPair,
@@ -28,8 +35,9 @@ from .subcircuits import (
     two_mode_unitary,
 )
 
-FD_STEP = 1e-4  # volts, central differences
 MAX_ITERATIONS = 500
+
+logger = logging.getLogger("rwasim.compiler")
 
 GATE_ETAS = {"X": 0.0, "H": 0.5, "I": 1.0}
 
@@ -101,6 +109,8 @@ class CompileResult:
     crosstalks: tuple[float, float]
     leakages: tuple[float, float]
     restart_trace: np.ndarray  # per-restart best objective
+    restart_status: np.ndarray  # per-restart L-BFGS-B status, 0 = converged
+    restart_nfev: np.ndarray  # per-restart objective evaluations
 
     def to_dict(self) -> dict:
         return {
@@ -110,6 +120,8 @@ class CompileResult:
             "crosstalks": list(self.crosstalks),
             "leakages": list(self.leakages),
             "restart_trace": self.restart_trace.tolist(),
+            "restart_status": self.restart_status.tolist(),
+            "restart_nfev": self.restart_nfev.tolist(),
         }
 
     def to_json(self, path) -> None:
@@ -130,6 +142,25 @@ def trace_to_csv(trace: np.ndarray, path) -> None:
             fh.write(f"{i},{obj:.17g},{best:.17g}\n")
 
 
+def _input_terms(powers: np.ndarray, rows, other_rows, target_p):
+    """Per-input metric terms from the output powers of each input.
+
+    Column k of `powers` holds the output powers for input k; rows[k] are the
+    guides of that input's own pair, other_rows[k] those of the other pair
+    and target_p[k] the target split over rows[k].  Returns, per input, the
+    power kept in the own pair, the post-selected split, the fidelity (0 when
+    nothing is kept), the crosstalk and the leakage, all as fractions.
+    """
+    k = np.arange(powers.shape[1])[:, None]
+    own_p = powers[rows, k]
+    own = own_p.sum(axis=1)
+    kept = own > 0.0
+    split = np.where(kept[:, None], own_p / np.where(kept, own, 1.0)[:, None], 0.5)
+    fid = np.where(kept, distribution_fidelity(target_p, split), 0.0)
+    crosstalk = powers[other_rows, k].sum(axis=1)
+    return own, split, fid, crosstalk, 1.0 - own
+
+
 def _subcircuit_metrics(
     u_matrix: np.ndarray,
     pair: SubcircuitPair,
@@ -137,27 +168,24 @@ def _subcircuit_metrics(
     target: TwoModeUnitary,
 ) -> SubcircuitMetrics:
     n = u_matrix.shape[0]
-    i, j = pair.indices(n)
-    oi, oj = other.indices(n)
-    target_p = np.abs(target.matrix) ** 2
-
-    fids = []
-    cts = []
-    leaks = []
-    for bit, col in enumerate((i, j)):
-        powers = np.abs(u_matrix[:, col]) ** 2
-        own = powers[i] + powers[j]
-        leaks.append(1.0 - own)
-        cts.append(powers[oi] + powers[oj])
-        if own <= 0.0:
-            fids.append(0.0)
-            continue
-        measured = np.array([powers[i], powers[j]]) / own
-        fids.append(distribution_fidelity(target_p[:, bit], measured))
+    rows = list(pair.indices(n))
+    other_rows = list(other.indices(n))
+    _, _, fid, ct, leak = _input_terms(
+        np.abs(u_matrix[:, rows]) ** 2, [rows, rows], [other_rows, other_rows],
+        (np.abs(target.matrix) ** 2).T,
+    )
     return SubcircuitMetrics(
-        fidelity=float(np.mean(fids)),
-        crosstalk=float(np.mean(cts)),
-        leakage=float(np.mean(leaks)),
+        fidelity=float(fid.mean()),
+        crosstalk=float(ct.mean()),
+        leakage=float(leak.mean()),
+    )
+
+
+def _objective_value(m1: SubcircuitMetrics, m2: SubcircuitMetrics) -> float:
+    return float(
+        (1.0 - m1.fidelity) ** 2 + (1.0 - m2.fidelity) ** 2
+        + m1.crosstalk**2 + m2.crosstalk**2
+        + m1.leakage**2 + m2.leakage**2
     )
 
 
@@ -176,12 +204,7 @@ def evaluate(
                 spec.coupling_length)
     m1 = _subcircuit_metrics(u.matrix, config.pairs[0], config.pairs[1], targets[0])
     m2 = _subcircuit_metrics(u.matrix, config.pairs[1], config.pairs[0], targets[1])
-    obj = (
-        (1.0 - m1.fidelity) ** 2 + (1.0 - m2.fidelity) ** 2
-        + m1.crosstalk**2 + m2.crosstalk**2
-        + m1.leakage**2 + m2.leakage**2
-    )
-    return float(obj), (m1, m2)
+    return _objective_value(m1, m2), (m1, m2)
 
 
 def objective(
@@ -191,6 +214,70 @@ def objective(
     targets: tuple[TwoModeUnitary, TwoModeUnitary],
 ) -> float:
     return evaluate(spec, v, config, targets)[0]
+
+
+def objective_with_gradient(
+    spec: DeviceSpec,
+    config: ElectrodeConfig,
+    targets: tuple[TwoModeUnitary, TwoModeUnitary],
+):
+    """f(x) -> (objective, d objective / dx) over the active electrodes.
+
+    x holds the active electrodes' voltages in `config.active_electrodes`
+    order; the value equals `objective` at the embedded voltage vector.
+    """
+    config.validate(spec)
+    n = spec.n_guides
+    active = [e - 1 for e in config.active_electrodes]
+    s_beta = spec.beta_sensitivity[:, active]
+    s_coupling = spec.coupling_sensitivity[:, active]
+    length = spec.coupling_length
+    limit = spec.voltage_limit
+    pair_a, pair_b = (list(pair.indices(n)) for pair in config.pairs)
+    # the four inputs whose output columns the metrics read, pair a first
+    cols = pair_a + pair_b
+    inputs = np.arange(4)[:, None]
+    rows = np.array([pair_a, pair_a, pair_b, pair_b])
+    other_rows = rows[[2, 3, 0, 1]]
+    target_p = np.vstack([(np.abs(t.matrix) ** 2).T for t in targets])
+
+    def f(x: np.ndarray) -> tuple[float, np.ndarray]:
+        if not np.abs(x).max() <= limit:  # also rejects NaN
+            raise VoltageBoundError(f"voltages {x} exceed limit +/-{limit} V")
+        w, q = evolution.eigensystem(spec.base_beta + s_beta @ x,
+                                     spec.base_coupling + s_coupling @ x)
+        half = np.exp(-0.5j * length * w)
+        q_cols = q[cols]
+        u = (q * half**2) @ q_cols.T
+        own, split, fid, ct, leak = _input_terms(np.abs(u) ** 2, rows, other_rows,
+                                                 target_p)
+        terms = np.stack((fid, ct, leak))
+        means = 0.5 * (terms[:, 0::2] + terms[:, 1::2])  # per pair
+        value = _objective_value(*(SubcircuitMetrics(*means[:, s].tolist())
+                                   for s in (0, 1)))
+
+        # d objective / d powers.  d sqrt(t m) / dm is set to 0 where m = 0
+        # (t / inf) and the fidelity term to 0 where the pair keeps nothing.
+        d_split = 0.5 * np.sqrt(target_p / np.where(split > 0.0, split, np.inf))
+        # split = p / own: the fidelity gradient loses its normal component
+        d_fid = ((d_split - 0.5 * fid[:, None])
+                 / np.where(own > 0.0, own, np.inf)[:, None])
+        fid_m, ct_m, leak_m = means.repeat(2, axis=1)[:, :, None]
+        d_powers = np.zeros((n, 4))
+        d_powers[rows, inputs] = -(1.0 - fid_m) * d_fid - leak_m
+        d_powers[other_rows, inputs] = ct_m
+
+        # d powers = 2 Re(conj(u) du) with du = Q (G o Q^T dH Q) Q^T, so the
+        # adjoint is R = Q (G o B) Q^T, B = Q^T (d_powers o conj(u)) Q[cols];
+        # dH is tridiagonal, so only three diagonals of R are needed
+        b = q.T @ ((d_powers * u.conj()) @ q_cols)
+        g = (-1j * length) * (half[:, None] * half) * np.sinc(
+            (length / (2.0 * np.pi)) * (w[:, None] - w))
+        r = q @ (g * b) @ q.T
+        r_off = r.diagonal(1) + r.diagonal(-1)
+        return value, 2.0 * (r.diagonal().real @ s_beta + r_off.real @ s_coupling)
+
+    return f
 
 
 def _embed(spec: DeviceSpec, config: ElectrodeConfig, x: np.ndarray) -> VoltageConfig:
@@ -213,34 +300,29 @@ def optimize_parallel_gates(
     config.validate(spec)
     limit = spec.voltage_limit
     n_active = len(config.active_electrodes)
-
-    def fun(x: np.ndarray) -> float:
-        return objective(spec, _embed(spec, config, x), config, targets)
-
-    def grad(x: np.ndarray) -> np.ndarray:
-        # central differences, one-sided shrink at the box edge
-        g = np.empty_like(x)
-        for i in range(x.size):
-            xp = x.copy()
-            xm = x.copy()
-            xp[i] = min(x[i] + FD_STEP, limit)
-            xm[i] = max(x[i] - FD_STEP, -limit)
-            g[i] = (fun(xp) - fun(xm)) / (xp[i] - xm[i])
-        return g
+    fun_and_grad = objective_with_gradient(spec, config, targets)
 
     rng = np.random.default_rng(seed)
     starts = rng.uniform(-limit, limit, size=(restarts, n_active))
     bounds = [(-limit, limit)] * n_active
 
     trace = np.empty(restarts)
+    status = np.empty(restarts, dtype=int)
+    nfev = np.empty(restarts, dtype=int)
     best_x = None
     best_obj = np.inf
     for r in range(restarts):
         res = minimize(
-            fun, starts[r], jac=grad, method="L-BFGS-B", bounds=bounds,
+            fun_and_grad, starts[r], jac=True, method="L-BFGS-B", bounds=bounds,
             options={"maxiter": MAX_ITERATIONS, "ftol": 1e-14, "gtol": 1e-10},
         )
         trace[r] = float(res.fun)
+        status[r] = res.status
+        nfev[r] = res.nfev
+        if res.status != 0:
+            logger.warning("%s restart %d: L-BFGS-B status %d after %d evaluations"
+                           " (%s)", config.name, r, res.status, res.nfev,
+                           res.message)
         if res.fun < best_obj:  # strict: ties keep the earlier restart
             best_obj = float(res.fun)
             best_x = res.x.copy()
@@ -254,6 +336,8 @@ def optimize_parallel_gates(
         crosstalks=(m1.crosstalk, m2.crosstalk),
         leakages=(m1.leakage, m2.leakage),
         restart_trace=trace,
+        restart_status=status,
+        restart_nfev=nfev,
     )
 
 

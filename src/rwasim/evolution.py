@@ -37,9 +37,15 @@ class IntensityProfile:
     intensities: np.ndarray  # (n_steps, N), rows sum to 1
 
 
-def _eigh(h: TridiagonalHamiltonian):
+def eigensystem(diag: np.ndarray, offdiag: np.ndarray):
+    """Eigenvalues w and orthonormal eigenvectors Q (columns) of the real
+    symmetric tridiagonal matrix with the given finite diagonals.
+
+    Callers validate finiteness (TridiagonalHamiltonian does on construction),
+    so the solver skips its own check.
+    """
     try:
-        return eigh_tridiagonal(h.diag, h.offdiag)
+        return eigh_tridiagonal(diag, offdiag, check_finite=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
         raise NumericalFailureError(f"tridiagonal eigensolver failed: {exc}") from exc
 
@@ -48,7 +54,7 @@ def unitary(h: TridiagonalHamiltonian, length: float) -> TransferUnitary:
     """U = exp(-i H L) via eigendecomposition of the tridiagonal H."""
     if not length > 0:
         raise ValueError(f"length must be positive, got {length}")
-    w, q = _eigh(h)
+    w, q = eigensystem(h.diag, h.offdiag)
     u = (q * np.exp(-1j * w * length)) @ q.T
     return TransferUnitary(matrix=u, length=float(length))
 
@@ -75,7 +81,7 @@ def propagation_profile(
     n = h.n_guides
     if not 1 <= input_guide <= n:
         raise IndexError(f"input_guide {input_guide} out of range 1..{n}")
-    w, q = _eigh(h)
+    w, q = eigensystem(h.diag, h.offdiag)
     z = np.linspace(0.0, length, n_steps)
     c = q[input_guide - 1, :]  # expansion of the input state in eigenmodes
     phases = np.exp(-1j * np.outer(z, w))  # (n_steps, N)
@@ -99,13 +105,13 @@ def profile_to_csv(profile: IntensityProfile, path) -> None:
 
 
 def unitary_to_csv(u: TransferUnitary, path) -> None:
-    """Row-major interleaved real/imag parts: re11, im11, re12, im12, ..."""
+    """Row-major interleaved real/imag parts: re_1_1, im_1_1, re_1_2, ..."""
     n = u.n_guides
     with open(path, "w") as fh:
         header = []
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                header += [f"re{i}{j}", f"im{i}{j}"]
+                header += [f"re_{i}_{j}", f"im_{i}_{j}"]
         fh.write(",".join(header) + "\n")
         cells = []
         for i in range(n):

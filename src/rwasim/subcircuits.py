@@ -207,21 +207,23 @@ def truth_table_from_unitary(
     return TruthTable(table=np.array(rows))
 
 
-def distribution_fidelity(target_row, measured_row) -> float:
-    """Bhattacharyya coefficient sum_j sqrt(P^T_j P^M_j) between two rows."""
+def distribution_fidelity(target_row, measured_row):
+    """Bhattacharyya coefficient sum_j sqrt(P^T_j P^M_j) between two rows.
+
+    Stacked rows (outcomes along the last axis) give one coefficient per row.
+    """
     t = np.asarray(target_row, dtype=float)
     m = np.asarray(measured_row, dtype=float)
     if t.shape != m.shape:
         raise ValueError(f"row shapes differ: {t.shape} vs {m.shape}")
     for name, row in (("target", t), ("measured", m)):
-        if abs(float(row.sum()) - 1.0) > 1e-6:
-            raise ValueError(f"{name} row sums to {row.sum()}, not normalized")
-    return float(np.sum(np.sqrt(t * m)))
+        sums = row.sum(axis=-1)
+        if (np.abs(sums - 1.0) > 1e-6).any():
+            raise ValueError(f"{name} row sums to {sums}, not normalized")
+    fid = np.sqrt(t * m).sum(axis=-1)
+    return float(fid) if fid.ndim == 0 else fid
 
 
 def average_fidelity(targets: TruthTable, measured: TruthTable) -> float:
     """Arithmetic mean of the per-input row fidelities."""
-    return float(np.mean([
-        distribution_fidelity(t, m)
-        for t, m in zip(targets.table, measured.table)
-    ]))
+    return float(np.mean(distribution_fidelity(targets.table, measured.table)))

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from rwasim import __version__
 from rwasim.cli import main
 from rwasim.device import default_device, save_device_spec
 from rwasim.manifest import read_manifest
@@ -159,6 +160,20 @@ class TestReplay:
                    "--out", str(second)) == 0
         for name in ("scan.csv", "dipfit.json"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    def test_replay_refuses_other_version(self, tmp_path, capsys):
+        first = tmp_path / "first"
+        assert run("loss", "--modes", "4", "--out", str(first)) == 0
+        manifest = first / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["version"] = "0.0.1"
+        manifest.write_text(json.dumps(doc))
+        second = tmp_path / "second"
+        capsys.readouterr()
+        assert run("replay", str(manifest), "--out", str(second)) != 0
+        err = capsys.readouterr().err
+        assert "0.0.1" in err and __version__ in err
+        assert not second.exists()
 
     def test_replay_map(self, tmp_path):
         first = tmp_path / "first"

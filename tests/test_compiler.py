@@ -1,21 +1,27 @@
 import json
+import logging
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rwasim import compiler
 from rwasim.compiler import (
     ElectrodeConfig,
     best_so_far,
     evaluate,
     gate_target,
     objective,
+    objective_with_gradient,
     optimize_parallel_gates,
     preset_config,
     random_base_device,
     sweep_chip_length,
     trace_to_csv,
 )
-from rwasim.device import VoltageConfig
+from rwasim.device import DeviceSpec, VoltageBoundError, VoltageConfig
 from rwasim.subcircuits import SubcircuitPair
 
 from conftest import make_xx_device
@@ -52,10 +58,43 @@ class TestObjective:
         obj = objective(spec, VoltageConfig.zeros(22), config, XX)
         assert obj == pytest.approx(0.0, abs=1e-20)
 
-    def test_metric_arithmetic(self):
-        # (1-F)^2 terms + ct^2 + leak^2 with F=0.9, ct=0.1, leak=0.2 each
-        expected = 2 * 0.01 + 2 * 0.01 + 2 * 0.04
-        assert expected == pytest.approx(0.12)
+    def test_evaluate_matches_closed_form(self):
+        # Guides 1-2-3 form a uniform three-guide lattice (coupling k, beta 0)
+        # and guide 4 is isolated.  With theta = k L / sqrt(2), input 1 ends
+        # in (cos^4, sin^2(2 theta) / 2, sin^4) over guides 1..3, input 2 in
+        # (sin^2(2 theta) / 2, cos^2(2 theta), sin^2(2 theta) / 2), and input 3
+        # mirrors input 1.  config1 reads pairs (1,2) (target H) and (3,4)
+        # (target I), so guide 3 is both crosstalk and leakage for pair a.
+        length, theta = 24.0, 0.4
+        coupling = np.zeros(10)
+        coupling[:2] = math.sqrt(2.0) * theta / length
+        spec = DeviceSpec(base_beta=np.zeros(11), base_coupling=coupling,
+                          coupling_length=length)
+        c4, s4 = math.cos(theta) ** 4, math.sin(theta) ** 4
+        half_s2 = 0.5 * math.sin(2 * theta) ** 2
+        c2 = math.cos(2 * theta) ** 2
+
+        def h_fidelity(p_lower, p_upper):
+            own = p_lower + p_upper
+            return math.sqrt(0.5 * p_lower / own) + math.sqrt(0.5 * p_upper / own)
+
+        fid_a = 0.5 * (h_fidelity(c4, half_s2) + h_fidelity(half_s2, c2))
+        ct_a = 0.5 * (s4 + half_s2)
+        leak_a = 0.5 * (s4 + half_s2)
+        ct_b = 0.5 * (1.0 - c4)  # input 4 stays put
+        leak_b = 0.5 * (1.0 - c4)
+        expected = ((1 - fid_a) ** 2 + ct_a**2 + leak_a**2
+                    + ct_b**2 + leak_b**2)
+
+        targets = (gate_target("H"), gate_target("I"))
+        obj, (m_a, m_b) = evaluate(spec, VoltageConfig.zeros(22),
+                                   preset_config("config1"), targets)
+        assert m_a.fidelity == pytest.approx(fid_a, abs=1e-12)
+        assert m_b.fidelity == pytest.approx(1.0, abs=1e-12)
+        assert (m_a.crosstalk, m_b.crosstalk) == pytest.approx((ct_a, ct_b), abs=1e-12)
+        assert (m_a.leakage, m_b.leakage) == pytest.approx((leak_a, leak_b), abs=1e-12)
+        assert obj == pytest.approx(expected, abs=1e-12)
+        assert expected > 0.01  # far from the trivial zero objective
 
     def test_worst_case_all_leaked(self):
         # permutation sending both pairs' power elsewhere: F = 0 by
@@ -81,6 +120,55 @@ class TestObjective:
         v = VoltageConfig.zeros(22).with_electrode(10, 5.0)  # inactive in config2
         assert objective(spec, v, config, XX) == \
             objective(spec, VoltageConfig.zeros(22), config, XX)
+
+
+GATES = st.sampled_from(["X", "H", "I"])
+
+
+class TestObjectiveWithGradient:
+    @settings(max_examples=60, deadline=None)
+    @given(device_seed=st.one_of(st.none(), st.integers(0, 2**16)),
+           config_name=st.sampled_from(["config1", "config2", "config3"]),
+           gates=st.tuples(GATES, GATES),
+           point_seed=st.integers(0, 2**32 - 1))
+    def test_matches_objective_and_central_differences(
+            self, device_seed, config_name, gates, point_seed):
+        # device_seed None is the decoupled X(x)X device, whose Hamiltonian
+        # has repeated eigenvalues
+        spec = (make_xx_device() if device_seed is None
+                else random_base_device(device_seed))
+        config = preset_config(config_name)
+        targets = tuple(gate_target(g) for g in gates)
+        active = np.array(config.active_electrodes) - 1
+        inner = spec.voltage_limit - 1e-3
+        x = np.random.default_rng(point_seed).uniform(-inner, inner, active.size)
+
+        def reference(y):
+            volts = np.zeros(spec.n_electrodes)
+            volts[active] = y
+            return objective(spec, VoltageConfig(volts), config, targets)
+
+        value, grad = objective_with_gradient(spec, config, targets)(x)
+        assert abs(value - reference(x)) <= 1e-12
+        h = 1e-5
+        step = h * np.eye(active.size)
+        central = np.array([(reference(x + e) - reference(x - e)) / (2 * h)
+                            for e in step])
+        assert np.max(np.abs(grad - central)) <= 1e-6 * np.max(np.abs(central))
+
+    def test_zero_at_exact_solution(self):
+        spec = make_xx_device()
+        value, grad = objective_with_gradient(spec, preset_config("config3"),
+                                              XX)(np.zeros(22))
+        assert value == pytest.approx(0.0, abs=1e-20)
+        np.testing.assert_allclose(grad, 0.0, atol=1e-12)
+
+    def test_out_of_bounds_rejected(self):
+        f = objective_with_gradient(make_xx_device(), preset_config("config2"), XX)
+        with pytest.raises(VoltageBoundError):
+            f(np.full(8, 10.5))
+        with pytest.raises(VoltageBoundError):
+            f(np.full(8, np.nan))
 
 
 class TestOptimize:
@@ -129,6 +217,26 @@ class TestOptimize:
         assert abs(obj - result.objective) <= 1e-9
         assert result.fidelities == (m1.fidelity, m2.fidelity)
 
+    def test_abnormal_restart_kept_and_logged(self, monkeypatch, caplog):
+        monkeypatch.setattr(compiler, "MAX_ITERATIONS", 1)
+        with caplog.at_level(logging.WARNING, logger="rwasim.compiler"):
+            result = optimize_parallel_gates(make_xx_device(),
+                                             preset_config("config2"), XX,
+                                             restarts=2, seed=0)
+        assert result.restart_status.tolist() == [1, 1]  # iteration limit
+        warnings = [r for r in caplog.records if r.name == "rwasim.compiler"]
+        assert len(warnings) == 2
+        assert "status 1" in warnings[0].getMessage()
+
+    def test_converged_restarts_log_nothing(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="rwasim.compiler"):
+            result = optimize_parallel_gates(make_xx_device(),
+                                             preset_config("config2"), XX,
+                                             restarts=2, seed=0)
+        assert result.restart_status.tolist() == [0, 0]
+        assert np.all(result.restart_nfev > 0)
+        assert not caplog.records
+
     def test_invalid_restarts(self):
         with pytest.raises(ValueError):
             optimize_parallel_gates(make_xx_device(), preset_config("config2"),
@@ -171,6 +279,9 @@ class TestExport:
         assert len(doc["best_voltages"]) == 22
         assert doc["objective"] == result.objective
         assert len(doc["restart_trace"]) == 2
+        assert doc["restart_status"] == result.restart_status.tolist()
+        assert doc["restart_nfev"] == result.restart_nfev.tolist()
+        assert all(isinstance(n, int) and n > 0 for n in doc["restart_nfev"])
 
     def test_trace_csv(self, tmp_path):
         trace = np.array([0.5, 0.2, 0.3])

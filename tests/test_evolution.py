@@ -159,10 +159,24 @@ class TestCsvExport:
         path = tmp_path / "u.csv"
         unitary_to_csv(u, path)
         header, row = path.read_text().splitlines()
-        assert header.startswith("re11,im11,re12,im12")
+        assert header.startswith("re_1_1,im_1_1,re_1_2,im_1_2")
         values = [float(x) for x in row.split(",")]
         assert len(values) == 8
         assert values[0] == pytest.approx(u.matrix[0, 0].real)
+
+    def test_unitary_csv_reads_back_at_eleven_guides(self, tmp_path):
+        # two-digit guide numbers: (1, 11) and (11, 1) need distinct columns
+        u = unitary(build_hamiltonian(random_device(np.random.default_rng(7)),
+                                      VoltageConfig.zeros(22)), 24.0)
+        path = tmp_path / "u.csv"
+        unitary_to_csv(u, path)
+        header, row = path.read_text().splitlines()
+        names = header.split(",")
+        assert len(set(names)) == len(names) == 2 * 11 * 11
+        cells = dict(zip(names, (float(x) for x in row.split(","))))
+        back = np.array([[cells[f"re_{i}_{j}"] + 1j * cells[f"im_{i}_{j}"]
+                          for j in range(1, 12)] for i in range(1, 12)])
+        np.testing.assert_array_equal(back, u.matrix)
 
     def test_powers_csv(self, tmp_path):
         path = tmp_path / "p.csv"
