@@ -3,6 +3,12 @@
 A lookup map records the simulated reflectivity and leakage of one
 subcircuit while two electrodes sweep a voltage grid, then serves as the
 inversion target for operating-point searches and linear gate-voltage fits.
+
+A map is built in blocks of _BLOCK_CELLS grid cells: each block stacks the
+cells' Hamiltonians, runs one batched eigensolve (`evolution.unitary_blocks`)
+and keeps only the pair's 2x2 block of U, from which eta and both leakages
+follow in vectorised form.  The block size bounds the working set (H and Q
+for a block take about 0.5 MB) without changing any cell's value.
 """
 from __future__ import annotations
 
@@ -12,10 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .device import DeviceSpec, VoltageConfig
-from .evolution import output_power, unitary
-from .photon_stats import DegenerateSplittingError
-from .subcircuits import SubcircuitPair, effective_reflectivity, leakage
+from .evolution import unitary_blocks
+from .subcircuits import SubcircuitPair
 from . import device as device_mod
+
+_BLOCK_CELLS = 256
 
 
 class FlatCurveError(ValueError):
@@ -78,7 +85,12 @@ class LookupMap:
 
     @property
     def mean_leakage(self) -> np.ndarray:
-        return 0.5 * (self.leakage_in1 + self.leakage_in2)
+        return _mean_leakage(self.leakage_in1, self.leakage_in2)
+
+
+def _mean_leakage(leak_in1, leak_in2):
+    """Leakage averaged over the pair's two inputs, elementwise."""
+    return 0.5 * (leak_in1 + leak_in2)
 
 
 def build_lookup_map(
@@ -93,8 +105,10 @@ def build_lookup_map(
     """Simulate the device over the grid and record eta plus both leakages.
 
     electrode_a / electrode_b are 1-based and must be distinct; all other
-    electrodes stay at `fixed_voltages` (zero if omitted).  Cells fill in
-    grid order, so two builds with identical inputs are bit-identical.
+    electrodes stay at `fixed_voltages` (zero if omitted).  Cells are
+    evaluated in grid order, _BLOCK_CELLS at a time, and each cell's values
+    depend only on its own voltages, so two builds with identical inputs are
+    bit-identical.
     """
     if electrode_a == electrode_b:
         raise ValueError(f"electrodes must be distinct, both are {electrode_a}")
@@ -110,32 +124,37 @@ def build_lookup_map(
             )
     base = (fixed_voltages.volts if fixed_voltages is not None
             else np.zeros(spec.n_electrodes))
-    eta = np.empty((ga.size, gb.size))
-    leak1 = np.empty_like(eta)
-    leak2 = np.empty_like(eta)
-    g1, g2 = pair.guides
-    for ia, va in enumerate(ga):
-        for ib, vb in enumerate(gb):
-            volts = base.copy()
-            volts[electrode_a - 1] = va
-            volts[electrode_b - 1] = vb
-            h = device_mod.build_hamiltonian(spec, VoltageConfig(volts))
-            u = unitary(h, spec.coupling_length)
-            try:
-                eta[ia, ib] = effective_reflectivity(u, pair)
-            except DegenerateSplittingError:
-                eta[ia, ib] = 1.0  # eta is exactly 1 when no power crosses
-            leak1[ia, ib] = leakage(output_power(u, g1), pair)
-            leak2[ia, ib] = leakage(output_power(u, g2), pair)
+    i, j = pair.indices(spec.n_guides)
+    n_cells = ga.size * gb.size
+    eta = np.empty(n_cells)
+    leak1 = np.empty(n_cells)
+    leak2 = np.empty(n_cells)
+    # every row is `base` with the swept electrodes at the cell's grid point
+    volts = np.tile(base, (min(n_cells, _BLOCK_CELLS), 1))
+    for start in range(0, n_cells, _BLOCK_CELLS):
+        cells = np.arange(start, min(start + _BLOCK_CELLS, n_cells))
+        v = volts[:cells.size]
+        v[:, electrode_a - 1] = ga[cells // gb.size]
+        v[:, electrode_b - 1] = gb[cells % gb.size]
+        diag, offdiag = device_mod.hamiltonian_diagonals(spec, v)
+        sub = unitary_blocks(diag, offdiag, spec.coupling_length, [i, j], [i, j])
+        p = sub.real**2 + sub.imag**2  # p[:, m, n]: guide m's power, input n
+        cross = p[:, 1, 0] * p[:, 0, 1]
+        crosses = cross != 0.0  # eta is exactly 1 when no power crosses
+        r = np.sqrt(p[:, 0, 0] * p[:, 1, 1] / np.where(crosses, cross, 1.0))
+        eta[cells] = np.where(crosses, r / (1.0 + r), 1.0)
+        leak1[cells] = 100.0 * (1.0 - p[:, 0, 0] - p[:, 1, 0])
+        leak2[cells] = 100.0 * (1.0 - p[:, 0, 1] - p[:, 1, 1])
     # clip rounding spill just outside the physical ranges
     np.clip(eta, 0.0, 1.0, out=eta)
     np.clip(leak1, 0.0, 100.0, out=leak1)
     np.clip(leak2, 0.0, 100.0, out=leak2)
+    shape = (ga.size, gb.size)
     return LookupMap(
         electrode_a=electrode_a, electrode_b=electrode_b,
-        grid_a=ga, grid_b=gb, eta=eta,
-        leakage_in1=leak1, leakage_in2=leak2,
-        input_guides=(g1, g2),
+        grid_a=ga, grid_b=gb, eta=eta.reshape(shape),
+        leakage_in1=leak1.reshape(shape), leakage_in2=leak2.reshape(shape),
+        input_guides=pair.guides,
         fixed_voltages=base.copy(),
     )
 
@@ -159,44 +178,47 @@ class SolveResult:
         return (self.v_a, self.v_b)
 
 
+def _best_cell(lut: LookupMap, target_eta: float,
+               max_leakage: float) -> tuple[int, int] | None:
+    """(ia, ib) of the best cell whose mean leakage is at most max_leakage.
+
+    Each grid_a row is ranked with one lexsort on the solve keys, and the
+    row winners are compared in row order, so a tie keeps the earlier cell.
+    """
+    best, best_key = None, None
+    for ia in range(lut.grid_a.size):
+        dist = np.abs(lut.eta[ia] - target_eta)
+        leak = _mean_leakage(lut.leakage_in1[ia], lut.leakage_in2[ia])
+        norm = np.hypot(lut.grid_a[ia], lut.grid_b)
+        order = np.lexsort((norm, leak, dist))
+        order = order[leak[order] <= max_leakage]
+        if order.size:
+            ib = int(order[0])
+            key = (dist[ib], leak[ib], norm[ib])
+            if best_key is None or key < best_key:
+                best, best_key = (ia, ib), key
+    return best
+
+
 def solve_voltage(
     lut: LookupMap, target_eta: float, max_leakage: float = 100.0
 ) -> SolveResult:
     """Pick the feasible cell closest to the target reflectivity.
 
     Ties break by lower mean leakage, then smaller voltage norm, then
-    lexicographic grid order (implicit in the scan order).
+    lexicographic grid order.  The map is ranked one grid_a row at a time,
+    which keeps the working set at one row however large the map is.
     """
-    mean_leak = lut.mean_leakage
-
-    def key(ia, ib):
-        return (
-            abs(lut.eta[ia, ib] - target_eta),
-            mean_leak[ia, ib],
-            float(np.hypot(lut.grid_a[ia], lut.grid_b[ib])),
-        )
-
-    best = None
-    best_key = None
-    fallback = None
-    fallback_key = None
-    for ia in range(lut.grid_a.size):
-        for ib in range(lut.grid_b.size):
-            k = key(ia, ib)
-            if mean_leak[ia, ib] <= max_leakage:
-                if best_key is None or k < best_key:
-                    best, best_key = (ia, ib), k
-            if fallback_key is None or k < fallback_key:
-                fallback, fallback_key = (ia, ib), k
-
-    found = best is not None
-    ia, ib = best if found else fallback
+    cell = _best_cell(lut, target_eta, max_leakage)
+    found = cell is not None
+    ia, ib = cell if found else _best_cell(lut, target_eta, np.inf)
     return SolveResult(
         found=found,
         v_a=float(lut.grid_a[ia]),
         v_b=float(lut.grid_b[ib]),
         eta=float(lut.eta[ia, ib]),
-        mean_leakage=float(mean_leak[ia, ib]),
+        mean_leakage=float(_mean_leakage(lut.leakage_in1[ia, ib],
+                                         lut.leakage_in2[ia, ib])),
     )
 
 
@@ -264,16 +286,18 @@ def gate_voltages_by_linear_fit(
 
 def map_to_csv(lut: LookupMap, path) -> None:
     """Header `v_a, v_b, eta, leak_in1, leak_in2`, row-major over grid_a then grid_b."""
+    nb = lut.grid_b.size
+    row = "%.17g,%.17g,%.17g,%.17g,%.17g\n" * nb
+    cells = np.empty((nb, 5))
+    cells[:, 1] = lut.grid_b
     with open(path, "w") as fh:
         fh.write("v_a,v_b,eta,leak_in1,leak_in2\n")
         for ia, va in enumerate(lut.grid_a):
-            for ib, vb in enumerate(lut.grid_b):
-                fh.write(",".join(
-                    f"{x:.17g}" for x in (
-                        va, vb, lut.eta[ia, ib],
-                        lut.leakage_in1[ia, ib], lut.leakage_in2[ia, ib],
-                    )
-                ) + "\n")
+            cells[:, 0] = va
+            cells[:, 2] = lut.eta[ia]
+            cells[:, 3] = lut.leakage_in1[ia]
+            cells[:, 4] = lut.leakage_in2[ia]
+            fh.write(row % tuple(cells.ravel().tolist()))
 
 
 def map_metadata(lut: LookupMap) -> dict:

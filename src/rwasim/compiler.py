@@ -31,6 +31,7 @@ from .evolution import unitary
 from .subcircuits import (
     SubcircuitPair,
     TwoModeUnitary,
+    _bhattacharyya,
     distribution_fidelity,
     two_mode_unitary,
 )
@@ -142,7 +143,7 @@ def trace_to_csv(trace: np.ndarray, path) -> None:
             fh.write(f"{i},{obj:.17g},{best:.17g}\n")
 
 
-def _input_terms(powers: np.ndarray, rows, other_rows, target_p):
+def _input_terms(powers: np.ndarray, rows, other_rows, target_p, fidelity):
     """Per-input metric terms from the output powers of each input.
 
     Column k of `powers` holds the output powers for input k; rows[k] are the
@@ -150,13 +151,19 @@ def _input_terms(powers: np.ndarray, rows, other_rows, target_p):
     and target_p[k] the target split over rows[k].  Returns, per input, the
     power kept in the own pair, the post-selected split, the fidelity (0 when
     nothing is kept), the crosstalk and the leakage, all as fractions.
+
+    `fidelity(target_p, split)` is the row-wise Bhattacharyya sum: `evaluate`
+    passes `distribution_fidelity`, which also checks that both are
+    normalized, and the gradient kernel's hot loop passes the unchecked core
+    (its split rows are divided by their own sums, and its targets are the
+    |M|^2 columns of the same gates that `evaluate` checks).
     """
     k = np.arange(powers.shape[1])[:, None]
     own_p = powers[rows, k]
     own = own_p.sum(axis=1)
     kept = own > 0.0
     split = np.where(kept[:, None], own_p / np.where(kept, own, 1.0)[:, None], 0.5)
-    fid = np.where(kept, distribution_fidelity(target_p, split), 0.0)
+    fid = np.where(kept, fidelity(target_p, split), 0.0)
     crosstalk = powers[other_rows, k].sum(axis=1)
     return own, split, fid, crosstalk, 1.0 - own
 
@@ -172,7 +179,7 @@ def _subcircuit_metrics(
     other_rows = list(other.indices(n))
     _, _, fid, ct, leak = _input_terms(
         np.abs(u_matrix[:, rows]) ** 2, [rows, rows], [other_rows, other_rows],
-        (np.abs(target.matrix) ** 2).T,
+        (np.abs(target.matrix) ** 2).T, distribution_fidelity,
     )
     return SubcircuitMetrics(
         fidelity=float(fid.mean()),
@@ -250,7 +257,7 @@ def objective_with_gradient(
         q_cols = q[cols]
         u = (q * half**2) @ q_cols.T
         own, split, fid, ct, leak = _input_terms(np.abs(u) ** 2, rows, other_rows,
-                                                 target_p)
+                                                 target_p, _bhattacharyya)
         terms = np.stack((fid, ct, leak))
         means = 0.5 * (terms[:, 0::2] + terms[:, 1::2])  # per pair
         value = _objective_value(*(SubcircuitMetrics(*means[:, s].tolist())

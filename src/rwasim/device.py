@@ -277,6 +277,32 @@ def build_hamiltonian(spec: DeviceSpec, v: VoltageConfig) -> TridiagonalHamilton
     return TridiagonalHamiltonian(diag=diag, offdiag=offdiag)
 
 
+def hamiltonian_diagonals(
+    spec: DeviceSpec, volts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonals of H for each row of a (B, E) voltage stack.
+
+    Returns the (B, N) diagonals and (B, N-1) off-diagonals; the stack is
+    checked as `build_hamiltonian` checks one vector.
+    """
+    volts = np.asarray(volts, dtype=float)
+    if volts.ndim != 2 or volts.shape[1] != spec.n_electrodes:
+        raise DeviceSpecError(
+            f"voltage stack has shape {volts.shape}, expected (B, {spec.n_electrodes})"
+        )
+    if not np.all(np.isfinite(volts)):
+        raise DeviceSpecError("voltage stack contains non-finite entries")
+    bad = np.argwhere(np.abs(volts) > spec.voltage_limit)
+    if bad.size:
+        b, e = bad[0]
+        raise VoltageBoundError(
+            f"electrode {e + 1} at {volts[b, e]} V exceeds limit "
+            f"+/-{spec.voltage_limit} V"
+        )
+    return (spec.base_beta + volts @ spec.beta_sensitivity.T,
+            spec.base_coupling + volts @ spec.coupling_sensitivity.T)
+
+
 # -- device spec file I/O ----------------------------------------------------
 
 _SCALAR_FIELDS = ("n_guides", "n_electrodes", "coupling_length", "voltage_limit")

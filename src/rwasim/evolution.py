@@ -4,6 +4,13 @@ The array unitary over a length L is exp(-i H L).  Because H is real
 symmetric tridiagonal we diagonalize it (H = Q diag(w) Q^T) and exponentiate
 the eigenvalues, which keeps U unitary to rounding and lets a whole z-sweep
 reuse one decomposition.
+
+`unitary` serves one point through scipy's tridiagonal solver.
+`unitary_blocks` serves a batch: it stacks the dense H of B points, runs one
+`numpy.linalg.eigh` over the stack and forms only the requested rows and
+columns of each U, (Q[rows] e^{-iwL}) Q[cols]^T, so a caller that reads a
+2x2 block never builds the N x N matrix.  The stack costs 2 B N^2 floats
+for H and Q, so batch callers bound B (the lookup map uses blocks of 256).
 """
 from __future__ import annotations
 
@@ -57,6 +64,30 @@ def unitary(h: TridiagonalHamiltonian, length: float) -> TransferUnitary:
     w, q = eigensystem(h.diag, h.offdiag)
     u = (q * np.exp(-1j * w * length)) @ q.T
     return TransferUnitary(matrix=u, length=float(length))
+
+
+def unitary_blocks(
+    diag: np.ndarray, offdiag: np.ndarray, length: float, rows, cols
+) -> np.ndarray:
+    """U[rows][:, cols] of U = exp(-i H L) for each of B stacked points.
+
+    diag (B, N) and offdiag (B, N-1) are finite diagonals of each H, e.g.
+    from `device.hamiltonian_diagonals`; rows and cols are 0-based guide
+    indices.  Returns a complex (B, len(rows), len(cols)) array.
+    """
+    if not length > 0:
+        raise ValueError(f"length must be positive, got {length}")
+    b, n = diag.shape
+    h = np.zeros((b, n * n))
+    h[:, ::n + 1] = diag
+    h[:, 1::n + 1] = offdiag
+    h[:, n::n + 1] = offdiag
+    try:
+        w, q = np.linalg.eigh(h.reshape(b, n, n))
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+        raise NumericalFailureError(f"stacked eigensolver failed: {exc}") from exc
+    q_rows = q[:, rows, :] * np.exp(-1j * length * w)[:, None, :]
+    return q_rows @ q[:, cols, :].transpose(0, 2, 1)
 
 
 def output_power(u: TransferUnitary, input_guide: int) -> np.ndarray:

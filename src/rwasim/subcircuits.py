@@ -220,8 +220,13 @@ def distribution_fidelity(target_row, measured_row):
         sums = row.sum(axis=-1)
         if (np.abs(sums - 1.0) > 1e-6).any():
             raise ValueError(f"{name} row sums to {sums}, not normalized")
-    fid = np.sqrt(t * m).sum(axis=-1)
+    fid = _bhattacharyya(t, m)
     return float(fid) if fid.ndim == 0 else fid
+
+
+def _bhattacharyya(t: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """sum_j sqrt(t_j m_j) along the last axis, for rows known to be normalized."""
+    return np.sqrt(t * m).sum(axis=-1)
 
 
 def average_fidelity(targets: TruthTable, measured: TruthTable) -> float:

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from rwasim import calibration
 from rwasim.calibration import (
     FlatCurveError,
     LookupMap,
+    SolveResult,
     build_lookup_map,
     default_grid,
     gate_voltages_by_linear_fit,
@@ -13,13 +17,73 @@ from rwasim.calibration import (
 )
 from rwasim.device import (
     DeviceSpec,
+    DeviceSpecError,
     VoltageBoundError,
     VoltageConfig,
     build_hamiltonian,
     default_device,
 )
 from rwasim.evolution import output_power, unitary
+from rwasim.photon_stats import DegenerateSplittingError
 from rwasim.subcircuits import SubcircuitPair, effective_reflectivity, leakage
+
+from conftest import random_device
+
+
+def reference_cells(spec, pair, electrode_a, electrode_b, grid_a, grid_b,
+                    fixed_voltages=None):
+    """eta and both leakages (percent) cell by cell through the scalar path."""
+    base = (fixed_voltages.volts if fixed_voltages is not None
+            else np.zeros(spec.n_electrodes))
+    g1, g2 = pair.guides
+    out = np.empty((3, len(grid_a), len(grid_b)))
+    for ia, va in enumerate(grid_a):
+        for ib, vb in enumerate(grid_b):
+            volts = base.copy()
+            volts[electrode_a - 1] = va
+            volts[electrode_b - 1] = vb
+            u = unitary(build_hamiltonian(spec, VoltageConfig(volts)),
+                        spec.coupling_length)
+            try:
+                eta = effective_reflectivity(u, pair)
+            except DegenerateSplittingError:
+                eta = 1.0  # no power crosses the pair
+            out[:, ia, ib] = (min(max(eta, 0.0), 1.0),
+                              min(max(leakage(output_power(u, g1), pair), 0.0), 100.0),
+                              min(max(leakage(output_power(u, g2), pair), 0.0), 100.0))
+    return out
+
+
+def reference_solve(lut, target_eta, max_leakage=100.0):
+    """Cell-by-cell scan keeping the smallest (|eta - target|, mean leakage,
+    voltage norm) key; a tie keeps the earlier cell in grid order."""
+    mean_leak = lut.mean_leakage
+    best = best_key = fallback = fallback_key = None
+    for ia in range(lut.grid_a.size):
+        for ib in range(lut.grid_b.size):
+            key = (abs(lut.eta[ia, ib] - target_eta), mean_leak[ia, ib],
+                   float(np.hypot(lut.grid_a[ia], lut.grid_b[ib])))
+            if mean_leak[ia, ib] <= max_leakage and (best_key is None
+                                                     or key < best_key):
+                best, best_key = (ia, ib), key
+            if fallback_key is None or key < fallback_key:
+                fallback, fallback_key = (ia, ib), key
+    ia, ib = best if best is not None else fallback
+    return SolveResult(found=best is not None, v_a=float(lut.grid_a[ia]),
+                       v_b=float(lut.grid_b[ib]), eta=float(lut.eta[ia, ib]),
+                       mean_leakage=float(mean_leak[ia, ib]))
+
+
+def reference_csv(lut) -> str:
+    """The map CSV written one cell at a time with f"{x:.17g}"."""
+    lines = ["v_a,v_b,eta,leak_in1,leak_in2\n"]
+    for ia, va in enumerate(lut.grid_a):
+        for ib, vb in enumerate(lut.grid_b):
+            lines.append(",".join(
+                f"{x:.17g}" for x in (va, vb, lut.eta[ia, ib],
+                                      lut.leakage_in1[ia, ib],
+                                      lut.leakage_in2[ia, ib])) + "\n")
+    return "".join(lines)
 
 
 def linear_eta_map(grid=None):
@@ -75,6 +139,68 @@ class TestBuildLookupMap:
         np.testing.assert_array_equal(a.eta, b.eta)
         np.testing.assert_array_equal(a.leakage_in1, b.leakage_in1)
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), lower=st.integers(1, 10),
+           electrodes=st.lists(st.integers(1, 22), min_size=2, max_size=2,
+                               unique=True),
+           shape=st.tuples(st.integers(1, 30), st.integers(1, 30)))
+    @example(seed=0, lower=1, electrodes=[1, 4], shape=(23, 29))
+    @example(seed=1, lower=10, electrodes=[22, 19], shape=(16, 32))
+    def test_cells_match_scalar_reference(self, seed, lower, electrodes, shape):
+        # (23, 29) spans several blocks and ends mid-block; (16, 32) is an
+        # exact multiple of the block size
+        rng = np.random.default_rng(seed)
+        spec = random_device(rng)
+        fixed = VoltageConfig(rng.uniform(-10.0, 10.0, spec.n_electrodes))
+        grid_a, grid_b = (np.sort(rng.uniform(-10.0, 10.0, n)) for n in shape)
+        pair = SubcircuitPair(lower)
+        lut = build_lookup_map(spec, pair, *electrodes, grid_a, grid_b, fixed)
+        eta, leak1, leak2 = reference_cells(spec, pair, *electrodes, grid_a,
+                                            grid_b, fixed)
+        np.testing.assert_allclose(lut.eta, eta, rtol=0, atol=1e-12)
+        # leakage is a percentage: 1e-12 as a fraction
+        np.testing.assert_allclose(lut.leakage_in1, leak1, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(lut.leakage_in2, leak2, rtol=0, atol=1e-10)
+        np.testing.assert_array_equal(lut.fixed_voltages, fixed.volts)
+        assert lut.input_guides == pair.guides
+
+    def test_grid_sizes_straddle_block(self):
+        assert 23 * 29 > calibration._BLOCK_CELLS
+        assert (23 * 29) % calibration._BLOCK_CELLS != 0
+        assert (16 * 32) % calibration._BLOCK_CELLS == 0
+
+    def test_nan_grid_entry_rejected(self, device):
+        grid = np.array([np.nan, 0.0])
+        with pytest.raises(DeviceSpecError):
+            build_lookup_map(device, SubcircuitPair(1), 1, 4, grid, np.zeros(1))
+
+    def test_fixed_voltages_checked(self, device):
+        grid = np.array([0.0, 1.0])
+        over = np.zeros(22)
+        over[6] = 10.5  # electrode 7 is not swept
+        with pytest.raises(VoltageBoundError):
+            build_lookup_map(device, SubcircuitPair(1), 1, 4, grid, grid,
+                             VoltageConfig(over))
+        for n in (21, 23):
+            with pytest.raises(DeviceSpecError):
+                build_lookup_map(device, SubcircuitPair(1), 1, 4, grid, grid,
+                                 VoltageConfig(np.zeros(n)))
+
+    def test_pair_beyond_last_guide_rejected(self, device):
+        grid = np.array([0.0, 1.0])
+        with pytest.raises(IndexError):
+            build_lookup_map(device, SubcircuitPair(11), 1, 4, grid, grid)
+
+    def test_zero_coupling_gives_unit_eta(self):
+        spec = DeviceSpec(base_coupling=np.zeros(10),
+                          coupling_sensitivity=np.zeros((10, 22)))
+        grid = np.linspace(-10.0, 10.0, 21)
+        fixed = VoltageConfig(np.linspace(-9.0, 9.0, 22))
+        for lower in (1, 5, 10):
+            lut = build_lookup_map(spec, SubcircuitPair(lower), 1, 4, grid, grid,
+                                   fixed)
+            assert np.all(lut.eta == 1.0)
+
     def test_out_of_limit_grid_rejected(self, device):
         grid = np.array([-11.0, 0.0])
         with pytest.raises(VoltageBoundError):
@@ -110,6 +236,38 @@ class TestSolveVoltage:
         result = solve_voltage(lut, target_eta=0.6, max_leakage=-1.0)
         assert not result.found
         assert result.v_a == pytest.approx(2.0)  # best infeasible candidate
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           shape=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+           target_eta=st.sampled_from([0.0, 0.25, 0.5, 0.625, 1.0]),
+           max_leakage=st.sampled_from([-1.0, 0.0, 1.0, 1.5, 100.0]))
+    def test_matches_cell_scan_under_ties(self, seed, shape, target_eta,
+                                          max_leakage):
+        # few distinct values and grids symmetric about 0 tie every key:
+        # distance (0.25 and 0.75 around 0.5), mean leakage, and norm
+        rng = np.random.default_rng(seed)
+        grid_a, grid_b = (np.arange(n) - n // 2 + 0.0 for n in shape)
+        eta = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], shape)
+        leak1, leak2 = rng.choice([0.0, 1.0, 2.0], (2, *shape))
+        lut = LookupMap(electrode_a=1, electrode_b=4, grid_a=grid_a,
+                        grid_b=grid_b, eta=eta, leakage_in1=leak1,
+                        leakage_in2=leak2, input_guides=(1, 2))
+        assert solve_voltage(lut, target_eta, max_leakage) == \
+            reference_solve(lut, target_eta, max_leakage)
+
+    def test_full_ties_keep_grid_order(self):
+        # the four corners tie on every key
+        grid = np.array([-1.0, 0.0, 1.0])
+        eta = np.array([[0.5, 0.0, 0.5], [0.0, 0.0, 0.0], [0.5, 0.0, 0.5]])
+        leak = np.zeros((3, 3))
+        lut = LookupMap(electrode_a=1, electrode_b=4, grid_a=grid, grid_b=grid,
+                        eta=eta, leakage_in1=leak, leakage_in2=leak,
+                        input_guides=(1, 2))
+        for max_leakage in (100.0, -1.0):
+            result = solve_voltage(lut, 0.5, max_leakage)
+            assert (result.v_a, result.v_b) == (-1.0, -1.0)
+            assert result.found == (max_leakage >= 0)
 
     def test_round_trip_within_grid_resolution(self, device):
         grid = np.linspace(-10, 10, 21)
@@ -182,6 +340,24 @@ class TestMapExport:
         assert len(lines) == 5
         first = [float(x) for x in lines[1].split(",")]
         assert first[:2] == [-1.0, -1.0]
+
+    def test_csv_bytes_match_cell_writer(self, tmp_path):
+        # -0.0, subnormals, integral values and full 17-digit mantissas
+        lut = LookupMap(
+            electrode_a=1, electrode_b=4,
+            grid_a=np.array([-0.0, 5e-324, 3.0]),
+            grid_b=np.array([-10.0, 1.0 / 3.0]),
+            eta=np.array([[0.0, 1.0], [5e-324, 2.2250738585072014e-308],
+                          [0.1, 0.49999999999999994]]),
+            leakage_in1=np.array([[100.0, -0.0], [1e-300, 4e-320],
+                                  [12.0, 99.99999999999999]]),
+            leakage_in2=np.array([[2.0 / 3.0, 7.0], [0.0, 1e-9],
+                                  [50.0, 3.141592653589793]]),
+            input_guides=(1, 2),
+        )
+        path = tmp_path / "map.csv"
+        map_to_csv(lut, path)
+        assert path.read_bytes() == reference_csv(lut).encode()
 
     def test_metadata(self, device):
         grid = np.array([-1.0, 1.0])

@@ -175,6 +175,22 @@ class TestReplay:
         assert "0.0.1" in err and __version__ in err
         assert not second.exists()
 
+    def test_replay_refuses_0_2_0_map(self, tmp_path, capsys):
+        # 0.3.0 builds maps with a batched eigensolver, whose values differ
+        # from 0.2.0's in the last digits
+        first = tmp_path / "first"
+        assert run("map", "--electrodes", "1,4", "--range=-2,2", "--step", "2",
+                   "--out", str(first)) == 0
+        manifest = first / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["version"] = "0.2.0"
+        manifest.write_text(json.dumps(doc))
+        second = tmp_path / "second"
+        capsys.readouterr()
+        assert run("replay", str(manifest), "--out", str(second)) == 3
+        assert "0.2.0" in capsys.readouterr().err
+        assert not second.exists()
+
     def test_replay_map(self, tmp_path):
         first = tmp_path / "first"
         run("map", "--electrodes", "1,4", "--range=-2,2", "--step", "2",

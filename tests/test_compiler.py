@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from rwasim.compiler import (
     trace_to_csv,
 )
 from rwasim.device import DeviceSpec, VoltageBoundError, VoltageConfig
-from rwasim.subcircuits import SubcircuitPair
+from rwasim.subcircuits import SubcircuitPair, TwoModeUnitary
 
 from conftest import make_xx_device
 
@@ -114,6 +115,12 @@ class TestObjective:
                + m1.leakage**2 + m2.leakage**2)
         assert obj == pytest.approx(4.0 + m1.crosstalk**2 + m2.crosstalk**2)
 
+    def test_unnormalized_target_rejected(self):
+        bad = TwoModeUnitary(matrix=2.0 * np.eye(2), eta=1.0, phi=0.0)
+        with pytest.raises(ValueError, match="not normalized"):
+            evaluate(make_xx_device(), VoltageConfig.zeros(22),
+                     preset_config("config2"), (bad, bad))
+
     def test_inactive_electrodes_forced_to_zero(self):
         spec = make_xx_device()
         config = preset_config("config2")
@@ -155,6 +162,29 @@ class TestObjectiveWithGradient:
         central = np.array([(reference(x + e) - reference(x - e)) / (2 * h)
                             for e in step])
         assert np.max(np.abs(grad - central)) <= 1e-6 * np.max(np.abs(central))
+
+    @settings(max_examples=40, deadline=None)
+    @given(device_seed=st.integers(0, 2**16),
+           config_name=st.sampled_from(["config1", "config2", "config3"]),
+           gates=st.tuples(GATES, GATES),
+           point_seed=st.integers(0, 2**32 - 1))
+    def test_fidelity_rows_normalized(self, device_seed, config_name, gates,
+                                      point_seed):
+        # the kernel's fidelity skips distribution_fidelity's normalisation
+        # check, so the rows it hands the Bhattacharyya sum must sum to 1
+        spec = random_base_device(device_seed)
+        config = preset_config(config_name)
+        targets = tuple(gate_target(g) for g in gates)
+        x = np.random.default_rng(point_seed).uniform(
+            -spec.voltage_limit, spec.voltage_limit, len(config.active_electrodes))
+        f = objective_with_gradient(spec, config, targets)
+        with mock.patch.object(compiler, "_bhattacharyya",
+                               wraps=compiler._bhattacharyya) as core:
+            f(x)
+        target_p, split = core.call_args.args
+        assert target_p.shape == split.shape == (4, 2)
+        np.testing.assert_allclose(target_p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(split.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_zero_at_exact_solution(self):
         spec = make_xx_device()

@@ -11,6 +11,7 @@ from rwasim.device import (
     build_hamiltonian,
     default_device,
     device_spec_from_dict,
+    hamiltonian_diagonals,
     load_device_spec,
     save_device_spec,
     validate_voltages,
@@ -125,6 +126,29 @@ class TestBuildHamiltonian:
         m = h.to_matrix()
         np.testing.assert_array_equal(m, m.T)
         assert np.count_nonzero(np.triu(m, 2)) == 0
+
+
+class TestHamiltonianDiagonals:
+    def test_rows_match_build_hamiltonian(self, device):
+        volts = np.random.default_rng(3).uniform(-10, 10, (5, 22))
+        diag, offdiag = hamiltonian_diagonals(device, volts)
+        assert diag.shape == (5, 11) and offdiag.shape == (5, 10)
+        for v, d, o in zip(volts, diag, offdiag):
+            h = build_hamiltonian(device, VoltageConfig(v))
+            np.testing.assert_allclose(d, h.diag, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(o, h.offdiag, rtol=0, atol=1e-15)
+
+    def test_invalid_stacks_rejected(self, device):
+        volts = np.zeros((3, 22))
+        volts[2, 6] = -10.5
+        with pytest.raises(VoltageBoundError, match="electrode 7"):
+            hamiltonian_diagonals(device, volts)
+        volts[2, 6] = np.nan
+        with pytest.raises(DeviceSpecError):
+            hamiltonian_diagonals(device, volts)
+        for bad in (np.zeros(22), np.zeros((3, 21))):
+            with pytest.raises(DeviceSpecError):
+                hamiltonian_diagonals(device, bad)
 
 
 class TestValidateVoltages:

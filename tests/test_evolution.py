@@ -4,13 +4,19 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from rwasim.device import TridiagonalHamiltonian, VoltageConfig, build_hamiltonian
+from rwasim.device import (
+    TridiagonalHamiltonian,
+    VoltageConfig,
+    build_hamiltonian,
+    hamiltonian_diagonals,
+)
 from rwasim.evolution import (
     output_power,
     powers_to_csv,
     profile_to_csv,
     propagation_profile,
     unitary,
+    unitary_blocks,
     unitary_to_csv,
 )
 
@@ -69,6 +75,27 @@ class TestUnitary:
         u = unitary(h, 24.0)
         assert np.max(np.abs(u.matrix[:5, 5:])) <= 1e-12
         assert np.max(np.abs(u.matrix[5:, :5])) <= 1e-12
+
+
+class TestUnitaryBlocks:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_scalar_unitary(self, seed):
+        rng = np.random.default_rng(seed)
+        spec = random_device(rng)
+        volts = rng.uniform(-10.0, 10.0, (7, spec.n_electrodes))
+        rows, cols = [0, 3, 10], [5, 1]
+        blocks = unitary_blocks(*hamiltonian_diagonals(spec, volts),
+                                spec.coupling_length, rows, cols)
+        assert blocks.shape == (7, 3, 2)
+        for v, block in zip(volts, blocks):
+            u = unitary(build_hamiltonian(spec, VoltageConfig(v)),
+                        spec.coupling_length)
+            np.testing.assert_allclose(block, u.matrix[np.ix_(rows, cols)],
+                                       rtol=0, atol=1e-12)
+
+    def test_non_positive_length_rejected(self):
+        with pytest.raises(ValueError):
+            unitary_blocks(np.zeros((1, 3)), np.zeros((1, 2)), 0.0, [0], [0])
 
 
 class TestOutputPower:
