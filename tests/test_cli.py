@@ -1,8 +1,9 @@
+import functools
 import json
 
 import pytest
 
-from rwasim import __version__
+from rwasim import __version__, photon_stats
 from rwasim.cli import main
 from rwasim.device import default_device, save_device_spec
 from rwasim.manifest import read_manifest
@@ -100,6 +101,17 @@ class TestHom:
     def test_missing_scan_is_usage_error(self, tmp_path):
         assert run("hom", "--eta", "0.5", "--out", str(tmp_path / "x")) == 2
 
+    def test_fit_failure_is_numerical_exit(self, tmp_path, monkeypatch, capsys):
+        # a noiseless full dip needs more than the 10 evaluations this allows
+        monkeypatch.setattr(photon_stats, "fit_hom_dip", functools.partial(
+            photon_stats.fit_hom_dip, max_iterations=1))
+        out = tmp_path / "run"
+        assert run("hom", "--eta", "0.5", "--scan=-0.5,0.5,0.01",
+                   "--noiseless", "--fit", "--out", str(out)) == 4
+        assert "residual norm" in capsys.readouterr().err
+        assert not (out / "dipfit.json").exists()
+        assert not (out / "manifest.json").exists()
+
     def test_device_driven_eta(self, device_file, tmp_path):
         out = tmp_path / "run"
         assert run("hom", "--device", device_file, "--pair", "1",
@@ -189,6 +201,22 @@ class TestReplay:
         capsys.readouterr()
         assert run("replay", str(manifest), "--out", str(second)) == 3
         assert "0.2.0" in capsys.readouterr().err
+        assert not second.exists()
+
+    def test_replay_refuses_0_3_0_fit(self, tmp_path, capsys):
+        # 0.4.0 fits with the exact Jacobian, which moves 0.3.0's fitted a2
+        # by about 1e-9
+        first = tmp_path / "first"
+        assert run("hom", "--eta", "0.7", "--scan=-0.5,0.5,0.02",
+                   "--seed", "12", "--fit", "--out", str(first)) == 0
+        manifest = first / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["version"] = "0.3.0"
+        manifest.write_text(json.dumps(doc))
+        second = tmp_path / "second"
+        capsys.readouterr()
+        assert run("replay", str(manifest), "--out", str(second)) == 3
+        assert "0.3.0" in capsys.readouterr().err
         assert not second.exists()
 
     def test_replay_map(self, tmp_path):

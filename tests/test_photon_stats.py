@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import least_squares
 
 from rwasim.evolution import TransferUnitary, unitary
 from rwasim.device import TridiagonalHamiltonian, VoltageConfig, build_hamiltonian
@@ -11,13 +12,15 @@ from rwasim.photon_stats import (
     DEFAULT_COHERENCE_SIGMA_MM,
     DegenerateSplittingError,
     DipFit,
+    FitFailureError,
     HomScan,
+    _initial_guess,
     dip_extrema,
+    dip_jacobian,
     dip_model,
     fit_hom_dip,
     ideal_visibility,
     reflectivity_from_powers,
-    scan_from_csv,
     scan_to_csv,
     simulate_hom_scan,
     two_photon_coincidence,
@@ -25,6 +28,21 @@ from rwasim.photon_stats import (
 )
 
 from conftest import random_device
+
+
+def reference_fit(scan: HomScan) -> np.ndarray:
+    """(a0, a1, a2, a3, a4) from the dip fit with scipy's finite-difference
+    Jacobian: `fit_hom_dip`'s initial guess, bounds and tolerances without
+    its exact Jacobian."""
+    x, y = scan.delays, scan.counts
+    lower = [-np.inf, -np.inf, 0.0, -np.inf, 1e-9 * (x[-1] - x[0])]
+    upper = [np.inf, np.inf, 1.0, np.inf, np.inf]
+    result = least_squares(
+        lambda p: dip_model(x, *p) - y, np.clip(_initial_guess(scan), lower, upper),
+        bounds=(lower, upper), xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=5000,
+    )
+    assert result.success, result.message
+    return result.x
 
 
 def eta_coupler(eta: float) -> TransferUnitary:
@@ -193,6 +211,80 @@ class TestFitHomDip:
             fit = fit_hom_dip(scan)
             assert fit.a2 == pytest.approx(ideal_visibility(eta), abs=0.01)
 
+    def test_evaluation_cap_raises(self):
+        # a noiseless full dip pins a2 on its bound 1, which takes more
+        # than the 10 evaluations max_iterations=1 allows
+        scan = simulate_hom_scan(0.5, np.linspace(-0.6, 0.6, 121), 1e4)
+        assert fit_hom_dip(scan).a2 == pytest.approx(1.0, abs=1e-9)
+        with pytest.raises(FitFailureError) as info:
+            fit_hom_dip(scan, max_iterations=1)
+        assert math.isfinite(info.value.residual_norm)
+        assert info.value.residual_norm > 0
+
+
+class TestDipJacobian:
+    H = 1e-5  # central-difference step in a3 and a4, relative to a4
+    RTOL = 1e-7  # of each column's largest entry
+
+    @settings(max_examples=300, deadline=None)
+    @given(a0=st.floats(-50, 50), a1=st.floats(10, 1e4),
+           a2=st.one_of(st.just(0.0), st.just(1.0), st.floats(1e-3, 1)),
+           a3=st.floats(-0.5, 0.5),
+           log10_a4=st.floats(-8.8, 0.0))  # fit_hom_dip's lower bound is 1e-9 * span
+    def test_matches_central_differences(self, a0, a1, a2, a3, log10_a4):
+        a4 = 10.0**log10_a4
+        # a wide grid plus points within four widths of the centre, so the
+        # Gaussian columns are not all zero for the narrowest dips
+        x = np.concatenate([np.linspace(-1, 1, 41),
+                            a3 + a4 * np.linspace(-4, 4, 17)])
+        p = np.array([a0, a1, a2, a3, a4])
+        jac = dip_jacobian(x, *p)
+        assert jac.shape == (x.size, 5)
+        # the model is linear in a0..a2, where a unit step is exact up to
+        # rounding; a3 and a4 act on the scale of a4
+        steps = np.array([1.0, 1.0, 1.0, self.H * a4, self.H * a4])
+        for j in range(5):
+            hi, lo = p.copy(), p.copy()
+            hi[j] += steps[j]
+            lo[j] -= steps[j]
+            fd = (dip_model(x, *hi) - dip_model(x, *lo)) / (hi[j] - lo[j])
+            atol = self.RTOL * np.max(np.abs(fd))
+            np.testing.assert_allclose(jac[:, j], fd, rtol=0, atol=atol,
+                                       err_msg=f"column a{j}")
+
+
+class TestFitMatchesReference:
+    """`fit_hom_dip` with the exact Jacobian against `reference_fit`."""
+
+    DELAYS = np.linspace(-0.6, 0.6, 121)
+    BASELINE = 1e4  # 1% relative Poisson noise
+    MIN_VISIBILITY = 0.05
+
+    @settings(max_examples=150, deadline=None)
+    @given(eta=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0, 1)),
+           seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+           center=st.floats(-0.2, 0.2),
+           slope=st.floats(-200, 200))  # up to a 2.4% drift over the scan
+    @example(eta=0.0, seed=None, center=0.0, slope=0.0)
+    @example(eta=1.0, seed=None, center=0.0, slope=145.0)
+    @example(eta=0.5, seed=None, center=0.0, slope=0.0)
+    @example(eta=0.5, seed=3, center=0.1, slope=-50.0)
+    def test_matches_finite_difference_fit(self, eta, seed, center, slope):
+        # Flat scans (a2 -> 0) are noiseless. A dip shallower than five noise
+        # widths is not resolved: the fit is ill-posed there, and with either
+        # Jacobian it can end in the a4 >> span valley or hit the cap.
+        v = ideal_visibility(eta)
+        assume((v == 0.0 and seed is None) or v >= self.MIN_VISIBILITY)
+        scan = simulate_hom_scan(eta, self.DELAYS, self.BASELINE, slope=slope,
+                                 dip_center=center, noise_seed=seed)
+        fit = fit_hom_dip(scan)
+        ref = reference_fit(scan)
+        # on flat sloped scans a2 is unresolved below about 3e-6
+        assert fit.a2 == pytest.approx(ref[2], abs=1e-5)
+        if ref[2] >= 0.01:  # a3 and a4 leave the model as a2 -> 0
+            assert fit.a3 == pytest.approx(ref[3], abs=1e-6)
+            assert fit.a4 == pytest.approx(ref[4], rel=1e-5)
+
 
 class TestDipExtrema:
     def test_fwhm_factor(self):
@@ -237,9 +329,9 @@ class TestScanCsv:
         scan = simulate_hom_scan(0.7, np.linspace(-1, 1, 21), 500.0, noise_seed=1)
         path = tmp_path / "scan.csv"
         scan_to_csv(scan, path)
-        loaded = scan_from_csv(path)
-        np.testing.assert_array_equal(loaded.delays, scan.delays)
-        np.testing.assert_array_equal(loaded.counts, scan.counts)
+        loaded = np.loadtxt(path, delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(loaded[:, 0], scan.delays)
+        np.testing.assert_array_equal(loaded[:, 1], scan.counts)
 
 
 class TestHomScanValidation:
