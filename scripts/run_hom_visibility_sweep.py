@@ -10,6 +10,7 @@ import pathlib
 
 import numpy as np
 
+from rwasim.csvio import write_csv
 from rwasim.photon_stats import (
     dip_extrema,
     fit_hom_dip,
@@ -45,9 +46,9 @@ def main():
 
     out = pathlib.Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    header = "eta,ideal_visibility,fitted_visibility,visibility_error,n_max,n_min"
-    lines = [header] + [",".join(f"{x:.17g}" for x in row) for row in rows]
-    out.write_text("\n".join(lines) + "\n")
+    write_csv(out, ["eta", "ideal_visibility", "fitted_visibility",
+                    "visibility_error", "n_max", "n_min"],
+              [[x for row in rows for x in row]])
     print(f"wrote {out}")
 
 

@@ -1,6 +1,6 @@
 """Simulator and control compiler for reconfigurable photonic waveguide arrays."""
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .device import (
     DeviceSpec,
@@ -12,7 +12,6 @@ from .device import (
     default_device,
     load_device_spec,
     save_device_spec,
-    validate_voltages,
 )
 from .evolution import (
     IntensityProfile,
@@ -36,13 +35,10 @@ from .subcircuits import (
     TruthTable,
     TwoModeUnitary,
     average_fidelity,
-    crosstalk,
-    decouple_blocks,
     distribution_fidelity,
     effective_reflectivity,
     gate_truth_table,
     leakage,
-    post_selected_two_mode_unitary,
     two_mode_unitary,
 )
 from .calibration import (

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .csvio import write_csv
+
 PER_MZI_DB_DEFAULT = 0.2
 WA_DB_PER_CM_DEFAULT = 0.1
 
@@ -41,14 +43,11 @@ class LossReport:
         return "\n".join(lines)
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("n_modes,mzi_count,mzi_depth,clements_loss_db,"
-                     "wa_length_cm,wa_loss_db\n")
-            fh.write(",".join(str(x) for x in (
-                self.n_modes, self.mzi_count, self.mzi_depth,
-                f"{self.clements_loss_db:.17g}",
-                f"{self.wa_length_cm:.17g}", f"{self.wa_loss_db:.17g}",
-            )) + "\n")
+        write_csv(path, ["n_modes", "mzi_count", "mzi_depth", "clements_loss_db",
+                         "wa_length_cm", "wa_loss_db"],
+                  [[self.n_modes, self.mzi_count, self.mzi_depth,
+                    self.clements_loss_db, self.wa_length_cm, self.wa_loss_db]],
+                  int_columns=3)
 
 
 def clements_loss(

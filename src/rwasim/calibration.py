@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import write_csv
 from .device import DeviceSpec, VoltageConfig
 from .evolution import unitary_blocks
 from .subcircuits import SubcircuitPair
@@ -261,7 +262,7 @@ def gate_voltages_by_linear_fit(
     ib = int(np.argmin(np.abs(lut.grid_b - fixed_v_b)))
     etas = lut.eta[:, ib]
     if etas.size < 3:
-        raise ValueError(f"slice needs >= 3 points, got {etas.size}")
+        raise FlatCurveError(f"slice needs >= 3 points, got {etas.size}")
     anchor = int(np.argmin(np.abs(etas - 0.5)))
     start, stop = _monotone_run_containing(etas, anchor)
     v = lut.grid_a[start:stop]
@@ -285,19 +286,15 @@ def gate_voltages_by_linear_fit(
 # -- CSV / metadata I/O ------------------------------------------------------
 
 def map_to_csv(lut: LookupMap, path) -> None:
-    """Header `v_a, v_b, eta, leak_in1, leak_in2`, row-major over grid_a then grid_b."""
-    nb = lut.grid_b.size
-    row = "%.17g,%.17g,%.17g,%.17g,%.17g\n" * nb
-    cells = np.empty((nb, 5))
-    cells[:, 1] = lut.grid_b
-    with open(path, "w") as fh:
-        fh.write("v_a,v_b,eta,leak_in1,leak_in2\n")
-        for ia, va in enumerate(lut.grid_a):
-            cells[:, 0] = va
-            cells[:, 2] = lut.eta[ia]
-            cells[:, 3] = lut.leakage_in1[ia]
-            cells[:, 4] = lut.leakage_in2[ia]
-            fh.write(row % tuple(cells.ravel().tolist()))
+    """Header `v_a, v_b, eta, leak_in1, leak_in2`, row-major over grid_a then grid_b.
+
+    Written one grid_a row per block, so the text of the whole map is never
+    held at once.
+    """
+    write_csv(path, ["v_a", "v_b", "eta", "leak_in1", "leak_in2"], (
+        np.column_stack((np.full(lut.grid_b.size, va), lut.grid_b, lut.eta[ia],
+                         lut.leakage_in1[ia], lut.leakage_in2[ia])).ravel().tolist()
+        for ia, va in enumerate(lut.grid_a)))
 
 
 def map_metadata(lut: LookupMap) -> dict:

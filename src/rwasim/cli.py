@@ -3,7 +3,7 @@
 Subcommands: simulate, map, hom, compile, loss, replay.  Each run writes
 its outputs plus a manifest.json into --out; `replay <manifest>` re-runs
 the recorded command into a fresh directory, and refuses a manifest written
-by another rwasim version.
+by another rwasim version or one whose input files have changed since.
 
 Exit codes: 0 success, 2 usage error, 3 validation error, 4 numerical
 failure.
@@ -22,7 +22,7 @@ from . import device as device_mod
 from . import photon_stats
 from .device import DeviceSpec, VoltageConfig
 from .evolution import NumericalFailureError
-from .manifest import MANIFEST_NAME, RunManifest, read_manifest
+from .manifest import MANIFEST_NAME, RunManifest, file_sha256, read_manifest
 from .photon_stats import FitFailureError
 from .subcircuits import SubcircuitPair, effective_reflectivity
 
@@ -38,13 +38,19 @@ class UsageError(Exception):
     pass
 
 
-def _load_device(path: str | None) -> tuple[DeviceSpec, list[str]]:
-    """Resolve --device, then $RWASIM_DEVICE, then the built-in default."""
+def _load_device(path: str | None, argv: list[str]) -> tuple[DeviceSpec, list[str]]:
+    """Resolve --device, then $RWASIM_DEVICE, then the built-in default.
+
+    A device named by the environment is appended to `argv` as --device with
+    its resolved path, so the manifest replays it without the variable.
+    """
     if path is None:
         path = os.environ.get(DEVICE_ENV_VAR)
-    if path is None:
-        return device_mod.default_device(), []
-    return device_mod.load_device_spec(path), [str(path)]
+        if path is None:
+            return device_mod.default_device(), []
+        path = str(Path(path).resolve())
+        argv += ["--device", path]
+    return device_mod.load_device_spec(path), [path]
 
 
 def _load_voltages(path: str | None, spec: DeviceSpec) -> VoltageConfig:
@@ -81,7 +87,8 @@ def _write_manifest(out_dir: Path, command: str, argv: list[str],
                     inputs: list[str], params: dict, seed: int | None,
                     outputs: list[str]) -> None:
     RunManifest(
-        command=command, argv=tuple(argv), inputs=tuple(inputs),
+        command=command, argv=tuple(argv),
+        inputs={path: file_sha256(path) for path in inputs},
         params=params, seed=seed, outputs=tuple(outputs),
     ).write(out_dir / MANIFEST_NAME)
 
@@ -89,7 +96,7 @@ def _write_manifest(out_dir: Path, command: str, argv: list[str],
 # -- subcommands -------------------------------------------------------------
 
 def _cmd_simulate(args, argv) -> int:
-    spec, inputs = _load_device(args.device)
+    spec, inputs = _load_device(args.device, argv)
     volts = _load_voltages(args.voltages, spec)
     if args.voltages:
         inputs.append(args.voltages)
@@ -118,7 +125,7 @@ def _cmd_simulate(args, argv) -> int:
 
 
 def _cmd_map(args, argv) -> int:
-    spec, inputs = _load_device(args.device)
+    spec, inputs = _load_device(args.device, argv)
     ea, eb = (int(x) for x in _parse_pair_of_floats(args.electrodes, "--electrodes"))
     lo, hi = _parse_pair_of_floats(args.range, "--range")
     if args.step <= 0 or hi <= lo:
@@ -140,7 +147,28 @@ def _cmd_map(args, argv) -> int:
                     {"pair": args.pair, "electrodes": [ea, eb],
                      "range": [lo, hi], "step": args.step},
                     None, ["map.csv", "map_meta.json"])
+    _print_map_summary(lut)
     return EXIT_OK
+
+
+def _print_map_summary(lut: calibration.LookupMap) -> None:
+    """Mean leakage, the 50/50 cell, and gate voltages from a linear fit
+    along electrode a at the electrode-b voltage that leaks least."""
+    ea, eb = lut.electrode_a, lut.electrode_b
+    balanced = calibration.solve_voltage(lut, target_eta=0.5)
+    print(f"mean leakage over map: {lut.mean_leakage.mean():.3f}%")
+    print(f"50/50 point: v{ea}={balanced.v_a:+.2f} V, v{eb}={balanced.v_b:+.2f} V "
+          f"(eta={balanced.eta:.4f})")
+    best_b = lut.grid_b[np.argmin(lut.leakage_in1.min(axis=0))]
+    try:
+        gates = calibration.gate_voltages_by_linear_fit(lut, fixed_v_b=best_b)
+    except calibration.FlatCurveError as exc:
+        print(f"no linear fit at v{eb}={best_b:+.2f} V: {exc}")
+        return
+    for gate in gates:
+        flag = " (clamped)" if gate.clamped else ""
+        print(f"eta={gate.target_eta:.1f}: v{ea}={gate.voltage:+.2f} V "
+              f"at v{eb}={best_b:+.2f} V{flag}")
 
 
 def _cmd_hom(args, argv) -> int:
@@ -148,7 +176,7 @@ def _cmd_hom(args, argv) -> int:
     if args.eta is not None:
         eta = args.eta
     else:
-        spec, inputs = _load_device(args.device)
+        spec, inputs = _load_device(args.device, argv)
         volts = _load_voltages(args.voltages, spec)
         if args.voltages:
             inputs.append(args.voltages)
@@ -178,7 +206,12 @@ def _cmd_hom(args, argv) -> int:
 
 
 def _cmd_compile(args, argv) -> int:
-    spec, inputs = _load_device(args.device)
+    if not args.random_device:
+        spec, inputs = _load_device(args.device, argv)
+    elif args.device:
+        raise UsageError("--random-device and --device exclude each other")
+    else:
+        spec, inputs = compiler.random_base_device(seed=args.seed), []
     name = args.config if args.config.startswith("config") else f"config{args.config}"
     try:
         config = compiler.preset_config(name)
@@ -215,7 +248,8 @@ def _cmd_compile(args, argv) -> int:
         outputs = ["result.json", "trace.csv"]
     _write_manifest(out, "compile", argv, inputs,
                     {"config": name, "gates": args.gates,
-                     "restarts": args.restarts, "lengths": args.lengths},
+                     "restarts": args.restarts, "lengths": args.lengths,
+                     "random_device": args.random_device},
                     args.seed, outputs)
     return EXIT_OK
 
@@ -243,6 +277,11 @@ def _cmd_replay(args, _argv) -> int:
               f"this is rwasim {__version__}, whose outputs may differ. "
               "Refusing to replay.", file=sys.stderr)
         return EXIT_VALIDATION
+    for path, digest in man.inputs.items():
+        if file_sha256(path) != digest:
+            print(f"error: input {path} has changed since the recorded run "
+                  "(SHA-256 differs). Refusing to replay.", file=sys.stderr)
+            return EXIT_VALIDATION
     return main(list(man.argv) + ["--out", args.out])
 
 
@@ -305,6 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lengths", help="comma list of chip lengths in mm")
+    p.add_argument("--random-device", action="store_true",
+                   help="draw the base beta and coupling from --seed instead "
+                        "of loading a device")
     p.set_defaults(func=_cmd_compile)
 
     p = sub.add_parser("loss", help="architecture loss comparison")

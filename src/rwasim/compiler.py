@@ -26,6 +26,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import evolution
+from .csvio import write_csv
 from .device import DeviceSpec, VoltageBoundError, VoltageConfig, build_hamiltonian
 from .evolution import unitary
 from .subcircuits import (
@@ -136,11 +137,9 @@ def best_so_far(trace: np.ndarray) -> np.ndarray:
 
 
 def trace_to_csv(trace: np.ndarray, path) -> None:
-    running = best_so_far(trace)
-    with open(path, "w") as fh:
-        fh.write("restart,objective,best_so_far\n")
-        for i, (obj, best) in enumerate(zip(trace, running)):
-            fh.write(f"{i},{obj:.17g},{best:.17g}\n")
+    rows = zip(range(trace.size), trace.tolist(), best_so_far(trace).tolist())
+    write_csv(path, ["restart", "objective", "best_so_far"],
+              [[x for row in rows for x in row]], int_columns=1)
 
 
 def _input_terms(powers: np.ndarray, rows, other_rows, target_p, fidelity):

@@ -9,7 +9,7 @@ voltages shift both linearly through user-supplied sensitivity matrices.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -127,12 +127,6 @@ class VoltageConfig:
     def zeros(cls, n_electrodes: int = N_ELECTRODES_DEFAULT) -> "VoltageConfig":
         return cls(np.zeros(n_electrodes))
 
-    def with_electrode(self, electrode: int, value: float) -> "VoltageConfig":
-        """Copy with 1-based `electrode` set to `value`."""
-        v = self.volts.copy()
-        v[electrode - 1] = value
-        return VoltageConfig(v)
-
 
 @dataclass(frozen=True)
 class DeviceSpec:
@@ -217,64 +211,10 @@ class DeviceSpec:
     def with_length(self, coupling_length: float) -> "DeviceSpec":
         return dataclasses.replace(self, coupling_length=coupling_length)
 
-    def field_equal(self, other: "DeviceSpec") -> bool:
-        return (
-            self.n_guides == other.n_guides
-            and self.n_electrodes == other.n_electrodes
-            and self.coupling_length == other.coupling_length
-            and self.voltage_limit == other.voltage_limit
-            and np.array_equal(self.base_beta, other.base_beta)
-            and np.array_equal(self.base_coupling, other.base_coupling)
-            and np.array_equal(self.beta_sensitivity, other.beta_sensitivity)
-            and np.array_equal(self.coupling_sensitivity, other.coupling_sensitivity)
-        )
-
 
 def default_device() -> DeviceSpec:
     """The built-in 11-guide, 22-electrode device with declared defaults."""
     return DeviceSpec()
-
-
-@dataclass(frozen=True)
-class VoltageReport:
-    """Per-electrode bound check; electrodes listed 1-based."""
-
-    ok: bool
-    limit: float
-    violations: tuple[tuple[int, float], ...]  # (electrode, value)
-
-    def __str__(self) -> str:
-        if self.ok:
-            return f"all electrodes within +/-{self.limit} V"
-        lines = [f"voltage limit +/-{self.limit} V exceeded:"]
-        lines += [f"  electrode {e}: {v} V" for e, v in self.violations]
-        return "\n".join(lines)
-
-
-def validate_voltages(spec: DeviceSpec, v: VoltageConfig) -> VoltageReport:
-    """Check every electrode against the closed interval [-limit, +limit]."""
-    volts = v.volts
-    if volts.shape != (spec.n_electrodes,):
-        raise DeviceSpecError(
-            f"voltage vector has {volts.size} entries, expected {spec.n_electrodes}"
-        )
-    bad = np.flatnonzero(np.abs(volts) > spec.voltage_limit)
-    violations = tuple((int(i) + 1, float(volts[i])) for i in bad)
-    return VoltageReport(ok=not violations, limit=spec.voltage_limit,
-                         violations=violations)
-
-
-def build_hamiltonian(spec: DeviceSpec, v: VoltageConfig) -> TridiagonalHamiltonian:
-    """Map a voltage vector to the array Hamiltonian (linear model)."""
-    report = validate_voltages(spec, v)
-    if not report.ok:
-        e, val = report.violations[0]
-        raise VoltageBoundError(
-            f"electrode {e} at {val} V exceeds limit +/-{spec.voltage_limit} V"
-        )
-    diag = spec.base_beta + spec.beta_sensitivity @ v.volts
-    offdiag = spec.base_coupling + spec.coupling_sensitivity @ v.volts
-    return TridiagonalHamiltonian(diag=diag, offdiag=offdiag)
 
 
 def hamiltonian_diagonals(
@@ -282,8 +222,9 @@ def hamiltonian_diagonals(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Diagonals of H for each row of a (B, E) voltage stack.
 
-    Returns the (B, N) diagonals and (B, N-1) off-diagonals; the stack is
-    checked as `build_hamiltonian` checks one vector.
+    Returns the (B, N) diagonals and (B, N-1) off-diagonals.  This is the
+    one voltage check: every entry must be finite and within the closed
+    interval [-limit, +limit], and `build_hamiltonian` passes a one-row stack.
     """
     volts = np.asarray(volts, dtype=float)
     if volts.ndim != 2 or volts.shape[1] != spec.n_electrodes:
@@ -301,6 +242,12 @@ def hamiltonian_diagonals(
         )
     return (spec.base_beta + volts @ spec.beta_sensitivity.T,
             spec.base_coupling + volts @ spec.coupling_sensitivity.T)
+
+
+def build_hamiltonian(spec: DeviceSpec, v: VoltageConfig) -> TridiagonalHamiltonian:
+    """Map a voltage vector to the array Hamiltonian (linear model)."""
+    diag, offdiag = hamiltonian_diagonals(spec, v.volts[None, :])
+    return TridiagonalHamiltonian(diag=diag[0], offdiag=offdiag[0])
 
 
 # -- device spec file I/O ----------------------------------------------------

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
+from .csvio import write_csv
 from .device import TridiagonalHamiltonian
 
 
@@ -122,38 +123,23 @@ def propagation_profile(
 
 # -- CSV export --------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def profile_to_csv(profile: IntensityProfile, path) -> None:
     """Header `z_mm, P1..PN`, one row per z sample."""
     n = profile.intensities.shape[1]
-    with open(path, "w") as fh:
-        fh.write("z_mm," + ",".join(f"P{m}" for m in range(1, n + 1)) + "\n")
-        for z, row in zip(profile.z_points, profile.intensities):
-            fh.write(_fmt(z) + "," + ",".join(_fmt(p) for p in row) + "\n")
+    rows = np.column_stack((profile.z_points, profile.intensities))
+    write_csv(path, ["z_mm"] + [f"P{m}" for m in range(1, n + 1)],
+              [rows.ravel().tolist()])
 
 
 def unitary_to_csv(u: TransferUnitary, path) -> None:
     """Row-major interleaved real/imag parts: re_1_1, im_1_1, re_1_2, ..."""
     n = u.n_guides
-    with open(path, "w") as fh:
-        header = []
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                header += [f"re_{i}_{j}", f"im_{i}_{j}"]
-        fh.write(",".join(header) + "\n")
-        cells = []
-        for i in range(n):
-            for j in range(n):
-                cells += [_fmt(u.matrix[i, j].real), _fmt(u.matrix[i, j].imag)]
-        fh.write(",".join(cells) + "\n")
+    header = [f"{part}_{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1)
+              for part in ("re", "im")]
+    cells = np.column_stack((u.matrix.real.ravel(), u.matrix.imag.ravel()))
+    write_csv(path, header, [cells.ravel().tolist()])
 
 
 def powers_to_csv(powers: np.ndarray, path) -> None:
     """Single-row power distribution with header `P1..PN`."""
-    n = powers.size
-    with open(path, "w") as fh:
-        fh.write(",".join(f"P{m}" for m in range(1, n + 1)) + "\n")
-        fh.write(",".join(_fmt(p) for p in powers) + "\n")
+    write_csv(path, [f"P{m}" for m in range(1, powers.size + 1)], [powers.tolist()])

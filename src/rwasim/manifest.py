@@ -1,13 +1,16 @@
 """Run manifests: parameter echo plus output inventory for reproducibility.
 
 Every CLI command records the exact argument vector (minus the output
-directory) so `rwasim replay` can regenerate byte-identical numeric
-outputs anywhere.
+directory) and the SHA-256 of every input file it read, so `rwasim replay`
+can regenerate byte-identical numeric outputs anywhere, or refuse when an
+input has changed.
 """
 from __future__ import annotations
 
+import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
 
 from . import __version__
 
@@ -18,7 +21,7 @@ MANIFEST_NAME = "manifest.json"
 class RunManifest:
     command: str
     argv: tuple[str, ...]  # CLI tokens, output directory excluded
-    inputs: tuple[str, ...]
+    inputs: dict[str, str]  # input file path -> SHA-256 of its bytes
     params: dict
     seed: int | None
     outputs: tuple[str, ...]  # file names relative to the output directory
@@ -28,7 +31,7 @@ class RunManifest:
         return {
             "command": self.command,
             "argv": list(self.argv),
-            "inputs": list(self.inputs),
+            "inputs": self.inputs,
             "params": self.params,
             "seed": self.seed,
             "outputs": list(self.outputs),
@@ -47,9 +50,14 @@ def read_manifest(path) -> RunManifest:
     return RunManifest(
         command=doc["command"],
         argv=tuple(doc["argv"]),
-        inputs=tuple(doc.get("inputs", ())),
+        inputs=doc.get("inputs", {}),
         params=doc.get("params", {}),
         seed=doc.get("seed"),
         outputs=tuple(doc.get("outputs", ())),
         version=doc.get("version", "unknown"),
     )
+
+
+def file_sha256(path) -> str:
+    """Hex SHA-256 of a file's bytes."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()

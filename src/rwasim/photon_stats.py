@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares
 
+from .csvio import write_csv
 from .evolution import TransferUnitary
 
 # Coherence length from a 3.1 nm FWHM filter at 807.5 nm:
@@ -210,9 +211,12 @@ def _initial_guess(scan: HomScan) -> np.ndarray:
     right_x, right_y = x[-n_edge:].mean(), y[-n_edge:].mean()
     a0 = (right_y - left_y) / (right_x - left_x) if right_x != left_x else 0.0
     a1 = 0.5 * (left_y + right_y) - a0 * 0.5 * (left_x + right_x)
-    i_min = int(np.argmin(y))
+    # the dip is deepest relative to the edge-fitted baseline: a drift larger
+    # than the dip would put the raw minimum at the scan edge
+    line = a0 * x + a1
+    i_min = int(np.argmin(y / line if np.all(line > 0) else y))
     a3 = x[i_min]
-    baseline_at_min = a0 * a3 + a1
+    baseline_at_min = line[i_min]
     a2 = 1.0 - y[i_min] / baseline_at_min if baseline_at_min > 0 else 0.0
     a2 = min(max(a2, 0.0), 1.0)
     # width where counts cross halfway between the minimum and the baseline
@@ -292,7 +296,5 @@ def visibility_error(n_max: float, n_min: float) -> float:
 # -- CSV I/O -----------------------------------------------------------------
 
 def scan_to_csv(scan: HomScan, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("delay_mm,counts\n")
-        for d, c in zip(scan.delays, scan.counts):
-            fh.write(f"{d:.17g},{c:.17g}\n")
+    write_csv(path, ["delay_mm", "counts"],
+              [np.column_stack((scan.delays, scan.counts)).ravel().tolist()])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -34,3 +35,16 @@ def random_device(rng: np.random.Generator) -> DeviceSpec:
         base_beta=rng.uniform(3.0, 3.2, 11),
         base_coupling=rng.uniform(0.05, 0.15, 10),
     )
+
+
+def with_electrode(v: VoltageConfig, electrode: int, value: float) -> VoltageConfig:
+    """Copy of `v` with 1-based `electrode` set to `value`."""
+    volts = v.volts.copy()
+    volts[electrode - 1] = value
+    return VoltageConfig(volts)
+
+
+def spec_equal(a: DeviceSpec, b: DeviceSpec) -> bool:
+    """Every field of two device specs equal, arrays elementwise."""
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
+               for f in dataclasses.fields(DeviceSpec))

@@ -27,7 +27,7 @@ from rwasim.evolution import output_power, unitary
 from rwasim.photon_stats import DegenerateSplittingError
 from rwasim.subcircuits import SubcircuitPair, effective_reflectivity, leakage
 
-from conftest import random_device
+from conftest import random_device, with_electrode
 
 
 def reference_cells(spec, pair, electrode_a, electrode_b, grid_a, grid_b,
@@ -122,8 +122,8 @@ class TestBuildLookupMap:
         grid_b = np.array([0.0, 7.0])
         lut = build_lookup_map(device, SubcircuitPair(1), 1, 4, grid_a, grid_b)
         for ia, ib in ((0, 0), (2, 1)):
-            v = VoltageConfig.zeros(22)
-            v = v.with_electrode(1, grid_a[ia]).with_electrode(4, grid_b[ib])
+            v = with_electrode(with_electrode(VoltageConfig.zeros(22), 1, grid_a[ia]),
+                               4, grid_b[ib])
             u = unitary(build_hamiltonian(device, v), device.coupling_length)
             assert lut.eta[ia, ib] == pytest.approx(
                 effective_reflectivity(u, SubcircuitPair(1)), abs=1e-12
@@ -274,8 +274,8 @@ class TestSolveVoltage:
         lut = build_lookup_map(device, SubcircuitPair(1), 1, 4, grid, grid)
         target = 0.8
         result = solve_voltage(lut, target)
-        v = VoltageConfig.zeros(22)
-        v = v.with_electrode(1, result.v_a).with_electrode(4, result.v_b)
+        v = with_electrode(with_electrode(VoltageConfig.zeros(22), 1, result.v_a),
+                           4, result.v_b)
         u = unitary(build_hamiltonian(device, v), device.coupling_length)
         eta = effective_reflectivity(u, SubcircuitPair(1))
         cell_variation = max(

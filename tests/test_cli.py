@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from rwasim import __version__, photon_stats
-from rwasim.cli import main
+from rwasim import __version__, compiler, photon_stats
+from rwasim.cli import DEVICE_ENV_VAR, main
+from rwasim.compiler import random_base_device
 from rwasim.device import default_device, save_device_spec
 from rwasim.manifest import read_manifest
 
@@ -82,6 +83,28 @@ class TestMap:
                    "--out", str(tmp_path / "x"))
         assert code == 3
 
+    def test_summary(self, tmp_path, capsys):
+        assert run("map", "--electrodes", "1,4", "--step", "0.5",
+                   "--out", str(tmp_path / "run")) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "mean leakage over map: 51.508%",
+            "50/50 point: v1=-0.50 V, v4=-3.50 V (eta=0.5002)",
+            "eta=0.0: v1=+5.21 V at v4=+10.00 V",
+            "eta=0.5: v1=-8.86 V at v4=+10.00 V",
+            "eta=1.0: v1=-10.00 V at v4=+10.00 V (clamped)",
+        ]
+
+    @pytest.mark.parametrize("electrodes,step,reason", [
+        ("1,4", "4", "slice needs >= 3 points, got 2"),
+        ("21,22", "1", "reflectivity slope"),  # electrode 22 drives nothing
+    ])
+    def test_summary_without_fit(self, tmp_path, capsys, electrodes, step, reason):
+        assert run("map", "--electrodes", electrodes, "--range=-2,2",
+                   "--step", step, "--out", str(tmp_path / "run")) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3
+        assert lines[2].startswith("no linear fit at v") and reason in lines[2]
+
 
 class TestHom:
     def test_balanced_noiseless_fit(self, tmp_path):
@@ -139,6 +162,23 @@ class TestCompile:
         trace = (out / "trace.csv").read_text().splitlines()
         assert trace[0] == "restart,objective,best_so_far"
         assert len(trace) == 3
+
+    def test_random_device(self, tmp_path):
+        out = tmp_path / "run"
+        assert run("compile", "--config", "2", "--gates", "XH", "--restarts", "1",
+                   "--seed", "3", "--random-device", "--lengths", "24",
+                   "--out", str(out)) == 0
+        doc = json.loads((out / "result_24mm.json").read_text())
+        expected = compiler.sweep_chip_length(
+            random_base_device(seed=3), compiler.preset_config("config2"),
+            (compiler.gate_target("X"), compiler.gate_target("H")), [24.0],
+            restarts=1, seed=3)[0][1]
+        assert doc["objective"] == expected.objective
+        assert read_manifest(out / "manifest.json").inputs == {}
+
+    def test_random_device_excludes_device(self, device_file, tmp_path):
+        assert run("compile", "--config", "2", "--gates", "XX", "--random-device",
+                   "--device", device_file, "--out", str(tmp_path / "x")) == 2
 
     def test_length_sweep_files(self, tmp_path):
         out = tmp_path / "run"
@@ -217,6 +257,72 @@ class TestReplay:
         capsys.readouterr()
         assert run("replay", str(manifest), "--out", str(second)) == 3
         assert "0.3.0" in capsys.readouterr().err
+        assert not second.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--unitary", "--profile", "20"],
+        ["map", "--electrodes", "1,4", "--range=-2,2", "--step", "2"],
+        ["hom", "--eta", "0.7", "--scan=-0.5,0.5,0.02", "--seed", "12", "--fit"],
+        ["compile", "--config", "2", "--gates", "XX", "--restarts", "1",
+         "--lengths", "10,24"],
+        ["loss", "--modes", "500000000"],
+    ], ids=lambda argv: argv[0])
+    def test_replay_reproduces_every_output(self, tmp_path, argv):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run(*argv, "--out", str(first)) == 0
+        assert run("replay", str(first / "manifest.json"),
+                   "--out", str(second)) == 0
+        outputs = read_manifest(first / "manifest.json").outputs
+        assert len(outputs) >= 2 or argv[0] == "loss"
+        for name in outputs:
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    def test_replay_refuses_0_4_0_manifest(self, tmp_path, capsys):
+        # 0.5.0 moves the fit's starting dip centre and records input hashes
+        first = tmp_path / "first"
+        assert run("loss", "--modes", "4", "--out", str(first)) == 0
+        manifest = first / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["version"] = "0.4.0"
+        manifest.write_text(json.dumps(doc))
+        second = tmp_path / "second"
+        capsys.readouterr()
+        assert run("replay", str(manifest), "--out", str(second)) == 3
+        assert "0.4.0" in capsys.readouterr().err
+        assert not second.exists()
+
+    def test_replay_keeps_device_from_environment(self, tmp_path, monkeypatch):
+        device = tmp_path / "random.yaml"
+        save_device_spec(random_base_device(seed=3), device)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(DEVICE_ENV_VAR, "random.yaml")
+        first = tmp_path / "first"
+        assert run("simulate", "--out", str(first)) == 0
+        monkeypatch.delenv(DEVICE_ENV_VAR)
+        second, default = tmp_path / "second", tmp_path / "default"
+        assert run("replay", str(first / "manifest.json"), "--out", str(second)) == 0
+        assert run("simulate", "--out", str(default)) == 0
+        powers = (first / "powers.csv").read_bytes()
+        assert (second / "powers.csv").read_bytes() == powers
+        assert (default / "powers.csv").read_bytes() != powers
+        man = read_manifest(first / "manifest.json")
+        assert man.argv[-2:] == ("--device", str(device))
+        assert list(man.inputs) == [str(device)]
+
+    def test_replay_refuses_edited_input(self, device_file, tmp_path, capsys):
+        volts = tmp_path / "volts.txt"
+        volts.write_text(" ".join(["1"] * 22))
+        first = tmp_path / "first"
+        assert run("simulate", "--device", device_file, "--voltages", str(volts),
+                   "--out", str(first)) == 0
+        inputs = read_manifest(first / "manifest.json").inputs
+        assert sorted(inputs) == sorted([device_file, str(volts)])
+        assert all(len(digest) == 64 for digest in inputs.values())
+        save_device_spec(default_device().with_length(30.0), device_file)
+        second = tmp_path / "second"
+        capsys.readouterr()
+        assert run("replay", str(first / "manifest.json"), "--out", str(second)) == 3
+        assert device_file in capsys.readouterr().err
         assert not second.exists()
 
     def test_replay_map(self, tmp_path):

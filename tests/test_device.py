@@ -14,8 +14,9 @@ from rwasim.device import (
     hamiltonian_diagonals,
     load_device_spec,
     save_device_spec,
-    validate_voltages,
 )
+
+from conftest import spec_equal, with_electrode
 
 
 class TestDeviceSpecLoading:
@@ -23,7 +24,7 @@ class TestDeviceSpecLoading:
         path = tmp_path / "dev.yaml"
         path.write_text("n_guides: 11\nn_electrodes: 22\ncoupling_length: 24\n")
         spec = load_device_spec(path)
-        assert spec.field_equal(default_device())
+        assert spec_equal(spec, default_device())
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DeviceSpecError, match="base_coupling"):
@@ -32,7 +33,7 @@ class TestDeviceSpecLoading:
     def test_round_trip(self, tmp_path, device):
         path = tmp_path / "dev.yaml"
         save_device_spec(device, path)
-        assert load_device_spec(path).field_equal(device)
+        assert spec_equal(load_device_spec(path), device)
 
     def test_negative_base_coupling_rejected(self):
         bc = np.full(10, 0.1)
@@ -76,25 +77,25 @@ class TestBuildHamiltonian:
     def test_linear_coupling_shift(self):
         # C23 sensitivity -0.01 on electrode 4, base 0.10, V4 = 7 -> 0.03
         spec = DeviceSpec(base_coupling=np.full(10, 0.10))
-        v = VoltageConfig.zeros(22).with_electrode(4, 7.0)
+        v = with_electrode(VoltageConfig.zeros(22), 4, 7.0)
         h = build_hamiltonian(spec, v)
         assert h.offdiag[1] == pytest.approx(0.03, abs=1e-15)
 
     def test_over_limit_voltage_names_electrode(self, device):
-        v = VoltageConfig.zeros(22).with_electrode(1, 10.5)
+        v = with_electrode(VoltageConfig.zeros(22), 1, 10.5)
         with pytest.raises(VoltageBoundError, match="electrode 1"):
             build_hamiltonian(device, v)
 
     def test_default_electrode_pattern(self, device, zero_volts):
         h0 = build_hamiltonian(device, zero_volts)
         for n in range(1, device.n_guides + 1):
-            h = build_hamiltonian(device, zero_volts.with_electrode(2 * n - 1, 1.0))
+            h = build_hamiltonian(device, with_electrode(zero_volts, 2 * n - 1, 1.0))
             delta_diag = h.diag - h0.diag
             assert np.count_nonzero(delta_diag) == 1
             assert delta_diag[n - 1] != 0.0
             np.testing.assert_array_equal(h.offdiag, h0.offdiag)
         for n in range(1, device.n_guides):
-            h = build_hamiltonian(device, zero_volts.with_electrode(2 * n, 1.0))
+            h = build_hamiltonian(device, with_electrode(zero_volts, 2 * n, 1.0))
             delta_off = h.offdiag - h0.offdiag
             assert np.count_nonzero(delta_off) == 1
             assert delta_off[n - 1] != 0.0
@@ -122,7 +123,7 @@ class TestBuildHamiltonian:
         )
 
     def test_matrix_is_symmetric_tridiagonal(self, device, zero_volts):
-        h = build_hamiltonian(device, zero_volts.with_electrode(3, 2.0))
+        h = build_hamiltonian(device, with_electrode(zero_volts, 3, 2.0))
         m = h.to_matrix()
         np.testing.assert_array_equal(m, m.T)
         assert np.count_nonzero(np.triu(m, 2)) == 0
@@ -152,15 +153,19 @@ class TestHamiltonianDiagonals:
 
 
 class TestValidateVoltages:
+    """The voltage bound check, done once in `hamiltonian_diagonals`, as
+    `build_hamiltonian` reaches it."""
+
     def test_all_zero_passes(self, device, zero_volts):
-        assert validate_voltages(device, zero_volts).ok
+        build_hamiltonian(device, zero_volts)
 
     def test_closed_interval_boundary(self, device, zero_volts):
-        report = validate_voltages(device, zero_volts.with_electrode(5, 10.0))
-        assert report.ok
+        for value in (10.0, -10.0):
+            h = build_hamiltonian(device, with_electrode(zero_volts, 5, value))
+            assert h.diag[2] == device.base_beta[2] + 0.02 * value
 
     def test_violation_lists_electrode(self, device, zero_volts):
-        report = validate_voltages(device, zero_volts.with_electrode(7, -12.0))
-        assert not report.ok
-        assert report.violations == ((7, -12.0),)
-        assert "electrode 7" in str(report)
+        with pytest.raises(VoltageBoundError, match=r"electrode 7 at -12\.0 V"):
+            build_hamiltonian(device, with_electrode(zero_volts, 7, -12.0))
+        with pytest.raises(DeviceSpecError, match="expected"):
+            build_hamiltonian(device, VoltageConfig.zeros(21))

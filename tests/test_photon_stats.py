@@ -174,6 +174,17 @@ class TestFitHomDip:
         assert fit.a3 == pytest.approx(0.05, abs=1e-6)
         assert fit.a4 == pytest.approx(0.09, abs=1e-6)
 
+    def test_baseline_drift_deeper_than_dip(self):
+        # the drift over the scan (2,738 counts) is larger than the dip
+        # (about 1,300 counts), so the raw minimum sits at the left edge
+        x = np.linspace(-0.6, 0.6, 121)
+        scan = HomScan(delays=x, counts=dip_model(
+            x, 2282.0, 1e4, 0.126, 0.121, DEFAULT_COHERENCE_SIGMA_MM))
+        assert np.argmin(scan.counts) == 0
+        fit = fit_hom_dip(scan)
+        assert fit.a2 == pytest.approx(0.126, abs=1e-9)
+        assert fit.a3 == pytest.approx(0.121, abs=1e-9)
+
     def test_flat_scan_zero_visibility(self):
         x = np.linspace(-1, 1, 41)
         fit = fit_hom_dip(HomScan(delays=x, counts=np.full(41, 500.0)))

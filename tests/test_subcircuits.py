@@ -5,20 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwasim.device import TridiagonalHamiltonian
-from rwasim.evolution import TransferUnitary, unitary
+from rwasim.compiler import _input_terms, _subcircuit_metrics, gate_target
+from rwasim.evolution import TransferUnitary
 from rwasim.subcircuits import (
     SubcircuitPair,
     average_fidelity,
-    crosstalk,
-    decouple_blocks,
     distribution_fidelity,
     effective_reflectivity,
     gate_truth_table,
     leakage,
-    post_selected_distribution,
-    post_selected_two_mode_unitary,
-    truth_table_from_unitary,
     two_mode_unitary,
 )
 
@@ -29,6 +24,16 @@ def embed_coupler(eta, pair_lower, n=11, phi=0.0):
     k = pair_lower - 1
     m[k:k + 2, k:k + 2] = two_mode_unitary(eta, phi).matrix
     return TransferUnitary(matrix=m, length=24.0)
+
+
+def pair_terms(u, pair, other):
+    """Per-input (kept power, split, fidelity, crosstalk, leakage) fractions
+    for the pair's two inputs, from the compiler's one definition, against
+    the identity gate."""
+    n = u.shape[0]
+    rows, other_rows = list(pair.indices(n)), list(other.indices(n))
+    return _input_terms(np.abs(u[:, rows]) ** 2, [rows, rows],
+                        [other_rows, other_rows], np.eye(2), distribution_fidelity)
 
 
 class TestTwoModeUnitary:
@@ -71,23 +76,22 @@ class TestLeakageAndCrosstalk:
     def test_uniform_distribution(self):
         p = np.full(11, 1 / 11)
         assert leakage(p, SubcircuitPair(1)) == pytest.approx(100 * 9 / 11)
-        assert crosstalk(p, SubcircuitPair(1), SubcircuitPair(8)) == \
-            pytest.approx(100 * 2 / 11)
+        # the discrete Fourier transform spreads every input evenly
+        dft = np.exp(-2j * np.pi * np.outer(range(11), range(11)) / 11) / math.sqrt(11)
+        m = _subcircuit_metrics(dft, SubcircuitPair(1), SubcircuitPair(8),
+                                gate_target("H"))
+        assert m.leakage == pytest.approx(9 / 11)
+        assert m.crosstalk == pytest.approx(2 / 11)
 
     def test_crosstalk_extremes(self):
-        p = np.zeros(11)
-        p[7] = 0.6
-        p[8] = 0.4
-        assert crosstalk(p, SubcircuitPair(1), SubcircuitPair(8)) == \
-            pytest.approx(100.0)
+        # both inputs of pair (1, 2) land entirely on pair (8, 9)
+        perm = np.eye(11, dtype=complex)[[7, 8, 2, 3, 4, 5, 6, 0, 1, 9, 10]]
+        _, _, _, ct, leak = pair_terms(perm, SubcircuitPair(1), SubcircuitPair(8))
+        np.testing.assert_array_equal(ct, [1.0, 1.0])
+        np.testing.assert_array_equal(leak, [1.0, 1.0])
         u = embed_coupler(0.5, 1)
-        assert crosstalk(np.abs(u.matrix[:, 0]) ** 2, SubcircuitPair(1),
-                         SubcircuitPair(8)) == pytest.approx(0.0, abs=1e-12)
-
-    def test_overlapping_pairs_rejected(self):
-        p = np.full(11, 1 / 11)
-        with pytest.raises(ValueError):
-            crosstalk(p, SubcircuitPair(1), SubcircuitPair(2))
+        _, _, _, ct, _ = pair_terms(u.matrix, SubcircuitPair(1), SubcircuitPair(8))
+        np.testing.assert_allclose(ct, [0.0, 0.0], atol=1e-12)
 
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
@@ -107,62 +111,27 @@ class TestLeakageAndCrosstalk:
     @given(st.integers(0, 2**32 - 1))
     def test_crosstalk_bounded_by_leakage(self, seed):
         rng = np.random.default_rng(seed)
-        p = rng.random(11)
-        p /= p.sum()
-        assert crosstalk(p, SubcircuitPair(1), SubcircuitPair(8)) <= \
-            leakage(p, SubcircuitPair(1)) + 1e-12
-
-
-class TestDecoupleBlocks:
-    def test_zeroing_c23_gives_2_9_blocks(self):
-        h = TridiagonalHamiltonian(diag=np.full(11, 3.1),
-                                   offdiag=np.full(10, 0.1))
-        h2 = decouple_blocks(h, {2})
-        assert h2.offdiag[1] == 0.0
-        u = unitary(h2, 24.0)
-        assert np.max(np.abs(u.matrix[:2, 2:])) <= 1e-12
-
-    def test_three_blocks(self):
-        h = TridiagonalHamiltonian(diag=np.full(11, 3.1),
-                                   offdiag=np.full(10, 0.1))
-        h2 = decouple_blocks(h, {7, 9})
-        assert h2.offdiag[6] == 0.0 and h2.offdiag[8] == 0.0
-        u = unitary(h2, 24.0).matrix
-        assert np.max(np.abs(u[:7, 7:])) <= 1e-12
-        assert np.max(np.abs(u[7:9, 9:])) <= 1e-12
-
-    def test_empty_set_is_identity(self):
-        h = TridiagonalHamiltonian(diag=np.full(11, 3.1),
-                                   offdiag=np.full(10, 0.1))
-        h2 = decouple_blocks(h, set())
-        np.testing.assert_array_equal(h2.offdiag, h.offdiag)
-
-    def test_out_of_range_boundary(self):
-        h = TridiagonalHamiltonian(diag=np.full(11, 3.1),
-                                   offdiag=np.full(10, 0.1))
-        with pytest.raises(IndexError):
-            decouple_blocks(h, {11})
+        q, _ = np.linalg.qr(rng.normal(size=(11, 11))
+                            + 1j * rng.normal(size=(11, 11)))
+        _, _, _, ct, leak = pair_terms(q, SubcircuitPair(1), SubcircuitPair(8))
+        assert np.all(ct <= leak + 1e-12)
 
 
 class TestPostSelection:
+    """Success probability: the power an input keeps in its own pair."""
+
     def test_block_diagonal_success_probability_one(self):
         u = embed_coupler(0.3, 1)
-        sub, success = post_selected_two_mode_unitary(u, SubcircuitPair(1))
-        np.testing.assert_allclose(sub.conj().T @ sub, np.eye(2), atol=1e-12)
+        success, split, *_ = pair_terms(u.matrix, SubcircuitPair(1), SubcircuitPair(8))
         np.testing.assert_allclose(success, [1.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(split, [[0.3, 0.7], [0.7, 0.3]], atol=1e-12)
 
     def test_leaky_column_norms(self):
         m = np.eye(11, dtype=complex)
         m[0, 0] = math.sqrt(0.8)  # constructed, not unitary: leaky channel
-        u = TransferUnitary(matrix=m, length=1.0)
-        _, success = post_selected_two_mode_unitary(u, SubcircuitPair(1))
-        assert success[0] == pytest.approx(0.8)
-        assert success[1] == pytest.approx(1.0)
-
-    def test_identity_submatrix(self):
-        u = TransferUnitary(matrix=np.eye(11, dtype=complex), length=1.0)
-        sub, _ = post_selected_two_mode_unitary(u, SubcircuitPair(1))
-        np.testing.assert_array_equal(sub, np.eye(2))
+        success, split, *_ = pair_terms(m, SubcircuitPair(1), SubcircuitPair(8))
+        assert success == pytest.approx([0.8, 1.0])
+        np.testing.assert_array_equal(split, np.eye(2))
 
 
 class TestEffectiveReflectivity:
@@ -214,23 +183,18 @@ class TestGateTruthTable:
         table = gate_truth_table(0.5, 1.0).table
         assert not np.all(np.isin(table, (0.0, 1.0)))
 
-    def test_from_unitary_matches_ideal_for_decoupled_device(self):
-        m = np.eye(11, dtype=complex)
-        m[:2, :2] = two_mode_unitary(0.3, 0.0).matrix
-        m[7:9, 7:9] = two_mode_unitary(0.8, 0.0).matrix
-        u = TransferUnitary(matrix=m, length=24.0)
-        measured = truth_table_from_unitary(u, SubcircuitPair(1),
-                                            SubcircuitPair(8))
-        ideal = gate_truth_table(0.3, 0.8)
-        np.testing.assert_allclose(measured.table, ideal.table, atol=1e-12)
-
     def test_post_selection_ignores_leakage(self):
         m = np.eye(11, dtype=complex)
         m[:2, :2] = two_mode_unitary(0.3, 0.0).matrix * math.sqrt(0.5)
         m[7:9, 7:9] = two_mode_unitary(0.8, 0.0).matrix
-        u = TransferUnitary(matrix=m, length=24.0)
-        dist = post_selected_distribution(u, SubcircuitPair(1), 0)
-        np.testing.assert_allclose(dist, [0.3, 0.7], atol=1e-12)
+        success, split, *_ = pair_terms(m, SubcircuitPair(1), SubcircuitPair(8))
+        np.testing.assert_allclose(success, [0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(split[0], [0.3, 0.7], atol=1e-12)
+        # the pair's fidelity to its own coupler does not see the lost half
+        m_a = _subcircuit_metrics(m, SubcircuitPair(1), SubcircuitPair(8),
+                                  two_mode_unitary(0.3))
+        assert m_a.fidelity == pytest.approx(1.0, abs=1e-12)
+        assert m_a.leakage == pytest.approx(0.5, abs=1e-12)
 
 
 class TestDistributionFidelity:
