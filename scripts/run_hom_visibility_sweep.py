@@ -19,6 +19,16 @@ from rwasim.photon_stats import (
 )
 
 
+def eta_grid(text: str) -> np.ndarray:
+    """start:stop:step as evenly spaced reflectivities from start to exactly
+    stop, all within [0, 1]."""
+    lo, hi, step = (float(x) for x in text.split(":"))
+    if not (0.0 <= lo <= hi <= 1.0 and step > 0.0):
+        raise ValueError(f"--etas needs 0 <= start <= stop <= 1 and step > 0, "
+                         f"got {text!r}")
+    return np.linspace(lo, hi, int(round((hi - lo) / step)) + 1)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--etas", default="0.5:1.0:0.025",
@@ -29,8 +39,10 @@ def main():
     parser.add_argument("--out", default="out/visibility_sweep.csv")
     args = parser.parse_args()
 
-    lo, hi, step = (float(x) for x in args.etas.split(":"))
-    etas = np.arange(lo, hi + step / 2, step)
+    try:
+        etas = eta_grid(args.etas)
+    except ValueError as exc:
+        parser.error(str(exc))
     delays = np.linspace(-0.6, 0.6, 121)
 
     rows = []

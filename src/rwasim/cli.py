@@ -38,14 +38,17 @@ class UsageError(Exception):
     pass
 
 
-def _load_device(path: str | None, argv: list[str]) -> tuple[DeviceSpec, list[str]]:
+def _load_device(args, argv: list[str]) -> tuple[DeviceSpec, list[str]]:
     """Resolve --device, then $RWASIM_DEVICE, then the built-in default.
 
     A device named by the environment is appended to `argv` as --device with
     its resolved path, so the manifest replays it without the variable.
+    `args.env_device` holds the variable's value; `main` leaves it None on
+    replay.
     """
+    path = args.device
     if path is None:
-        path = os.environ.get(DEVICE_ENV_VAR)
+        path = args.env_device
         if path is None:
             return device_mod.default_device(), []
         path = str(Path(path).resolve())
@@ -96,7 +99,7 @@ def _write_manifest(out_dir: Path, command: str, argv: list[str],
 # -- subcommands -------------------------------------------------------------
 
 def _cmd_simulate(args, argv) -> int:
-    spec, inputs = _load_device(args.device, argv)
+    spec, inputs = _load_device(args, argv)
     volts = _load_voltages(args.voltages, spec)
     if args.voltages:
         inputs.append(args.voltages)
@@ -125,7 +128,7 @@ def _cmd_simulate(args, argv) -> int:
 
 
 def _cmd_map(args, argv) -> int:
-    spec, inputs = _load_device(args.device, argv)
+    spec, inputs = _load_device(args, argv)
     ea, eb = (int(x) for x in _parse_pair_of_floats(args.electrodes, "--electrodes"))
     lo, hi = _parse_pair_of_floats(args.range, "--range")
     if args.step <= 0 or hi <= lo:
@@ -176,7 +179,7 @@ def _cmd_hom(args, argv) -> int:
     if args.eta is not None:
         eta = args.eta
     else:
-        spec, inputs = _load_device(args.device, argv)
+        spec, inputs = _load_device(args, argv)
         volts = _load_voltages(args.voltages, spec)
         if args.voltages:
             inputs.append(args.voltages)
@@ -207,7 +210,7 @@ def _cmd_hom(args, argv) -> int:
 
 def _cmd_compile(args, argv) -> int:
     if not args.random_device:
-        spec, inputs = _load_device(args.device, argv)
+        spec, inputs = _load_device(args, argv)
     elif args.device:
         raise UsageError("--random-device and --device exclude each other")
     else:
@@ -282,7 +285,7 @@ def _cmd_replay(args, _argv) -> int:
             print(f"error: input {path} has changed since the recorded run "
                   "(SHA-256 differs). Refusing to replay.", file=sys.stderr)
             return EXIT_VALIDATION
-    return main(list(man.argv) + ["--out", args.out])
+    return main(list(man.argv) + ["--out", args.out], replay=True)
 
 
 # -- parser ------------------------------------------------------------------
@@ -383,7 +386,9 @@ def _strip_out(argv: list[str]) -> list[str]:
     return result
 
 
-def main(argv: list[str] | None = None) -> int:
+def main(argv: list[str] | None = None, *, replay: bool = False) -> int:
+    """Run one subcommand; `replay` runs a recorded argv, whose device is
+    fully named by it, so $RWASIM_DEVICE is not read."""
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser()
@@ -391,6 +396,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
+    args.env_device = None if replay else os.environ.get(DEVICE_ENV_VAR)
     try:
         return args.func(args, _strip_out(list(argv)))
     except UsageError as exc:

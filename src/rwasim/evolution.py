@@ -6,11 +6,13 @@ the eigenvalues, which keeps U unitary to rounding and lets a whole z-sweep
 reuse one decomposition.
 
 `unitary` serves one point through scipy's tridiagonal solver.
-`unitary_blocks` serves a batch: it stacks the dense H of B points, runs one
-`numpy.linalg.eigh` over the stack and forms only the requested rows and
-columns of each U, (Q[rows] e^{-iwL}) Q[cols]^T, so a caller that reads a
-2x2 block never builds the N x N matrix.  The stack costs 2 B N^2 floats
-for H and Q, so batch callers bound B (the lookup map uses blocks of 256).
+`stacked_eigensystem` serves a batch: it stacks the dense H of B points and
+runs one `numpy.linalg.eigh` over the stack.  `unitary_blocks` builds on it
+and forms only the requested rows and columns of each U,
+(Q[rows] e^{-iwL}) Q[cols]^T, so a caller that reads a 2x2 block never
+builds the N x N matrix; the compiler's gradient kernel uses the stack
+directly.  The stack costs 2 B N^2 floats for H and Q, so batch callers
+bound B (the lookup map uses blocks of 256).
 """
 from __future__ import annotations
 
@@ -67,6 +69,21 @@ def unitary(h: TridiagonalHamiltonian, length: float) -> TransferUnitary:
     return TransferUnitary(matrix=u, length=float(length))
 
 
+def stacked_eigensystem(diag: np.ndarray, offdiag: np.ndarray):
+    """Eigenvalues w (B, N) and eigenvectors Q (B, N, N) of B stacked
+    tridiagonals from finite diagonals diag (B, N) and offdiag (B, N-1),
+    through one `numpy.linalg.eigh` over their dense forms."""
+    b, n = diag.shape
+    h = np.zeros((b, n * n))
+    h[:, ::n + 1] = diag
+    h[:, 1::n + 1] = offdiag
+    h[:, n::n + 1] = offdiag
+    try:
+        return np.linalg.eigh(h.reshape(b, n, n))
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+        raise NumericalFailureError(f"stacked eigensolver failed: {exc}") from exc
+
+
 def unitary_blocks(
     diag: np.ndarray, offdiag: np.ndarray, length: float, rows, cols
 ) -> np.ndarray:
@@ -78,15 +95,7 @@ def unitary_blocks(
     """
     if not length > 0:
         raise ValueError(f"length must be positive, got {length}")
-    b, n = diag.shape
-    h = np.zeros((b, n * n))
-    h[:, ::n + 1] = diag
-    h[:, 1::n + 1] = offdiag
-    h[:, n::n + 1] = offdiag
-    try:
-        w, q = np.linalg.eigh(h.reshape(b, n, n))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise NumericalFailureError(f"stacked eigensolver failed: {exc}") from exc
+    w, q = stacked_eigensystem(diag, offdiag)
     q_rows = q[:, rows, :] * np.exp(-1j * length * w)[:, None, :]
     return q_rows @ q[:, cols, :].transpose(0, 2, 1)
 

@@ -309,6 +309,37 @@ class TestReplay:
         assert man.argv[-2:] == ("--device", str(device))
         assert list(man.inputs) == [str(device)]
 
+    def test_replay_ignores_device_from_environment(self, tmp_path, monkeypatch):
+        # a run on the built-in device replays on the built-in device
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run("simulate", "--out", str(first)) == 0
+        device = tmp_path / "random.yaml"
+        save_device_spec(random_base_device(seed=3), device)
+        monkeypatch.setenv(DEVICE_ENV_VAR, str(device))
+        assert run("replay", str(first / "manifest.json"), "--out", str(second)) == 0
+        powers = (first / "powers.csv").read_bytes()
+        assert (second / "powers.csv").read_bytes() == powers
+        third = tmp_path / "third"
+        assert run("simulate", "--out", str(third)) == 0  # a new run reads it
+        assert (third / "powers.csv").read_bytes() != powers
+
+    def test_replay_refuses_0_5_0_compile(self, tmp_path, capsys):
+        # 0.6.0 steps the restarts in lockstep and adds restart_nit to
+        # result.json
+        first = tmp_path / "first"
+        assert run("compile", "--config", "2", "--gates", "XX", "--restarts", "1",
+                   "--out", str(first)) == 0
+        assert "restart_nit" in json.loads((first / "result.json").read_text())
+        manifest = first / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["version"] = "0.5.0"
+        manifest.write_text(json.dumps(doc))
+        second = tmp_path / "second"
+        capsys.readouterr()
+        assert run("replay", str(manifest), "--out", str(second)) == 3
+        assert "0.5.0" in capsys.readouterr().err
+        assert not second.exists()
+
     def test_replay_refuses_edited_input(self, device_file, tmp_path, capsys):
         volts = tmp_path / "volts.txt"
         volts.write_text(" ".join(["1"] * 22))

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize, rosen, rosen_der
+from scipy.optimize._lbfgsb import setulb
 
 from rwasim import compiler
 from rwasim.compiler import (
@@ -14,6 +16,7 @@ from rwasim.compiler import (
     best_so_far,
     evaluate,
     gate_target,
+    minimize_lockstep,
     objective,
     objective_with_gradient,
     optimize_parallel_gates,
@@ -26,6 +29,7 @@ from rwasim.device import DeviceSpec, VoltageBoundError, VoltageConfig
 from rwasim.subcircuits import SubcircuitPair, TwoModeUnitary
 
 from conftest import make_xx_device, spec_equal, with_electrode
+from scalar_reference import scalar_objective_with_gradient, sequential_restarts
 
 XX = (gate_target("X"), gate_target("X"))
 
@@ -155,7 +159,7 @@ class TestObjectiveWithGradient:
             volts[active] = y
             return objective(spec, VoltageConfig(volts), config, targets)
 
-        value, grad = objective_with_gradient(spec, config, targets)(x)
+        [value], [grad] = objective_with_gradient(spec, config, targets)(x[None])
         assert abs(value - reference(x)) <= 1e-12
         h = 1e-5
         step = h * np.eye(active.size)
@@ -180,25 +184,52 @@ class TestObjectiveWithGradient:
         f = objective_with_gradient(spec, config, targets)
         with mock.patch.object(compiler, "_bhattacharyya",
                                wraps=compiler._bhattacharyya) as core:
-            f(x)
+            f(x[None])
         target_p, split = core.call_args.args
-        assert target_p.shape == split.shape == (4, 2)
-        np.testing.assert_allclose(target_p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(split.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert target_p.shape == (4, 2)
+        assert split.shape == (1, 4, 2)
+        np.testing.assert_allclose(target_p.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(split.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(device_seed=st.one_of(st.none(), st.integers(0, 2**16)),
+           config_name=st.sampled_from(["config1", "config2", "config3"]),
+           gates=st.tuples(GATES, GATES),
+           batch=st.sampled_from([1, 7, 64]),
+           point_seed=st.integers(0, 2**32 - 1))
+    def test_batch_matches_scalar_reference(self, device_seed, config_name, gates,
+                                            batch, point_seed):
+        spec = (make_xx_device() if device_seed is None
+                else random_base_device(device_seed))
+        config = preset_config(config_name)
+        targets = tuple(gate_target(g) for g in gates)
+        x = np.random.default_rng(point_seed).uniform(
+            -spec.voltage_limit, spec.voltage_limit,
+            (batch, len(config.active_electrodes)))
+        values, grads = objective_with_gradient(spec, config, targets)(x)
+        assert values.shape == (batch,)
+        assert grads.shape == x.shape
+        scalar = scalar_objective_with_gradient(spec, config, targets)
+        for row, value, grad in zip(x, values, grads):
+            ref_value, ref_grad = scalar(row)
+            assert abs(value - ref_value) <= 1e-12
+            assert np.max(np.abs(grad - ref_grad)) <= 1e-12
 
     def test_zero_at_exact_solution(self):
         spec = make_xx_device()
-        value, grad = objective_with_gradient(spec, preset_config("config3"),
-                                              XX)(np.zeros(22))
+        [value], [grad] = objective_with_gradient(spec, preset_config("config3"),
+                                                  XX)(np.zeros((1, 22)))
         assert value == pytest.approx(0.0, abs=1e-20)
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
     def test_out_of_bounds_rejected(self):
         f = objective_with_gradient(make_xx_device(), preset_config("config2"), XX)
         with pytest.raises(VoltageBoundError):
-            f(np.full(8, 10.5))
+            f(np.full((1, 8), 10.5))
         with pytest.raises(VoltageBoundError):
-            f(np.full(8, np.nan))
+            f(np.full((1, 8), np.nan))
+        with pytest.raises(VoltageBoundError):  # one bad row of a batch
+            f(np.vstack([np.zeros(8), np.full(8, np.nan)]))
 
 
 class TestOptimize:
@@ -254,9 +285,12 @@ class TestOptimize:
                                              preset_config("config2"), XX,
                                              restarts=2, seed=0)
         assert result.restart_status.tolist() == [1, 1]  # iteration limit
+        assert result.restart_nit.tolist() == [1, 1]
         warnings = [r for r in caplog.records if r.name == "rwasim.compiler"]
         assert len(warnings) == 2
-        assert "status 1" in warnings[0].getMessage()
+        message = warnings[0].getMessage()
+        assert "status 1 after 1 iterations" in message
+        assert "TOTAL NO. OF ITERATIONS REACHED LIMIT" in message
 
     def test_converged_restarts_log_nothing(self, caplog):
         with caplog.at_level(logging.WARNING, logger="rwasim.compiler"):
@@ -267,10 +301,70 @@ class TestOptimize:
         assert np.all(result.restart_nfev > 0)
         assert not caplog.records
 
+    def test_lockstep_matches_sequential_restarts(self):
+        # each restart keeps the sequential search's outcome: its status and
+        # whether it reaches the exact solution
+        spec, config = make_xx_device(), preset_config("config2")
+        result = optimize_parallel_gates(spec, config, XX, restarts=12, seed=2)
+        sequential = sequential_restarts(spec, config, XX, restarts=12, seed=2)
+        assert result.restart_status.tolist() == [r.status for r in sequential]
+        np.testing.assert_array_equal(result.restart_trace <= 1e-6,
+                                      [r.fun <= 1e-6 for r in sequential])
+        assert (result.restart_trace <= 1e-6).any()
+
+    def test_restart_blocks_bound_the_batch(self, monkeypatch):
+        spec, config = make_xx_device(), preset_config("config2")
+        whole = optimize_parallel_gates(spec, config, XX, restarts=7, seed=4)
+        monkeypatch.setattr(compiler, "LOCKSTEP_BLOCK", 3)
+        with mock.patch.object(compiler, "minimize_lockstep",
+                               wraps=compiler.minimize_lockstep) as driver:
+            blocked = optimize_parallel_gates(spec, config, XX, restarts=7, seed=4)
+        assert [len(call.args[1]) for call in driver.call_args_list] == [3, 3, 1]
+        np.testing.assert_array_equal(blocked.restart_status, whole.restart_status)
+        np.testing.assert_allclose(blocked.restart_trace, whole.restart_trace,
+                                   rtol=0, atol=1e-12)
+
     def test_invalid_restarts(self):
         with pytest.raises(ValueError):
             optimize_parallel_gates(make_xx_device(), preset_config("config2"),
                                     XX, restarts=0)
+
+
+def rosen_batch(x):
+    # row-wise the same arithmetic as rosen/rosen_der on one point
+    return rosen(x.T), rosen_der(x.T).T
+
+
+class TestMinimizeLockstep:
+    def test_setulb_signature(self):
+        # setulb is private to scipy; the driver calls it with this signature
+        assert setulb.__doc__.splitlines()[0] == (
+            "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,isave,dsave,"
+            "maxls,ln_task)")
+
+    @pytest.mark.parametrize("upper,maxiter,maxfun,ftol,gtol,statuses", [
+        (2.0, 500, 15000, 1e-14, 1e-10, {0}),
+        (0.8, 500, 15000, 1e-14, 1e-10, {0}),  # minimum on the upper bound
+        (2.0, 3, 15000, 1e-14, 1e-10, {1}),  # iteration limit
+        (2.0, 500, 6, 1e-14, 1e-10, {1}),  # evaluation limit
+        (2.0, 500, 15000, 0.0, 0.0, {0, 2}),  # some end in a failed line search
+    ])
+    def test_rows_match_scipy_minimize(self, upper, maxiter, maxfun, ftol, gtol,
+                                       statuses):
+        # starts beyond the upper bound are clipped, as scipy clips them
+        x0 = np.random.default_rng(0).uniform(-1.5, upper + 0.5, (9, 5))
+        rows = minimize_lockstep(rosen_batch, x0, -1.5, upper, maxiter=maxiter,
+                                 ftol=ftol, gtol=gtol, maxfun=maxfun)
+        assert len(rows) == len(x0)
+        assert {row.status for row in rows} == statuses
+        for start, row in zip(x0, rows):
+            ref = minimize(lambda x: (rosen(x), rosen_der(x)), start, jac=True,
+                           method="L-BFGS-B", bounds=[(-1.5, upper)] * 5,
+                           options={"maxiter": maxiter, "maxfun": maxfun,
+                                    "ftol": ftol, "gtol": gtol})
+            np.testing.assert_array_equal(row.x, ref.x)
+            assert (row.fun, row.nit, row.nfev, row.status, row.message) == (
+                ref.fun, ref.nit, ref.nfev, ref.status, ref.message)
 
 
 class TestSweepChipLength:
@@ -311,6 +405,8 @@ class TestExport:
         assert len(doc["restart_trace"]) == 2
         assert doc["restart_status"] == result.restart_status.tolist()
         assert doc["restart_nfev"] == result.restart_nfev.tolist()
+        assert doc["restart_nit"] == result.restart_nit.tolist()
+        assert all(isinstance(n, int) and n > 0 for n in doc["restart_nit"])
         assert all(isinstance(n, int) and n > 0 for n in doc["restart_nfev"])
 
     def test_trace_csv(self, tmp_path):
