@@ -21,12 +21,15 @@ from rwasim.photon_stats import (
 
 def eta_grid(text: str) -> np.ndarray:
     """start:stop:step as evenly spaced reflectivities from start to exactly
-    stop, all within [0, 1]."""
+    stop, all within [0, 1]; step must divide stop - start."""
     lo, hi, step = (float(x) for x in text.split(":"))
     if not (0.0 <= lo <= hi <= 1.0 and step > 0.0):
         raise ValueError(f"--etas needs 0 <= start <= stop <= 1 and step > 0, "
                          f"got {text!r}")
-    return np.linspace(lo, hi, int(round((hi - lo) / step)) + 1)
+    intervals = (hi - lo) / step
+    if abs(intervals - round(intervals)) > 1e-9 * max(1.0, intervals):
+        raise ValueError(f"--etas step must divide stop - start, got {text!r}")
+    return np.linspace(lo, hi, int(round(intervals)) + 1)
 
 
 def main():

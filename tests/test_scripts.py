@@ -33,3 +33,19 @@ def test_visibility_sweep_rejects_grid_outside_unit_interval(tmp_path):
     assert proc.returncode == 2
     assert "--etas" in proc.stderr
     assert not out.exists()
+
+
+def test_visibility_sweep_rejects_step_that_does_not_divide_range(tmp_path):
+    # 0.3 does not divide 0.5, and 0.6 > 2 * 0.1 would round to one point
+    for etas in ("0.5:1.0:0.3", "0.5:0.6:0.6"):
+        proc, out = run_sweep(tmp_path, "--etas", etas)
+        assert proc.returncode == 2, etas
+        assert "--etas" in proc.stderr
+        assert not out.exists()
+
+
+def test_visibility_sweep_single_point_grid(tmp_path):
+    proc, out = run_sweep(tmp_path, "--etas", "0.7:0.7:0.1")
+    assert proc.returncode == 0, proc.stderr
+    etas = [float(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
+    assert etas == [0.7]
