@@ -6,9 +6,10 @@ inversion target for operating-point searches and linear gate-voltage fits.
 
 A map is built in blocks of _BLOCK_CELLS grid cells: each block stacks the
 cells' Hamiltonians, runs one batched eigensolve (`evolution.unitary_blocks`)
-and keeps only the pair's 2x2 block of U, from which eta and both leakages
-follow in vectorised form.  The block size bounds the working set (H and Q
-for a block take about 0.5 MB) without changing any cell's value.
+and keeps only the pair's 2x2 block of U, from which
+`subcircuits.reflectivity_and_leakage` gives eta and both leakages.  The
+block size bounds the working set (H and Q for a block take about 0.5 MB)
+without changing any cell's value.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import numpy as np
 from .csvio import write_csv
 from .device import DeviceSpec, VoltageConfig
 from .evolution import unitary_blocks
-from .subcircuits import SubcircuitPair
+from .subcircuits import SubcircuitPair, reflectivity_and_leakage
 from . import device as device_mod
 
 _BLOCK_CELLS = 256
@@ -139,17 +140,8 @@ def build_lookup_map(
         v[:, electrode_b - 1] = gb[cells % gb.size]
         diag, offdiag = device_mod.hamiltonian_diagonals(spec, v)
         sub = unitary_blocks(diag, offdiag, spec.coupling_length, [i, j], [i, j])
-        p = sub.real**2 + sub.imag**2  # p[:, m, n]: guide m's power, input n
-        cross = p[:, 1, 0] * p[:, 0, 1]
-        crosses = cross != 0.0  # eta is exactly 1 when no power crosses
-        r = np.sqrt(p[:, 0, 0] * p[:, 1, 1] / np.where(crosses, cross, 1.0))
-        eta[cells] = np.where(crosses, r / (1.0 + r), 1.0)
-        leak1[cells] = 100.0 * (1.0 - p[:, 0, 0] - p[:, 1, 0])
-        leak2[cells] = 100.0 * (1.0 - p[:, 0, 1] - p[:, 1, 1])
-    # clip rounding spill just outside the physical ranges
-    np.clip(eta, 0.0, 1.0, out=eta)
-    np.clip(leak1, 0.0, 100.0, out=leak1)
-    np.clip(leak2, 0.0, 100.0, out=leak2)
+        eta[cells], leak1[cells], leak2[cells] = reflectivity_and_leakage(
+            sub.real**2 + sub.imag**2)
     shape = (ga.size, gb.size)
     return LookupMap(
         electrode_a=electrode_a, electrode_b=electrode_b,

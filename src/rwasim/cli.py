@@ -11,6 +11,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -68,22 +69,23 @@ def _load_voltages(path: str | None, spec: DeviceSpec) -> VoltageConfig:
     return VoltageConfig(values)
 
 
-def _parse_pair_of_floats(text: str, flag: str) -> tuple[float, float]:
+def _parse_floats(text: str, flag: str, count: int) -> list[float]:
     parts = text.split(",")
-    if len(parts) != 2:
-        raise UsageError(f"{flag} expects two comma-separated numbers, got {text!r}")
-    return float(parts[0]), float(parts[1])
+    if len(parts) != count:
+        raise UsageError(f"{flag} expects {count} comma-separated numbers, "
+                         f"got {text!r}")
+    return [float(p) for p in parts]
 
 
-def _scan_delays(text: str) -> np.ndarray:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise UsageError(f"--scan expects lo,hi,step, got {text!r}")
-    lo, hi, step = (float(p) for p in parts)
-    if not step > 0 or hi <= lo:
-        raise UsageError(f"--scan range is empty: {text!r}")
-    n = int(round((hi - lo) / step)) + 1
-    return np.linspace(lo, hi, n)
+def _uniform_grid(lo: float, hi: float, step: float, flag: str) -> np.ndarray:
+    """lo to exactly hi in steps of `step`; a step that does not divide
+    hi - lo is a usage error, not a silently changed spacing."""
+    intervals = (hi - lo) / step if step > 0 else 0.0
+    if (not 0.0 < intervals < math.inf
+            or abs(intervals - round(intervals)) > 1e-9 * intervals):
+        raise UsageError(f"{flag} needs HI > LO and a step that divides HI - LO, "
+                         f"got LO={lo:g}, HI={hi:g}, step={step:g}")
+    return np.linspace(lo, hi, int(round(intervals)) + 1)
 
 
 def _write_manifest(out_dir: Path, command: str, argv: list[str],
@@ -129,12 +131,9 @@ def _cmd_simulate(args, argv) -> int:
 
 def _cmd_map(args, argv) -> int:
     spec, inputs = _load_device(args, argv)
-    ea, eb = (int(x) for x in _parse_pair_of_floats(args.electrodes, "--electrodes"))
-    lo, hi = _parse_pair_of_floats(args.range, "--range")
-    if args.step <= 0 or hi <= lo:
-        raise UsageError(f"empty grid: range {args.range}, step {args.step}")
-    n = int(round((hi - lo) / args.step)) + 1
-    grid = np.linspace(lo, hi, n)
+    ea, eb = (int(x) for x in _parse_floats(args.electrodes, "--electrodes", 2))
+    lo, hi = _parse_floats(args.range, "--range", 2)
+    grid = _uniform_grid(lo, hi, args.step, "--range/--step")
     fixed = _load_voltages(args.fixed, spec)
     if args.fixed:
         inputs.append(args.fixed)
@@ -187,7 +186,7 @@ def _cmd_hom(args, argv) -> int:
         u = evolution.unitary(h, spec.coupling_length)
         eta = effective_reflectivity(u, SubcircuitPair(args.pair))
 
-    delays = _scan_delays(args.scan)
+    delays = _uniform_grid(*_parse_floats(args.scan, "--scan", 3), "--scan")
     scan = photon_stats.simulate_hom_scan(
         eta, delays, args.baseline, slope=args.slope,
         dip_center=args.center, coherence_width=args.width,
@@ -318,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="lower guide of the subcircuit pair")
     p.add_argument("--electrodes", required=True, metavar="A,B")
     p.add_argument("--range", default="-10,10", metavar="LO,HI")
-    p.add_argument("--step", type=float, default=0.5)
+    p.add_argument("--step", type=float, default=0.5,
+                   help="grid step in volts; must divide HI - LO")
     p.add_argument("--fixed", help="text file of fixed electrode voltages")
     p.set_defaults(func=_cmd_map)
 
@@ -328,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair", type=int, default=1)
     p.add_argument("--voltages")
     p.add_argument("--scan", required=True, metavar="LO,HI,STEP",
-                   help="delay range in mm")
+                   help="delay grid in mm; STEP must divide HI - LO")
     p.add_argument("--baseline", type=float, default=1000.0)
     p.add_argument("--slope", type=float, default=0.0)
     p.add_argument("--center", type=float, default=0.0)

@@ -271,8 +271,8 @@ def objective_with_gradient(
     def f(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if not np.abs(x).max() <= limit:  # also rejects NaN
             raise VoltageBoundError(f"voltages {x} exceed limit +/-{limit} V")
-        w, q = evolution.stacked_eigensystem(spec.base_beta + x @ s_beta.T,
-                                             spec.base_coupling + x @ s_coupling.T)
+        w, q = evolution.eigh_tridiagonal(spec.base_beta + x @ s_beta.T,
+                                          spec.base_coupling + x @ s_coupling.T)
         half = np.exp(-0.5j * length * w)
         q_t = q.transpose(0, 2, 1)
         q_cols = q[:, cols]
@@ -425,9 +425,12 @@ def optimize_parallel_gates(
     best_obj = np.inf
     for r, res in enumerate(results):
         if res.status != 0:
+            # scipy names no reason for an abnormal stop: a failed line search
+            reason = ("ABNORMAL: line search found no acceptable step"
+                      if res.message == "ABNORMAL: " else res.message)
             logger.warning("%s restart %d: L-BFGS-B status %d after %d iterations"
                            " and %d evaluations (%s)", config.name, r, res.status,
-                           res.nit, res.nfev, res.message)
+                           res.nit, res.nfev, reason)
         if res.fun < best_obj:  # strict: ties keep the earlier restart
             best_obj = float(res.fun)
             best_x = res.x

@@ -5,12 +5,12 @@ symmetric tridiagonal we diagonalize it (H = Q diag(w) Q^T) and exponentiate
 the eigenvalues, which keeps U unitary to rounding and lets a whole z-sweep
 reuse one decomposition.
 
-`unitary` serves one point through scipy's tridiagonal solver.
-`stacked_eigensystem` serves a batch: it stacks the dense H of B points and
-runs one `numpy.linalg.eigh` over the stack.  `unitary_blocks` builds on it
-and forms only the requested rows and columns of each U,
-(Q[rows] e^{-iwL}) Q[cols]^T, so a caller that reads a 2x2 block never
-builds the N x N matrix; the compiler's gradient kernel uses the stack
+`eigh_tridiagonal` is the one eigensolver: it stacks the dense H of B points
+and runs one `numpy.linalg.eigh` over the stack (B = 1 for a single point).
+`unitary_blocks` builds on it and forms only the requested rows and columns
+of each U, (Q[rows] e^{-iwL}) Q[cols]^T, so a caller that reads a 2x2 block
+never builds the N x N matrix; `unitary` is its full block at B = 1, and
+`propagation_profile` and the compiler's gradient kernel use w and Q
 directly.  The stack costs 2 B N^2 floats for H and Q, so batch callers
 bound B (the lookup map uses blocks of 256).
 """
@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .csvio import write_csv
 from .device import TridiagonalHamiltonian
@@ -47,29 +46,7 @@ class IntensityProfile:
     intensities: np.ndarray  # (n_steps, N), rows sum to 1
 
 
-def eigensystem(diag: np.ndarray, offdiag: np.ndarray):
-    """Eigenvalues w and orthonormal eigenvectors Q (columns) of the real
-    symmetric tridiagonal matrix with the given finite diagonals.
-
-    Callers validate finiteness (TridiagonalHamiltonian does on construction),
-    so the solver skips its own check.
-    """
-    try:
-        return eigh_tridiagonal(diag, offdiag, check_finite=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise NumericalFailureError(f"tridiagonal eigensolver failed: {exc}") from exc
-
-
-def unitary(h: TridiagonalHamiltonian, length: float) -> TransferUnitary:
-    """U = exp(-i H L) via eigendecomposition of the tridiagonal H."""
-    if not length > 0:
-        raise ValueError(f"length must be positive, got {length}")
-    w, q = eigensystem(h.diag, h.offdiag)
-    u = (q * np.exp(-1j * w * length)) @ q.T
-    return TransferUnitary(matrix=u, length=float(length))
-
-
-def stacked_eigensystem(diag: np.ndarray, offdiag: np.ndarray):
+def eigh_tridiagonal(diag: np.ndarray, offdiag: np.ndarray):
     """Eigenvalues w (B, N) and eigenvectors Q (B, N, N) of B stacked
     tridiagonals from finite diagonals diag (B, N) and offdiag (B, N-1),
     through one `numpy.linalg.eigh` over their dense forms."""
@@ -81,7 +58,14 @@ def stacked_eigensystem(diag: np.ndarray, offdiag: np.ndarray):
     try:
         return np.linalg.eigh(h.reshape(b, n, n))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise NumericalFailureError(f"stacked eigensolver failed: {exc}") from exc
+        raise NumericalFailureError(f"eigensolver failed: {exc}") from exc
+
+
+def unitary(h: TridiagonalHamiltonian, length: float) -> TransferUnitary:
+    """U = exp(-i H L): the full block of `unitary_blocks` at one point."""
+    guides = np.arange(h.n_guides)
+    u = unitary_blocks(h.diag[None], h.offdiag[None], length, guides, guides)
+    return TransferUnitary(matrix=u[0], length=float(length))
 
 
 def unitary_blocks(
@@ -95,7 +79,7 @@ def unitary_blocks(
     """
     if not length > 0:
         raise ValueError(f"length must be positive, got {length}")
-    w, q = stacked_eigensystem(diag, offdiag)
+    w, q = eigh_tridiagonal(diag, offdiag)
     q_rows = q[:, rows, :] * np.exp(-1j * length * w)[:, None, :]
     return q_rows @ q[:, cols, :].transpose(0, 2, 1)
 
@@ -122,7 +106,7 @@ def propagation_profile(
     n = h.n_guides
     if not 1 <= input_guide <= n:
         raise IndexError(f"input_guide {input_guide} out of range 1..{n}")
-    w, q = eigensystem(h.diag, h.offdiag)
+    [w], [q] = eigh_tridiagonal(h.diag[None], h.offdiag[None])
     z = np.linspace(0.0, length, n_steps)
     c = q[input_guide - 1, :]  # expansion of the input state in eigenmodes
     phases = np.exp(-1j * np.outer(z, w))  # (n_steps, N)

@@ -18,6 +18,7 @@ from scipy.optimize import least_squares
 
 from .csvio import write_csv
 from .evolution import TransferUnitary
+from .subcircuits import reflectivity_and_leakage
 
 # Coherence length from a 3.1 nm FWHM filter at 807.5 nm:
 # l_c ~ lambda^2 / dlambda ~ 0.21 mm; Gaussian sigma = l_c / 2.355.
@@ -153,10 +154,11 @@ def ideal_visibility(eta: float) -> float:
 
 
 def reflectivity_from_powers(p11: float, p12: float, p21: float, p22: float) -> float:
-    """Reflectivity from the four cross-port powers.
+    """Reflectivity from the four cross-port powers, by
+    `subcircuits.reflectivity_and_leakage`.
 
     P_mn is the detected power at guide n with light injected in guide m.
-    r = sqrt(P11*P22 / (P12*P21)); eta = r / (1 + r).
+    Measured powers with no cross signal raise rather than read as eta = 1.
     """
     for name, p in (("P11", p11), ("P12", p12), ("P21", p21), ("P22", p22)):
         if p < 0:
@@ -165,8 +167,8 @@ def reflectivity_from_powers(p11: float, p12: float, p21: float, p22: float) -> 
         raise DegenerateSplittingError(
             "P12 * P21 = 0: splitting ratio indeterminate (eta at exactly 1)"
         )
-    r = math.sqrt((p11 * p22) / (p12 * p21))
-    return r / (1.0 + r)
+    block = np.array([[p11, p21], [p12, p22]])  # [guide, input]
+    return float(reflectivity_and_leakage(block)[0])
 
 
 def simulate_hom_scan(

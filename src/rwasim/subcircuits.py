@@ -1,8 +1,9 @@
 """Subcircuits, their leakage and reflectivity, and two-mode gates.
 
 A subcircuit is a pair of adjacent guides operated as a tunable directional
-coupler once the couplings at its boundary are driven to zero.  Gate truth
-tables follow the classical balanced-input scheme: half the power enters
+coupler once the couplings at its boundary are driven to zero.  Its
+reflectivity and leakage have one rule, `reflectivity_and_leakage`.  Gate
+truth tables follow the classical balanced-input scheme: half the power enters
 each subcircuit's selected guide, each subcircuit's post-selected output
 distribution is taken over its own two guides, and the joint 4x4 table is
 the product of the two single-qubit distributions.  The compiler's
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import TransferUnitary
-from .photon_stats import reflectivity_from_powers
 
 
 @dataclass(frozen=True)
@@ -74,17 +74,31 @@ def leakage(powers, pair: SubcircuitPair) -> float:
     return 100.0 * float(np.sum(p) - p[i] - p[j])
 
 
-def effective_reflectivity(u: TransferUnitary, pair: SubcircuitPair) -> float:
-    """Reflectivity of the pair's post-selected action.
+def reflectivity_and_leakage(p):
+    """(eta, leak_in1, leak_in2) from p[..., m, n], the power in the pair's
+    guide m for light entering its guide n, over any leading axes.
 
-    Feeds the |submatrix|^2 powers into the power-ratio estimator; the
-    post-selection renormalization cancels in the ratio, so the value stays
-    meaningful under leakage.
+    eta = r / (1 + r), r = sqrt(p_00 p_11 / (p_10 p_01)), which column
+    renormalization (post-selection) leaves unchanged; exactly 1 where no
+    power crosses.  Leakage is 100 (1 - p_0n - p_1n) percent, clipped into
+    [0, 100] against rounding.
     """
+    p = np.asarray(p, dtype=float)
+    cross = p[..., 1, 0] * p[..., 0, 1]
+    crosses = cross != 0.0
+    r = np.sqrt(p[..., 0, 0] * p[..., 1, 1] / np.where(crosses, cross, 1.0))
+    eta = np.where(crosses, r / (1.0 + r), 1.0)
+    leak = np.minimum(np.maximum(100.0 * (1.0 - p[..., 0, :] - p[..., 1, :]),
+                                 0.0), 100.0)
+    return eta, leak[..., 0], leak[..., 1]
+
+
+def effective_reflectivity(u: TransferUnitary, pair: SubcircuitPair) -> float:
+    """Reflectivity of the pair's post-selected 2x2 block of U; 1 where no
+    power crosses the pair."""
     i, j = pair.indices(u.n_guides)
-    p = np.abs(u.matrix[np.ix_([i, j], [i, j])]) ** 2
-    # P_mn = power at guide n with input in guide m
-    return reflectivity_from_powers(p[0, 0], p[1, 0], p[0, 1], p[1, 1])
+    block = u.matrix[i:j + 1, i:j + 1]
+    return float(reflectivity_and_leakage(block.real**2 + block.imag**2)[0])
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,19 @@
 """Scalar reference for the compiler's batched kernel and lockstep driver.
 
 `scalar_objective_with_gradient` is the one-point f+g closure the compiler
-ran before its restarts were batched: scipy's tridiagonal eigensolver and the
-same Daleckii-Krein adjoint without a batch axis.  `sequential_restarts` runs
-the restarts one after another through `scipy.optimize.minimize`, as the
-compiler did before it stepped them in lockstep.
+ran before its restarts were batched, with the same Daleckii-Krein adjoint
+and no batch axis.  It diagonalizes H with scipy's `eigh_tridiagonal`, a
+different LAPACK driver from the package's stacked `numpy.linalg.eigh`, so
+the batched-versus-scalar tests compare two independent eigensolvers.
+`sequential_restarts` runs the restarts one after another through
+`scipy.optimize.minimize`, as the compiler did before it stepped them in
+lockstep.
 """
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import minimize
 
-from rwasim import compiler, evolution
+from rwasim import compiler
 from rwasim.device import VoltageBoundError
 from rwasim.subcircuits import _bhattacharyya
 
@@ -33,8 +37,8 @@ def scalar_objective_with_gradient(spec, config, targets):
     def f(x):
         if not np.abs(x).max() <= limit:
             raise VoltageBoundError(f"voltages {x} exceed limit +/-{limit} V")
-        w, q = evolution.eigensystem(spec.base_beta + s_beta @ x,
-                                     spec.base_coupling + s_coupling @ x)
+        w, q = eigh_tridiagonal(spec.base_beta + s_beta @ x,
+                                spec.base_coupling + s_coupling @ x)
         half = np.exp(-0.5j * length * w)
         q_cols = q[cols]
         u = (q * half**2) @ q_cols.T

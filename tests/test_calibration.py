@@ -24,10 +24,9 @@ from rwasim.device import (
     default_device,
 )
 from rwasim.evolution import output_power, unitary
-from rwasim.photon_stats import DegenerateSplittingError
 from rwasim.subcircuits import SubcircuitPair, effective_reflectivity, leakage
 
-from conftest import random_device, with_electrode
+from conftest import make_xx_device, random_device, with_electrode
 
 
 def reference_cells(spec, pair, electrode_a, electrode_b, grid_a, grid_b,
@@ -44,11 +43,7 @@ def reference_cells(spec, pair, electrode_a, electrode_b, grid_a, grid_b,
             volts[electrode_b - 1] = vb
             u = unitary(build_hamiltonian(spec, VoltageConfig(volts)),
                         spec.coupling_length)
-            try:
-                eta = effective_reflectivity(u, pair)
-            except DegenerateSplittingError:
-                eta = 1.0  # no power crosses the pair
-            out[:, ia, ib] = (min(max(eta, 0.0), 1.0),
+            out[:, ia, ib] = (effective_reflectivity(u, pair),
                               min(max(leakage(output_power(u, g1), pair), 0.0), 100.0),
                               min(max(leakage(output_power(u, g2), pair), 0.0), 100.0))
     return out
@@ -131,6 +126,29 @@ class TestBuildLookupMap:
             assert lut.leakage_in1[ia, ib] == pytest.approx(
                 leakage(output_power(u, 1), SubcircuitPair(1)), abs=1e-9
             )
+
+    @pytest.mark.parametrize("make_spec", [
+        default_device, make_xx_device,
+        lambda: random_device(np.random.default_rng(4))])
+    def test_eta_equals_effective_reflectivity_exactly(self, make_spec):
+        spec = make_spec()
+        grid_a, grid_b = np.array([-3.0, 0.0, 5.5]), np.array([0.0, 2.0])
+        for pair in (SubcircuitPair(1), SubcircuitPair(2), SubcircuitPair(7)):
+            lut = build_lookup_map(spec, pair, 1, 4, grid_a, grid_b)
+            for (ia, ib), eta in np.ndenumerate(lut.eta):
+                v = with_electrode(with_electrode(VoltageConfig.zeros(22), 1,
+                                                  grid_a[ia]), 4, grid_b[ib])
+                u = unitary(build_hamiltonian(spec, v), spec.coupling_length)
+                assert effective_reflectivity(u, pair) == eta
+
+    def test_uncrossed_pair_eta_is_one_on_both_paths(self):
+        # the X(x)X device at 0 V has no coupling inside pair 2, so no power
+        # crosses it: the map and effective_reflectivity both give exactly 1
+        spec, pair = make_xx_device(), SubcircuitPair(2)
+        lut = build_lookup_map(spec, pair, 1, 4, np.zeros(1), np.zeros(1))
+        u = unitary(build_hamiltonian(spec, VoltageConfig.zeros(22)),
+                    spec.coupling_length)
+        assert lut.eta[0, 0] == effective_reflectivity(u, pair) == 1.0
 
     def test_identical_builds_bit_identical(self, device):
         grid = np.array([-1.0, 0.0, 1.0])

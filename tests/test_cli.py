@@ -1,6 +1,7 @@
 import functools
 import json
 
+import numpy as np
 import pytest
 
 from rwasim import __version__, compiler, photon_stats
@@ -94,6 +95,15 @@ class TestMap:
             "eta=1.0: v1=-10.00 V at v4=+10.00 V (clamped)",
         ]
 
+    def test_step_must_divide_range(self, tmp_path, capsys):
+        # 0.3 V steps cannot span 2 V; a 0.2857 V grid would not match the
+        # step the manifest records
+        out = tmp_path / "run"
+        assert run("map", "--electrodes", "1,4", "--range=-1,1", "--step", "0.3",
+                   "--out", str(out)) == 2
+        assert "step that divides" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("electrodes,step,reason", [
         ("1,4", "4", "slice needs >= 3 points, got 2"),
         ("21,22", "1", "reflectivity slope"),  # electrode 22 drives nothing
@@ -123,6 +133,23 @@ class TestHom:
 
     def test_missing_scan_is_usage_error(self, tmp_path):
         assert run("hom", "--eta", "0.5", "--out", str(tmp_path / "x")) == 2
+
+    @pytest.mark.parametrize("scan", ["-0.6,0.6,0.25", "-0.5,0.5,2", "0.5,-0.5,0.1",
+                                      "-0.5,0.5,0", "-0.5,0.5"])
+    def test_scan_step_must_divide_range(self, tmp_path, scan):
+        # 0.25 mm steps cannot span 1.2 mm; the rest are empty or malformed
+        out = tmp_path / "run"
+        assert run("hom", "--eta", "0.5", f"--scan={scan}", "--out", str(out)) == 2
+        assert not out.exists()
+
+    def test_scan_grid_keeps_step(self, tmp_path):
+        out = tmp_path / "run"
+        assert run("hom", "--eta", "0.5", "--scan=-0.6,0.6,0.01", "--noiseless",
+                   "--out", str(out)) == 0
+        lines = (out / "scan.csv").read_text().splitlines()[1:]
+        delays = np.array([float(line.split(",")[0]) for line in lines])
+        assert delays.size == 121 and (delays[0], delays[-1]) == (-0.6, 0.6)
+        np.testing.assert_allclose(np.diff(delays), 0.01, rtol=0, atol=1e-15)
 
     def test_fit_failure_is_numerical_exit(self, tmp_path, monkeypatch, capsys):
         # a noiseless full dip needs more than the 10 evaluations this allows
@@ -338,6 +365,22 @@ class TestReplay:
         capsys.readouterr()
         assert run("replay", str(manifest), "--out", str(second)) == 3
         assert "0.5.0" in capsys.readouterr().err
+        assert not second.exists()
+
+    def test_replay_refuses_0_6_0_hom(self, device_file, tmp_path, capsys):
+        # 0.7.0 takes eta from the map's power rule, which moves a
+        # device-driven eta in its last digit
+        first = tmp_path / "first"
+        assert run("hom", "--device", device_file, "--scan=-0.5,0.5,0.02",
+                   "--noiseless", "--out", str(first)) == 0
+        manifest = first / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["version"] = "0.6.0"
+        manifest.write_text(json.dumps(doc))
+        second = tmp_path / "second"
+        capsys.readouterr()
+        assert run("replay", str(manifest), "--out", str(second)) == 3
+        assert "0.6.0" in capsys.readouterr().err
         assert not second.exists()
 
     def test_replay_refuses_edited_input(self, device_file, tmp_path, capsys):

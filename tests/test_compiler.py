@@ -292,6 +292,25 @@ class TestOptimize:
         assert "status 1 after 1 iterations" in message
         assert "TOTAL NO. OF ITERATIONS REACHED LIMIT" in message
 
+    def test_abnormal_stop_warning_names_line_search(self, monkeypatch, caplog):
+        # scipy reports a failed line search as "ABNORMAL: " with no reason
+        lockstep = compiler.minimize_lockstep
+
+        def abnormal_first(*args, **kwargs):
+            results = lockstep(*args, **kwargs)
+            results[0].update(status=2, success=False, message="ABNORMAL: ")
+            return results
+
+        monkeypatch.setattr(compiler, "minimize_lockstep", abnormal_first)
+        with caplog.at_level(logging.WARNING, logger="rwasim.compiler"):
+            result = optimize_parallel_gates(make_xx_device(),
+                                             preset_config("config2"), XX,
+                                             restarts=2, seed=0)
+        assert result.restart_status.tolist() == [2, 0]
+        [warning] = [r for r in caplog.records if r.name == "rwasim.compiler"]
+        assert warning.getMessage().endswith(
+            "(ABNORMAL: line search found no acceptable step)")
+
     def test_converged_restarts_log_nothing(self, caplog):
         with caplog.at_level(logging.WARNING, logger="rwasim.compiler"):
             result = optimize_parallel_gates(make_xx_device(),

@@ -11,6 +11,7 @@ from rwasim.device import (
     hamiltonian_diagonals,
 )
 from rwasim.evolution import (
+    eigh_tridiagonal,
     output_power,
     powers_to_csv,
     profile_to_csv,
@@ -20,7 +21,7 @@ from rwasim.evolution import (
     unitary_to_csv,
 )
 
-from conftest import random_device
+from conftest import make_xx_device, random_device
 
 
 def two_mode(beta1, beta2, coupling):
@@ -96,6 +97,51 @@ class TestUnitaryBlocks:
     def test_non_positive_length_rejected(self):
         with pytest.raises(ValueError):
             unitary_blocks(np.zeros((1, 3)), np.zeros((1, 2)), 0.0, [0], [0])
+
+
+class TestEighTridiagonal:
+    def test_stack_reconstructs_each_matrix(self):
+        rng = np.random.default_rng(6)
+        diag, offdiag = rng.uniform(-1, 1, (4, 7)), rng.uniform(-1, 1, (4, 6))
+        offdiag[2, 3] = 0.0
+        w, q = eigh_tridiagonal(diag, offdiag)
+        assert w.shape == (4, 7) and q.shape == (4, 7, 7)
+        for b in range(4):
+            h = np.diag(diag[b]) + np.diag(offdiag[b], 1) + np.diag(offdiag[b], -1)
+            np.testing.assert_allclose((q[b] * w[b]) @ q[b].T, h, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(q[b].T @ q[b], np.eye(7), rtol=0, atol=1e-13)
+
+
+class TestRepeatedSpectrum:
+    """The X(x)X device of acceptance criterion 8 at 0 V: every coupling but
+    those of pairs (1, 2) and (8, 9) is zero, so H has a seven-fold
+    eigenvalue 0 besides the two pairs' +-C."""
+
+    @pytest.fixture
+    def h(self):
+        return build_hamiltonian(make_xx_device(), VoltageConfig.zeros(22))
+
+    @staticmethod
+    def other_block(h):
+        """(N, N) mask of guide pairs that no chain of couplings joins."""
+        block = np.concatenate(([0], np.cumsum(h.offdiag == 0.0)))
+        return block[:, None] != block[None, :]
+
+    def test_unitary_matches_expm_and_keeps_blocks(self, h):
+        u = unitary(h, 24.0).matrix
+        np.testing.assert_allclose(u, expm(-1j * h.to_matrix() * 24.0),
+                                   rtol=0, atol=1e-9)
+        assert np.max(np.abs(u[self.other_block(h)])) <= 1e-12
+
+    @pytest.mark.parametrize("input_guide", [1, 5, 9])
+    def test_profile_matches_expm_and_keeps_blocks(self, h, input_guide):
+        profile = propagation_profile(h, 24.0, n_steps=25, input_guide=input_guide)
+        for z, row in zip(profile.z_points, profile.intensities):
+            column = expm(-1j * h.to_matrix() * z)[:, input_guide - 1]
+            np.testing.assert_allclose(row, np.abs(column) ** 2, rtol=0, atol=1e-9)
+        outside = self.other_block(h)[input_guide - 1]
+        # amplitudes outside the input's block to 1e-12
+        assert np.max(profile.intensities[:, outside]) <= 1e-24
 
 
 class TestOutputPower:

@@ -14,6 +14,7 @@ from rwasim.subcircuits import (
     effective_reflectivity,
     gate_truth_table,
     leakage,
+    reflectivity_and_leakage,
     two_mode_unitary,
 )
 
@@ -159,6 +160,35 @@ class TestEffectiveReflectivity:
         expected = r / (1 + r)
         assert effective_reflectivity(u, SubcircuitPair(1)) == \
             pytest.approx(expected, abs=1e-12)
+
+
+    def test_no_crossing_gives_one(self):
+        u = TransferUnitary(matrix=np.eye(11, dtype=complex), length=24.0)
+        assert effective_reflectivity(u, SubcircuitPair(4)) == 1.0
+
+
+class TestReflectivityAndLeakage:
+    def test_stacked_blocks_match_scalar_formula(self):
+        rng = np.random.default_rng(2)
+        p = rng.uniform(0.0, 0.5, (3, 5, 2, 2))
+        p[1, 2, 1, 0] = 0.0  # no power crosses this block
+        eta, leak1, leak2 = reflectivity_and_leakage(p)
+        assert eta.shape == leak1.shape == leak2.shape == (3, 5)
+        for idx in np.ndindex(3, 5):
+            (p11, p21), (p12, p22) = p[idx]
+            if idx == (1, 2):
+                assert eta[idx] == 1.0
+            else:
+                r = math.sqrt((p11 * p22) / (p12 * p21))
+                assert eta[idx] == r / (1.0 + r)
+            assert leak1[idx] == 100.0 * (1.0 - p11 - p12)
+            assert leak2[idx] == 100.0 * (1.0 - p21 - p22)
+
+    def test_leakage_clipped_to_percent_range(self):
+        p = np.array([[[0.6, 0.0], [0.5, 0.0]], [[0.0, 0.0], [0.0, 0.0]]])
+        _, leak1, leak2 = reflectivity_and_leakage(p)
+        np.testing.assert_array_equal(leak1, [0.0, 100.0])
+        np.testing.assert_array_equal(leak2, [100.0, 100.0])
 
 
 class TestGateTruthTable:
