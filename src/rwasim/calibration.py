@@ -14,6 +14,7 @@ without changing any cell's value.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +32,20 @@ class FlatCurveError(ValueError):
     """Reflectivity slice has no usable slope for a linear fit."""
 
 
+def uniform_grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """lo to exactly hi in steps of `step`; ValueError unless hi > lo and
+    `step` divides hi - lo, rather than a silently changed spacing."""
+    intervals = (hi - lo) / step if step > 0 else 0.0
+    if (not 0.0 < intervals < math.inf
+            or abs(intervals - round(intervals)) > 1e-9 * intervals):
+        raise ValueError(f"grid needs HI > LO and a step that divides HI - LO, "
+                         f"got LO={lo:g}, HI={hi:g}, step={step:g}")
+    return np.linspace(lo, hi, int(round(intervals)) + 1)
+
+
 def default_grid(limit: float = 10.0, step: float = 0.5) -> np.ndarray:
-    """Uniform sweep from -limit to +limit inclusive."""
-    n = int(round(2 * limit / step)) + 1
-    return np.linspace(-limit, limit, n)
+    """Uniform sweep from -limit to +limit inclusive, by `uniform_grid`."""
+    return uniform_grid(-limit, limit, step)
 
 
 @dataclass(frozen=True)
@@ -63,27 +74,18 @@ class LookupMap:
                 raise ValueError(f"{name} must be a non-empty 1-D vector")
             if g.size >= 2 and not np.all(np.diff(g) > 0):
                 raise ValueError(f"{name} must be strictly increasing")
-        shape = (ga.size, gb.size)
-        for name, t in (("eta", self.eta), ("leakage_in1", self.leakage_in1),
-                        ("leakage_in2", self.leakage_in2)):
-            t = np.asarray(t, dtype=float)
-            if t.shape != shape:
-                raise ValueError(f"{name} has shape {t.shape}, expected {shape}")
-        eta = np.asarray(self.eta, dtype=float)
-        if np.any((eta < 0) | (eta > 1)):
-            raise ValueError("eta entries must lie in [0, 1]")
-        for name, t in (("leakage_in1", self.leakage_in1),
-                        ("leakage_in2", self.leakage_in2)):
-            t = np.asarray(t, dtype=float)
-            if np.any((t < -1e-9) | (t > 100 + 1e-9)):
-                raise ValueError(f"{name} entries must lie in [0, 100]")
         object.__setattr__(self, "grid_a", ga)
         object.__setattr__(self, "grid_b", gb)
-        object.__setattr__(self, "eta", np.asarray(self.eta, dtype=float))
-        object.__setattr__(self, "leakage_in1",
-                           np.asarray(self.leakage_in1, dtype=float))
-        object.__setattr__(self, "leakage_in2",
-                           np.asarray(self.leakage_in2, dtype=float))
+        shape = (ga.size, gb.size)
+        # leakage gets 1e-9 of rounding slack; "not inside" also rejects NaN
+        for name, hi, slack in (("eta", 1, 0.0), ("leakage_in1", 100, 1e-9),
+                                ("leakage_in2", 100, 1e-9)):
+            t = np.asarray(getattr(self, name), dtype=float)
+            if t.shape != shape:
+                raise ValueError(f"{name} has shape {t.shape}, expected {shape}")
+            if not np.all((t >= -slack) & (t <= hi + slack)):
+                raise ValueError(f"{name} entries must lie in [0, {hi}]")
+            object.__setattr__(self, name, t)
 
     @property
     def mean_leakage(self) -> np.ndarray:

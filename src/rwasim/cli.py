@@ -11,7 +11,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
@@ -70,22 +69,21 @@ def _load_voltages(path: str | None, spec: DeviceSpec) -> VoltageConfig:
 
 
 def _parse_floats(text: str, flag: str, count: int) -> list[float]:
-    parts = text.split(",")
-    if len(parts) != count:
+    try:
+        values = [float(p) for p in text.split(",")]
+    except ValueError:
+        values = []
+    if len(values) != count:
         raise UsageError(f"{flag} expects {count} comma-separated numbers, "
                          f"got {text!r}")
-    return [float(p) for p in parts]
+    return values
 
 
 def _uniform_grid(lo: float, hi: float, step: float, flag: str) -> np.ndarray:
-    """lo to exactly hi in steps of `step`; a step that does not divide
-    hi - lo is a usage error, not a silently changed spacing."""
-    intervals = (hi - lo) / step if step > 0 else 0.0
-    if (not 0.0 < intervals < math.inf
-            or abs(intervals - round(intervals)) > 1e-9 * intervals):
-        raise UsageError(f"{flag} needs HI > LO and a step that divides HI - LO, "
-                         f"got LO={lo:g}, HI={hi:g}, step={step:g}")
-    return np.linspace(lo, hi, int(round(intervals)) + 1)
+    try:
+        return calibration.uniform_grid(lo, hi, step)
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}") from exc
 
 
 def _write_manifest(out_dir: Path, command: str, argv: list[str],
@@ -131,7 +129,10 @@ def _cmd_simulate(args, argv) -> int:
 
 def _cmd_map(args, argv) -> int:
     spec, inputs = _load_device(args, argv)
-    ea, eb = (int(x) for x in _parse_floats(args.electrodes, "--electrodes", 2))
+    electrodes = _parse_floats(args.electrodes, "--electrodes", 2)
+    if not all(x.is_integer() for x in electrodes):
+        raise UsageError(f"--electrodes expects two integers, got {args.electrodes!r}")
+    ea, eb = (int(x) for x in electrodes)
     lo, hi = _parse_floats(args.range, "--range", 2)
     grid = _uniform_grid(lo, hi, args.step, "--range/--step")
     fixed = _load_voltages(args.fixed, spec)

@@ -222,9 +222,10 @@ def hamiltonian_diagonals(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Diagonals of H for each row of a (B, E) voltage stack.
 
-    Returns the (B, N) diagonals and (B, N-1) off-diagonals.  This is the
-    one voltage check: every entry must be finite and within the closed
-    interval [-limit, +limit], and `build_hamiltonian` passes a one-row stack.
+    Returns the (B, N) diagonals and (B, N-1) off-diagonals.  Every entry
+    must be finite and within [-limit, +limit]; `build_hamiltonian` passes a
+    one-row stack, and the compiler's kernel checks its active-electrode batch
+    itself.
     """
     volts = np.asarray(volts, dtype=float)
     if volts.ndim != 2 or volts.shape[1] != spec.n_electrodes:

@@ -163,7 +163,7 @@ def reflectivity_from_powers(p11: float, p12: float, p21: float, p22: float) -> 
     for name, p in (("P11", p11), ("P12", p12), ("P21", p21), ("P22", p22)):
         if p < 0:
             raise ValueError(f"{name} must be non-negative, got {p}")
-    if p12 * p21 == 0.0:
+    if p12 == 0.0 or p21 == 0.0:
         raise DegenerateSplittingError(
             "P12 * P21 = 0: splitting ratio indeterminate (eta at exactly 1)"
         )

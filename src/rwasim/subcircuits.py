@@ -8,7 +8,8 @@ each subcircuit's selected guide, each subcircuit's post-selected output
 distribution is taken over its own two guides, and the joint 4x4 table is
 the product of the two single-qubit distributions.  The compiler's
 per-input fidelity, crosstalk and leakage fractions live in
-`compiler._input_terms`.
+`compiler._input_terms`, inside the one kernel that scores every compiler
+point; `distribution_fidelity` is the checked fidelity for truth tables.
 """
 from __future__ import annotations
 
@@ -60,16 +61,17 @@ def two_mode_unitary(eta: float, phi: float = 0.0) -> TwoModeUnitary:
     return TwoModeUnitary(matrix=mat)
 
 
-def _check_normalized(powers: np.ndarray, tol: float = 1e-6) -> None:
-    total = float(np.sum(powers))
-    if abs(total - 1.0) > tol:
-        raise ValueError(f"powers sum to {total}, not normalized within {tol}")
+def check_rows_normalized(name: str, rows: np.ndarray) -> None:
+    """Raise ValueError unless each row (last axis) sums to 1 within 1e-6."""
+    sums = np.sum(rows, axis=-1)
+    if (np.abs(sums - 1.0) > 1e-6).any():
+        raise ValueError(f"{name} sums to {sums}, not normalized")
 
 
 def leakage(powers, pair: SubcircuitPair) -> float:
     """Percentage of power escaping the pair's own guides."""
     p = np.asarray(powers, dtype=float)
-    _check_normalized(p)
+    check_rows_normalized("power vector", p)
     i, j = pair.indices(p.size)
     return 100.0 * float(np.sum(p) - p[i] - p[j])
 
@@ -80,16 +82,24 @@ def reflectivity_and_leakage(p):
 
     eta = r / (1 + r), r = sqrt(p_00 p_11 / (p_10 p_01)), which column
     renormalization (post-selection) leaves unchanged; exactly 1 where no
-    power crosses.  Leakage is 100 (1 - p_0n - p_1n) percent, clipped into
-    [0, 100] against rounding.
+    power crosses (p_10 or p_01 is 0).  r is formed from mantissas and binary
+    exponents apart, so it keeps the formula's bits wherever its products and
+    quotient are normal doubles and stays finite for any non-negative finite
+    block.  Leakage is 100 (1 - p_0n - p_1n) percent, clipped into [0, 100]
+    against rounding.
     """
     p = np.asarray(p, dtype=float)
-    cross = p[..., 1, 0] * p[..., 0, 1]
-    crosses = cross != 0.0
-    r = np.sqrt(p[..., 0, 0] * p[..., 1, 1] / np.where(crosses, cross, 1.0))
+    m, e = np.frexp(p)  # p = m 2^e, 0.5 <= m < 1 (m = e = 0 at p = 0)
+    crosses = (p[..., 1, 0] != 0.0) & (p[..., 0, 1] != 0.0)
+    q = m[..., 0, 0] * m[..., 1, 1] / np.where(crosses, m[..., 1, 0] * m[..., 0, 1],
+                                               1.0)
+    k = e[..., 0, 0] + e[..., 1, 1] - e[..., 1, 0] - e[..., 0, 1]
+    # r = sqrt(q 2^k); from r = 2^64 on, r / (1 + r) rounds to 1 anyway
+    r = np.ldexp(np.sqrt(np.ldexp(q, k % 2)), np.minimum(k // 2, 64))
     eta = np.where(crosses, r / (1.0 + r), 1.0)
-    leak = np.minimum(np.maximum(100.0 * (1.0 - p[..., 0, :] - p[..., 1, :]),
-                                 0.0), 100.0)
+    capped = np.minimum(p, 1.0)  # a power above 1 leaks nothing; keeps sums finite
+    leak = np.minimum(np.maximum(
+        100.0 * (1.0 - capped[..., 0, :] - capped[..., 1, :]), 0.0), 100.0)
     return eta, leak[..., 0], leak[..., 1]
 
 
@@ -145,10 +155,8 @@ def distribution_fidelity(target_row, measured_row):
     m = np.asarray(measured_row, dtype=float)
     if t.shape != m.shape:
         raise ValueError(f"row shapes differ: {t.shape} vs {m.shape}")
-    for name, row in (("target", t), ("measured", m)):
-        sums = row.sum(axis=-1)
-        if (np.abs(sums - 1.0) > 1e-6).any():
-            raise ValueError(f"{name} row sums to {sums}, not normalized")
+    check_rows_normalized("target row", t)
+    check_rows_normalized("measured row", m)
     fid = _bhattacharyya(t, m)
     return float(fid) if fid.ndim == 0 else fid
 

@@ -1,4 +1,9 @@
-"""Scalar reference for the compiler's batched kernel and lockstep driver.
+"""Scalar references for the compiler's batched kernel and lockstep driver.
+
+`full_u_evaluate` scores a voltage vector the way the compiler reported its
+results before the batched kernel scored every point: it masks the inactive
+electrodes, builds the full U through `build_hamiltonian` and `unitary`, and
+checks every fidelity row through `distribution_fidelity`.
 
 `scalar_objective_with_gradient` is the one-point f+g closure the compiler
 ran before its restarts were batched, with the same Daleckii-Krein adjoint
@@ -14,8 +19,45 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import minimize
 
 from rwasim import compiler
-from rwasim.device import VoltageBoundError
-from rwasim.subcircuits import _bhattacharyya
+from rwasim.compiler import SubcircuitMetrics
+from rwasim.device import VoltageBoundError, VoltageConfig, build_hamiltonian
+from rwasim.evolution import unitary
+from rwasim.subcircuits import distribution_fidelity
+
+
+def _subcircuit_metrics(u_matrix, pair, other, target):
+    n = u_matrix.shape[0]
+    rows = list(pair.indices(n))
+    other_rows = list(other.indices(n))
+    powers = np.abs(u_matrix[:, rows]) ** 2
+    k = np.arange(2)[:, None]
+    own_p = powers[[rows, rows], k]
+    own = own_p.sum(axis=-1)
+    kept = own > 0.0
+    split = np.where(kept[..., None],
+                     own_p / np.where(kept, own, 1.0)[..., None], 0.5)
+    fid = np.where(kept, distribution_fidelity((np.abs(target.matrix) ** 2).T,
+                                               split), 0.0)
+    ct = powers[[other_rows, other_rows], k].sum(axis=-1)
+    return SubcircuitMetrics(fidelity=float(fid.mean()),
+                             crosstalk=float(ct.mean()),
+                             leakage=float((1.0 - own).mean()))
+
+
+def full_u_evaluate(spec, v, config, targets):
+    """(objective, (metrics a, metrics b)) from the full transfer matrix."""
+    volts = v.volts.copy()
+    inactive = np.ones(spec.n_electrodes, dtype=bool)
+    inactive[[e - 1 for e in config.active_electrodes]] = False
+    volts[inactive] = 0.0
+    u = unitary(build_hamiltonian(spec, VoltageConfig(volts)),
+                spec.coupling_length)
+    m1 = _subcircuit_metrics(u.matrix, config.pairs[0], config.pairs[1], targets[0])
+    m2 = _subcircuit_metrics(u.matrix, config.pairs[1], config.pairs[0], targets[1])
+    value = compiler._objective_value((m1.fidelity, m2.fidelity),
+                                      (m1.crosstalk, m2.crosstalk),
+                                      (m1.leakage, m2.leakage))
+    return float(value), (m1, m2)
 
 
 def scalar_objective_with_gradient(spec, config, targets):
@@ -43,7 +85,7 @@ def scalar_objective_with_gradient(spec, config, targets):
         q_cols = q[cols]
         u = (q * half**2) @ q_cols.T
         own, split, fid, ct, leak = compiler._input_terms(
-            np.abs(u) ** 2, rows, other_rows, target_p, _bhattacharyya)
+            np.abs(u) ** 2, rows, other_rows, target_p)
         terms = np.stack((fid, ct, leak))
         means = 0.5 * (terms[:, 0::2] + terms[:, 1::2])
         value = float(compiler._objective_value(*means))

@@ -235,6 +235,24 @@ class TestBuildLookupMap:
         assert grid[0] == -10.0 and grid[-1] == 10.0
         assert np.allclose(np.diff(grid), 0.5)
 
+    @pytest.mark.parametrize("limit,step", [(10.0, 0.3), (1.0, 5.0), (1.0, 0.0),
+                                            (1.0, -0.5), (0.0, 0.5)])
+    def test_default_grid_keeps_step_or_refuses(self, limit, step):
+        # no silent respacing: 0.3 V steps would become 0.2985 V
+        with pytest.raises(ValueError, match="step that divides"):
+            default_grid(limit, step)
+
+    @pytest.mark.parametrize("table", ["eta", "leakage_in1", "leakage_in2"])
+    @pytest.mark.parametrize("bad", [np.nan, -0.5, 101.0])
+    def test_tables_outside_range_or_nan_rejected(self, table, bad):
+        grid = np.array([0.0, 1.0])
+        tables = dict(eta=np.full((2, 2), 0.5), leakage_in1=np.zeros((2, 2)),
+                      leakage_in2=np.zeros((2, 2)))
+        tables[table][1, 0] = bad
+        with pytest.raises(ValueError, match=table):
+            LookupMap(electrode_a=1, electrode_b=4, grid_a=grid, grid_b=grid,
+                      input_guides=(1, 2), **tables)
+
 
 class TestSolveVoltage:
     def test_exact_cell_selected(self):

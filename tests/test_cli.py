@@ -104,6 +104,20 @@ class TestMap:
         assert "step that divides" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--electrodes", "1.7,4"), ("--electrodes", "a,4"), ("--electrodes", "1,inf"),
+        ("--range", "-2,b"),
+    ])
+    def test_malformed_numbers_are_usage_errors(self, tmp_path, capsys, flag, value):
+        # int() would truncate 1.7 to electrode 1 while argv records 1.7
+        out = tmp_path / "run"
+        argv = {"--electrodes": "1,4", "--range": "-2,2", flag: value}
+        assert run("map", "--electrodes", argv["--electrodes"],
+                   f"--range={argv['--range']}", "--step", "2",
+                   "--out", str(out)) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("electrodes,step,reason", [
         ("1,4", "4", "slice needs >= 3 points, got 2"),
         ("21,22", "1", "reflectivity slope"),  # electrode 22 drives nothing
@@ -135,7 +149,8 @@ class TestHom:
         assert run("hom", "--eta", "0.5", "--out", str(tmp_path / "x")) == 2
 
     @pytest.mark.parametrize("scan", ["-0.6,0.6,0.25", "-0.5,0.5,2", "0.5,-0.5,0.1",
-                                      "-0.5,0.5,0", "-0.5,0.5"])
+                                      "-0.5,0.5,0", "-0.5,0.5",
+                                      "-0.5,x,0.1"])
     def test_scan_step_must_divide_range(self, tmp_path, scan):
         # 0.25 mm steps cannot span 1.2 mm; the rest are empty or malformed
         out = tmp_path / "run"
@@ -381,6 +396,24 @@ class TestReplay:
         capsys.readouterr()
         assert run("replay", str(manifest), "--out", str(second)) == 3
         assert "0.6.0" in capsys.readouterr().err
+        assert not second.exists()
+
+    def test_replay_refuses_0_7_0_compile(self, tmp_path, capsys):
+        # 0.8.0 scores the reported result with the restarts' own kernel, which
+        # moves result.json's objective and metrics in their last digits
+        first = tmp_path / "first"
+        assert run("compile", "--config", "2", "--gates", "XX", "--restarts", "3",
+                   "--seed", "4", "--out", str(first)) == 0
+        result = json.loads((first / "result.json").read_text())
+        assert result["objective"] == min(result["restart_trace"])
+        manifest = first / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["version"] = "0.7.0"
+        manifest.write_text(json.dumps(doc))
+        second = tmp_path / "second"
+        capsys.readouterr()
+        assert run("replay", str(manifest), "--out", str(second)) == 3
+        assert "0.7.0" in capsys.readouterr().err
         assert not second.exists()
 
     def test_replay_refuses_edited_input(self, device_file, tmp_path, capsys):

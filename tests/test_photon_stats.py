@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -124,6 +125,17 @@ class TestReflectivityFromPowers:
     def test_degenerate_splitting(self):
         with pytest.raises(DegenerateSplittingError):
             reflectivity_from_powers(0.5, 0.0, 0.5, 0.5)
+
+    @pytest.mark.parametrize("powers,expected", [
+        ((0.5, 1e-160, 1e-160, 0.5), 1.0),
+        ((1e200, 1e200, 1e200, 1e200), 0.5),
+        ((3e160, 1.0, 1.0, 3e160), 1.0),
+        ((1e-170, 1e-170, 1e-170, 1e-170), 0.5),  # P12 P21 underflows to 0
+    ])
+    def test_powers_beyond_double_range(self, powers, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert reflectivity_from_powers(*powers) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(0.001, 0.999))
