@@ -70,8 +70,8 @@ class LookupMap:
         ga = np.asarray(self.grid_a, dtype=float)
         gb = np.asarray(self.grid_b, dtype=float)
         for name, g in (("grid_a", ga), ("grid_b", gb)):
-            if g.ndim != 1 or g.size < 1:
-                raise ValueError(f"{name} must be a non-empty 1-D vector")
+            if g.ndim != 1 or g.size < 1 or not np.all(np.isfinite(g)):
+                raise ValueError(f"{name} must be a non-empty finite 1-D vector")
             if g.size >= 2 and not np.all(np.diff(g) > 0):
                 raise ValueError(f"{name} must be strictly increasing")
         object.__setattr__(self, "grid_a", ga)

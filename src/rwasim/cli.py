@@ -21,6 +21,7 @@ from . import __version__, analysis, calibration, compiler, evolution
 from . import device as device_mod
 from . import photon_stats
 from .device import DeviceSpec, VoltageConfig
+from .csvio import write_csv
 from .evolution import NumericalFailureError
 from .manifest import MANIFEST_NAME, RunManifest, file_sha256, read_manifest
 from .photon_stats import FitFailureError
@@ -68,13 +69,15 @@ def _load_voltages(path: str | None, spec: DeviceSpec) -> VoltageConfig:
     return VoltageConfig(values)
 
 
-def _parse_floats(text: str, flag: str, count: int) -> list[float]:
+def _parse_floats(text: str, flag: str, *counts: int) -> list[float]:
+    """Comma-separated numbers, as many as one of `counts` (any if none)."""
     try:
         values = [float(p) for p in text.split(",")]
     except ValueError:
         values = []
-    if len(values) != count:
-        raise UsageError(f"{flag} expects {count} comma-separated numbers, "
+    if not values or counts and len(values) not in counts:
+        expected = " or ".join(map(str, counts)) or "one or more"
+        raise UsageError(f"{flag} expects {expected} comma-separated numbers, "
                          f"got {text!r}")
     return values
 
@@ -174,35 +177,61 @@ def _print_map_summary(lut: calibration.LookupMap) -> None:
               f"at v{eb}={best_b:+.2f} V{flag}")
 
 
+def _hom_point(args, delays, eta: float, index: int, fit: bool):
+    """Scan `index` of a run (noise seed --seed + index) and its fit or None."""
+    scan = photon_stats.simulate_hom_scan(
+        eta, delays, args.baseline, slope=args.slope,
+        dip_center=args.center, coherence_width=args.width,
+        noise_seed=None if args.noiseless else args.seed + index,
+    )
+    return scan, photon_stats.fit_hom_dip(scan) if fit else None
+
+
 def _cmd_hom(args, argv) -> int:
+    """One scan at a given or device eta, or with --eta LO,HI,STEP a fitted
+    scan per grid point, tabulated in visibility_sweep.csv."""
     inputs: list[str] = []
-    if args.eta is not None:
-        eta = args.eta
-    else:
+    etas = [] if args.eta is None else _parse_floats(args.eta, "--eta", 1, 3)
+    if len(etas) == 3:
+        etas = _uniform_grid(*etas, "--eta").tolist()
+        if not 0.0 <= etas[0] <= etas[-1] <= 1.0:
+            raise UsageError(f"--eta grid points must lie in [0, 1], "
+                             f"got {args.eta!r}")
+    elif not etas:
         spec, inputs = _load_device(args, argv)
         volts = _load_voltages(args.voltages, spec)
         if args.voltages:
             inputs.append(args.voltages)
         h = device_mod.build_hamiltonian(spec, volts)
         u = evolution.unitary(h, spec.coupling_length)
-        eta = effective_reflectivity(u, SubcircuitPair(args.pair))
+        etas = [effective_reflectivity(u, SubcircuitPair(args.pair))]
 
     delays = _uniform_grid(*_parse_floats(args.scan, "--scan", 3), "--scan")
-    scan = photon_stats.simulate_hom_scan(
-        eta, delays, args.baseline, slope=args.slope,
-        dip_center=args.center, coherence_width=args.width,
-        noise_seed=None if args.noiseless else args.seed,
-    )
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    photon_stats.scan_to_csv(scan, out / "scan.csv")
-    outputs = ["scan.csv"]
-    if args.fit:
-        fit = photon_stats.fit_hom_dip(scan)
-        fit.to_json(out / "dipfit.json")
-        outputs.append("dipfit.json")
+    if len(etas) == 1:
+        scan, fit = _hom_point(args, delays, etas[0], 0, args.fit)
+        out.mkdir(parents=True, exist_ok=True)
+        photon_stats.scan_to_csv(scan, out / "scan.csv")
+        outputs = ["scan.csv"]
+        if fit is not None:
+            fit.to_json(out / "dipfit.json")
+            outputs.append("dipfit.json")
+    else:
+        rows = []
+        for i, eta in enumerate(etas):
+            scan, fit = _hom_point(args, delays, eta, i, True)
+            ideal = photon_stats.ideal_visibility(eta)
+            rows += [eta, ideal, fit.visibility, fit.visibility_error,
+                     *photon_stats.dip_extrema(fit, scan)]
+            print(f"eta={eta:.3f}  ideal={ideal:.4f}  "
+                  f"fit={fit.visibility:.4f} +/- {fit.visibility_error:.4f}")
+        out.mkdir(parents=True, exist_ok=True)
+        outputs = ["visibility_sweep.csv"]
+        write_csv(out / outputs[0], ["eta", "ideal_visibility", "fitted_visibility",
+                                     "visibility_error", "n_max", "n_min"], [rows])
     _write_manifest(out, "hom", argv, inputs,
-                    {"eta": eta, "scan": args.scan, "baseline": args.baseline,
+                    {"eta": etas if len(etas) > 1 else etas[0],
+                     "scan": args.scan, "baseline": args.baseline,
                      "slope": args.slope, "noiseless": args.noiseless},
                     args.seed, outputs)
     return EXIT_OK
@@ -228,11 +257,11 @@ def _cmd_compile(args, argv) -> int:
     targets = (compiler.gate_target(args.gates[0]),
                compiler.gate_target(args.gates[1]))
 
+    lengths = args.lengths and _parse_floats(args.lengths, "--lengths")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     outputs = []
-    if args.lengths:
-        lengths = [float(x) for x in args.lengths.split(",")]
+    if lengths:
         results = compiler.sweep_chip_length(
             spec, config, targets, lengths,
             restarts=args.restarts, seed=args.seed,
@@ -325,7 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hom", help="synthesize (and fit) a HOM delay scan")
     add_common(p)
-    p.add_argument("--eta", type=float, help="coupler reflectivity (skips device)")
+    p.add_argument("--eta", metavar="ETA|LO,HI,STEP",
+                   help="coupler reflectivity, or a grid of them to sweep into "
+                        "visibility_sweep.csv (skips device)")
     p.add_argument("--pair", type=int, default=1)
     p.add_argument("--voltages")
     p.add_argument("--scan", required=True, metavar="LO,HI,STEP",

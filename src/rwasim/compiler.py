@@ -41,7 +41,8 @@ from scipy.optimize._lbfgsb_py import status_messages, task_messages
 
 from . import evolution
 from .csvio import write_csv
-from .device import DeviceSpec, DeviceSpecError, VoltageBoundError, VoltageConfig
+from .device import (N_GUIDES_DEFAULT, DeviceSpec, DeviceSpecError,
+                     VoltageBoundError, VoltageConfig)
 from .subcircuits import (
     SubcircuitPair,
     TwoModeUnitary,
@@ -448,22 +449,13 @@ def sweep_chip_length(
     return results
 
 
-def random_base_device(
-    seed: int,
-    n_guides: int = 11,
-    n_electrodes: int = 22,
-    coupling_length: float = 24.0,
-) -> DeviceSpec:
-    """Static device with a seeded random base Hamiltonian.
+def random_base_device(seed: int) -> DeviceSpec:
+    """Default-sized device with a seeded random base Hamiltonian.
 
     beta_n ~ U[3.0, 3.2] rad/mm and C ~ U[0.05, 0.15] rad/mm; sensitivities
     keep the default odd/even electrode pattern.
     """
     rng = np.random.default_rng(seed)
-    return DeviceSpec(
-        n_guides=n_guides,
-        n_electrodes=n_electrodes,
-        coupling_length=coupling_length,
-        base_beta=rng.uniform(3.0, 3.2, n_guides),
-        base_coupling=rng.uniform(0.05, 0.15, n_guides - 1),
-    )
+    n = N_GUIDES_DEFAULT
+    return DeviceSpec(base_beta=rng.uniform(3.0, 3.2, n),
+                      base_coupling=rng.uniform(0.05, 0.15, n - 1))

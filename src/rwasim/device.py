@@ -9,6 +9,8 @@ voltages shift both linearly through user-supplied sensitivity matrices.
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +50,18 @@ def _as_float_array(x, name: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise DeviceSpecError(f"{name}: contains non-finite entries")
     return arr
+
+
+def _as_count(x, name: str, minimum: int) -> int:
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < minimum:
+        raise DeviceSpecError(f"{name} must be an integer >= {minimum}, got {x!r}")
+    return int(x)
+
+
+def _as_positive(x, name: str) -> float:
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not 0 < x < math.inf:
+        raise DeviceSpecError(f"{name} must be a positive finite number, got {x!r}")
+    return float(x)
 
 
 def default_base_beta(n_guides: int) -> np.ndarray:
@@ -142,19 +156,10 @@ class DeviceSpec:
     voltage_limit: float = VOLTAGE_LIMIT_DEFAULT
 
     def __post_init__(self):
-        n, e = int(self.n_guides), int(self.n_electrodes)
-        if n < 2:
-            raise DeviceSpecError(f"n_guides must be >= 2, got {n}")
-        if e < 1:
-            raise DeviceSpecError(f"n_electrodes must be >= 1, got {e}")
-        if not self.coupling_length > 0:
-            raise DeviceSpecError(
-                f"coupling_length must be positive, got {self.coupling_length}"
-            )
-        if not self.voltage_limit > 0:
-            raise DeviceSpecError(
-                f"voltage_limit must be positive, got {self.voltage_limit}"
-            )
+        n = _as_count(self.n_guides, "n_guides", 2)
+        e = _as_count(self.n_electrodes, "n_electrodes", 1)
+        length = _as_positive(self.coupling_length, "coupling_length")
+        limit = _as_positive(self.voltage_limit, "voltage_limit")
 
         base_beta = (
             default_base_beta(n)
@@ -201,8 +206,8 @@ class DeviceSpec:
             arr.setflags(write=False)
         object.__setattr__(self, "n_guides", n)
         object.__setattr__(self, "n_electrodes", e)
-        object.__setattr__(self, "coupling_length", float(self.coupling_length))
-        object.__setattr__(self, "voltage_limit", float(self.voltage_limit))
+        object.__setattr__(self, "coupling_length", length)
+        object.__setattr__(self, "voltage_limit", limit)
         object.__setattr__(self, "base_beta", base_beta)
         object.__setattr__(self, "base_coupling", base_coupling)
         object.__setattr__(self, "beta_sensitivity", beta_sens)
@@ -253,13 +258,13 @@ def build_hamiltonian(spec: DeviceSpec, v: VoltageConfig) -> TridiagonalHamilton
 
 # -- device spec file I/O ----------------------------------------------------
 
-_SCALAR_FIELDS = ("n_guides", "n_electrodes", "coupling_length", "voltage_limit")
+_SENSITIVITIES = ("beta_sensitivity", "coupling_sensitivity")
 
 
 def _parse_sensitivity(raw, n_rows: int, n_electrodes: int, name: str) -> np.ndarray:
     """Accept a dense (n_rows x E) matrix or sparse (row, electrode, value)
     triplets with 1-based row/electrode indices."""
-    arr = np.asarray(raw, dtype=float)
+    arr = _as_float_array(raw, name)
     if arr.ndim != 2:
         raise DeviceSpecError(f"{name}: expected a 2-D matrix or triplet list")
     if arr.shape == (n_rows, n_electrodes):
@@ -269,9 +274,11 @@ def _parse_sensitivity(raw, n_rows: int, n_electrodes: int, name: str) -> np.nda
         dense = np.zeros((n_rows, n_electrodes))
         for row, electrode, value in arr:
             r, e = int(row) - 1, int(electrode) - 1
-            if not (0 <= r < n_rows and 0 <= e < n_electrodes):
+            if not (r + 1 == row and e + 1 == electrode
+                    and 0 <= r < n_rows and 0 <= e < n_electrodes):
                 raise DeviceSpecError(
-                    f"{name}: triplet ({int(row)}, {int(electrode)}) out of range"
+                    f"{name}: triplet ({row:g}, {electrode:g}) is not an index pair "
+                    f"in 1..{n_rows} x 1..{n_electrodes}"
                 )
             dense[r, e] = value
         return dense
@@ -282,34 +289,21 @@ def _parse_sensitivity(raw, n_rows: int, n_electrodes: int, name: str) -> np.nda
 
 
 def device_spec_from_dict(doc: dict) -> DeviceSpec:
+    """`DeviceSpec` of a document's fields, null meaning the field's default
+    as in `DeviceSpec`; sensitivities may also be given as triplets, which
+    are parsed once the other fields fix the shape."""
     if not isinstance(doc, dict):
         raise DeviceSpecError("device document is not a mapping")
-    unknown = set(doc) - set(_SCALAR_FIELDS) - {
-        "base_beta", "base_coupling", "beta_sensitivity", "coupling_sensitivity"
-    }
+    unknown = set(doc) - {field.name for field in dataclasses.fields(DeviceSpec)}
     if unknown:
-        raise DeviceSpecError(f"unknown device fields: {sorted(unknown)}")
-    n = int(doc.get("n_guides", N_GUIDES_DEFAULT))
-    e = int(doc.get("n_electrodes", N_ELECTRODES_DEFAULT))
-    kwargs = {
-        "n_guides": n,
-        "n_electrodes": e,
-        "coupling_length": float(doc.get("coupling_length", COUPLING_LENGTH_DEFAULT)),
-        "voltage_limit": float(doc.get("voltage_limit", VOLTAGE_LIMIT_DEFAULT)),
-    }
-    if "base_beta" in doc:
-        kwargs["base_beta"] = _as_float_array(doc["base_beta"], "base_beta")
-    if "base_coupling" in doc:
-        kwargs["base_coupling"] = _as_float_array(doc["base_coupling"], "base_coupling")
-    if "beta_sensitivity" in doc:
-        kwargs["beta_sensitivity"] = _parse_sensitivity(
-            doc["beta_sensitivity"], n, e, "beta_sensitivity"
-        )
-    if "coupling_sensitivity" in doc:
-        kwargs["coupling_sensitivity"] = _parse_sensitivity(
-            doc["coupling_sensitivity"], n - 1, e, "coupling_sensitivity"
-        )
-    return DeviceSpec(**kwargs)
+        raise DeviceSpecError(f"unknown device fields: {sorted(unknown, key=str)}")
+    spec = DeviceSpec(**{k: v for k, v in doc.items() if k not in _SENSITIVITIES})
+    n, e = spec.n_guides, spec.n_electrodes
+    return dataclasses.replace(spec, **{
+        name: _parse_sensitivity(doc[name], rows, e, name)
+        for name, rows in zip(_SENSITIVITIES, (n, n - 1))
+        if doc.get(name) is not None
+    })
 
 
 def device_spec_to_dict(spec: DeviceSpec) -> dict:

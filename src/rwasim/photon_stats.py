@@ -53,6 +53,8 @@ class HomScan:
             raise ValueError("delays and counts must be 1-D and equal length")
         if delays.size >= 2 and not np.all(np.diff(delays) > 0):
             raise ValueError("delays must be strictly increasing")
+        if not (np.all(np.isfinite(delays)) and np.all(np.isfinite(counts))):
+            raise ValueError("delays and counts must be finite")
         if np.any(counts < 0):
             raise ValueError("counts must be non-negative")
         delays.setflags(write=False)
@@ -158,11 +160,12 @@ def reflectivity_from_powers(p11: float, p12: float, p21: float, p22: float) -> 
     `subcircuits.reflectivity_and_leakage`.
 
     P_mn is the detected power at guide n with light injected in guide m.
-    Measured powers with no cross signal raise rather than read as eta = 1.
+    Measured powers that are negative, not finite, or have no cross signal
+    raise rather than read as NaN or eta = 1.
     """
     for name, p in (("P11", p11), ("P12", p12), ("P21", p21), ("P22", p22)):
-        if p < 0:
-            raise ValueError(f"{name} must be non-negative, got {p}")
+        if not 0.0 <= p < math.inf:
+            raise ValueError(f"{name} must be finite and non-negative, got {p}")
     if p12 == 0.0 or p21 == 0.0:
         raise DegenerateSplittingError(
             "P12 * P21 = 0: splitting ratio indeterminate (eta at exactly 1)"

@@ -242,6 +242,16 @@ class TestBuildLookupMap:
         with pytest.raises(ValueError, match="step that divides"):
             default_grid(limit, step)
 
+    @pytest.mark.parametrize("grid_a", [[np.nan], [0.0, np.inf], [-np.inf, 0.0]])
+    def test_non_finite_grid_rejected(self, grid_a):
+        # a one-point grid skipped the increasing-order check, the only one
+        # that caught NaN
+        n = len(grid_a)
+        with pytest.raises(ValueError, match="grid_a"):
+            LookupMap(electrode_a=1, electrode_b=4, grid_a=grid_a, grid_b=[0.0],
+                      eta=np.full((n, 1), 0.5), leakage_in1=np.zeros((n, 1)),
+                      leakage_in2=np.zeros((n, 1)), input_guides=(1, 2))
+
     @pytest.mark.parametrize("table", ["eta", "leakage_in1", "leakage_in2"])
     @pytest.mark.parametrize("bad", [np.nan, -0.5, 101.0])
     def test_tables_outside_range_or_nan_rejected(self, table, bad):

@@ -50,6 +50,19 @@ class TestSimulate:
         assert run("simulate", "--voltages", str(bad),
                    "--out", str(tmp_path / "x")) == 3
 
+    @pytest.mark.parametrize("field,value", [
+        ("coupling_length", "null"), ("voltage_limit", "[1, 2]"), ("n_guides", "2.7"),
+    ])
+    def test_ill_typed_device_field_is_validation_error(self, tmp_path, capsys,
+                                                         field, value):
+        # null and lists crashed with a TypeError traceback; 2.7 ran 2 guides
+        device = tmp_path / "device.yaml"
+        device.write_text(f"{field}: {value}\n")
+        out = tmp_path / "run"
+        assert run("simulate", "--device", str(device), "--out", str(out)) == 3
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     def test_manifest_written(self, tmp_path):
         out = tmp_path / "run"
         run("simulate", "--out", str(out))
@@ -186,6 +199,72 @@ class TestHom:
         assert 0.0 <= man.params["eta"] <= 1.0
 
 
+class TestHomSweep:
+    ARGS = ("--scan=-0.6,0.6,0.01", "--baseline", "10000", "--seed", "3")
+
+    @staticmethod
+    def rows(out):
+        lines = (out / "visibility_sweep.csv").read_text().splitlines()
+        assert lines[0] == ("eta,ideal_visibility,fitted_visibility,"
+                            "visibility_error,n_max,n_min")
+        return [[float(x) for x in line.split(",")] for line in lines[1:]]
+
+    def test_grid_ends_at_one(self, tmp_path, capsys):
+        # np.arange(0.5, 1.0125, 0.025) ends at 1.0000000000000004, which
+        # ideal_visibility rejects
+        out = tmp_path / "run"
+        assert run("hom", "--eta", "0.5,1.0,0.025", *self.ARGS, "--out", str(out)) == 0
+        etas = [row[0] for row in self.rows(out)]
+        assert len(etas) == 21
+        assert etas[0] == 0.5 and etas[-1] == 1.0
+        assert all(0.0 <= eta <= 1.0 for eta in etas)
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == 21 and printed[-1].startswith("eta=1.000  ideal=0.0000")
+        man = read_manifest(out / "manifest.json")
+        assert man.params["eta"] == etas and man.outputs == ("visibility_sweep.csv",)
+
+    @pytest.mark.parametrize("etas", ["0.5,1.1,0.1", "-0.1,0.5,0.1", "nan,1,0.1"])
+    def test_grid_outside_unit_interval_is_usage_error(self, tmp_path, capsys, etas):
+        out = tmp_path / "run"
+        assert run("hom", f"--eta={etas}", *self.ARGS, "--out", str(out)) == 2
+        assert "--eta" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("etas", ["0.5,1.0,0.3", "0.5,0.6,0.6", "0.7,0.7,0.1",
+                                      "0.5,1", "0.5,x,0.1"])
+    def test_grid_step_must_divide_range(self, tmp_path, capsys, etas):
+        # 0.3 does not divide 0.5, 0.6 > 2 * 0.1 would round to one point, and
+        # a one-point grid is written --eta 0.7
+        out = tmp_path / "run"
+        assert run("hom", "--eta", etas, *self.ARGS, "--out", str(out)) == 2
+        assert "--eta" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("noiseless", [False, True])
+    def test_matches_reference_loop(self, tmp_path, noiseless):
+        flags = ["--noiseless"] if noiseless else []
+        out = tmp_path / "run"
+        assert run("hom", "--eta", "0.2,0.8,0.2", *self.ARGS, *flags,
+                   "--out", str(out)) == 0
+        delays = np.linspace(-0.6, 0.6, 121)
+        expected = []
+        for i, eta in enumerate(np.linspace(0.2, 0.8, 4).tolist()):
+            scan = photon_stats.simulate_hom_scan(
+                eta, delays, 1e4, noise_seed=None if noiseless else 3 + i)
+            fit = photon_stats.fit_hom_dip(scan)
+            expected.append([eta, photon_stats.ideal_visibility(eta), fit.visibility,
+                             fit.visibility_error,
+                             *photon_stats.dip_extrema(fit, scan)])
+        assert self.rows(out) == expected
+
+    def test_replay_reproduces_bytes(self, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run("hom", "--eta", "0.5,1.0,0.1", *self.ARGS, "--out", str(first)) == 0
+        assert run("replay", str(first / "manifest.json"), "--out", str(second)) == 0
+        for name in ("visibility_sweep.csv", "manifest.json"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
 class TestCompile:
     def test_unknown_config(self, tmp_path):
         assert run("compile", "--config", "9", "--gates", "XX",
@@ -221,6 +300,13 @@ class TestCompile:
     def test_random_device_excludes_device(self, device_file, tmp_path):
         assert run("compile", "--config", "2", "--gates", "XX", "--random-device",
                    "--device", device_file, "--out", str(tmp_path / "x")) == 2
+
+    def test_malformed_lengths_are_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run("compile", "--config", "2", "--gates", "XX", "--restarts", "1",
+                   "--lengths", "10,x", "--out", str(out)) == 2
+        assert "--lengths" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_length_sweep_files(self, tmp_path):
         out = tmp_path / "run"

@@ -49,6 +49,31 @@ class TestDeviceSpecLoading:
         with pytest.raises(DeviceSpecError):
             device_spec_from_dict({"base_beta": ["a", "b"]})
 
+    @pytest.mark.parametrize("field,value", [
+        ("coupling_length", None), ("coupling_length", "24"),
+        ("coupling_length", float("inf")), ("voltage_limit", [1, 2]),
+        ("voltage_limit", True), ("n_guides", 2.7), ("n_guides", 11.0),
+        ("n_electrodes", None),
+    ])
+    def test_ill_typed_scalar_field_rejected(self, field, value):
+        # the loader used to convert these itself: null and lists crashed with
+        # TypeError, and n_guides 2.7 became a 2-guide device
+        with pytest.raises(DeviceSpecError, match=field):
+            device_spec_from_dict({field: value})
+        with pytest.raises(DeviceSpecError, match=field):
+            DeviceSpec(**{field: value})
+
+    def test_null_array_field_takes_default(self):
+        doc = {"base_beta": None, "beta_sensitivity": None, "coupling_length": 24}
+        assert spec_equal(device_spec_from_dict(doc), default_device())
+
+    @pytest.mark.parametrize("triplet", [[2.5, 4, -0.01], [2, 4.9, -0.01],
+                                         [0, 4, -0.01], [2, 23, -0.01]])
+    def test_triplet_index_must_be_in_range_integer(self, triplet):
+        # int() used to put (2.5, 4.9) silently at (2, 4)
+        with pytest.raises(DeviceSpecError, match="coupling_sensitivity"):
+            device_spec_from_dict({"coupling_sensitivity": [triplet]})
+
     def test_unknown_field_rejected(self):
         with pytest.raises(DeviceSpecError, match="unknown"):
             device_spec_from_dict({"n_waveguides": 11})

@@ -126,6 +126,15 @@ class TestReflectivityFromPowers:
         with pytest.raises(DegenerateSplittingError):
             reflectivity_from_powers(0.5, 0.0, 0.5, 0.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1])
+    def test_non_finite_or_negative_power_rejected(self, bad):
+        # NaN passed a bare p < 0 check and came back as eta = NaN
+        for i in range(4):
+            powers = [0.5] * 4
+            powers[i] = bad
+            with pytest.raises(ValueError, match=f"P{(11, 12, 21, 22)[i]}"):
+                reflectivity_from_powers(*powers)
+
     @pytest.mark.parametrize("powers,expected", [
         ((0.5, 1e-160, 1e-160, 0.5), 1.0),
         ((1e200, 1e200, 1e200, 1e200), 0.5),
@@ -365,3 +374,11 @@ class TestHomScanValidation:
     def test_counts_non_negative(self):
         with pytest.raises(ValueError):
             HomScan(delays=np.array([0.0, 1.0]), counts=np.array([1.0, -2.0]))
+
+    @pytest.mark.parametrize("delays,counts", [
+        ([0.0, 1.0], [1.0, np.nan]), ([0.0, 1.0], [1.0, np.inf]), ([np.nan], [1.0]),
+    ])
+    def test_non_finite_rejected(self, delays, counts):
+        # a NaN count used to fail only inside the fit, as a scipy bounds error
+        with pytest.raises(ValueError, match="finite"):
+            HomScan(delays=np.array(delays), counts=np.array(counts))
