@@ -13,7 +13,6 @@ without changing any cell's value.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -302,9 +301,3 @@ def map_metadata(lut: LookupMap) -> dict:
             lut.fixed_voltages.tolist() if lut.fixed_voltages is not None else None
         ),
     }
-
-
-def map_metadata_to_json(lut: LookupMap, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(map_metadata(lut), fh, indent=2)
-        fh.write("\n")

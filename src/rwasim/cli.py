@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Subcommands: simulate, map, hom, compile, loss, replay.  Each run writes
-its outputs plus a manifest.json into --out; `replay <manifest>` re-runs
-the recorded command into a fresh directory, and refuses a manifest written
-by another rwasim version or one whose input files have changed since.
+Subcommands: simulate, map, hom, compile, loss, replay.  Each run computes
+its results before the first output creates --out, so a failed run leaves
+no directory; a run that succeeds writes its outputs plus a manifest.json.
+`replay <manifest>` re-runs the recorded command into a fresh directory, and
+refuses a manifest written by another rwasim version or one whose input
+files have changed since.
 
 Exit codes: 0 success, 2 usage error, 3 validation error, 4 numerical
 failure.
@@ -21,9 +23,9 @@ from . import __version__, analysis, calibration, compiler, evolution
 from . import device as device_mod
 from . import photon_stats
 from .device import DeviceSpec, VoltageConfig
-from .csvio import write_csv
+from .csvio import write_csv, write_json
 from .evolution import NumericalFailureError
-from .manifest import MANIFEST_NAME, RunManifest, file_sha256, read_manifest
+from .manifest import Run, file_sha256, read_manifest
 from .photon_stats import FitFailureError
 from .subcircuits import SubcircuitPair, effective_reflectivity
 
@@ -39,27 +41,29 @@ class UsageError(Exception):
     pass
 
 
-def _load_device(args, argv: list[str]) -> tuple[DeviceSpec, list[str]]:
+def _load_device(args, run: Run) -> DeviceSpec:
     """Resolve --device, then $RWASIM_DEVICE, then the built-in default.
 
-    A device named by the environment is appended to `argv` as --device with
-    its resolved path, so the manifest replays it without the variable.
-    `args.env_device` holds the variable's value; `main` leaves it None on
-    replay.
+    A device named by the environment is appended to the run's argv as
+    --device with its resolved path, so the manifest replays it without the
+    variable.  `args.env_device` holds the variable's value; `main` leaves it
+    None on replay.
     """
     path = args.device
     if path is None:
         path = args.env_device
         if path is None:
-            return device_mod.default_device(), []
+            return device_mod.default_device()
         path = str(Path(path).resolve())
-        argv += ["--device", path]
-    return device_mod.load_device_spec(path), [path]
+        run.argv += ["--device", path]
+    run.input(path)
+    return device_mod.load_device_spec(path)
 
 
-def _load_voltages(path: str | None, spec: DeviceSpec) -> VoltageConfig:
+def _load_voltages(path: str | None, spec: DeviceSpec, run: Run) -> VoltageConfig:
     if path is None:
         return VoltageConfig.zeros(spec.n_electrodes)
+    run.input(path)
     text = Path(path).read_text().replace(",", " ")
     values = np.array([float(tok) for tok in text.split()])
     if values.size != spec.n_electrodes:
@@ -89,74 +93,45 @@ def _uniform_grid(lo: float, hi: float, step: float, flag: str) -> np.ndarray:
         raise UsageError(f"{flag}: {exc}") from exc
 
 
-def _write_manifest(out_dir: Path, command: str, argv: list[str],
-                    inputs: list[str], params: dict, seed: int | None,
-                    outputs: list[str]) -> None:
-    RunManifest(
-        command=command, argv=tuple(argv),
-        inputs={path: file_sha256(path) for path in inputs},
-        params=params, seed=seed, outputs=tuple(outputs),
-    ).write(out_dir / MANIFEST_NAME)
-
-
 # -- subcommands -------------------------------------------------------------
+# Each takes the parsed args and the Run that records it, writes its outputs
+# through `run.output` once everything they hold is computed, and returns
+# the params for the manifest, which `main` writes.
 
-def _cmd_simulate(args, argv) -> int:
-    spec, inputs = _load_device(args, argv)
-    volts = _load_voltages(args.voltages, spec)
-    if args.voltages:
-        inputs.append(args.voltages)
+def _cmd_simulate(args, run: Run) -> dict:
+    spec = _load_device(args, run)
+    volts = _load_voltages(args.voltages, spec, run)
     h = device_mod.build_hamiltonian(spec, volts)
     u = evolution.unitary(h, spec.coupling_length)
-    powers = evolution.output_power(u, args.input_guide)
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    outputs = ["powers.csv"]
-    evolution.powers_to_csv(powers, out / "powers.csv")
+    profile = None if args.profile is None else evolution.propagation_profile(
+        h, spec.coupling_length, n_steps=args.profile, input_guide=args.input_guide,
+    )
+    evolution.powers_to_csv(evolution.output_power(u, args.input_guide),
+                            run.output("powers.csv"))
     if args.unitary:
-        evolution.unitary_to_csv(u, out / "unitary.csv")
-        outputs.append("unitary.csv")
-    if args.profile is not None:
-        profile = evolution.propagation_profile(
-            h, spec.coupling_length, n_steps=args.profile,
-            input_guide=args.input_guide,
-        )
-        evolution.profile_to_csv(profile, out / "profile.csv")
-        outputs.append("profile.csv")
-    _write_manifest(out, "simulate", argv, inputs,
-                    {"input_guide": args.input_guide, "profile": args.profile},
-                    None, outputs)
-    return EXIT_OK
+        evolution.unitary_to_csv(u, run.output("unitary.csv"))
+    if profile is not None:
+        evolution.profile_to_csv(profile, run.output("profile.csv"))
+    return {"input_guide": args.input_guide, "profile": args.profile}
 
 
-def _cmd_map(args, argv) -> int:
-    spec, inputs = _load_device(args, argv)
+def _cmd_map(args, run: Run) -> dict:
+    spec = _load_device(args, run)
     electrodes = _parse_floats(args.electrodes, "--electrodes", 2)
     if not all(x.is_integer() for x in electrodes):
         raise UsageError(f"--electrodes expects two integers, got {args.electrodes!r}")
     ea, eb = (int(x) for x in electrodes)
     lo, hi = _parse_floats(args.range, "--range", 2)
     grid = _uniform_grid(lo, hi, args.step, "--range/--step")
-    fixed = _load_voltages(args.fixed, spec)
-    if args.fixed:
-        inputs.append(args.fixed)
     lut = calibration.build_lookup_map(
         spec, SubcircuitPair(args.pair), ea, eb, grid, grid,
-        fixed_voltages=fixed,
+        fixed_voltages=_load_voltages(args.fixed, spec, run),
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    calibration.map_to_csv(lut, out / "map.csv")
-    calibration.map_metadata_to_json(lut, out / "map_meta.json")
-    _write_manifest(out, "map", argv, inputs,
-                    {"pair": args.pair, "electrodes": [ea, eb],
-                     "range": [lo, hi], "step": args.step},
-                    None, ["map.csv", "map_meta.json"])
     _print_map_summary(lut)
-    return EXIT_OK
-
-
+    calibration.map_to_csv(lut, run.output("map.csv"))
+    write_json(run.output("map_meta.json"), calibration.map_metadata(lut))
+    return {"pair": args.pair, "electrodes": [ea, eb], "range": [lo, hi],
+            "step": args.step}
 def _print_map_summary(lut: calibration.LookupMap) -> None:
     """Mean leakage, the 50/50 cell, and gate voltages from a linear fit
     along electrode a at the electrode-b voltage that leaks least."""
@@ -187,10 +162,9 @@ def _hom_point(args, delays, eta: float, index: int, fit: bool):
     return scan, photon_stats.fit_hom_dip(scan) if fit else None
 
 
-def _cmd_hom(args, argv) -> int:
+def _cmd_hom(args, run: Run) -> dict:
     """One scan at a given or device eta, or with --eta LO,HI,STEP a fitted
     scan per grid point, tabulated in visibility_sweep.csv."""
-    inputs: list[str] = []
     etas = [] if args.eta is None else _parse_floats(args.eta, "--eta", 1, 3)
     if len(etas) == 3:
         etas = _uniform_grid(*etas, "--eta").tolist()
@@ -198,24 +172,18 @@ def _cmd_hom(args, argv) -> int:
             raise UsageError(f"--eta grid points must lie in [0, 1], "
                              f"got {args.eta!r}")
     elif not etas:
-        spec, inputs = _load_device(args, argv)
-        volts = _load_voltages(args.voltages, spec)
-        if args.voltages:
-            inputs.append(args.voltages)
+        spec = _load_device(args, run)
+        volts = _load_voltages(args.voltages, spec, run)
         h = device_mod.build_hamiltonian(spec, volts)
         u = evolution.unitary(h, spec.coupling_length)
         etas = [effective_reflectivity(u, SubcircuitPair(args.pair))]
 
     delays = _uniform_grid(*_parse_floats(args.scan, "--scan", 3), "--scan")
-    out = Path(args.out)
     if len(etas) == 1:
         scan, fit = _hom_point(args, delays, etas[0], 0, args.fit)
-        out.mkdir(parents=True, exist_ok=True)
-        photon_stats.scan_to_csv(scan, out / "scan.csv")
-        outputs = ["scan.csv"]
+        photon_stats.scan_to_csv(scan, run.output("scan.csv"))
         if fit is not None:
-            fit.to_json(out / "dipfit.json")
-            outputs.append("dipfit.json")
+            write_json(run.output("dipfit.json"), fit.to_dict())
     else:
         rows = []
         for i, eta in enumerate(etas):
@@ -225,25 +193,21 @@ def _cmd_hom(args, argv) -> int:
                      *photon_stats.dip_extrema(fit, scan)]
             print(f"eta={eta:.3f}  ideal={ideal:.4f}  "
                   f"fit={fit.visibility:.4f} +/- {fit.visibility_error:.4f}")
-        out.mkdir(parents=True, exist_ok=True)
-        outputs = ["visibility_sweep.csv"]
-        write_csv(out / outputs[0], ["eta", "ideal_visibility", "fitted_visibility",
-                                     "visibility_error", "n_max", "n_min"], [rows])
-    _write_manifest(out, "hom", argv, inputs,
-                    {"eta": etas if len(etas) > 1 else etas[0],
-                     "scan": args.scan, "baseline": args.baseline,
-                     "slope": args.slope, "noiseless": args.noiseless},
-                    args.seed, outputs)
-    return EXIT_OK
+        write_csv(run.output("visibility_sweep.csv"),
+                  ["eta", "ideal_visibility", "fitted_visibility",
+                   "visibility_error", "n_max", "n_min"], [rows])
+    return {"eta": etas if len(etas) > 1 else etas[0], "scan": args.scan,
+            "baseline": args.baseline, "slope": args.slope,
+            "noiseless": args.noiseless}
 
 
-def _cmd_compile(args, argv) -> int:
+def _cmd_compile(args, run: Run) -> dict:
     if not args.random_device:
-        spec, inputs = _load_device(args, argv)
+        spec = _load_device(args, run)
     elif args.device:
         raise UsageError("--random-device and --device exclude each other")
     else:
-        spec, inputs = compiler.random_base_device(seed=args.seed), []
+        spec = compiler.random_base_device(seed=args.seed)
     name = args.config if args.config.startswith("config") else f"config{args.config}"
     try:
         config = compiler.preset_config(name)
@@ -258,63 +222,44 @@ def _cmd_compile(args, argv) -> int:
                compiler.gate_target(args.gates[1]))
 
     lengths = args.lengths and _parse_floats(args.lengths, "--lengths")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    outputs = []
     if lengths:
-        results = compiler.sweep_chip_length(
-            spec, config, targets, lengths,
-            restarts=args.restarts, seed=args.seed,
-        )
-        for length, result in results:
-            tag = f"{length:g}mm"
-            result.to_json(out / f"result_{tag}.json")
-            compiler.trace_to_csv(result.restart_trace, out / f"trace_{tag}.csv")
-            outputs += [f"result_{tag}.json", f"trace_{tag}.csv"]
+        results = [(f"_{length:g}mm", result) for length, result in
+                   compiler.sweep_chip_length(spec, config, targets, lengths,
+                                              restarts=args.restarts, seed=args.seed)]
     else:
-        result = compiler.optimize_parallel_gates(
-            spec, config, targets, restarts=args.restarts, seed=args.seed,
-        )
-        result.to_json(out / "result.json")
-        compiler.trace_to_csv(result.restart_trace, out / "trace.csv")
-        outputs = ["result.json", "trace.csv"]
-    _write_manifest(out, "compile", argv, inputs,
-                    {"config": name, "gates": args.gates,
-                     "restarts": args.restarts, "lengths": args.lengths,
-                     "random_device": args.random_device},
-                    args.seed, outputs)
-    return EXIT_OK
+        results = [("", compiler.optimize_parallel_gates(
+            spec, config, targets, restarts=args.restarts, seed=args.seed))]
+    for tag, result in results:
+        write_json(run.output(f"result{tag}.json"), result.to_dict())
+        compiler.trace_to_csv(result.restart_trace, run.output(f"trace{tag}.csv"))
+    return {"config": name, "gates": args.gates, "restarts": args.restarts,
+            "lengths": args.lengths, "random_device": args.random_device}
 
 
-def _cmd_loss(args, argv) -> int:
+def _cmd_loss(args, run: Run) -> dict:
     report = analysis.loss_report(
         args.modes, per_mzi_db=args.per_mzi,
         wa_length_cm=args.length_cm, db_per_cm=args.db_per_cm,
     )
     print(report.to_text())
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    report.to_csv(out / "loss.csv")
-    _write_manifest(out, "loss", argv, [],
-                    {"modes": args.modes, "per_mzi": args.per_mzi,
-                     "length_cm": args.length_cm, "db_per_cm": args.db_per_cm},
-                    None, ["loss.csv"])
-    return EXIT_OK
+    report.to_csv(run.output("loss.csv"))
+    return {"modes": args.modes, "per_mzi": args.per_mzi,
+            "length_cm": args.length_cm, "db_per_cm": args.db_per_cm}
 
 
-def _cmd_replay(args, _argv) -> int:
-    man = read_manifest(args.manifest)
-    if man.version != __version__:
-        print(f"error: {args.manifest} was written by rwasim {man.version}; "
+def _replay(path: str, out: str) -> int:
+    man = read_manifest(path)
+    if man["version"] != __version__:
+        print(f"error: {path} was written by rwasim {man['version']}; "
               f"this is rwasim {__version__}, whose outputs may differ. "
               "Refusing to replay.", file=sys.stderr)
         return EXIT_VALIDATION
-    for path, digest in man.inputs.items():
-        if file_sha256(path) != digest:
-            print(f"error: input {path} has changed since the recorded run "
+    for input_path, digest in man["inputs"].items():
+        if file_sha256(input_path) != digest:
+            print(f"error: input {input_path} has changed since the recorded run "
                   "(SHA-256 differs). Refusing to replay.", file=sys.stderr)
             return EXIT_VALIDATION
-    return main(list(man.argv) + ["--out", args.out], replay=True)
+    return main(man["argv"] + ["--out", out], replay=True)
 
 
 # -- parser ------------------------------------------------------------------
@@ -396,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replay", help="re-run a recorded manifest")
     p.add_argument("manifest")
     p.add_argument("--out", default=".")
-    p.set_defaults(func=_cmd_replay)
 
     return parser
 
@@ -430,7 +374,11 @@ def main(argv: list[str] | None = None, *, replay: bool = False) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     args.env_device = None if replay else os.environ.get(DEVICE_ENV_VAR)
     try:
-        return args.func(args, _strip_out(list(argv)))
+        if args.command == "replay":
+            return _replay(args.manifest, args.out)
+        run = Run(args.out, _strip_out(list(argv)))
+        run.write(args.command, args.func(args, run), getattr(args, "seed", None))
+        return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -29,7 +29,6 @@ point and the reported objective is the winning restart's own value.
 """
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 
@@ -146,11 +145,6 @@ class CompileResult:
             "restart_nfev": self.restart_nfev.tolist(),
             "restart_nit": self.restart_nit.tolist(),
         }
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
 
 
 def best_so_far(trace: np.ndarray) -> np.ndarray:
@@ -436,17 +430,14 @@ def sweep_chip_length(
     restarts: int = 100,
     seed: int = 0,
 ) -> list[tuple[float, CompileResult]]:
-    """Re-run the optimization with the coupling length substituted."""
-    results = []
-    for length in lengths:
-        if not length > 0:
-            raise ValueError(f"length must be positive, got {length}")
-        result = optimize_parallel_gates(
-            spec.with_length(float(length)), config, targets,
-            restarts=restarts, seed=seed,
-        )
-        results.append((float(length), result))
-    return results
+    """Re-run the optimization with the coupling length substituted.
+
+    Every length is checked, by building its device, before the first run.
+    """
+    swept = [(float(length), spec.with_length(float(length))) for length in lengths]
+    return [(length, optimize_parallel_gates(at_length, config, targets,
+                                             restarts=restarts, seed=seed))
+            for length, at_length in swept]
 
 
 def random_base_device(seed: int) -> DeviceSpec:

@@ -1,10 +1,13 @@
-"""The one CSV writer.
+"""The one CSV and JSON writer.
 
-Every CSV file the package writes goes through `write_csv`, so the number
-format is decided here alone: floats with 17 significant digits, which read
-back to the same double, and integer columns in full.
+Every CSV and JSON file the package writes goes through `write_csv` or
+`write_json`, so the format is decided here alone: CSV floats with 17
+significant digits, which read back to the same double, and integer columns
+in full; JSON indented by two spaces with a final newline.
 """
 from __future__ import annotations
+
+import json
 
 
 def write_csv(path, header, blocks, int_columns: int = 0) -> None:
@@ -22,3 +25,10 @@ def write_csv(path, header, blocks, int_columns: int = 0) -> None:
         fh.write(",".join(header) + "\n")
         for values in blocks:
             fh.write(line * (len(values) // n) % tuple(values))
+
+
+def write_json(path, doc) -> None:
+    """Write `doc` as JSON, indented by two spaces, with a final newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")

@@ -1,4 +1,5 @@
-"""Run manifests: parameter echo plus output inventory for reproducibility.
+"""Run records: parameter echo plus input and output inventory for
+reproducibility.
 
 Every CLI command records the exact argument vector (minus the output
 directory) and the SHA-256 of every input file it read, so `rwasim replay`
@@ -9,53 +10,50 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
+from .csvio import write_json
 
 MANIFEST_NAME = "manifest.json"
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    argv: tuple[str, ...]  # CLI tokens, output directory excluded
-    inputs: dict[str, str]  # input file path -> SHA-256 of its bytes
-    params: dict
-    seed: int | None
-    outputs: tuple[str, ...]  # file names relative to the output directory
-    version: str = __version__
+class Run:
+    """What one command reads and writes, recorded as it happens.
 
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "argv": list(self.argv),
-            "inputs": self.inputs,
-            "params": self.params,
-            "seed": self.seed,
-            "outputs": list(self.outputs),
-            "version": self.version,
-        }
+    The output directory is created by the first `output`, so a command
+    that fails before writing leaves none behind.
+    """
 
-    def write(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+    def __init__(self, out, argv: list[str]):
+        self.out = Path(out)
+        self.argv = argv  # CLI tokens, output directory excluded
+        self.inputs: dict[str, str] = {}  # input file path -> SHA-256 of its bytes
+        self.outputs: list[str] = []  # file names relative to the output directory
+
+    def input(self, path: str) -> None:
+        self.inputs[path] = file_sha256(path)
+
+    def output(self, name: str) -> Path:
+        """Create the output directory if need be, record `name`, return its path."""
+        self.out.mkdir(parents=True, exist_ok=True)
+        self.outputs.append(name)
+        return self.out / name
+
+    def write(self, command: str, params: dict, seed: int | None) -> None:
+        """Write manifest.json, which lists the outputs recorded before it."""
+        doc = {"command": command, "argv": self.argv, "inputs": self.inputs,
+               "params": params, "seed": seed, "outputs": list(self.outputs),
+               "version": __version__}
+        write_json(self.output(MANIFEST_NAME), doc)
 
 
-def read_manifest(path) -> RunManifest:
+def read_manifest(path) -> dict:
     with open(path) as fh:
         doc = json.load(fh)
-    return RunManifest(
-        command=doc["command"],
-        argv=tuple(doc["argv"]),
-        inputs=doc.get("inputs", {}),
-        params=doc.get("params", {}),
-        seed=doc.get("seed"),
-        outputs=tuple(doc.get("outputs", ())),
-        version=doc.get("version", "unknown"),
-    )
+    doc.setdefault("inputs", {})
+    doc.setdefault("version", "unknown")
+    return doc
 
 
 def file_sha256(path) -> str:

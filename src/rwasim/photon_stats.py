@@ -9,7 +9,6 @@ The fit hands scipy's trust-region solver the model's exact Jacobian
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -93,11 +92,6 @@ class DipFit:
             "visibility": self.visibility,
             "visibility_error": self.visibility_error,
         }
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
 
 
 def dip_model(x, a0, a1, a2, a3, a4):
@@ -238,10 +232,13 @@ def fit_hom_dip(scan: HomScan, max_iterations: int = 500) -> DipFit:
     """Nonlinear least-squares fit of the Gaussian-plus-linear dip model.
 
     Trust-region reflective least squares with the exact Jacobian
-    `dip_jacobian`.  Bounds keep a2 in [0, 1] and a4 positive.  The solver
-    may evaluate the model at most 10 * `max_iterations` times; a fit that
-    has not converged by then raises `FitFailureError`.  The visibility
-    error is attached from the fitted extrema via `visibility_error`.
+    `dip_jacobian`.  Bounds keep a2 in [0, 1], the centre a3 inside the scan
+    and the width a4 between half the smallest delay step and half the
+    span: a narrower dip cannot be told from noise, nor a wider one from the
+    linear baseline.  The solver may evaluate the model at most
+    10 * `max_iterations` times; a fit that has not converged by then raises
+    `FitFailureError`.  The visibility error is attached from the fitted
+    extrema via `visibility_error`.
     """
     if scan.delays.size < 8:
         raise ValueError(f"need >= 8 scan points, got {scan.delays.size}")
@@ -255,8 +252,8 @@ def fit_hom_dip(scan: HomScan, max_iterations: int = 500) -> DipFit:
 
     x0 = _initial_guess(scan)
     span = x[-1] - x[0]
-    lower = [-np.inf, -np.inf, 0.0, -np.inf, 1e-9 * span]
-    upper = [np.inf, np.inf, 1.0, np.inf, np.inf]
+    lower = [-np.inf, -np.inf, 0.0, x[0], 0.5 * np.diff(x).min()]
+    upper = [np.inf, np.inf, 1.0, x[-1], 0.5 * span]
     x0 = np.clip(x0, lower, upper)
     result = least_squares(
         residual, x0, jac=jacobian, bounds=(lower, upper),

@@ -67,9 +67,9 @@ class TestSimulate:
         out = tmp_path / "run"
         run("simulate", "--out", str(out))
         man = read_manifest(out / "manifest.json")
-        assert man.command == "simulate"
-        assert "powers.csv" in man.outputs
-        for name in man.outputs:
+        assert man["command"] == "simulate"
+        assert "powers.csv" in man["outputs"]
+        for name in man["outputs"]:
             assert (out / name).exists()
 
 
@@ -196,7 +196,7 @@ class TestHom:
                    "--scan=-0.5,0.5,0.02", "--noiseless",
                    "--out", str(out)) == 0
         man = read_manifest(out / "manifest.json")
-        assert 0.0 <= man.params["eta"] <= 1.0
+        assert 0.0 <= man["params"]["eta"] <= 1.0
 
 
 class TestHomSweep:
@@ -221,7 +221,8 @@ class TestHomSweep:
         printed = capsys.readouterr().out.splitlines()
         assert len(printed) == 21 and printed[-1].startswith("eta=1.000  ideal=0.0000")
         man = read_manifest(out / "manifest.json")
-        assert man.params["eta"] == etas and man.outputs == ("visibility_sweep.csv",)
+        assert man["params"]["eta"] == etas
+        assert man["outputs"] == ["visibility_sweep.csv"]
 
     @pytest.mark.parametrize("etas", ["0.5,1.1,0.1", "-0.1,0.5,0.1", "nan,1,0.1"])
     def test_grid_outside_unit_interval_is_usage_error(self, tmp_path, capsys, etas):
@@ -256,6 +257,15 @@ class TestHomSweep:
                              fit.visibility_error,
                              *photon_stats.dip_extrema(fit, scan)])
         assert self.rows(out) == expected
+
+    def test_flat_point_does_not_sink_sweep(self, tmp_path):
+        # the eta = 1 scan (noise seed 1) has no dip; with the dip width
+        # unbounded its fit ran off to a4 >> span and failed the whole sweep
+        out = tmp_path / "run"
+        assert run("hom", "--eta", "0.9,1.0,0.1", "--scan=-0.6,0.6,0.01",
+                   "--baseline", "10000", "--seed", "0", "--out", str(out)) == 0
+        flat = self.rows(out)[1]
+        assert flat[0] == 1.0 and 0.0 <= flat[2] <= 3 * flat[3]
 
     def test_replay_reproduces_bytes(self, tmp_path):
         first, second = tmp_path / "first", tmp_path / "second"
@@ -295,7 +305,7 @@ class TestCompile:
             (compiler.gate_target("X"), compiler.gate_target("H")), [24.0],
             restarts=1, seed=3)[0][1]
         assert doc["objective"] == expected.objective
-        assert read_manifest(out / "manifest.json").inputs == {}
+        assert read_manifest(out / "manifest.json")["inputs"] == {}
 
     def test_random_device_excludes_device(self, device_file, tmp_path):
         assert run("compile", "--config", "2", "--gates", "XX", "--random-device",
@@ -316,6 +326,23 @@ class TestCompile:
         for tag in ("10mm", "100mm", "200mm"):
             assert (out / f"result_{tag}.json").exists()
             assert (out / f"trace_{tag}.csv").exists()
+
+    def test_result_records_every_restart(self, tmp_path):
+        out = tmp_path / "run"
+        assert run("compile", "--config", "2", "--gates", "XX", "--restarts", "3",
+                   "--seed", "4", "--out", str(out)) == 0
+        result = json.loads((out / "result.json").read_text())
+        assert len(result["restart_nit"]) == 3
+        assert result["objective"] == min(result["restart_trace"])
+
+    def test_invalid_length_leaves_no_out(self, tmp_path, capsys):
+        # the length is checked before the first compile, and --out is made
+        # only by the first output
+        out = tmp_path / "run"
+        assert run("compile", "--config", "2", "--gates", "XX",
+                   "--lengths", "0", "--out", str(out)) == 3
+        assert "coupling_length" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestLoss:
@@ -341,52 +368,6 @@ class TestReplay:
         for name in ("scan.csv", "dipfit.json"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
-    def test_replay_refuses_other_version(self, tmp_path, capsys):
-        first = tmp_path / "first"
-        assert run("loss", "--modes", "4", "--out", str(first)) == 0
-        manifest = first / "manifest.json"
-        doc = json.loads(manifest.read_text())
-        doc["version"] = "0.0.1"
-        manifest.write_text(json.dumps(doc))
-        second = tmp_path / "second"
-        capsys.readouterr()
-        assert run("replay", str(manifest), "--out", str(second)) != 0
-        err = capsys.readouterr().err
-        assert "0.0.1" in err and __version__ in err
-        assert not second.exists()
-
-    def test_replay_refuses_0_2_0_map(self, tmp_path, capsys):
-        # 0.3.0 builds maps with a batched eigensolver, whose values differ
-        # from 0.2.0's in the last digits
-        first = tmp_path / "first"
-        assert run("map", "--electrodes", "1,4", "--range=-2,2", "--step", "2",
-                   "--out", str(first)) == 0
-        manifest = first / "manifest.json"
-        doc = json.loads(manifest.read_text())
-        doc["version"] = "0.2.0"
-        manifest.write_text(json.dumps(doc))
-        second = tmp_path / "second"
-        capsys.readouterr()
-        assert run("replay", str(manifest), "--out", str(second)) == 3
-        assert "0.2.0" in capsys.readouterr().err
-        assert not second.exists()
-
-    def test_replay_refuses_0_3_0_fit(self, tmp_path, capsys):
-        # 0.4.0 fits with the exact Jacobian, which moves 0.3.0's fitted a2
-        # by about 1e-9
-        first = tmp_path / "first"
-        assert run("hom", "--eta", "0.7", "--scan=-0.5,0.5,0.02",
-                   "--seed", "12", "--fit", "--out", str(first)) == 0
-        manifest = first / "manifest.json"
-        doc = json.loads(manifest.read_text())
-        doc["version"] = "0.3.0"
-        manifest.write_text(json.dumps(doc))
-        second = tmp_path / "second"
-        capsys.readouterr()
-        assert run("replay", str(manifest), "--out", str(second)) == 3
-        assert "0.3.0" in capsys.readouterr().err
-        assert not second.exists()
-
     @pytest.mark.parametrize("argv", [
         ["simulate", "--unitary", "--profile", "20"],
         ["map", "--electrodes", "1,4", "--range=-2,2", "--step", "2"],
@@ -400,23 +381,58 @@ class TestReplay:
         assert run(*argv, "--out", str(first)) == 0
         assert run("replay", str(first / "manifest.json"),
                    "--out", str(second)) == 0
-        outputs = read_manifest(first / "manifest.json").outputs
+        outputs = read_manifest(first / "manifest.json")["outputs"]
         assert len(outputs) >= 2 or argv[0] == "loss"
         for name in outputs:
             assert (first / name).read_bytes() == (second / name).read_bytes()
+        # --out holds the manifest and the outputs it lists, nothing else
+        for out in (first, second):
+            assert sorted(p.name for p in out.iterdir()) == sorted(
+                outputs + ["manifest.json"])
 
-    def test_replay_refuses_0_4_0_manifest(self, tmp_path, capsys):
+    @pytest.mark.parametrize("version,argv", [
+        pytest.param("0.0.1", ["loss", "--modes", "4"], id="other_version"),
+        # 0.3.0 builds maps with a batched eigensolver, whose values differ
+        # from 0.2.0's in the last digits
+        pytest.param("0.2.0", ["map", "--electrodes", "1,4", "--range=-2,2",
+                               "--step", "2"], id="0.2.0-map"),
+        # 0.4.0 fits with the exact Jacobian, which moves 0.3.0's fitted a2
+        # by about 1e-9
+        pytest.param("0.3.0", ["hom", "--eta", "0.7", "--scan=-0.5,0.5,0.02",
+                               "--seed", "12", "--fit"], id="0.3.0-fit"),
         # 0.5.0 moves the fit's starting dip centre and records input hashes
+        pytest.param("0.4.0", ["loss", "--modes", "4"], id="0.4.0-manifest"),
+        # 0.6.0 steps the restarts in lockstep and adds restart_nit to
+        # result.json
+        pytest.param("0.5.0", ["compile", "--config", "2", "--gates", "XX",
+                               "--restarts", "1"], id="0.5.0-compile"),
+        # 0.7.0 takes eta from the map's power rule, which moves a
+        # device-driven eta in its last digit
+        pytest.param("0.6.0", ["hom", "--device", "DEVICE", "--scan=-0.5,0.5,0.02",
+                               "--noiseless"], id="0.6.0-hom"),
+        # 0.8.0 scores the reported result with the restarts' own kernel, which
+        # moves result.json's objective and metrics in their last digits
+        pytest.param("0.7.0", ["compile", "--config", "2", "--gates", "XX",
+                               "--restarts", "3", "--seed", "4"], id="0.7.0-compile"),
+        # 0.10.0 bounds the fitted dip centre and width to the scan, which
+        # moves fitted values in their last digits
+        pytest.param("0.9.0", ["hom", "--eta", "0.5,1.0,0.25", "--scan=-0.6,0.6,0.01",
+                               "--seed", "2"], id="0.9.0-sweep"),
+    ])
+    def test_replay_refuses_old_version(self, device_file, tmp_path, capsys,
+                                        version, argv):
         first = tmp_path / "first"
-        assert run("loss", "--modes", "4", "--out", str(first)) == 0
+        argv = [device_file if tok == "DEVICE" else tok for tok in argv]
+        assert run(*argv, "--out", str(first)) == 0
         manifest = first / "manifest.json"
         doc = json.loads(manifest.read_text())
-        doc["version"] = "0.4.0"
+        doc["version"] = version
         manifest.write_text(json.dumps(doc))
         second = tmp_path / "second"
         capsys.readouterr()
         assert run("replay", str(manifest), "--out", str(second)) == 3
-        assert "0.4.0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert version in err and __version__ in err
         assert not second.exists()
 
     def test_replay_keeps_device_from_environment(self, tmp_path, monkeypatch):
@@ -434,8 +450,8 @@ class TestReplay:
         assert (second / "powers.csv").read_bytes() == powers
         assert (default / "powers.csv").read_bytes() != powers
         man = read_manifest(first / "manifest.json")
-        assert man.argv[-2:] == ("--device", str(device))
-        assert list(man.inputs) == [str(device)]
+        assert man["argv"][-2:] == ["--device", str(device)]
+        assert list(man["inputs"]) == [str(device)]
 
     def test_replay_ignores_device_from_environment(self, tmp_path, monkeypatch):
         # a run on the built-in device replays on the built-in device
@@ -451,64 +467,13 @@ class TestReplay:
         assert run("simulate", "--out", str(third)) == 0  # a new run reads it
         assert (third / "powers.csv").read_bytes() != powers
 
-    def test_replay_refuses_0_5_0_compile(self, tmp_path, capsys):
-        # 0.6.0 steps the restarts in lockstep and adds restart_nit to
-        # result.json
-        first = tmp_path / "first"
-        assert run("compile", "--config", "2", "--gates", "XX", "--restarts", "1",
-                   "--out", str(first)) == 0
-        assert "restart_nit" in json.loads((first / "result.json").read_text())
-        manifest = first / "manifest.json"
-        doc = json.loads(manifest.read_text())
-        doc["version"] = "0.5.0"
-        manifest.write_text(json.dumps(doc))
-        second = tmp_path / "second"
-        capsys.readouterr()
-        assert run("replay", str(manifest), "--out", str(second)) == 3
-        assert "0.5.0" in capsys.readouterr().err
-        assert not second.exists()
-
-    def test_replay_refuses_0_6_0_hom(self, device_file, tmp_path, capsys):
-        # 0.7.0 takes eta from the map's power rule, which moves a
-        # device-driven eta in its last digit
-        first = tmp_path / "first"
-        assert run("hom", "--device", device_file, "--scan=-0.5,0.5,0.02",
-                   "--noiseless", "--out", str(first)) == 0
-        manifest = first / "manifest.json"
-        doc = json.loads(manifest.read_text())
-        doc["version"] = "0.6.0"
-        manifest.write_text(json.dumps(doc))
-        second = tmp_path / "second"
-        capsys.readouterr()
-        assert run("replay", str(manifest), "--out", str(second)) == 3
-        assert "0.6.0" in capsys.readouterr().err
-        assert not second.exists()
-
-    def test_replay_refuses_0_7_0_compile(self, tmp_path, capsys):
-        # 0.8.0 scores the reported result with the restarts' own kernel, which
-        # moves result.json's objective and metrics in their last digits
-        first = tmp_path / "first"
-        assert run("compile", "--config", "2", "--gates", "XX", "--restarts", "3",
-                   "--seed", "4", "--out", str(first)) == 0
-        result = json.loads((first / "result.json").read_text())
-        assert result["objective"] == min(result["restart_trace"])
-        manifest = first / "manifest.json"
-        doc = json.loads(manifest.read_text())
-        doc["version"] = "0.7.0"
-        manifest.write_text(json.dumps(doc))
-        second = tmp_path / "second"
-        capsys.readouterr()
-        assert run("replay", str(manifest), "--out", str(second)) == 3
-        assert "0.7.0" in capsys.readouterr().err
-        assert not second.exists()
-
     def test_replay_refuses_edited_input(self, device_file, tmp_path, capsys):
         volts = tmp_path / "volts.txt"
         volts.write_text(" ".join(["1"] * 22))
         first = tmp_path / "first"
         assert run("simulate", "--device", device_file, "--voltages", str(volts),
                    "--out", str(first)) == 0
-        inputs = read_manifest(first / "manifest.json").inputs
+        inputs = read_manifest(first / "manifest.json")["inputs"]
         assert sorted(inputs) == sorted([device_file, str(volts)])
         assert all(len(digest) == 64 for digest in inputs.values())
         save_device_spec(default_device().with_length(30.0), device_file)

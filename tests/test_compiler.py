@@ -26,6 +26,7 @@ from rwasim.compiler import (
     sweep_chip_length,
     trace_to_csv,
 )
+from rwasim.csvio import write_json
 from rwasim.device import DeviceSpec, DeviceSpecError, VoltageBoundError, VoltageConfig
 from rwasim.subcircuits import SubcircuitPair, TwoModeUnitary
 
@@ -435,6 +436,14 @@ class TestSweepChipLength:
             sweep_chip_length(make_xx_device(), preset_config("config2"), XX,
                               [-1.0], restarts=1)
 
+    def test_every_length_checked_before_any_compile(self):
+        # [10, -1] used to run the 10 mm compile before it raised
+        with mock.patch.object(compiler, "optimize_parallel_gates") as opt:
+            with pytest.raises(DeviceSpecError, match="coupling_length"):
+                sweep_chip_length(make_xx_device(), preset_config("config2"), XX,
+                                  [10.0, -1.0], restarts=1)
+        opt.assert_not_called()
+
 
 class TestExport:
     def test_result_json(self, tmp_path):
@@ -442,7 +451,7 @@ class TestExport:
                                          preset_config("config2"), XX,
                                          restarts=2, seed=0)
         path = tmp_path / "result.json"
-        result.to_json(path)
+        write_json(path, result.to_dict())
         doc = json.loads(path.read_text())
         assert len(doc["best_voltages"]) == 22
         assert doc["objective"] == result.objective

@@ -36,8 +36,8 @@ def reference_fit(scan: HomScan) -> np.ndarray:
     Jacobian: `fit_hom_dip`'s initial guess, bounds and tolerances without
     its exact Jacobian."""
     x, y = scan.delays, scan.counts
-    lower = [-np.inf, -np.inf, 0.0, -np.inf, 1e-9 * (x[-1] - x[0])]
-    upper = [np.inf, np.inf, 1.0, np.inf, np.inf]
+    lower = [-np.inf, -np.inf, 0.0, x[0], 0.5 * np.diff(x).min()]
+    upper = [np.inf, np.inf, 1.0, x[-1], 0.5 * (x[-1] - x[0])]
     result = least_squares(
         lambda p: dip_model(x, *p) - y, np.clip(_initial_guess(scan), lower, upper),
         bounds=(lower, upper), xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=5000,
@@ -243,6 +243,31 @@ class TestFitHomDip:
             fit = fit_hom_dip(scan)
             assert fit.a2 == pytest.approx(ideal_visibility(eta), abs=0.01)
 
+    def test_flat_noisy_scan_fits_near_zero(self):
+        # no dip under 1% noise: with a4 unbounded the fit ran off to
+        # a4 >> span with a2 near 1 and hit the evaluation cap
+        fit = fit_hom_dip(simulate_hom_scan(1.0, np.linspace(-0.6, 0.6, 121), 1e4,
+                                            noise_seed=1))
+        assert 0.0 <= fit.a2 <= 3 * fit.visibility_error
+
+    @pytest.mark.parametrize("baseline", [1e3, 1e4])
+    def test_eta_one_seeds_stay_inside_scan(self, baseline):
+        # with a3 and a4 unbounded, 7 (1e3) and 5 (1e4) of these 40 fits hit
+        # the evaluation cap and 2 more fitted a2 > 0.5.  At most one still
+        # crawls to the cap along the flat a3/a4 valley left at a2 near 0
+        x = np.linspace(-0.6, 0.6, 121)
+        failures = 0
+        for seed in range(40):
+            try:
+                fit = fit_hom_dip(simulate_hom_scan(1.0, x, baseline, noise_seed=seed))
+            except FitFailureError:
+                failures += 1
+                continue
+            assert fit.a2 <= 0.5, seed
+            assert x[0] <= fit.a3 <= x[-1], seed
+            assert 0.5 * np.diff(x).min() <= fit.a4 <= 0.5 * (x[-1] - x[0]), seed
+        assert failures <= 1
+
     def test_evaluation_cap_raises(self):
         # a noiseless full dip pins a2 on its bound 1, which takes more
         # than the 10 evaluations max_iterations=1 allows
@@ -262,7 +287,7 @@ class TestDipJacobian:
     @given(a0=st.floats(-50, 50), a1=st.floats(10, 1e4),
            a2=st.one_of(st.just(0.0), st.just(1.0), st.floats(1e-3, 1)),
            a3=st.floats(-0.5, 0.5),
-           log10_a4=st.floats(-8.8, 0.0))  # fit_hom_dip's lower bound is 1e-9 * span
+           log10_a4=st.floats(-8.8, 0.0))  # far below any scan's half step
     def test_matches_central_differences(self, a0, a1, a2, a3, log10_a4):
         a4 = 10.0**log10_a4
         # a wide grid plus points within four widths of the centre, so the
