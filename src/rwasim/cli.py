@@ -152,16 +152,6 @@ def _print_map_summary(lut: calibration.LookupMap) -> None:
               f"at v{eb}={best_b:+.2f} V{flag}")
 
 
-def _hom_point(args, delays, eta: float, index: int, fit: bool):
-    """Scan `index` of a run (noise seed --seed + index) and its fit or None."""
-    scan = photon_stats.simulate_hom_scan(
-        eta, delays, args.baseline, slope=args.slope,
-        dip_center=args.center, coherence_width=args.width,
-        noise_seed=None if args.noiseless else args.seed + index,
-    )
-    return scan, photon_stats.fit_hom_dip(scan) if fit else None
-
-
 def _cmd_hom(args, run: Run) -> dict:
     """One scan at a given or device eta, or with --eta LO,HI,STEP a fitted
     scan per grid point, tabulated in visibility_sweep.csv."""
@@ -179,15 +169,20 @@ def _cmd_hom(args, run: Run) -> dict:
         etas = [effective_reflectivity(u, SubcircuitPair(args.pair))]
 
     delays = _uniform_grid(*_parse_floats(args.scan, "--scan", 3), "--scan")
+    scans = [photon_stats.simulate_hom_scan(
+        eta, delays, args.baseline, slope=args.slope, dip_center=args.center,
+        coherence_width=args.width,
+        noise_seed=None if args.noiseless else args.seed + i,
+    ) for i, eta in enumerate(etas)]
     if len(etas) == 1:
-        scan, fit = _hom_point(args, delays, etas[0], 0, args.fit)
-        photon_stats.scan_to_csv(scan, run.output("scan.csv"))
+        fit = photon_stats.fit_hom_dip(scans[0]) if args.fit else None
+        photon_stats.scan_to_csv(scans[0], run.output("scan.csv"))
         if fit is not None:
             write_json(run.output("dipfit.json"), fit.to_dict())
     else:
+        fits = photon_stats.fit_hom_dips(delays, [scan.counts for scan in scans])
         rows = []
-        for i, eta in enumerate(etas):
-            scan, fit = _hom_point(args, delays, eta, i, True)
+        for eta, scan, fit in zip(etas, scans, fits):
             ideal = photon_stats.ideal_visibility(eta)
             rows += [eta, ideal, fit.visibility, fit.visibility_error,
                      *photon_stats.dip_extrema(fit, scan)]

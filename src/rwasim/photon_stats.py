@@ -4,16 +4,16 @@ Covers the quantum side of the toolkit: two-photon coincidence
 probabilities from a transfer unitary, the ideal dip visibility of a
 two-mode coupler, reflectivity extraction from classical powers, synthetic
 delay scans, and the Gaussian-plus-linear dip fit with its error estimate.
-The fit hands scipy's trust-region solver the model's exact Jacobian
-(`dip_jacobian`), so it spends no evaluations on finite differences.
+Grid seeds with the linear baseline profiled out (Golub & Pereyra 1973)
+start a batched, bound-projected Levenberg-Marquardt fit (More 1978).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .csvio import write_csv
 from .evolution import TransferUnitary
@@ -104,12 +104,12 @@ def dip_jacobian(x, a0, a1, a2, a3, a4) -> np.ndarray:
     With base = a0*x + a1 and g the Gaussian: x*(1 - a2*g), 1 - a2*g,
     -base*g, -base*a2*g*(x - a3)/a4^2 and -base*a2*g*(x - a3)^2/a4^3.
     """
-    d = x - a3
-    g = np.exp(-(d**2) / (2.0 * a4**2))
+    u = (x - a3) * (1.0 / a4)
+    g = np.exp(-0.5 * (u * u))
     dip = 1.0 - a2 * g
-    base_g = (a0 * x + a1) * g
-    d_a3 = base_g * (a2 * d / a4**2)
-    return np.column_stack((x * dip, dip, -base_g, -d_a3, -d_a3 * (d / a4)))
+    d_a2 = (a0 * x + a1) * -g
+    d_a3 = d_a2 * u * (a2 / a4)
+    return np.stack((x * dip, dip, d_a2, d_a3, d_a3 * u), axis=-1)
 
 
 def two_photon_coincidence(
@@ -206,8 +206,8 @@ def simulate_hom_scan(
 def _initial_guess(scan: HomScan) -> np.ndarray:
     x, y = scan.delays, scan.counts
     n_edge = max(1, x.size // 10)
-    left_x, left_y = x[:n_edge].mean(), y[:n_edge].mean()
-    right_x, right_y = x[-n_edge:].mean(), y[-n_edge:].mean()
+    left_x, left_y = x[:n_edge].sum() / n_edge, y[:n_edge].sum() / n_edge
+    right_x, right_y = x[-n_edge:].sum() / n_edge, y[-n_edge:].sum() / n_edge
     a0 = (right_y - left_y) / (right_x - left_x) if right_x != left_x else 0.0
     a1 = 0.5 * (left_y + right_y) - a0 * 0.5 * (left_x + right_x)
     # the dip is deepest relative to the edge-fitted baseline: a drift larger
@@ -228,47 +228,131 @@ def _initial_guess(scan: HomScan) -> np.ndarray:
     return np.array([a0, a1, a2, a3, a4])
 
 
+# seed grid: 11 a2 in [0.01, 1] and, across their bounds, 13 a3 by 6 a4 (log)
+_SEED_A2 = np.geomspace(0.01, 1.0, 11)[:, None]
+_SEED_A3 = np.repeat(np.linspace(0.0, 1.0, 13), 6)
+_SEED_A4 = np.tile(np.linspace(0.0, 1.0, 6), 13)
+
+
+def _grid_seeds(x, y, lower, upper) -> np.ndarray:
+    """The two best seed-grid points (S, 2, 5) for each scan row of y.
+
+    At fixed (a2, a3, a4) a closed-form 2x2 solve profiles out (a0, a1).
+    Its sums are polynomials in a2 of g @ [x^2, x, 1, x*y, y] and
+    (g*g) @ [x^2, x, 1], for the Gaussian table g of every (a3, a4)."""
+    a3 = lower[3] + (upper[3] - lower[3]) * _SEED_A3
+    a4 = lower[4] * (upper[4] / lower[4]) ** _SEED_A4
+    k = -0.5 / a4**2
+    powers = np.array((x * x, x, np.ones_like(x)))
+    # exp is far slower where it underflows, and g below 1e-130 is 0 here
+    g = np.exp(np.maximum(np.array((k, -2.0 * a3 * k, a3 * a3 * k)).T @ powers, -300.0))
+    # one product per scan row, so that no row depends on its batch mates
+    xy, c = np.stack((x * y, y), axis=1), _SEED_A2
+    # sums of [x^2, x, 1] * h^2 and of [x*y, y] * h, with h = 1 - a2*g
+    h0, h1, h2 = (powers.sum(1)[:, None, None] - 2.0 * c * (powers @ g.T)[:, None]
+                  + c * c * (powers @ (g * g).T)[:, None]).reshape(3, 1, -1)
+    b = xy.sum(-1)[..., None, None] - c * (xy @ g.T)[:, :, None]
+    b0, b1 = b[:, 0].reshape(len(y), -1), b[:, 1].reshape(len(y), -1)
+    a0 = (h2 * b0 - h1 * b1) / (h0 * h2 - h1 * h1)
+    a1 = (h0 * b1 - h1 * b0) / (h0 * h2 - h1 * h1)
+    # the profiled cost is (y.y - a0*b0 - a1*b1) / 2
+    best = np.argpartition(-(a0 * b0 + a1 * b1), 1, axis=1)[:, :2]
+    i2, i34 = np.divmod(best, a3.size)
+    return np.array([np.take_along_axis(a, best, 1) for a in (a0, a1)]
+                    + [c[i2, 0], a3[i34], a4[i34]]).transpose(1, 2, 0)
+
+
+LeastSquaresResult = namedtuple("LeastSquaresResult", "x cost converged nfev")
+
+
+def least_squares(x, y, p0, lower, upper, max_iterations: int) -> LeastSquaresResult:
+    """Bound-projected Levenberg-Marquardt fits of `dip_model` to each row of
+    y (R, n) from p0 (R, 5): x (R, 5), cost (R,) = half the squared residual,
+    converged (R,) and nfev, the batched evaluations, after at most
+    max_iterations steps.  A step solves the damped normal equations of
+    `dip_jacobian` (Nielsen's damping rule) for the free parameters, clips
+    into the bounds and is kept if the cost fell.  A parameter on a bound its
+    gradient points out of, or with a vanishing column (a3 and a4 at a2 = 0),
+    is held.  A row converges once a step changes, or is predicted to change,
+    its cost by at most 1e-10 * cost + 1e-24 * y.y, and is frozen from then on
+    so that no row depends on its batch mates."""
+    def evaluate(p):
+        jac = dip_jacobian(x, *p.T[:, :, None])
+        r = p[:, :1] * jac[..., 0] + p[:, 1:2] * jac[..., 1] - y
+        return jac, r, 0.5 * (r * r).sum(-1)
+
+    p = np.array(p0, dtype=float)
+    jac, r, cost = evaluate(p)
+    floor = 1e-24 * (y * y).sum(-1)
+    lam, converged = np.full(len(p), 1e-3), np.zeros(len(p), dtype=bool)
+    nfev, eye = 1, np.eye(5)
+    while nfev <= max_iterations and not converged.all():
+        h = jac.transpose(0, 2, 1) @ jac
+        grad = (r[:, None] @ jac)[:, 0]
+        free = np.where(grad > 0, p > lower, (grad < 0) & (p < upper))
+        m = np.where(free[:, :, None], h * (1.0 + lam[:, None, None] * eye), eye)
+        step = np.linalg.solve(m, np.where(free, -grad, 0.0)[:, :, None])[:, :, 0]
+        trial = np.minimum(np.maximum(p + step, lower), upper)
+        s = trial - p
+        pred = -(s * (grad + 0.5 * (h @ s[:, :, None])[:, :, 0])).sum(-1)
+        tol = 1e-10 * cost + floor
+        converged |= (pred >= 0) & (pred <= tol)
+        if converged.all():
+            break
+        jac_t, r_t, cost_t = evaluate(trial)
+        nfev += 1
+        rho = (cost - cost_t) / np.where(pred > 0, pred, np.inf)
+        ok = (cost_t < cost) & ~converged
+        converged |= np.abs(cost - cost_t) <= tol
+        lam = np.where(ok, lam * np.maximum(1 / 3, 1 - (2 * rho - 1) ** 3),
+                       np.where(converged, lam, 2.0 * lam))
+        for old, new in ((p, trial), (jac, jac_t), (r, r_t), (cost, cost_t)):
+            np.copyto(old, new, where=ok.reshape((-1,) + (1,) * (old.ndim - 1)))
+    return LeastSquaresResult(p, cost, converged, nfev)
+
+
+def fit_hom_dips(delays, counts, max_iterations: int = 500) -> list[DipFit]:
+    """`fit_hom_dip` on each scan row of counts[S, n] over the same delays,
+    in one batched `least_squares`; row s equals
+    fit_hom_dip(HomScan(delays, counts[s])) bit for bit."""
+    scans = [HomScan(delays, row) for row in np.atleast_2d(counts)]
+    if not scans or scans[0].delays.size < 8:
+        raise ValueError(f"need >= 1 scan of >= 8 points, got {np.shape(counts)}")
+    x, y = scans[0].delays, np.stack([scan.counts for scan in scans])
+    lower = np.array([-np.inf, -np.inf, 0.0, x[0], 0.5 * np.diff(x).min()])
+    upper = np.array([np.inf, np.inf, 1.0, x[-1], 0.5 * (x[-1] - x[0])])
+    guesses = np.clip([_initial_guess(scan) for scan in scans], lower, upper)
+    starts = np.concatenate((_grid_seeds(x, y, lower, upper), guesses[:, None]), 1)
+    k = starts.shape[1]
+    result = least_squares(x, y.repeat(k, axis=0), starts.reshape(-1, 5),
+                           lower, upper, max_iterations)
+    best = k * np.arange(len(y)) + result.cost.reshape(-1, k).argmin(1)
+    fits = []
+    for scan, i in zip(scans, best):
+        if not result.converged[i]:
+            raise FitFailureError("HOM dip fit did not converge",
+                                  math.sqrt(2.0 * result.cost[i]))
+        fit = DipFit(*map(float, result.x[i]))
+        n_max, n_min = dip_extrema(fit, scan)
+        err = visibility_error(n_max, n_min) if n_max > 0 else 0.0
+        fits.append(replace(fit, visibility_error=float(err)))
+    return fits
+
+
 def fit_hom_dip(scan: HomScan, max_iterations: int = 500) -> DipFit:
     """Nonlinear least-squares fit of the Gaussian-plus-linear dip model.
 
-    Trust-region reflective least squares with the exact Jacobian
-    `dip_jacobian`.  Bounds keep a2 in [0, 1], the centre a3 inside the scan
-    and the width a4 between half the smallest delay step and half the
-    span: a narrower dip cannot be told from noise, nor a wider one from the
-    linear baseline.  The solver may evaluate the model at most
-    10 * `max_iterations` times; a fit that has not converged by then raises
-    `FitFailureError`.  The visibility error is attached from the fitted
-    extrema via `visibility_error`.
+    Bounds keep a2 in [0, 1], the centre a3 inside the scan and the width a4
+    between half the smallest delay step and half the span: a narrower dip
+    cannot be told from noise, nor a wider one from the linear baseline.
+    Three starts, the two best points of a coarse (a2, a3, a4) grid with the
+    baseline profiled out (`_grid_seeds`) and `_initial_guess`, are polished
+    by the bound-projected Levenberg-Marquardt `least_squares` until a step
+    changes the cost by at most 1e-10 of it; the lowest cost wins.  If that
+    start has not converged within `max_iterations` steps, `FitFailureError`
+    is raised.  The visibility error comes from `visibility_error`.
     """
-    if scan.delays.size < 8:
-        raise ValueError(f"need >= 8 scan points, got {scan.delays.size}")
-    x, y = scan.delays, scan.counts
-
-    def residual(p):
-        return dip_model(x, *p) - y
-
-    def jacobian(p):
-        return dip_jacobian(x, *p)
-
-    x0 = _initial_guess(scan)
-    span = x[-1] - x[0]
-    lower = [-np.inf, -np.inf, 0.0, x[0], 0.5 * np.diff(x).min()]
-    upper = [np.inf, np.inf, 1.0, x[-1], 0.5 * span]
-    x0 = np.clip(x0, lower, upper)
-    result = least_squares(
-        residual, x0, jac=jacobian, bounds=(lower, upper),
-        xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=max_iterations * 10,
-    )
-    if not result.success:
-        raise FitFailureError("HOM dip fit did not converge",
-                              float(np.linalg.norm(result.fun)))
-    a0, a1, a2, a3, a4 = result.x
-    fit = DipFit(a0=float(a0), a1=float(a1), a2=float(a2),
-                 a3=float(a3), a4=float(a4))
-    n_max, n_min = dip_extrema(fit, scan)
-    err = visibility_error(n_max, n_min) if n_max > 0 else 0.0
-    return DipFit(a0=fit.a0, a1=fit.a1, a2=fit.a2, a3=fit.a3, a4=fit.a4,
-                  visibility_error=float(err))
+    return fit_hom_dips(scan.delays, scan.counts, max_iterations)[0]
 
 
 def dip_extrema(fit: DipFit, scan: HomScan) -> tuple[float, float]:

@@ -13,15 +13,20 @@ the batched-versus-scalar tests compare two independent eigensolvers.
 `sequential_restarts` runs the restarts one after another through
 `scipy.optimize.minimize`, as the compiler did before it stepped them in
 lockstep.
+
+`trf_dip_fit` fits the HOM dip model with scipy's trust-region reflective
+`least_squares`, within the bounds and tolerances `fit_hom_dip` used while it
+ran that solver.
 """
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import minimize
+from scipy.optimize import least_squares, minimize
 
 from rwasim import compiler
 from rwasim.compiler import SubcircuitMetrics
 from rwasim.device import VoltageBoundError, VoltageConfig, build_hamiltonian
 from rwasim.evolution import unitary
+from rwasim.photon_stats import dip_jacobian, dip_model
 from rwasim.subcircuits import distribution_fidelity
 
 
@@ -121,3 +126,19 @@ def sequential_restarts(spec, config, targets, restarts, seed):
                      options={"maxiter": compiler.MAX_ITERATIONS,
                               "ftol": 1e-14, "gtol": 1e-10})
             for x0 in starts]
+
+
+def trf_dip_fit(scan, x0, exact_jacobian=False):
+    """scipy's `OptimizeResult` for the dip fit to `scan` from x0, clipped
+    into the bounds, with tolerances 1e-14 and at most 5,000 evaluations.
+
+    The Jacobian is `dip_jacobian` or, by default, scipy's finite
+    differences."""
+    x, y = scan.delays, scan.counts
+    lower = [-np.inf, -np.inf, 0.0, x[0], 0.5 * np.diff(x).min()]
+    upper = [np.inf, np.inf, 1.0, x[-1], 0.5 * (x[-1] - x[0])]
+    jac = (lambda p: dip_jacobian(x, *p)) if exact_jacobian else "2-point"
+    return least_squares(
+        lambda p: dip_model(x, *p) - y, np.clip(x0, lower, upper), jac=jac,
+        bounds=(lower, upper), xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=5000,
+    )

@@ -418,6 +418,10 @@ class TestReplay:
         # moves fitted values in their last digits
         pytest.param("0.9.0", ["hom", "--eta", "0.5,1.0,0.25", "--scan=-0.6,0.6,0.01",
                                "--seed", "2"], id="0.9.0-sweep"),
+        # 0.11.0 fits with the grid-seeded Levenberg-Marquardt solver, which
+        # moves fitted values in their last digits
+        pytest.param("0.10.0", ["hom", "--eta", "0.7", "--scan=-0.6,0.6,0.01",
+                                "--seed", "12", "--fit"], id="0.10.0-fit"),
     ])
     def test_replay_refuses_old_version(self, device_file, tmp_path, capsys,
                                         version, argv):
