@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import write_csv
-from .device import DeviceSpec, VoltageConfig
+from .device import DeviceSpec, VoltageConfig, frozen_array
 from .evolution import unitary_blocks
 from .subcircuits import SubcircuitPair, reflectivity_and_leakage
 from . import device as device_mod
@@ -66,25 +66,24 @@ class LookupMap:
     fixed_voltages: np.ndarray | None = None
 
     def __post_init__(self):
-        ga = np.asarray(self.grid_a, dtype=float)
-        gb = np.asarray(self.grid_b, dtype=float)
-        for name, g in (("grid_a", ga), ("grid_b", gb)):
-            if g.ndim != 1 or g.size < 1 or not np.all(np.isfinite(g)):
+        for name in ("grid_a", "grid_b"):
+            g = frozen_array(getattr(self, name), name, error=ValueError)
+            if g.ndim != 1 or g.size < 1:
                 raise ValueError(f"{name} must be a non-empty finite 1-D vector")
-            if g.size >= 2 and not np.all(np.diff(g) > 0):
+            if not np.all(np.diff(g) > 0):
                 raise ValueError(f"{name} must be strictly increasing")
-        object.__setattr__(self, "grid_a", ga)
-        object.__setattr__(self, "grid_b", gb)
-        shape = (ga.size, gb.size)
-        # leakage gets 1e-9 of rounding slack; "not inside" also rejects NaN
+            object.__setattr__(self, name, g)
+        shape = (self.grid_a.size, self.grid_b.size)
+        # leakage gets 1e-9 of rounding slack
         for name, hi, slack in (("eta", 1, 0.0), ("leakage_in1", 100, 1e-9),
                                 ("leakage_in2", 100, 1e-9)):
-            t = np.asarray(getattr(self, name), dtype=float)
-            if t.shape != shape:
-                raise ValueError(f"{name} has shape {t.shape}, expected {shape}")
+            t = frozen_array(getattr(self, name), name, shape, ValueError)
             if not np.all((t >= -slack) & (t <= hi + slack)):
                 raise ValueError(f"{name} entries must lie in [0, {hi}]")
             object.__setattr__(self, name, t)
+        if self.fixed_voltages is not None:
+            object.__setattr__(self, "fixed_voltages", frozen_array(
+                self.fixed_voltages, "fixed_voltages", error=ValueError))
 
     @property
     def mean_leakage(self) -> np.ndarray:
@@ -118,8 +117,8 @@ def build_lookup_map(
     for e in (electrode_a, electrode_b):
         if not 1 <= e <= spec.n_electrodes:
             raise IndexError(f"electrode {e} out of range 1..{spec.n_electrodes}")
-    ga = np.asarray(grid_a, dtype=float)
-    gb = np.asarray(grid_b, dtype=float)
+    ga = frozen_array(grid_a, "grid_a")
+    gb = frozen_array(grid_b, "grid_b")
     for name, g in (("grid_a", ga), ("grid_b", gb)):
         if np.any(np.abs(g) > spec.voltage_limit):
             raise device_mod.VoltageBoundError(
@@ -129,9 +128,8 @@ def build_lookup_map(
             else np.zeros(spec.n_electrodes))
     i, j = pair.indices(spec.n_guides)
     n_cells = ga.size * gb.size
-    eta = np.empty(n_cells)
-    leak1 = np.empty(n_cells)
-    leak2 = np.empty(n_cells)
+    tables = np.empty((3, n_cells))
+    eta, leak1, leak2 = tables
     # every row is `base` with the swept electrodes at the cell's grid point
     volts = np.tile(base, (min(n_cells, _BLOCK_CELLS), 1))
     for start in range(0, n_cells, _BLOCK_CELLS):
@@ -143,13 +141,13 @@ def build_lookup_map(
         sub = unitary_blocks(diag, offdiag, spec.coupling_length, [i, j], [i, j])
         eta[cells], leak1[cells], leak2[cells] = reflectivity_and_leakage(
             sub.real**2 + sub.imag**2)
-    shape = (ga.size, gb.size)
+    # the map takes the filled tables over read-only rather than copying them
+    tables.setflags(write=False)
+    eta, leak1, leak2 = tables.reshape(3, ga.size, gb.size)
     return LookupMap(
-        electrode_a=electrode_a, electrode_b=electrode_b,
-        grid_a=ga, grid_b=gb, eta=eta.reshape(shape),
-        leakage_in1=leak1.reshape(shape), leakage_in2=leak2.reshape(shape),
-        input_guides=pair.guides,
-        fixed_voltages=base.copy(),
+        electrode_a=electrode_a, electrode_b=electrode_b, grid_a=ga, grid_b=gb,
+        eta=eta, leakage_in1=leak1, leakage_in2=leak2, input_guides=pair.guides,
+        fixed_voltages=base,
     )
 
 

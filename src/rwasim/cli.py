@@ -65,12 +65,8 @@ def _load_voltages(path: str | None, spec: DeviceSpec, run: Run) -> VoltageConfi
         return VoltageConfig.zeros(spec.n_electrodes)
     run.input(path)
     text = Path(path).read_text().replace(",", " ")
-    values = np.array([float(tok) for tok in text.split()])
-    if values.size != spec.n_electrodes:
-        raise device_mod.DeviceSpecError(
-            f"{path}: {values.size} voltages, expected {spec.n_electrodes}"
-        )
-    return VoltageConfig(values)
+    return VoltageConfig(device_mod.frozen_array(
+        [float(tok) for tok in text.split()], f"{path}: voltages", (spec.n_electrodes,)))
 
 
 def _parse_floats(text: str, flag: str, *counts: int) -> list[float]:
@@ -180,7 +176,7 @@ def _cmd_hom(args, run: Run) -> dict:
         if fit is not None:
             write_json(run.output("dipfit.json"), fit.to_dict())
     else:
-        fits = photon_stats.fit_hom_dips(delays, [scan.counts for scan in scans])
+        fits = photon_stats.fit_hom_dips(scans)
         rows = []
         for eta, scan, fit in zip(etas, scans, fits):
             ideal = photon_stats.ideal_visibility(eta)

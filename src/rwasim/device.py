@@ -42,13 +42,28 @@ class VoltageBoundError(ValueError):
     """An electrode voltage amplitude exceeds the device limit."""
 
 
-def _as_float_array(x, name: str) -> np.ndarray:
+def frozen_array(value, name: str, shape: tuple | None = None,
+                 error: type[Exception] = DeviceSpecError) -> np.ndarray:
+    """`value` as a read-only float array, checked finite and, if `shape` is
+    given, of that shape; `error` is raised otherwise.
+
+    A read-only input is returned as it is.  A writable array is copied
+    before the copy is frozen, so the caller's array stays writable and no
+    one else can write to the result; an array made here from other input is
+    frozen without a copy.
+    """
     try:
-        arr = np.asarray(x, dtype=float)
+        arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise DeviceSpecError(f"{name}: not numeric ({exc})") from exc
+        raise error(f"{name}: not numeric ({exc})") from exc
+    if shape is not None and arr.shape != shape:
+        raise error(f"{name} has shape {arr.shape}, expected {shape}")
     if not np.all(np.isfinite(arr)):
-        raise DeviceSpecError(f"{name}: contains non-finite entries")
+        raise error(f"{name}: contains non-finite entries")
+    if arr.flags.writeable:
+        if arr is value or arr.base is not None:
+            arr = arr.copy()
+        arr.setflags(write=False)
     return arr
 
 
@@ -64,29 +79,12 @@ def _as_positive(x, name: str) -> float:
     return float(x)
 
 
-def default_base_beta(n_guides: int) -> np.ndarray:
-    return BASE_BETA_OFFSET + BASE_BETA_RAMP * np.arange(n_guides)
-
-
-def default_base_coupling(n_guides: int) -> np.ndarray:
-    return np.full(n_guides - 1, BASE_COUPLING)
-
-
-def default_beta_sensitivity(n_guides: int, n_electrodes: int) -> np.ndarray:
-    s = np.zeros((n_guides, n_electrodes))
-    for n in range(n_guides):
-        e = 2 * n  # 0-based index of 1-based electrode 2n-1
-        if e < n_electrodes:
-            s[n, e] = BETA_GAIN
-    return s
-
-
-def default_coupling_sensitivity(n_guides: int, n_electrodes: int) -> np.ndarray:
-    s = np.zeros((n_guides - 1, n_electrodes))
-    for n in range(n_guides - 1):
-        e = 2 * n + 1  # 0-based index of 1-based electrode 2n
-        if e < n_electrodes:
-            s[n, e] = COUPLING_GAIN
+def _electrode_gains(rows: int, n_electrodes: int, first: int, gain: float) -> np.ndarray:
+    """(rows, E) sensitivity with `gain` at 0-based electrode first + 2 * row
+    of each row that has one."""
+    s = np.zeros((rows, n_electrodes))
+    for row, e in enumerate(range(first, min(first + 2 * rows, n_electrodes), 2)):
+        s[row, e] = gain
     return s
 
 
@@ -102,16 +100,10 @@ class TridiagonalHamiltonian:
     offdiag: np.ndarray
 
     def __post_init__(self):
-        diag = _as_float_array(self.diag, "diag")
-        offdiag = _as_float_array(self.offdiag, "offdiag")
-        if offdiag.shape != (diag.size - 1,):
-            raise DeviceSpecError(
-                f"offdiag has {offdiag.size} entries, expected {diag.size - 1}"
-            )
-        diag.setflags(write=False)
-        offdiag.setflags(write=False)
+        diag = frozen_array(self.diag, "diag")
         object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "offdiag", offdiag)
+        object.__setattr__(self, "offdiag",
+                           frozen_array(self.offdiag, "offdiag", (diag.size - 1,)))
 
     @property
     def n_guides(self) -> int:
@@ -133,9 +125,8 @@ class VoltageConfig:
     volts: np.ndarray
 
     def __post_init__(self):
-        volts = np.atleast_1d(_as_float_array(self.volts, "volts"))
-        volts.setflags(write=False)
-        object.__setattr__(self, "volts", volts)
+        object.__setattr__(self, "volts",
+                           np.atleast_1d(frozen_array(self.volts, "volts")))
 
     @classmethod
     def zeros(cls, n_electrodes: int = N_ELECTRODES_DEFAULT) -> "VoltageConfig":
@@ -161,57 +152,23 @@ class DeviceSpec:
         length = _as_positive(self.coupling_length, "coupling_length")
         limit = _as_positive(self.voltage_limit, "voltage_limit")
 
-        base_beta = (
-            default_base_beta(n)
-            if self.base_beta is None
-            else _as_float_array(self.base_beta, "base_beta")
-        )
-        base_coupling = (
-            default_base_coupling(n)
-            if self.base_coupling is None
-            else _as_float_array(self.base_coupling, "base_coupling")
-        )
-        beta_sens = (
-            default_beta_sensitivity(n, e)
-            if self.beta_sensitivity is None
-            else _as_float_array(self.beta_sensitivity, "beta_sensitivity")
-        )
-        coupling_sens = (
-            default_coupling_sensitivity(n, e)
-            if self.coupling_sensitivity is None
-            else _as_float_array(self.coupling_sensitivity, "coupling_sensitivity")
-        )
-
-        if base_beta.shape != (n,):
-            raise DeviceSpecError(
-                f"base_beta has {base_beta.size} entries, expected {n}"
-            )
-        if base_coupling.shape != (n - 1,):
-            raise DeviceSpecError(
-                f"base_coupling has {base_coupling.size} entries, expected {n - 1}"
-            )
-        if np.any(base_coupling < 0):
+        # a missing array field takes its default, which also fixes its shape
+        defaults = {
+            "base_beta": BASE_BETA_OFFSET + BASE_BETA_RAMP * np.arange(n),
+            "base_coupling": np.full(n - 1, BASE_COUPLING),
+            "beta_sensitivity": _electrode_gains(n, e, 0, BETA_GAIN),
+            "coupling_sensitivity": _electrode_gains(n - 1, e, 1, COUPLING_GAIN),
+        }
+        for name, default in defaults.items():
+            value = getattr(self, name)
+            object.__setattr__(self, name, frozen_array(
+                default if value is None else value, name, default.shape))
+        if np.any(self.base_coupling < 0):
             raise DeviceSpecError("base_coupling entries must be >= 0")
-        if beta_sens.shape != (n, e):
-            raise DeviceSpecError(
-                f"beta_sensitivity has shape {beta_sens.shape}, expected ({n}, {e})"
-            )
-        if coupling_sens.shape != (n - 1, e):
-            raise DeviceSpecError(
-                f"coupling_sensitivity has shape {coupling_sens.shape}, "
-                f"expected ({n - 1}, {e})"
-            )
-
-        for arr in (base_beta, base_coupling, beta_sens, coupling_sens):
-            arr.setflags(write=False)
         object.__setattr__(self, "n_guides", n)
         object.__setattr__(self, "n_electrodes", e)
         object.__setattr__(self, "coupling_length", length)
         object.__setattr__(self, "voltage_limit", limit)
-        object.__setattr__(self, "base_beta", base_beta)
-        object.__setattr__(self, "base_coupling", base_coupling)
-        object.__setattr__(self, "beta_sensitivity", beta_sens)
-        object.__setattr__(self, "coupling_sensitivity", coupling_sens)
 
     def with_length(self, coupling_length: float) -> "DeviceSpec":
         return dataclasses.replace(self, coupling_length=coupling_length)
@@ -264,7 +221,7 @@ _SENSITIVITIES = ("beta_sensitivity", "coupling_sensitivity")
 def _parse_sensitivity(raw, n_rows: int, n_electrodes: int, name: str) -> np.ndarray:
     """Accept a dense (n_rows x E) matrix or sparse (row, electrode, value)
     triplets with 1-based row/electrode indices."""
-    arr = _as_float_array(raw, name)
+    arr = frozen_array(raw, name)
     if arr.ndim != 2:
         raise DeviceSpecError(f"{name}: expected a 2-D matrix or triplet list")
     if arr.shape == (n_rows, n_electrodes):

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .csvio import write_csv
+from .device import frozen_array
 from .evolution import TransferUnitary
 from .subcircuits import reflectivity_and_leakage
 
@@ -46,18 +47,14 @@ class HomScan:
     counts: np.ndarray  # coincidences per integration window, >= 0
 
     def __post_init__(self):
-        delays = np.asarray(self.delays, dtype=float)
-        counts = np.asarray(self.counts, dtype=float)
-        if delays.ndim != 1 or counts.shape != delays.shape:
-            raise ValueError("delays and counts must be 1-D and equal length")
-        if delays.size >= 2 and not np.all(np.diff(delays) > 0):
+        delays = frozen_array(self.delays, "delays", error=ValueError)
+        if delays.ndim != 1:
+            raise ValueError("delays must be 1-D")
+        if not np.all(np.diff(delays) > 0):
             raise ValueError("delays must be strictly increasing")
-        if not (np.all(np.isfinite(delays)) and np.all(np.isfinite(counts))):
-            raise ValueError("delays and counts must be finite")
+        counts = frozen_array(self.counts, "counts", delays.shape, ValueError)
         if np.any(counts < 0):
             raise ValueError("counts must be non-negative")
-        delays.setflags(write=False)
-        counts.setflags(write=False)
         object.__setattr__(self, "delays", delays)
         object.__setattr__(self, "counts", counts)
 
@@ -311,14 +308,16 @@ def least_squares(x, y, p0, lower, upper, max_iterations: int) -> LeastSquaresRe
     return LeastSquaresResult(p, cost, converged, nfev)
 
 
-def fit_hom_dips(delays, counts, max_iterations: int = 500) -> list[DipFit]:
-    """`fit_hom_dip` on each scan row of counts[S, n] over the same delays,
-    in one batched `least_squares`; row s equals
-    fit_hom_dip(HomScan(delays, counts[s])) bit for bit."""
-    scans = [HomScan(delays, row) for row in np.atleast_2d(counts)]
+def fit_hom_dips(scans, max_iterations: int = 500) -> list[DipFit]:
+    """`fit_hom_dip` on each of `scans`, which must share their delays, in
+    one batched `least_squares`; fit s equals fit_hom_dip(scans[s]) bit for
+    bit."""
     if not scans or scans[0].delays.size < 8:
-        raise ValueError(f"need >= 1 scan of >= 8 points, got {np.shape(counts)}")
-    x, y = scans[0].delays, np.stack([scan.counts for scan in scans])
+        raise ValueError("need >= 1 scan of >= 8 points")
+    x = scans[0].delays
+    if not all(np.array_equal(scan.delays, x) for scan in scans[1:]):
+        raise ValueError("scans must share their delays")
+    y = np.stack([scan.counts for scan in scans])
     lower = np.array([-np.inf, -np.inf, 0.0, x[0], 0.5 * np.diff(x).min()])
     upper = np.array([np.inf, np.inf, 1.0, x[-1], 0.5 * (x[-1] - x[0])])
     guesses = np.clip([_initial_guess(scan) for scan in scans], lower, upper)
@@ -352,7 +351,7 @@ def fit_hom_dip(scan: HomScan, max_iterations: int = 500) -> DipFit:
     start has not converged within `max_iterations` steps, `FitFailureError`
     is raised.  The visibility error comes from `visibility_error`.
     """
-    return fit_hom_dips(scan.delays, scan.counts, max_iterations)[0]
+    return fit_hom_dips([scan], max_iterations)[0]
 
 
 def dip_extrema(fit: DipFit, scan: HomScan) -> tuple[float, float]:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .device import frozen_array
 from .evolution import TransferUnitary
 
 
@@ -122,14 +123,11 @@ class TruthTable:
     table: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.table, dtype=float)
-        if t.shape != (4, 4):
-            raise ValueError(f"truth table must be 4x4, got {t.shape}")
+        t = frozen_array(self.table, "truth table", (4, 4), ValueError)
         if np.any(t < 0):
             raise ValueError("truth table entries must be non-negative")
         if np.any(np.abs(t.sum(axis=1) - 1.0) > 1e-12):
             raise ValueError("truth table rows must sum to 1 within 1e-12")
-        t.setflags(write=False)
         object.__setattr__(self, "table", t)
 
 

@@ -378,8 +378,22 @@ class TestGlobalFit:
     def test_batch_rows_equal_single_fits(self, etas, seed, baseline, slope):
         scans = [simulate_hom_scan(eta, self.DELAYS, baseline, slope=slope,
                                    noise_seed=seed + i) for i, eta in enumerate(etas)]
-        batch = fit_hom_dips(self.DELAYS, np.stack([scan.counts for scan in scans]))
+        batch = fit_hom_dips(scans)
         assert batch == [fit_hom_dip(scan) for scan in scans]
+
+    def test_fit_builds_no_scan(self, monkeypatch):
+        # the fit used to rebuild, and so re-check, every scan it was given
+        scan = simulate_hom_scan(0.5, self.DELAYS, 1e3, noise_seed=1)
+        built = []
+        monkeypatch.setattr(HomScan, "__post_init__", built.append)
+        fit_hom_dip(scan)
+        assert built == []
+
+    def test_batch_needs_shared_delays(self):
+        scans = [simulate_hom_scan(0.5, delays, 1e3) for delays in
+                 (self.DELAYS, self.DELAYS + 0.01)]
+        with pytest.raises(ValueError, match="share their delays"):
+            fit_hom_dips(scans)
 
 
 class TestDipExtrema:
