@@ -1,6 +1,6 @@
 """Simulator and control compiler for reconfigurable photonic waveguide arrays."""
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 from .device import (
     DeviceSpec,

@@ -6,23 +6,19 @@ leakage fractions:
 
     (1-F1)^2 + (1-F2)^2 + ct1^2 + ct2^2 + leak1^2 + leak2^2
 
-Each restart runs a bound-constrained quasi-Newton local search (L-BFGS-B;
-Byrd, Lu, Nocedal & Zhu 1995) from a uniform random start.  The search gets
-the objective together with its exact gradient from one eigendecomposition
-of H = Q diag(w) Q^T: the derivative of U = exp(-iHL) is
-Q (G o Q^T dH Q) Q^T with the divided differences
+Each restart runs a bound-constrained L-BFGS search (`minimize_box`) from a
+uniform random start.  The search gets the objective together with its exact
+gradient from one eigendecomposition of H = Q diag(w) Q^T: the derivative of
+U = exp(-iHL) is Q (G o Q^T dH Q) Q^T with the divided differences
 G_ab = (e^{-iw_a L} - e^{-iw_b L}) / (w_a - w_b) (Daleckii-Krein; Najfeld &
 Havel 1995), and the chain rule runs backwards from the objective to the
 electrode voltages.
 
-The restarts run in lockstep, in blocks of at most `LOCKSTEP_BLOCK`.
-`minimize_lockstep` steps every restart's L-BFGS-B state through scipy's
-reverse-communication routine exactly as `scipy.optimize.minimize` does for
-one start, and evaluates all restarts that ask for f and g in one call of
-the batched kernel, which runs one stacked eigensolve.  Each restart's
-iterates are those of its own sequential search up to the rounding of the
-batched kernel.  The winner is picked by (objective, restart index), so the
-result is deterministic for a given seed.
+The restarts run in lockstep, in blocks of at most `LOCKSTEP_BLOCK`: each
+round steps every running restart and evaluates their trial points in one
+call of the batched kernel, one stacked eigensolve; the solver's steps act on
+each restart alone.  The winner is picked by (objective, restart index), so
+the result is deterministic for a given seed.
 
 `evaluate` runs the same kernel on a batch of one, so one kernel scores every
 point and the reported objective is the winning restart's own value.
@@ -30,13 +26,12 @@ point and the reported objective is the winning restart's own value.
 from __future__ import annotations
 
 import logging
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 # minimize is unused here; test_bench_bindings and test_uninstall_restores_functions bind it
-from scipy.optimize import OptimizeResult, minimize  # noqa: F401
-from scipy.optimize._lbfgsb import setulb
-from scipy.optimize._lbfgsb_py import status_messages, task_messages
+from scipy.optimize import minimize  # noqa: F401
 
 from . import evolution
 from .csvio import write_csv
@@ -53,8 +48,8 @@ from .subcircuits import (
 from .subcircuits import distribution_fidelity  # noqa: F401
 
 MAX_ITERATIONS = 500
-# restarts stepped together; bounds the stacked working set (about 33 KB
-# per restart) however many restarts a run asks for
+# restarts stepped together; bounds the stacked working set however many
+# restarts a run asks for
 LOCKSTEP_BLOCK = 256
 
 logger = logging.getLogger("rwasim.compiler")
@@ -129,9 +124,10 @@ class CompileResult:
     crosstalks: tuple[float, float]
     leakages: tuple[float, float]
     restart_trace: np.ndarray  # per-restart best objective
-    restart_status: np.ndarray  # per-restart L-BFGS-B status, 0 = converged
+    restart_status: np.ndarray  # per-restart status: 0 converged, 1 limit, 2 other
     restart_nfev: np.ndarray  # per-restart objective evaluations
-    restart_nit: np.ndarray  # per-restart L-BFGS-B iterations
+    restart_nit: np.ndarray  # per-restart iterations
+    restart_reason: tuple[str, ...]  # per-restart stop reason, from STOP_REASONS
 
     def to_dict(self) -> dict:
         return {
@@ -144,6 +140,7 @@ class CompileResult:
             "restart_status": self.restart_status.tolist(),
             "restart_nfev": self.restart_nfev.tolist(),
             "restart_nit": self.restart_nit.tolist(),
+            "restart_reason": list(self.restart_reason),
         }
 
 
@@ -281,87 +278,122 @@ def objective_with_gradient(
     return f
 
 
-def minimize_lockstep(fun, x0: np.ndarray, lower: float, upper: float, *,
-                      maxiter: int, ftol: float, gtol: float,
-                      maxfun: int = 15000) -> list[OptimizeResult]:
-    """L-BFGS-B from each row of x0 within [lower, upper], all in lockstep.
+STOP_REASONS = ("projected gradient below gtol", "relative reduction of f below ftol",
+                "iteration limit reached", "evaluation limit reached",
+                "line search found no acceptable step")
+STOP_STATUS = np.array([0, 0, 1, 1, 2])  # 0 converged, 1 limit reached, 2 other
 
-    `fun(X) -> (values, grads)` evaluates a batch of points.  Every row runs
-    the loop of `scipy.optimize.minimize(method="L-BFGS-B", jac=True)` on
-    scipy's reverse-communication `setulb`: its start is evaluated once up
-    front (evaluation 1), a request for f and g at the last evaluated point
-    reuses that value, and the iteration and evaluation limits are checked
-    when an iteration starts.  Each round collects the rows that request f
-    and g at a new point and evaluates them in one call of `fun`.  Returns
-    one result per row with scipy's x, fun, jac, nit, nfev, status (0
-    converged, 1 limit reached, 2 other stop) and message.  scipy's
-    defaults hold for the rest: 10 stored corrections and at most 20
-    line-search steps per iteration.
+
+BoxResult = namedtuple("BoxResult", "x fun nit nfev stop")  # stop: STOP_REASONS index
+
+
+def minimize_box(fun, x0: np.ndarray, lower: float, upper: float, *, maxiter: int,
+                 ftol: float, gtol: float, maxfun: int = 15000) -> BoxResult:
+    """Bound-constrained L-BFGS from each row of x0, clipped into the box.
+
+    `fun(X) -> (values, grads)` evaluates a batch of points.  An iteration
+    holds the variables on a bound that the gradient, or then the step,
+    points out of and steps the others along -H g, H the L-BFGS inverse
+    Hessian of the last 10 curvature pairs, each restricted to the variables
+    free at its new point (Kim, Sra & Dhillon 2010).  The first trial, step
+    1, stops at the nearest bound; up to 20 quadratic backtracks seek Armijo
+    decrease, else the row retries from the projected gradient or stops.  A
+    row stops once its largest projected gradient entry is at most gtol, an
+    iteration lowers f by at most ftol * max(|f_old|, |f|, 1), or at maxiter
+    iterations or maxfun evaluations.  Each round evaluates all running rows
+    in one call of `fun`; a row depends on its batch mates only through fun.
     """
-    maxcor, maxls = 10, 20
-    x0 = np.clip(np.asarray(x0, dtype=float), lower, upper)
-    n = x0.shape[1]
-    factr = ftol / np.finfo(float).eps
-    low = np.full(n, float(lower))
-    up = np.full(n, float(upper))
-    nbd = np.full(n, 2, np.int32)  # both bounds finite
-    values, grads = fun(x0)
-    runs = []
-    for x, value, grad in zip(x0, values, grads):
-        runs.append(dict(
-            x=x.copy(), f=np.array(0.0), g=np.zeros(n), nit=0, nfev=1,
-            last=(x.copy(), value, grad),
-            wa=np.zeros(2 * maxcor * n + 5 * n + 11 * maxcor**2 + 8 * maxcor),
-            iwa=np.zeros(3 * n, np.int32), task=np.zeros(2, np.int32),
-            ln_task=np.zeros(2, np.int32), lsave=np.zeros(4, np.int32),
-            isave=np.zeros(44, np.int32), dsave=np.zeros(29)))
+    m, max_tries, c1, eps = 10, 20, 1e-4, np.finfo(float).eps
+    snap = 4.0 * eps * max(abs(lower), abs(upper), 1.0)
 
-    active = runs
-    while active:
-        pending = []
-        for run in active:
-            task = run["task"]
-            while True:
-                run["g"] = run["g"].astype(np.float64)
-                setulb(maxcor, run["x"], low, up, nbd, run["f"], run["g"], factr,
-                       gtol, run["wa"], run["iwa"], task, run["lsave"],
-                       run["isave"], run["dsave"], maxls, run["ln_task"])
-                if task[0] == 3:  # f and g wanted at x
-                    last_x, last_f, last_g = run["last"]
-                    if not (run["x"] == last_x).all():
-                        pending.append(run)
-                        break
-                    run["f"], run["g"] = last_f, last_g
-                elif task[0] == 1:  # new iteration
-                    run["nit"] += 1
-                    if run["nit"] >= maxiter:
-                        task[:] = 5, 504
-                    elif run["nfev"] > maxfun:
-                        task[:] = 5, 502
-                else:
-                    break
-        if pending:
-            values, grads = fun(np.stack([run["x"] for run in pending]))
-            for run, value, grad in zip(pending, values, grads):
-                run["f"], run["g"] = value, grad
-                run["last"] = (run["x"].copy(), value, grad)
-                run["nfev"] += 1
-        active = pending
+    def into_box(v):  # clipped, and on a bound if within rounding of it
+        return np.where(v <= lower + snap, lower, np.where(v >= upper - snap, upper, v))
 
-    results = []
-    for run in runs:
-        task = run["task"]
-        if task[0] == 4:
-            status = 0
-        elif run["nfev"] > maxfun or run["nit"] >= maxiter:
-            status = 1
-        else:
-            status = 2
-        results.append(OptimizeResult(
-            x=run["x"], fun=run["f"], jac=run["g"], nit=run["nit"],
-            nfev=run["nfev"], status=status, success=status == 0,
-            message=f"{status_messages[task[0]]}: {task_messages[task[1]]}"))
-    return results
+    x = into_box(np.array(x0, dtype=float))
+    f, g = (np.array(a, dtype=float) for a in fun(x))
+    n_rows, n = x.shape
+    out = BoxResult(x.copy(), f.copy(), *(np.zeros(n_rows, dtype=int) for _ in range(3)))
+    rows, evaluations = np.arange(n_rows), 1
+    # ring of each row's last m pairs, pair j in slot j % m, zero if unset:
+    # (s, y), s.y and (Y^T Y, R^-1), R_jk = s_j.y_k unless pair j is newer
+    pairs, sy, mats = (np.zeros((n_rows, m) + shape) for shape in ((2, n), (), (2 * m,)))
+    count, tries, nit = (np.zeros(n_rows, dtype=int) for _ in range(3))
+    gamma, step, d = np.ones((n_rows, 1)), np.ones(n_rows), np.zeros(x.shape)
+    # the projected gradient is zero at a binding variable, and at a free one
+    # only where its gradient is (to rounding)
+    pg = np.minimum(np.maximum(x - g, lower), upper) - x
+    free, fresh = pg != 0.0, np.ones(n_rows, dtype=bool)  # fresh: start an iteration
+    done, code = np.maximum.reduce(np.abs(pg), axis=1) <= gtol, np.zeros(n_rows, dtype=int)
+    while True:
+        if np.count_nonzero(done):
+            for a, v in zip(out, (x[done], f[done], nit[done], evaluations, code[done])):
+                a[rows[done]] = v
+            (rows, x, f, g, free, d, step, tries, nit, fresh, pairs, sy, mats, count,
+             gamma) = (a[~done] for a in (rows, x, f, g, free, d, step, tries, nit,
+                                          fresh, pairs, sy, mats, count, gamma))
+            if not rows.size:
+                return out
+        if np.count_nonzero(fresh):
+            # H q for the free part q of g from the compact form H = gamma I +
+            # [S gamma Y] M [S gamma Y]^T (Byrd, Nocedal & Schnabel 1994)
+            q, r_inv, g3 = g * free, mats[:, :, m:], gamma[:, :, None]
+            sq_yq = pairs.reshape(len(rows), 2 * m, n) @ q[:, :, None]
+            ra = r_inv @ sq_yq[:, 0::2]
+            w = sy[:, :, None] * ra + g3 * (mats[:, :, :m] @ ra - sq_yq[:, 1::2])
+            u = r_inv.transpose(0, 2, 1) @ w
+            hq = gamma * q + (u.transpose(0, 2, 1) @ pairs[:, :, 0]
+                              - (g3 * ra).transpose(0, 2, 1) @ pairs[:, :, 1])[:, 0]
+            # hold binding variables and those on a bound -hq points out of
+            full = np.minimum(np.maximum(x - hq, lower), upper) - x
+            new_d = np.where(free & (full != 0.0), -hq, 0.0)
+            np.copyto(d, new_d, where=fresh[:, None])
+            np.copyto(step, np.minimum.reduce(np.divide(
+                full, new_d, out=np.ones(x.shape), where=new_d != 0.0), axis=1),
+                where=fresh)
+        trial = into_box(x + step[:, None] * d)
+        f_t, g_t = fun(trial)
+        evaluations += 1
+        s = trial - x
+        slope, drop = np.vecdot(g, s), f - f_t
+        ok = (slope < 0.0) & (drop + c1 * slope >= 0.0)
+        if np.count_nonzero(ok) < len(rows):  # quadratic backtrack
+            curv = -drop - slope
+            cut = -0.5 * slope / np.where(curv > 0.0, curv, np.inf)
+            step = np.where(ok, step, step * np.minimum(np.maximum(cut, 0.1), 0.5))
+        pg = np.minimum(np.maximum(trial - g_t, lower), upper) - trial
+        free_t = pg != 0.0
+        s, y = s * free_t, (g_t - g) * free_t
+        s_y, y_y = np.vecdot(s, y), np.vecdot(y, y)
+        new = np.flatnonzero(ok & (s_y > eps * y_y))
+        if new.size:
+            # the pair takes the oldest's slot k: R^-1 gets row k = e_k / s.y
+            # and column k = (-R'^-1 r, 1) / s.y with r_j = s_j.y
+            k, sy_new = count[new] % m, s_y[new]
+            pairs.reshape(-1, 2 * n)[new * m + k] = np.concatenate((s, y), axis=1)[new]
+            sy[new, k] = sy_new
+            r_yy = (pairs.reshape(len(rows), 2 * m, n) @ y[:, :, None])[:, :, 0]
+            r_yy[new, 2 * k] = 0.0
+            col = (mats[:, :, m:] @ r_yy[:, 0::2, None])[new, :, 0] / -sy_new[:, None]
+            col[np.arange(new.size), k] = 1.0 / sy_new
+            yy, rows_k = r_yy[new, 1::2], (new[:, None], np.arange(m))
+            mats[new, k, :m], mats[new, k, m:] = yy, 0.0
+            mats[rows_k + (k[:, None],)], mats[rows_k + (m + k[:, None],)] = yy, col
+            gamma[new, 0], count[new] = sy_new / y_y[new], count[new] + 1
+        conv = ok & (np.maximum.reduce(np.abs(pg), axis=1) <= gtol)
+        reduced = ok & (drop <= ftol * np.maximum(np.maximum(f, -f_t), 1.0))
+        for old, accepted in ((x, trial), (g, g_t), (free, free_t)):
+            np.copyto(old, accepted, where=ok[:, None])
+        f, nit, tries = np.where(ok, f_t, f), nit + ok, np.where(ok, 0, tries + 1)
+        fresh, give_up = ok, tries >= max_tries
+        if np.count_nonzero(give_up):  # retry from the projected gradient, or stop
+            retry = give_up & (count > 0)
+            for a in (pairs, sy, mats, count, tries):
+                a[retry] = 0
+            gamma[retry], fresh, give_up = 1.0, ok | retry, give_up & ~retry
+        limit = nit >= maxiter
+        done = conv | reduced | limit | give_up | (evaluations >= maxfun)
+        if np.count_nonzero(done):
+            code = np.argmax((conv, reduced, limit, ~give_up, done), axis=0)
 
 
 def _embed(spec: DeviceSpec, config: ElectrodeConfig, x: np.ndarray) -> VoltageConfig:
@@ -386,28 +418,17 @@ def optimize_parallel_gates(
 
     rng = np.random.default_rng(seed)
     starts = rng.uniform(-limit, limit, size=(restarts, n_active))
-    results = []
-    for lo in range(0, restarts, LOCKSTEP_BLOCK):
-        results += minimize_lockstep(lambda x: kernel(x)[:2],
-                                     starts[lo:lo + LOCKSTEP_BLOCK],
-                                     -limit, limit, maxiter=MAX_ITERATIONS,
-                                     ftol=1e-14, gtol=1e-10)
+    runs = [minimize_box(lambda x: kernel(x)[:2], starts[lo:lo + LOCKSTEP_BLOCK],
+                         -limit, limit, maxiter=MAX_ITERATIONS, ftol=1e-13, gtol=1e-10)
+            for lo in range(0, restarts, LOCKSTEP_BLOCK)]
+    xs, fun, nit, nfev, stop = (np.concatenate(field) for field in zip(*runs))
+    status, reasons = STOP_STATUS[stop], tuple(STOP_REASONS[k] for k in stop)
+    for r in np.flatnonzero(status):
+        logger.warning("%s restart %d: status %d after %d iterations and %d"
+                       " evaluations (%s)", config.name, r, status[r], nit[r],
+                       nfev[r], reasons[r])
 
-    best_x = None
-    best_obj = np.inf
-    for r, res in enumerate(results):
-        if res.status != 0:
-            # scipy names no reason for an abnormal stop: a failed line search
-            reason = ("ABNORMAL: line search found no acceptable step"
-                      if res.message == "ABNORMAL: " else res.message)
-            logger.warning("%s restart %d: L-BFGS-B status %d after %d iterations"
-                           " and %d evaluations (%s)", config.name, r, res.status,
-                           res.nit, res.nfev, reason)
-        if res.fun < best_obj:  # strict: ties keep the earlier restart
-            best_obj = float(res.fun)
-            best_x = res.x
-
-    best_v = _embed(spec, config, best_x)
+    best_v = _embed(spec, config, xs[np.argmin(fun)])  # ties keep the earlier restart
     obj, (m1, m2) = evaluate(spec, best_v, config, targets)
     return CompileResult(
         best_voltages=best_v,
@@ -415,10 +436,11 @@ def optimize_parallel_gates(
         fidelities=(m1.fidelity, m2.fidelity),
         crosstalks=(m1.crosstalk, m2.crosstalk),
         leakages=(m1.leakage, m2.leakage),
-        restart_trace=np.array([float(res.fun) for res in results]),
-        restart_status=np.array([res.status for res in results]),
-        restart_nfev=np.array([res.nfev for res in results]),
-        restart_nit=np.array([res.nit for res in results]),
+        restart_trace=fun,
+        restart_status=status,
+        restart_nfev=nfev,
+        restart_nit=nit,
+        restart_reason=reasons,
     )
 
 

@@ -43,9 +43,10 @@ class VoltageBoundError(ValueError):
 
 
 def frozen_array(value, name: str, shape: tuple | None = None,
-                 error: type[Exception] = DeviceSpecError) -> np.ndarray:
-    """`value` as a read-only float array, checked finite and, if `shape` is
-    given, of that shape; `error` is raised otherwise.
+                 error: type[Exception] = DeviceSpecError,
+                 dtype: type = float) -> np.ndarray:
+    """`value` as a read-only `dtype` (float or complex) array, checked finite
+    and, if `shape` is given, of that shape; `error` is raised otherwise.
 
     A read-only input is returned as it is.  A writable array is copied
     before the copy is frozen, so the caller's array stays writable and no
@@ -53,7 +54,7 @@ def frozen_array(value, name: str, shape: tuple | None = None,
     frozen without a copy.
     """
     try:
-        arr = np.asarray(value, dtype=float)
+        arr = np.asarray(value, dtype=dtype)
     except (TypeError, ValueError) as exc:
         raise error(f"{name}: not numeric ({exc})") from exc
     if shape is not None and arr.shape != shape:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import write_csv
-from .device import TridiagonalHamiltonian
+from .device import TridiagonalHamiltonian, frozen_array
 
 
 class NumericalFailureError(RuntimeError):
@@ -32,6 +32,9 @@ class NumericalFailureError(RuntimeError):
 class TransferUnitary:
     matrix: np.ndarray  # complex (N, N)
     length: float  # mm
+
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", frozen_array(self.matrix, "matrix", dtype=complex))
 
     @property
     def n_guides(self) -> int:
@@ -44,6 +47,10 @@ class IntensityProfile:
 
     z_points: np.ndarray  # mm, (n_steps,)
     intensities: np.ndarray  # (n_steps, N), rows sum to 1
+
+    def __post_init__(self):
+        for name in ("z_points", "intensities"):
+            object.__setattr__(self, name, frozen_array(getattr(self, name), name))
 
 
 def eigh_tridiagonal(diag: np.ndarray, offdiag: np.ndarray):

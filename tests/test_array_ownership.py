@@ -14,9 +14,12 @@ from rwasim.device import (
     DeviceSpecError,
     TridiagonalHamiltonian,
     VoltageConfig,
+    build_hamiltonian,
     default_device,
     frozen_array,
 )
+from rwasim.evolution import (IntensityProfile, TransferUnitary, propagation_profile,
+                              unitary)
 from rwasim.photon_stats import HomScan, simulate_hom_scan
 from rwasim.subcircuits import SubcircuitPair, TruthTable
 
@@ -40,6 +43,10 @@ CASES = {
     "HomScan": (HomScan, lambda: dict(delays=np.linspace(-1, 1, 9),
                                       counts=np.full(9, 10.0))),
     "TruthTable": (TruthTable, lambda: dict(table=np.eye(4))),
+    "TransferUnitary": (lambda **a: TransferUnitary(length=1.0, **a),
+                        lambda: dict(matrix=np.eye(3, dtype=complex))),
+    "IntensityProfile": (IntensityProfile, lambda: dict(
+        z_points=np.linspace(0.0, 1.0, 5), intensities=np.full((5, 2), 0.5))),
     "simulate_hom_scan": (lambda delays: simulate_hom_scan(0.5, delays, 1e3),
                           lambda: dict(delays=np.linspace(-1, 1, 9))),
     "build_lookup_map grids": (
@@ -70,6 +77,15 @@ def test_read_only_input_is_shared():
     assert VoltageConfig(volts.volts).volts is volts.volts
 
 
+def test_computed_unitary_and_profile_are_read_only():
+    h = build_hamiltonian(default_device(), VoltageConfig.zeros())
+    u = unitary(h, 1.0)
+    profile = propagation_profile(h, 1.0, n_steps=4)
+    for arr in (u.matrix, profile.z_points, profile.intensities):
+        assert not arr.flags.writeable
+    assert np.iscomplexobj(u.matrix)
+
+
 def test_built_map_holds_its_own_tables():
     lut = build_lookup_map(default_device(), SubcircuitPair(1), 1, 4, GRID, GRID)
     for table in (lut.eta, lut.leakage_in1, lut.leakage_in2):
@@ -80,6 +96,10 @@ class TestFrozenArray:
     def test_list_is_converted_and_frozen(self):
         arr = frozen_array([1, 2, 3], "x")
         assert arr.dtype == float and not arr.flags.writeable
+
+    def test_complex_keeps_its_imaginary_part(self):
+        arr = frozen_array([1j, 2.0], "x", dtype=complex)
+        assert arr.dtype == complex and arr[0] == 1j and not arr.flags.writeable
 
     def test_writable_view_is_copied(self):
         base = np.arange(6.0)

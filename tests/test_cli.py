@@ -422,6 +422,10 @@ class TestReplay:
         # moves fitted values in their last digits
         pytest.param("0.10.0", ["hom", "--eta", "0.7", "--scan=-0.6,0.6,0.01",
                                 "--seed", "12", "--fit"], id="0.10.0-fit"),
+        # 0.12.0 compiles with the batched bound-constrained L-BFGS in numpy,
+        # which moves compiled voltages and adds restart_reason to result.json
+        pytest.param("0.11.0", ["compile", "--config", "2", "--gates", "XX",
+                                "--restarts", "3", "--seed", "4"], id="0.11.0-compile"),
     ])
     def test_replay_refuses_old_version(self, device_file, tmp_path, capsys,
                                         version, argv):
