@@ -1,6 +1,6 @@
 """Simulator and control compiler for reconfigurable photonic waveguide arrays."""
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 from .device import (
     DeviceSpec,
@@ -33,13 +33,11 @@ from .photon_stats import (
 from .subcircuits import (
     SubcircuitPair,
     TruthTable,
-    TwoModeUnitary,
     average_fidelity,
     distribution_fidelity,
     effective_reflectivity,
     gate_truth_table,
     leakage,
-    two_mode_unitary,
 )
 from .calibration import (
     LookupMap,

@@ -165,32 +165,6 @@ class SolveResult:
     eta: float
     mean_leakage: float
 
-    @property
-    def voltages(self) -> tuple[float, float]:
-        return (self.v_a, self.v_b)
-
-
-def _best_cell(lut: LookupMap, target_eta: float,
-               max_leakage: float) -> tuple[int, int] | None:
-    """(ia, ib) of the best cell whose mean leakage is at most max_leakage.
-
-    Each grid_a row is ranked with one lexsort on the solve keys, and the
-    row winners are compared in row order, so a tie keeps the earlier cell.
-    """
-    best, best_key = None, None
-    for ia in range(lut.grid_a.size):
-        dist = np.abs(lut.eta[ia] - target_eta)
-        leak = _mean_leakage(lut.leakage_in1[ia], lut.leakage_in2[ia])
-        norm = np.hypot(lut.grid_a[ia], lut.grid_b)
-        order = np.lexsort((norm, leak, dist))
-        order = order[leak[order] <= max_leakage]
-        if order.size:
-            ib = int(order[0])
-            key = (dist[ib], leak[ib], norm[ib])
-            if best_key is None or key < best_key:
-                best, best_key = (ia, ib), key
-    return best
-
 
 def solve_voltage(
     lut: LookupMap, target_eta: float, max_leakage: float = 100.0
@@ -198,19 +172,29 @@ def solve_voltage(
     """Pick the feasible cell closest to the target reflectivity.
 
     Ties break by lower mean leakage, then smaller voltage norm, then
-    lexicographic grid order.  The map is ranked one grid_a row at a time,
-    which keeps the working set at one row however large the map is.
+    lexicographic grid order.  Infeasible cells (mean leakage above the cap)
+    rank after every feasible one, so with none feasible the same ranking
+    picks the best infeasible cell.  Each grid_a row is ranked with one
+    lexsort and the row winners are compared in row order, which keeps the
+    working set at one row however large the map is.
     """
-    cell = _best_cell(lut, target_eta, max_leakage)
-    found = cell is not None
-    ia, ib = cell if found else _best_cell(lut, target_eta, np.inf)
+    best, best_key = None, None
+    for ia in range(lut.grid_a.size):
+        dist = np.abs(lut.eta[ia] - target_eta)
+        leak = _mean_leakage(lut.leakage_in1[ia], lut.leakage_in2[ia])
+        norm = np.hypot(lut.grid_a[ia], lut.grid_b)
+        infeasible = ~(leak <= max_leakage)  # a NaN cap admits nothing
+        ib = int(np.lexsort((norm, leak, dist, infeasible))[0])
+        key = (infeasible[ib], dist[ib], leak[ib], norm[ib])
+        if best_key is None or key < best_key:
+            best, best_key = (ia, ib), key
+    ia, ib = best
     return SolveResult(
-        found=found,
+        found=not best_key[0],
         v_a=float(lut.grid_a[ia]),
         v_b=float(lut.grid_b[ib]),
         eta=float(lut.eta[ia, ib]),
-        mean_leakage=float(_mean_leakage(lut.leakage_in1[ia, ib],
-                                         lut.leakage_in2[ia, ib])),
+        mean_leakage=float(best_key[2]),
     )
 
 

@@ -24,7 +24,6 @@ from . import device as device_mod
 from . import photon_stats
 from .device import DeviceSpec, VoltageConfig
 from .csvio import write_csv, write_json
-from .evolution import NumericalFailureError
 from .manifest import Run, file_sha256, read_manifest
 from .photon_stats import FitFailureError
 from .subcircuits import SubcircuitPair, effective_reflectivity
@@ -373,12 +372,13 @@ def main(argv: list[str] | None = None, *, replay: bool = False) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # before ValueError, which LinAlgError subclasses
+    except (FitFailureError, np.linalg.LinAlgError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ValueError, IndexError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (FitFailureError, NumericalFailureError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

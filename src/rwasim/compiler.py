@@ -1,8 +1,10 @@
 """Multi-start box-constrained compilation of parallel-gate voltages.
 
-The objective penalizes the squared infidelity of each subcircuit's
-post-selected action against its target plus the squared crosstalk and
-leakage fractions:
+A gate target is a power split, one row per input of the subcircuit
+(`gate_target`, from `subcircuits.coupler_split`): the compiler sees only the
+post-selected output powers, so a target carries no phase.  The objective
+penalizes the squared infidelity of each subcircuit's post-selected split
+against its target plus the squared crosstalk and leakage fractions:
 
     (1-F1)^2 + (1-F2)^2 + ct1^2 + ct2^2 + leak1^2 + leak2^2
 
@@ -20,8 +22,9 @@ call of the batched kernel, one stacked eigensolve; the solver's steps act on
 each restart alone.  The winner is picked by (objective, restart index), so
 the result is deterministic for a given seed.
 
-`evaluate` runs the same kernel on a batch of one, so one kernel scores every
-point and the reported objective is the winning restart's own value.
+The winner is scored by the kernel its restarts ran, at a batch of one, so
+the reported objective is the winning restart's own value and the reported
+metrics are the ones behind it; `objective` is the same kernel at one point.
 """
 from __future__ import annotations
 
@@ -39,10 +42,9 @@ from .device import (N_GUIDES_DEFAULT, DeviceSpec, DeviceSpecError,
                      VoltageBoundError, VoltageConfig)
 from .subcircuits import (
     SubcircuitPair,
-    TwoModeUnitary,
     _bhattacharyya,
     check_rows_normalized,
-    two_mode_unitary,
+    coupler_split,
 )
 # distribution_fidelity is uncalled here; the benchmark tracer binds it by name
 from .subcircuits import distribution_fidelity  # noqa: F401
@@ -103,17 +105,11 @@ def preset_config(name: str) -> ElectrodeConfig:
     return presets[name]
 
 
-def gate_target(name: str) -> TwoModeUnitary:
+def gate_target(name: str) -> np.ndarray:
+    """The gate's ideal output power split, one row per input."""
     if name not in GATE_ETAS:
         raise KeyError(f"unknown gate {name!r}; choose from {sorted(GATE_ETAS)}")
-    return two_mode_unitary(GATE_ETAS[name], 0.0)
-
-
-@dataclass(frozen=True)
-class SubcircuitMetrics:
-    fidelity: float
-    crosstalk: float  # fraction, averaged over the pair's two inputs
-    leakage: float  # fraction, averaged over the pair's two inputs
+    return coupler_split(GATE_ETAS[name])
 
 
 @dataclass(frozen=True)
@@ -184,35 +180,25 @@ def _objective_value(fid, ct, leak):
             + ct[0] ** 2 + ct[1] ** 2 + leak[0] ** 2 + leak[1] ** 2)
 
 
-def evaluate(
-    spec: DeviceSpec,
-    v: VoltageConfig,
-    config: ElectrodeConfig,
-    targets: tuple[TwoModeUnitary, TwoModeUnitary],
-) -> tuple[float, tuple[SubcircuitMetrics, SubcircuitMetrics]]:
-    """Objective value plus the per-subcircuit metrics behind it, from the
-    kernel at the active electrodes' voltages (the others are ignored)."""
-    if v.volts.shape != (spec.n_electrodes,):
-        raise DeviceSpecError(f"{v.volts.size} voltages, expected {spec.n_electrodes}")
-    x = v.volts[[e - 1 for e in config.active_electrodes]]
-    [value], _, means = objective_with_gradient(spec, config, targets)(x[None])
-    m1, m2 = (SubcircuitMetrics(*means[:, pair, 0].tolist()) for pair in (0, 1))
-    return float(value), (m1, m2)
-
-
 def objective(
     spec: DeviceSpec,
     v: VoltageConfig,
     config: ElectrodeConfig,
-    targets: tuple[TwoModeUnitary, TwoModeUnitary],
+    targets: tuple[np.ndarray, np.ndarray],
 ) -> float:
-    return evaluate(spec, v, config, targets)[0]
+    """The kernel's objective at the active electrodes' voltages (the others
+    are ignored)."""
+    if v.volts.shape != (spec.n_electrodes,):
+        raise DeviceSpecError(f"{v.volts.size} voltages, expected {spec.n_electrodes}")
+    x = v.volts[[e - 1 for e in config.active_electrodes]]
+    [value], _, _ = objective_with_gradient(spec, config, targets)(x[None])
+    return float(value)
 
 
 def objective_with_gradient(
     spec: DeviceSpec,
     config: ElectrodeConfig,
-    targets: tuple[TwoModeUnitary, TwoModeUnitary],
+    targets: tuple[np.ndarray, np.ndarray],
 ):
     """f(X) -> (objectives, d objective / dX, metrics) for B points at once.
 
@@ -220,7 +206,8 @@ def objective_with_gradient(
     `config.active_electrodes` order; values[b] is the objective there and
     grads[b] (n_active,) its gradient.  metrics[:, s, b] holds subcircuit s's
     fidelity, crosstalk and leakage at that point, each averaged over the
-    pair's two inputs.  All B points share one stacked eigensolve.
+    pair's two inputs.  targets[s] is subcircuit s's target split, one row
+    per input.  All B points share one stacked eigensolve.
     """
     config.validate(spec)
     n = spec.n_guides
@@ -235,7 +222,7 @@ def objective_with_gradient(
     inputs = np.arange(4)[:, None]
     rows = np.array([pair_a, pair_a, pair_b, pair_b])
     other_rows = rows[[2, 3, 0, 1]]
-    target_p = np.vstack([(np.abs(t.matrix) ** 2).T for t in targets])
+    target_p = np.vstack(targets)
     check_rows_normalized("target", target_p)
 
     def f(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -396,16 +383,10 @@ def minimize_box(fun, x0: np.ndarray, lower: float, upper: float, *, maxiter: in
             code = np.argmax((conv, reduced, limit, ~give_up, done), axis=0)
 
 
-def _embed(spec: DeviceSpec, config: ElectrodeConfig, x: np.ndarray) -> VoltageConfig:
-    volts = np.zeros(spec.n_electrodes)
-    volts[[e - 1 for e in config.active_electrodes]] = x
-    return VoltageConfig(volts)
-
-
 def optimize_parallel_gates(
     spec: DeviceSpec,
     config: ElectrodeConfig,
-    targets: tuple[TwoModeUnitary, TwoModeUnitary],
+    targets: tuple[np.ndarray, np.ndarray],
     restarts: int = 100,
     seed: int = 0,
 ) -> CompileResult:
@@ -428,14 +409,17 @@ def optimize_parallel_gates(
                        " evaluations (%s)", config.name, r, status[r], nit[r],
                        nfev[r], reasons[r])
 
-    best_v = _embed(spec, config, xs[np.argmin(fun)])  # ties keep the earlier restart
-    obj, (m1, m2) = evaluate(spec, best_v, config, targets)
+    best = xs[np.argmin(fun)]  # ties keep the earlier restart
+    [obj], _, means = kernel(best[None])
+    fid, ct, leak = (tuple(m) for m in means[..., 0].tolist())
+    volts = np.zeros(spec.n_electrodes)
+    volts[[e - 1 for e in config.active_electrodes]] = best
     return CompileResult(
-        best_voltages=best_v,
-        objective=obj,
-        fidelities=(m1.fidelity, m2.fidelity),
-        crosstalks=(m1.crosstalk, m2.crosstalk),
-        leakages=(m1.leakage, m2.leakage),
+        best_voltages=VoltageConfig(volts),
+        objective=float(obj),
+        fidelities=fid,
+        crosstalks=ct,
+        leakages=leak,
         restart_trace=fun,
         restart_status=status,
         restart_nfev=nfev,
@@ -447,7 +431,7 @@ def optimize_parallel_gates(
 def sweep_chip_length(
     spec: DeviceSpec,
     config: ElectrodeConfig,
-    targets: tuple[TwoModeUnitary, TwoModeUnitary],
+    targets: tuple[np.ndarray, np.ndarray],
     lengths,
     restarts: int = 100,
     seed: int = 0,

@@ -24,10 +24,6 @@ from .csvio import write_csv
 from .device import TridiagonalHamiltonian, frozen_array
 
 
-class NumericalFailureError(RuntimeError):
-    """Eigensolver did not converge (should not occur for symmetric tridiagonal)."""
-
-
 @dataclass(frozen=True)
 class TransferUnitary:
     matrix: np.ndarray  # complex (N, N)
@@ -62,10 +58,7 @@ def eigh_tridiagonal(diag: np.ndarray, offdiag: np.ndarray):
     h[:, ::n + 1] = diag
     h[:, 1::n + 1] = offdiag
     h[:, n::n + 1] = offdiag
-    try:
-        return np.linalg.eigh(h.reshape(b, n, n))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise NumericalFailureError(f"eigensolver failed: {exc}") from exc
+    return np.linalg.eigh(h.reshape(b, n, n))
 
 
 def unitary(h: TridiagonalHamiltonian, length: float) -> TransferUnitary:

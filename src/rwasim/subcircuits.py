@@ -1,9 +1,12 @@
-"""Subcircuits, their leakage and reflectivity, and two-mode gates.
+"""Subcircuits, their leakage and reflectivity, and gate power splits.
 
 A subcircuit is a pair of adjacent guides operated as a tunable directional
 coupler once the couplings at its boundary are driven to zero.  Its
-reflectivity and leakage have one rule, `reflectivity_and_leakage`.  Gate
-truth tables follow the classical balanced-input scheme: half the power enters
+reflectivity and leakage have one rule, `reflectivity_and_leakage`.  A gate
+is judged by its post-selected output power split alone, and
+`coupler_split` is the one rule for an eta-coupler's ideal split: the
+compiler's gate targets and the truth tables both take it.  Gate truth
+tables follow the classical balanced-input scheme: half the power enters
 each subcircuit's selected guide, each subcircuit's post-selected output
 distribution is taken over its own two guides, and the joint 4x4 table is
 the product of the two single-qubit distributions.  The compiler's
@@ -13,7 +16,6 @@ point; `distribution_fidelity` is the checked fidelity for truth tables.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,23 +45,6 @@ class SubcircuitPair:
                 f"pair ({self.lower}, {self.lower + 1}) exceeds {n_guides} guides"
             )
         return (self.lower - 1, self.lower)
-
-
-@dataclass(frozen=True)
-class TwoModeUnitary:
-    """R_z(phi) * U_DC(eta): tunable coupler followed by a phase shifter."""
-
-    matrix: np.ndarray
-
-
-def two_mode_unitary(eta: float, phi: float = 0.0) -> TwoModeUnitary:
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must be in [0, 1], got {eta}")
-    t = math.sqrt(eta)
-    r = math.sqrt(1.0 - eta)
-    ph = np.exp(1j * phi)
-    mat = np.array([[t, 1j * r], [1j * ph * r, ph * t]])
-    return TwoModeUnitary(matrix=mat)
 
 
 def check_rows_normalized(name: str, rows: np.ndarray) -> None:
@@ -131,8 +116,9 @@ class TruthTable:
         object.__setattr__(self, "table", t)
 
 
-def _coupler_table(eta: float) -> np.ndarray:
-    """Output power split of an eta-coupler, one row per input port."""
+def coupler_split(eta: float) -> np.ndarray:
+    """Ideal output power split of an eta-coupler, one row per input port:
+    input k keeps eta in its own guide and sends 1 - eta across."""
     return np.array([[eta, 1.0 - eta], [1.0 - eta, eta]])
 
 
@@ -141,7 +127,7 @@ def gate_truth_table(eta_a: float, eta_b: float) -> TruthTable:
     for name, eta in (("eta_a", eta_a), ("eta_b", eta_b)):
         if not 0.0 <= eta <= 1.0:
             raise ValueError(f"{name} must be in [0, 1], got {eta}")
-    return TruthTable(table=np.kron(_coupler_table(eta_a), _coupler_table(eta_b)))
+    return TruthTable(table=np.kron(coupler_split(eta_a), coupler_split(eta_b)))
 
 
 def distribution_fidelity(target_row, measured_row):

@@ -3,7 +3,8 @@
 `full_u_evaluate` scores a voltage vector the way the compiler reported its
 results before the batched kernel scored every point: it masks the inactive
 electrodes, builds the full U through `build_hamiltonian` and `unitary`, and
-checks every fidelity row through `distribution_fidelity`.
+checks every fidelity row through `distribution_fidelity`.  Targets are the
+compiler's gate splits, one row per input.
 
 `scalar_objective_with_gradient` is the one-point f+g closure the compiler
 ran before its restarts were batched, with the same Daleckii-Krein adjoint
@@ -23,7 +24,6 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import least_squares, minimize
 
 from rwasim import compiler
-from rwasim.compiler import SubcircuitMetrics
 from rwasim.device import VoltageBoundError, VoltageConfig, build_hamiltonian
 from rwasim.evolution import unitary
 from rwasim.photon_stats import dip_jacobian, dip_model
@@ -41,16 +41,14 @@ def _subcircuit_metrics(u_matrix, pair, other, target):
     kept = own > 0.0
     split = np.where(kept[..., None],
                      own_p / np.where(kept, own, 1.0)[..., None], 0.5)
-    fid = np.where(kept, distribution_fidelity((np.abs(target.matrix) ** 2).T,
-                                               split), 0.0)
+    fid = np.where(kept, distribution_fidelity(target, split), 0.0)
     ct = powers[[other_rows, other_rows], k].sum(axis=-1)
-    return SubcircuitMetrics(fidelity=float(fid.mean()),
-                             crosstalk=float(ct.mean()),
-                             leakage=float((1.0 - own).mean()))
+    return float(fid.mean()), float(ct.mean()), float((1.0 - own).mean())
 
 
 def full_u_evaluate(spec, v, config, targets):
-    """(objective, (metrics a, metrics b)) from the full transfer matrix."""
+    """(objective, (metrics a, metrics b)) from the full transfer matrix, each
+    pair's metrics its (fidelity, crosstalk, leakage) means."""
     volts = v.volts.copy()
     inactive = np.ones(spec.n_electrodes, dtype=bool)
     inactive[[e - 1 for e in config.active_electrodes]] = False
@@ -59,9 +57,7 @@ def full_u_evaluate(spec, v, config, targets):
                 spec.coupling_length)
     m1 = _subcircuit_metrics(u.matrix, config.pairs[0], config.pairs[1], targets[0])
     m2 = _subcircuit_metrics(u.matrix, config.pairs[1], config.pairs[0], targets[1])
-    value = compiler._objective_value((m1.fidelity, m2.fidelity),
-                                      (m1.crosstalk, m2.crosstalk),
-                                      (m1.leakage, m2.leakage))
+    value = compiler._objective_value(*zip(m1, m2))
     return float(value), (m1, m2)
 
 
@@ -79,7 +75,7 @@ def scalar_objective_with_gradient(spec, config, targets):
     inputs = np.arange(4)[:, None]
     rows = np.array([pair_a, pair_a, pair_b, pair_b])
     other_rows = rows[[2, 3, 0, 1]]
-    target_p = np.vstack([(np.abs(t.matrix) ** 2).T for t in targets])
+    target_p = np.vstack(targets)
 
     def f(x):
         if not np.abs(x).max() <= limit:

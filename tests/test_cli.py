@@ -63,6 +63,18 @@ class TestSimulate:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    def test_eigensolver_failure_is_numerical_exit(self, tmp_path, monkeypatch,
+                                                   capsys):
+        # LinAlgError is a ValueError, which alone would give exit code 3
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        out = tmp_path / "run"
+        assert run("simulate", "--out", str(out)) == 4
+        assert "did not converge" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_manifest_written(self, tmp_path):
         out = tmp_path / "run"
         run("simulate", "--out", str(out))
@@ -426,6 +438,10 @@ class TestReplay:
         # which moves compiled voltages and adds restart_reason to result.json
         pytest.param("0.11.0", ["compile", "--config", "2", "--gates", "XX",
                                 "--restarts", "3", "--seed", "4"], id="0.11.0-compile"),
+        # 0.13.0 takes gate targets as power splits, so the H split is exactly
+        # 0.5, which moves H-target compiles in their last digits
+        pytest.param("0.12.0", ["compile", "--config", "2", "--gates", "XH",
+                                "--restarts", "3", "--seed", "4"], id="0.12.0-compile"),
     ])
     def test_replay_refuses_old_version(self, device_file, tmp_path, capsys,
                                         version, argv):

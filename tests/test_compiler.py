@@ -1,7 +1,6 @@
 import json
 import logging
 import math
-from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
@@ -12,8 +11,8 @@ from hypothesis import strategies as st
 from rwasim import compiler
 from rwasim.compiler import (
     ElectrodeConfig,
+    GATE_ETAS,
     best_so_far,
-    evaluate,
     gate_target,
     minimize_box,
     objective,
@@ -26,7 +25,7 @@ from rwasim.compiler import (
 )
 from rwasim.csvio import write_json
 from rwasim.device import DeviceSpec, DeviceSpecError, VoltageBoundError, VoltageConfig
-from rwasim.subcircuits import SubcircuitPair, TwoModeUnitary
+from rwasim.subcircuits import SubcircuitPair, coupler_split
 
 from conftest import make_xx_device, spec_equal, with_electrode
 from scalar_reference import (
@@ -36,6 +35,28 @@ from scalar_reference import (
 )
 
 XX = (gate_target("X"), gate_target("X"))
+
+
+def kernel_metrics(spec, config, targets, v):
+    """(objective, per-pair (fidelity, crosstalk, leakage)) from the kernel
+    at the active electrodes' voltages of v."""
+    x = v.volts[np.array(config.active_electrodes) - 1]
+    [value], _, means = objective_with_gradient(spec, config, targets)(x[None])
+    return value, tuple(map(tuple, means[..., 0].T.tolist()))
+
+
+class TestGateTarget:
+    def test_target_is_the_coupler_split(self):
+        for gate, eta in GATE_ETAS.items():
+            target, split = gate_target(gate), coupler_split(eta)
+            assert target.shape == split.shape == (2, 2)
+            assert target.tobytes() == split.tobytes()
+        # the H split is exactly one half, not sqrt(0.5) squared
+        np.testing.assert_array_equal(gate_target("H"), np.full((2, 2), 0.5))
+
+    def test_unknown_gate(self):
+        with pytest.raises(KeyError, match="unknown gate"):
+            gate_target("Y")
 
 
 class TestPresets:
@@ -96,12 +117,11 @@ class TestObjective:
                     + ct_b**2 + leak_b**2)
 
         targets = (gate_target("H"), gate_target("I"))
-        obj, (m_a, m_b) = evaluate(spec, VoltageConfig.zeros(22),
-                                   preset_config("config1"), targets)
-        assert m_a.fidelity == pytest.approx(fid_a, abs=1e-12)
-        assert m_b.fidelity == pytest.approx(1.0, abs=1e-12)
-        assert (m_a.crosstalk, m_b.crosstalk) == pytest.approx((ct_a, ct_b), abs=1e-12)
-        assert (m_a.leakage, m_b.leakage) == pytest.approx((leak_a, leak_b), abs=1e-12)
+        obj, (m_a, m_b) = kernel_metrics(spec, preset_config("config1"), targets,
+                                         VoltageConfig.zeros(22))
+        # each pair's (fidelity, crosstalk, leakage)
+        assert m_a == pytest.approx((fid_a, ct_a, leak_a), abs=1e-12)
+        assert m_b == pytest.approx((1.0, ct_b, leak_b), abs=1e-12)
         assert obj == pytest.approx(expected, abs=1e-12)
         assert expected > 0.01  # far from the trivial zero objective
 
@@ -110,7 +130,7 @@ class TestObjective:
         # convention, leak = 1, ct = 0 -> objective 1+1+0+0+1+1 = 4
         perm = np.roll(np.eye(11, dtype=complex), 4, axis=0)
         rows = np.array([[0, 1], [0, 1], [7, 8], [7, 8]])
-        target_p = np.vstack([(np.abs(gate_target("X").matrix) ** 2).T] * 2)
+        target_p = np.vstack([gate_target("X")] * 2)
         _, _, fid, ct, leak = compiler._input_terms(
             np.abs(perm[:, [0, 1, 7, 8]]) ** 2, rows, rows[[2, 3, 0, 1]], target_p)
         # per subcircuit, the mean over its two inputs
@@ -122,16 +142,16 @@ class TestObjective:
         assert obj == pytest.approx(4.0 + ct[0]**2 + ct[1]**2)
 
     def test_unnormalized_target_rejected(self):
-        bad = TwoModeUnitary(matrix=2.0 * np.eye(2))
+        bad = 2.0 * np.eye(2)
         with pytest.raises(ValueError, match="not normalized"):
-            evaluate(make_xx_device(), VoltageConfig.zeros(22),
-                     preset_config("config2"), (bad, bad))
+            objective(make_xx_device(), VoltageConfig.zeros(22),
+                      preset_config("config2"), (bad, bad))
 
     def test_wrong_voltage_count_rejected(self):
         for n in (21, 23):
             with pytest.raises(DeviceSpecError):
-                evaluate(make_xx_device(), VoltageConfig.zeros(n),
-                         preset_config("config2"), XX)
+                objective(make_xx_device(), VoltageConfig.zeros(n),
+                          preset_config("config2"), XX)
 
     def test_inactive_electrodes_forced_to_zero(self):
         spec = make_xx_device()
@@ -171,12 +191,12 @@ class TestObjectiveWithGradient:
             return full_u_evaluate(spec, embed(y), config, targets)[0]
 
         [value], [grad], _ = objective_with_gradient(spec, config, targets)(x[None])
-        obj, metrics = evaluate(spec, embed(x), config, targets)
+        obj, metrics = kernel_metrics(spec, config, targets, embed(x))
         ref_obj, ref_metrics = full_u_evaluate(spec, embed(x), config, targets)
         assert objective(spec, embed(x), config, targets) == obj == value
         assert abs(obj - ref_obj) <= 1e-12
         for m, ref in zip(metrics, ref_metrics):
-            assert np.max(np.abs(np.subtract(astuple(m), astuple(ref)))) <= 1e-12
+            assert np.max(np.abs(np.subtract(m, ref))) <= 1e-12
         h = 1e-5
         step = h * np.eye(active.size)
         central = np.array([(reference(x + e) - reference(x - e)) / (2 * h)
@@ -296,11 +316,19 @@ class TestOptimize:
                     config = preset_config(name)
                     result = optimize_parallel_gates(spec, config, XX, restarts=3,
                                                      seed=seed)
-                    obj, (m1, m2) = evaluate(spec, result.best_voltages, config, XX)
+                    obj, (m1, m2) = kernel_metrics(spec, config, XX,
+                                                   result.best_voltages)
                     assert result.objective == result.restart_trace.min() == obj
-                    assert result.fidelities == (m1.fidelity, m2.fidelity)
-                    assert result.crosstalks == (m1.crosstalk, m2.crosstalk)
-                    assert result.leakages == (m1.leakage, m2.leakage)
+                    assert (result.fidelities, result.crosstalks,
+                            result.leakages) == tuple(zip(m1, m2))
+
+    def test_kernel_built_once_per_call(self):
+        # the winner is scored by the closure its restarts ran
+        with mock.patch.object(compiler, "objective_with_gradient",
+                               wraps=compiler.objective_with_gradient) as build:
+            optimize_parallel_gates(make_xx_device(), preset_config("config2"), XX,
+                                    restarts=2, seed=0)
+        assert build.call_count == 1
 
     def test_abnormal_restart_kept_and_logged(self, monkeypatch, caplog):
         monkeypatch.setattr(compiler, "MAX_ITERATIONS", 1)

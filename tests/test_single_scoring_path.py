@@ -1,6 +1,6 @@
 """The compiler scores every point through its batched kernel.
 
-`evaluate`, `objective` and the L-BFGS-B restarts all run
+The restarts, the scoring of their winner and `objective` all run
 `objective_with_gradient`, which forms only the four columns of U that the
 metrics read.  This test parses `rwasim.compiler` with `ast`, without
 importing it, and fails on a call to the full-U path: `build_hamiltonian`,

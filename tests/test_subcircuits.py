@@ -6,67 +6,42 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwasim.compiler import _input_terms, gate_target
+from rwasim.compiler import GATE_ETAS, _input_terms, gate_target
 from rwasim.evolution import TransferUnitary
 from rwasim.subcircuits import (
     SubcircuitPair,
     average_fidelity,
+    coupler_split,
     distribution_fidelity,
     effective_reflectivity,
     gate_truth_table,
     leakage,
     reflectivity_and_leakage,
-    two_mode_unitary,
 )
 
 
-def embed_coupler(eta, pair_lower, n=11, phi=0.0):
+def coupler(eta, phi=0.0):
+    """2x2 matrix of an eta-coupler followed by a phase phi on its second guide."""
+    t, r, ph = math.sqrt(eta), math.sqrt(1.0 - eta), np.exp(1j * phi)
+    return np.array([[t, 1j * r], [1j * ph * r, ph * t]])
+
+
+def embed_coupler(eta, pair_lower, n=11):
     """eta-coupler on (pair_lower, pair_lower+1) inside an identity array."""
     m = np.eye(n, dtype=complex)
     k = pair_lower - 1
-    m[k:k + 2, k:k + 2] = two_mode_unitary(eta, phi).matrix
+    m[k:k + 2, k:k + 2] = coupler(eta)
     return TransferUnitary(matrix=m, length=24.0)
 
 
-def pair_terms(u, pair, other, target=np.eye(2)):
+def pair_terms(u, pair, other, target=coupler_split(1.0)):
     """Per-input (kept power, split, fidelity, crosstalk, leakage) fractions
     for the pair's two inputs, from the compiler's one definition, against
-    the target gate's matrix (the identity by default)."""
+    the target split (the identity's by default)."""
     n = u.shape[0]
     rows, other_rows = list(pair.indices(n)), list(other.indices(n))
     return _input_terms(np.abs(u[:, rows]) ** 2, [rows, rows],
-                        [other_rows, other_rows], (np.abs(target) ** 2).T)
-
-
-class TestTwoModeUnitary:
-    def test_eta_one_is_identity(self):
-        np.testing.assert_allclose(two_mode_unitary(1.0, 0.0).matrix,
-                                   np.eye(2), atol=1e-15)
-
-    def test_eta_zero_is_ix(self):
-        np.testing.assert_allclose(two_mode_unitary(0.0, 0.0).matrix,
-                                   1j * np.array([[0, 1], [1, 0]]), atol=1e-15)
-
-    def test_half_with_pi_phase(self):
-        s = math.sqrt(0.5)
-        expected = np.array([[s, 1j * s], [-1j * s, -s]])
-        np.testing.assert_allclose(two_mode_unitary(0.5, math.pi).matrix,
-                                   expected, atol=1e-12)
-
-    def test_unitary_within_tolerance(self):
-        for eta in (0.0, 0.3, 0.9, 1.0):
-            m = two_mode_unitary(eta, 1.2).matrix
-            np.testing.assert_allclose(m.conj().T @ m, np.eye(2), atol=1e-12)
-
-    def test_reflectivity_plus_transmissivity(self):
-        # |u11|^2 + |u21|^2 = 1 (R = 1 - T at the output facet)
-        for eta in np.linspace(0, 1, 11):
-            m = two_mode_unitary(eta, 0.7).matrix
-            assert abs(m[0, 0]) ** 2 + abs(m[1, 0]) ** 2 == pytest.approx(1.0)
-
-    def test_eta_out_of_range(self):
-        with pytest.raises(ValueError):
-            two_mode_unitary(-0.1, 0.0)
+                        [other_rows, other_rows], target)
 
 
 class TestLeakageAndCrosstalk:
@@ -81,7 +56,7 @@ class TestLeakageAndCrosstalk:
         # the discrete Fourier transform spreads every input evenly
         dft = np.exp(-2j * np.pi * np.outer(range(11), range(11)) / 11) / math.sqrt(11)
         _, _, _, ct, leak = pair_terms(dft, SubcircuitPair(1), SubcircuitPair(8),
-                                       gate_target("H").matrix)
+                                       gate_target("H"))
         assert leak.mean() == pytest.approx(9 / 11)
         assert ct.mean() == pytest.approx(2 / 11)
 
@@ -150,7 +125,7 @@ class TestEffectiveReflectivity:
 
     def test_leaky_matches_renormalized_oracle(self):
         # leaky but ratio-preserving: scale the pair's block by sqrt(0.6)
-        base = two_mode_unitary(0.37, 0.4).matrix * math.sqrt(0.6)
+        base = coupler(0.37, 0.4) * math.sqrt(0.6)
         m = np.eye(11, dtype=complex)
         m[:2, :2] = base
         u = TransferUnitary(matrix=m, length=1.0)
@@ -226,6 +201,19 @@ class TestReflectivityAndLeakage:
 
 
 class TestGateTruthTable:
+    def test_table_is_product_of_gate_targets(self):
+        for a, b in ((a, b) for a in GATE_ETAS for b in GATE_ETAS):
+            table = gate_truth_table(GATE_ETAS[a], GATE_ETAS[b]).table
+            np.testing.assert_array_equal(table, np.kron(gate_target(a),
+                                                         gate_target(b)))
+
+    def test_coupler_split_rows(self):
+        np.testing.assert_array_equal(coupler_split(0.3), [[0.3, 0.7], [0.7, 0.3]])
+        # a coupler's power block is its split, to rounding
+        for eta in (0.0, 0.3, 0.5, 1.0):
+            np.testing.assert_allclose(np.abs(coupler(eta, 0.7).T) ** 2,
+                                       coupler_split(eta), rtol=0, atol=1e-15)
+
     def test_identity_gates(self):
         table = gate_truth_table(1.0, 1.0).table
         np.testing.assert_allclose(table, np.eye(4), atol=1e-15)
@@ -249,14 +237,14 @@ class TestGateTruthTable:
 
     def test_post_selection_ignores_leakage(self):
         m = np.eye(11, dtype=complex)
-        m[:2, :2] = two_mode_unitary(0.3, 0.0).matrix * math.sqrt(0.5)
-        m[7:9, 7:9] = two_mode_unitary(0.8, 0.0).matrix
+        m[:2, :2] = coupler(0.3) * math.sqrt(0.5)
+        m[7:9, 7:9] = coupler(0.8)
         success, split, *_ = pair_terms(m, SubcircuitPair(1), SubcircuitPair(8))
         np.testing.assert_allclose(success, [0.5, 0.5], atol=1e-12)
         np.testing.assert_allclose(split[0], [0.3, 0.7], atol=1e-12)
         # the pair's fidelity to its own coupler does not see the lost half
         _, _, fid, _, leak = pair_terms(m, SubcircuitPair(1), SubcircuitPair(8),
-                                        two_mode_unitary(0.3).matrix)
+                                        coupler_split(0.3))
         assert fid.mean() == pytest.approx(1.0, abs=1e-12)
         assert leak.mean() == pytest.approx(0.5, abs=1e-12)
 
