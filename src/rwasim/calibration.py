@@ -4,12 +4,12 @@ A lookup map records the simulated reflectivity and leakage of one
 subcircuit while two electrodes sweep a voltage grid, then serves as the
 inversion target for operating-point searches and linear gate-voltage fits.
 
-A map is built in blocks of _BLOCK_CELLS grid cells: each block stacks the
-cells' Hamiltonians, runs one batched eigensolve (`evolution.unitary_blocks`)
-and keeps only the pair's 2x2 block of U, from which
-`subcircuits.reflectivity_and_leakage` gives eta and both leakages.  The
-block size bounds the working set (H and Q for a block take about 0.5 MB)
-without changing any cell's value.
+A map is built in blocks of `evolution.STACK_ROWS` grid cells: each block
+stacks the cells' Hamiltonians, runs one batched eigensolve
+(`evolution.unitary_blocks`) and keeps only the pair's 2x2 block of U, from
+which `subcircuits.reflectivity_and_leakage` gives eta and both leakages.
+The block size bounds the working set (H and Q for a block take about
+0.5 MB) without changing any cell's value.
 """
 from __future__ import annotations
 
@@ -20,11 +20,9 @@ import numpy as np
 
 from .csvio import write_csv
 from .device import DeviceSpec, VoltageConfig, frozen_array
-from .evolution import unitary_blocks
 from .subcircuits import SubcircuitPair, reflectivity_and_leakage
 from . import device as device_mod
-
-_BLOCK_CELLS = 256
+from . import evolution
 
 
 class FlatCurveError(ValueError):
@@ -108,9 +106,9 @@ def build_lookup_map(
 
     electrode_a / electrode_b are 1-based and must be distinct; all other
     electrodes stay at `fixed_voltages` (zero if omitted).  Cells are
-    evaluated in grid order, _BLOCK_CELLS at a time, and each cell's values
-    depend only on its own voltages, so two builds with identical inputs are
-    bit-identical.
+    evaluated in grid order, `evolution.STACK_ROWS` at a time, and each
+    cell's values depend only on its own voltages, so two builds with
+    identical inputs are bit-identical.
     """
     if electrode_a == electrode_b:
         raise ValueError(f"electrodes must be distinct, both are {electrode_a}")
@@ -131,14 +129,16 @@ def build_lookup_map(
     tables = np.empty((3, n_cells))
     eta, leak1, leak2 = tables
     # every row is `base` with the swept electrodes at the cell's grid point
-    volts = np.tile(base, (min(n_cells, _BLOCK_CELLS), 1))
-    for start in range(0, n_cells, _BLOCK_CELLS):
-        cells = np.arange(start, min(start + _BLOCK_CELLS, n_cells))
+    block = evolution.STACK_ROWS
+    volts = np.tile(base, (min(n_cells, block), 1))
+    for start in range(0, n_cells, block):
+        cells = np.arange(start, min(start + block, n_cells))
         v = volts[:cells.size]
         v[:, electrode_a - 1] = ga[cells // gb.size]
         v[:, electrode_b - 1] = gb[cells % gb.size]
         diag, offdiag = device_mod.hamiltonian_diagonals(spec, v)
-        sub = unitary_blocks(diag, offdiag, spec.coupling_length, [i, j], [i, j])
+        sub = evolution.unitary_blocks(diag, offdiag, spec.coupling_length,
+                                       [i, j], [i, j])
         eta[cells], leak1[cells], leak2[cells] = reflectivity_and_leakage(
             sub.real**2 + sub.imag**2)
     # the map takes the filled tables over read-only rather than copying them

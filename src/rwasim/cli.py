@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Subcommands: simulate, map, hom, compile, loss, replay.  Each run computes
-its results before the first output creates --out, so a failed run leaves
-no directory; a run that succeeds writes its outputs plus a manifest.json.
+Subcommands: simulate, map, hom, compile, loss, replay.  Only `compile`
+optimises, so only it imports `compiler` and, through it, scipy; the other
+commands start without either.  Each run computes its results before the
+first output creates --out, so a failed run leaves no directory; a run that
+succeeds writes its outputs plus a manifest.json.
 `replay <manifest>` re-runs the recorded command into a fresh directory, and
 refuses a manifest written by another rwasim version or one whose input
 files have changed since.
@@ -19,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analysis, calibration, compiler, evolution
+from . import __version__, analysis, calibration, evolution
 from . import device as device_mod
 from . import photon_stats
 from .device import DeviceSpec, VoltageConfig
@@ -149,7 +151,12 @@ def _print_map_summary(lut: calibration.LookupMap) -> None:
 
 def _cmd_hom(args, run: Run) -> dict:
     """One scan at a given or device eta, or with --eta LO,HI,STEP a fitted
-    scan per grid point, tabulated in visibility_sweep.csv."""
+    scan per grid point, tabulated in visibility_sweep.csv.  --eta replaces
+    the device, so it excludes the flags that pick one."""
+    given = [f"--{name}" for name in ("device", "pair", "voltages")
+             if getattr(args, name) is not None]
+    if args.eta is not None and given:
+        raise UsageError(f"--eta excludes {', '.join(given)}")
     etas = [] if args.eta is None else _parse_floats(args.eta, "--eta", 1, 3)
     if len(etas) == 3:
         etas = _uniform_grid(*etas, "--eta").tolist()
@@ -161,7 +168,8 @@ def _cmd_hom(args, run: Run) -> dict:
         volts = _load_voltages(args.voltages, spec, run)
         h = device_mod.build_hamiltonian(spec, volts)
         u = evolution.unitary(h, spec.coupling_length)
-        etas = [effective_reflectivity(u, SubcircuitPair(args.pair))]
+        pair = 1 if args.pair is None else args.pair
+        etas = [effective_reflectivity(u, SubcircuitPair(pair))]
 
     delays = _uniform_grid(*_parse_floats(args.scan, "--scan", 3), "--scan")
     scans = [photon_stats.simulate_hom_scan(
@@ -192,6 +200,9 @@ def _cmd_hom(args, run: Run) -> dict:
 
 
 def _cmd_compile(args, run: Run) -> dict:
+    # the one command that optimises, and so the one that needs scipy
+    from . import compiler
+
     if not args.random_device:
         spec = _load_device(args, run)
     elif args.device:
@@ -291,8 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--eta", metavar="ETA|LO,HI,STEP",
                    help="coupler reflectivity, or a grid of them to sweep into "
-                        "visibility_sweep.csv (skips device)")
-    p.add_argument("--pair", type=int, default=1)
+                        "visibility_sweep.csv, in place of the device's; "
+                        "excludes --device, --pair and --voltages")
+    p.add_argument("--pair", type=int,
+                   help="lower guide of the device's subcircuit pair (default 1)")
     p.add_argument("--voltages")
     p.add_argument("--scan", required=True, metavar="LO,HI,STEP",
                    help="delay grid in mm; STEP must divide HI - LO")

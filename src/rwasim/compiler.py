@@ -16,7 +16,7 @@ G_ab = (e^{-iw_a L} - e^{-iw_b L}) / (w_a - w_b) (Daleckii-Krein; Najfeld &
 Havel 1995), and the chain rule runs backwards from the objective to the
 electrode voltages.
 
-The restarts run in lockstep, in blocks of at most `LOCKSTEP_BLOCK`: each
+The restarts run in lockstep, in blocks of at most `evolution.STACK_ROWS`: each
 round steps every running restart and evaluates their trial points in one
 call of the batched kernel, one stacked eigensolve; the solver's steps act on
 each restart alone.  The winner is picked by (objective, restart index), so
@@ -50,9 +50,6 @@ from .subcircuits import (
 from .subcircuits import distribution_fidelity  # noqa: F401
 
 MAX_ITERATIONS = 500
-# restarts stepped together; bounds the stacked working set however many
-# restarts a run asks for
-LOCKSTEP_BLOCK = 256
 
 logger = logging.getLogger("rwasim.compiler")
 
@@ -399,9 +396,10 @@ def optimize_parallel_gates(
 
     rng = np.random.default_rng(seed)
     starts = rng.uniform(-limit, limit, size=(restarts, n_active))
-    runs = [minimize_box(lambda x: kernel(x)[:2], starts[lo:lo + LOCKSTEP_BLOCK],
+    block = evolution.STACK_ROWS
+    runs = [minimize_box(lambda x: kernel(x)[:2], starts[lo:lo + block],
                          -limit, limit, maxiter=MAX_ITERATIONS, ftol=1e-13, gtol=1e-10)
-            for lo in range(0, restarts, LOCKSTEP_BLOCK)]
+            for lo in range(0, restarts, block)]
     xs, fun, nit, nfev, stop = (np.concatenate(field) for field in zip(*runs))
     status, reasons = STOP_STATUS[stop], tuple(STOP_REASONS[k] for k in stop)
     for r in np.flatnonzero(status):

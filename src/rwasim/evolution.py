@@ -12,7 +12,8 @@ of each U, (Q[rows] e^{-iwL}) Q[cols]^T, so a caller that reads a 2x2 block
 never builds the N x N matrix; `unitary` is its full block at B = 1, and
 `propagation_profile` and the compiler's gradient kernel use w and Q
 directly.  The stack costs 2 B N^2 floats for H and Q, so batch callers
-bound B (the lookup map uses blocks of 256).
+(the lookup map and the compiler's lockstep restarts) bound B by
+`STACK_ROWS`, which they read at call time.
 """
 from __future__ import annotations
 
@@ -22,6 +23,9 @@ import numpy as np
 
 from .csvio import write_csv
 from .device import TridiagonalHamiltonian, frozen_array
+
+# most rows a batch caller stacks into one eigensolve
+STACK_ROWS = 256
 
 
 @dataclass(frozen=True)

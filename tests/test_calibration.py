@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rwasim import calibration
+from rwasim import evolution
 from rwasim.calibration import (
     FlatCurveError,
     LookupMap,
@@ -183,9 +183,9 @@ class TestBuildLookupMap:
         assert lut.input_guides == pair.guides
 
     def test_grid_sizes_straddle_block(self):
-        assert 23 * 29 > calibration._BLOCK_CELLS
-        assert (23 * 29) % calibration._BLOCK_CELLS != 0
-        assert (16 * 32) % calibration._BLOCK_CELLS == 0
+        assert 23 * 29 > evolution.STACK_ROWS
+        assert (23 * 29) % evolution.STACK_ROWS != 0
+        assert (16 * 32) % evolution.STACK_ROWS == 0
 
     def test_nan_grid_entry_rejected(self, device):
         grid = np.array([np.nan, 0.0])

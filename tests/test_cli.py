@@ -210,6 +210,20 @@ class TestHom:
         man = read_manifest(out / "manifest.json")
         assert 0.0 <= man["params"]["eta"] <= 1.0
 
+    @pytest.mark.parametrize("eta", ["0.5", "0.5,1.0,0.25"])
+    @pytest.mark.parametrize("flag", ["--device", "--pair", "--voltages"])
+    def test_eta_excludes_device_flags(self, device_file, tmp_path, capsys, eta, flag):
+        # each value would fail if it were read: pair 99 does not exist and
+        # the voltages file holds 3 of the device's 22
+        volts = tmp_path / "v.txt"
+        volts.write_text("0 0 0\n")
+        value = {"--device": device_file, "--pair": "99", "--voltages": str(volts)}[flag]
+        out = tmp_path / "run"
+        assert run("hom", "--eta", eta, flag, value, "--scan=-0.6,0.6,0.01",
+                   "--out", str(out)) == 2
+        assert f"--eta excludes {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestHomSweep:
     ARGS = ("--scan=-0.6,0.6,0.01", "--baseline", "10000", "--seed", "3")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwasim import compiler
+from rwasim import compiler, evolution
 from rwasim.compiler import (
     ElectrodeConfig,
     GATE_ETAS,
@@ -388,7 +388,7 @@ class TestOptimize:
     def test_restart_blocks_bound_the_batch(self, monkeypatch):
         spec, config = make_xx_device(), preset_config("config2")
         whole = optimize_parallel_gates(spec, config, XX, restarts=7, seed=4)
-        monkeypatch.setattr(compiler, "LOCKSTEP_BLOCK", 3)
+        monkeypatch.setattr(evolution, "STACK_ROWS", 3)
         with mock.patch.object(compiler, "minimize_box",
                                wraps=compiler.minimize_box) as driver:
             blocked = optimize_parallel_gates(spec, config, XX, restarts=7, seed=4)
