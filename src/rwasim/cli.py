@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: simulate, map, hom, compile, loss, replay.  Only `compile`
-optimises, so only it imports `compiler` and, through it, scipy; the other
-commands start without either.  Each run computes its results before the
+optimises, so only it imports `compiler`; the other commands start without
+it.  No command loads scipy.  Each run computes its results before the
 first output creates --out, so a failed run leaves no directory; a run that
 succeeds writes its outputs plus a manifest.json.
 `replay <manifest>` re-runs the recorded command into a fresh directory, and
@@ -200,7 +200,7 @@ def _cmd_hom(args, run: Run) -> dict:
 
 
 def _cmd_compile(args, run: Run) -> dict:
-    # the one command that optimises, and so the one that needs scipy
+    # imported here so that only compile pays for loading the compiler
     from . import compiler
 
     if not args.random_device:

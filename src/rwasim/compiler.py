@@ -33,8 +33,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-# minimize is unused here; test_bench_bindings and test_uninstall_restores_functions bind it
-from scipy.optimize import minimize  # noqa: F401
 
 from . import evolution
 from .csvio import write_csv
@@ -46,7 +44,8 @@ from .subcircuits import (
     check_rows_normalized,
     coupler_split,
 )
-# distribution_fidelity is uncalled here; the benchmark tracer binds it by name
+# uncalled here; the tracer's only binding for subcircuits.distribution_fidelity,
+# a layer no workload calls, so ROADMAP item 1 deletes both
 from .subcircuits import distribution_fidelity  # noqa: F401
 
 MAX_ITERATIONS = 500
@@ -54,6 +53,18 @@ MAX_ITERATIONS = 500
 logger = logging.getLogger("rwasim.compiler")
 
 GATE_ETAS = {"X": 0.0, "H": 0.5, "I": 1.0}
+
+
+def __getattr__(name):
+    """`minimize` is scipy's, imported on first lookup (PEP 562).
+
+    Only the benchmark tracer's `compiler.minimize` layer looks it up;
+    ROADMAP item 1 deletes this once that layer binds `minimize_box`.
+    """
+    if name == "minimize":
+        from scipy.optimize import minimize
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
