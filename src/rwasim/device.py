@@ -14,7 +14,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-import yaml
 
 N_GUIDES_DEFAULT = 11
 N_ELECTRODES_DEFAULT = 22
@@ -279,6 +278,8 @@ def device_spec_to_dict(spec: DeviceSpec) -> dict:
 
 def load_device_spec(path) -> DeviceSpec:
     """Load a device description from a YAML document."""
+    import yaml  # only device files need it, so a run without one skips the import
+
     with open(path) as fh:
         try:
             doc = yaml.safe_load(fh)
@@ -290,5 +291,7 @@ def load_device_spec(path) -> DeviceSpec:
 
 
 def save_device_spec(spec: DeviceSpec, path) -> None:
+    import yaml
+
     with open(path, "w") as fh:
         yaml.safe_dump(device_spec_to_dict(spec), fh, sort_keys=False)

@@ -5,13 +5,16 @@ probabilities from a transfer unitary, the ideal dip visibility of a
 two-mode coupler, reflectivity extraction from classical powers, synthetic
 delay scans, and the Gaussian-plus-linear dip fit with its error estimate.
 Grid seeds with the linear baseline profiled out (Golub & Pereyra 1973)
-start a batched, bound-projected Levenberg-Marquardt fit (More 1978).
+start a batched, bound-projected Levenberg-Marquardt fit (More 1978).  The
+seed grid's tables depend on the delays alone and are built once per delay
+grid.
 """
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -95,18 +98,24 @@ def dip_model(x, a0, a1, a2, a3, a4):
     return (a0 * x + a1) * (1.0 - a2 * np.exp(-((x - a3) ** 2) / (2.0 * a4**2)))
 
 
-def dip_jacobian(x, a0, a1, a2, a3, a4) -> np.ndarray:
-    """Exact partial derivatives of `dip_model`, one column per a0..a4.
+def dip_jacobian(x, a0, a1, a2, a3, a4, out=None) -> np.ndarray:
+    """Exact partial derivatives of `dip_model`, one column per a0..a4, in
+    the last axis of `out` (allocated if None).
 
     With base = a0*x + a1 and g the Gaussian: x*(1 - a2*g), 1 - a2*g,
     -base*g, -base*a2*g*(x - a3)/a4^2 and -base*a2*g*(x - a3)^2/a4^3.
     """
+    if out is None:
+        out = np.empty(np.broadcast_shapes(*map(np.shape, (x, a0, a1, a2, a3, a4)))
+                       + (5,))
     u = (x - a3) * (1.0 / a4)
     g = np.exp(-0.5 * (u * u))
-    dip = 1.0 - a2 * g
-    d_a2 = (a0 * x + a1) * -g
-    d_a3 = d_a2 * u * (a2 / a4)
-    return np.stack((x * dip, dip, d_a2, d_a3, d_a3 * u), axis=-1)
+    dip = np.subtract(1.0, a2 * g, out=out[..., 1])
+    np.multiply(x, dip, out=out[..., 0])
+    d_a2 = np.multiply(a0 * x + a1, -g, out=out[..., 2])
+    d_a3 = np.multiply(d_a2 * u, a2 / a4, out=out[..., 3])
+    np.multiply(d_a3, u, out=out[..., 4])
+    return out
 
 
 def two_photon_coincidence(
@@ -231,32 +240,54 @@ _SEED_A3 = np.repeat(np.linspace(0.0, 1.0, 13), 6)
 _SEED_A4 = np.tile(np.linspace(0.0, 1.0, 6), 13)
 
 
-def _grid_seeds(x, y, lower, upper) -> np.ndarray:
-    """The two best seed-grid points (S, 2, 5) for each scan row of y.
+# delay grids whose seed tables `_seed_tables` keeps; a sweep reuses one grid
+_SEED_TABLES_KEPT = 8
 
-    At fixed (a2, a3, a4) a closed-form 2x2 solve profiles out (a0, a1).
-    Its sums are polynomials in a2 of g @ [x^2, x, 1, x*y, y] and
-    (g*g) @ [x^2, x, 1], for the Gaussian table g of every (a3, a4)."""
+_SeedTables = namedtuple("_SeedTables", "g h0 h1 h2 det params")
+
+
+@lru_cache(maxsize=_SEED_TABLES_KEPT)
+def _seed_tables(x: bytes, lower: bytes, upper: bytes) -> _SeedTables:
+    """What `_grid_seeds` needs of the delays and bounds alone, read-only:
+    the Gaussian table g (a3 and a4, delays), the sums h0, h1, h2 of
+    [x^2, x, 1] * h^2 with h = 1 - a2*g, their determinant h0*h2 - h1^2 and
+    the grid's (a2, a3, a4), all flat over the grid.  The arguments are the
+    float64 bytes of the arrays, so that equal grids share one entry."""
+    x, lower, upper = (np.frombuffer(arg) for arg in (x, lower, upper))
     a3 = lower[3] + (upper[3] - lower[3]) * _SEED_A3
     a4 = lower[4] * (upper[4] / lower[4]) ** _SEED_A4
     k = -0.5 / a4**2
     powers = np.array((x * x, x, np.ones_like(x)))
     # exp is far slower where it underflows, and g below 1e-130 is 0 here
     g = np.exp(np.maximum(np.array((k, -2.0 * a3 * k, a3 * a3 * k)).T @ powers, -300.0))
-    # one product per scan row, so that no row depends on its batch mates
-    xy, c = np.stack((x * y, y), axis=1), _SEED_A2
-    # sums of [x^2, x, 1] * h^2 and of [x*y, y] * h, with h = 1 - a2*g
+    c = _SEED_A2
     h0, h1, h2 = (powers.sum(1)[:, None, None] - 2.0 * c * (powers @ g.T)[:, None]
                   + c * c * (powers @ (g * g).T)[:, None]).reshape(3, 1, -1)
-    b = xy.sum(-1)[..., None, None] - c * (xy @ g.T)[:, :, None]
+    params = np.column_stack((c.repeat(a3.size), np.tile(a3, c.size), np.tile(a4, c.size)))
+    return _SeedTables(*(frozen_array(table, f"seed table {name}", error=ValueError)
+                         for name, table in zip(_SeedTables._fields,
+                                                (g, h0, h1, h2, h0 * h2 - h1 * h1, params))))
+
+
+def _grid_seeds(x, y, lower, upper) -> np.ndarray:
+    """The two best seed-grid points (S, 2, 5) for each scan row of y.
+
+    At fixed (a2, a3, a4) a closed-form 2x2 solve profiles out (a0, a1).
+    Its sums are polynomials in a2 of g @ [x^2, x, 1, x*y, y] and
+    (g*g) @ [x^2, x, 1], for the Gaussian table g of every (a3, a4); all
+    but the two that hold y are built once per delay grid (`_seed_tables`)."""
+    t = _seed_tables(x.tobytes(), lower.tobytes(), upper.tobytes())
+    # one product per scan row, so that no row depends on its batch mates
+    xy = np.stack((x * y, y), axis=1)
+    # sums of [x*y, y] * h, with h = 1 - a2*g
+    b = xy.sum(-1)[..., None, None] - _SEED_A2 * (xy @ t.g.T)[:, :, None]
     b0, b1 = b[:, 0].reshape(len(y), -1), b[:, 1].reshape(len(y), -1)
-    a0 = (h2 * b0 - h1 * b1) / (h0 * h2 - h1 * h1)
-    a1 = (h0 * b1 - h1 * b0) / (h0 * h2 - h1 * h1)
+    a0 = (t.h2 * b0 - t.h1 * b1) / t.det
+    a1 = (t.h0 * b1 - t.h1 * b0) / t.det
     # the profiled cost is (y.y - a0*b0 - a1*b1) / 2
     best = np.argpartition(-(a0 * b0 + a1 * b1), 1, axis=1)[:, :2]
-    i2, i34 = np.divmod(best, a3.size)
-    return np.array([np.take_along_axis(a, best, 1) for a in (a0, a1)]
-                    + [c[i2, 0], a3[i34], a4[i34]]).transpose(1, 2, 0)
+    return np.dstack((np.take_along_axis(a0, best, 1), np.take_along_axis(a1, best, 1),
+                      t.params[best]))
 
 
 LeastSquaresResult = namedtuple("LeastSquaresResult", "x cost converged nfev")
@@ -272,14 +303,17 @@ def least_squares(x, y, p0, lower, upper, max_iterations: int) -> LeastSquaresRe
     gradient points out of, or with a vanishing column (a3 and a4 at a2 = 0),
     is held.  A row converges once a step changes, or is predicted to change,
     its cost by at most 1e-10 * cost + 1e-24 * y.y, and is frozen from then on
-    so that no row depends on its batch mates."""
-    def evaluate(p):
-        jac = dip_jacobian(x, *p.T[:, :, None])
+    so that no row depends on its batch mates.  The Jacobians of the kept
+    and the trial parameters live in two buffers that trade places when
+    every row keeps its step."""
+    def evaluate(p, jac):
+        dip_jacobian(x, *p.T[:, :, None], out=jac)
         r = p[:, :1] * jac[..., 0] + p[:, 1:2] * jac[..., 1] - y
-        return jac, r, 0.5 * (r * r).sum(-1)
+        return r, 0.5 * (r * r).sum(-1)
 
     p = np.array(p0, dtype=float)
-    jac, r, cost = evaluate(p)
+    jac, jac_t = np.empty((2, len(p), x.size, 5))
+    r, cost = evaluate(p, jac)
     floor = 1e-24 * (y * y).sum(-1)
     lam, converged = np.full(len(p), 1e-3), np.zeros(len(p), dtype=bool)
     nfev, eye = 1, np.eye(5)
@@ -296,15 +330,19 @@ def least_squares(x, y, p0, lower, upper, max_iterations: int) -> LeastSquaresRe
         converged |= (pred >= 0) & (pred <= tol)
         if converged.all():
             break
-        jac_t, r_t, cost_t = evaluate(trial)
+        r_t, cost_t = evaluate(trial, jac_t)
         nfev += 1
-        rho = (cost - cost_t) / np.where(pred > 0, pred, np.inf)
+        fall = cost - cost_t
+        rho = fall / np.where(pred > 0, pred, np.inf)
         ok = (cost_t < cost) & ~converged
-        converged |= np.abs(cost - cost_t) <= tol
+        converged |= np.abs(fall) <= tol
         lam = np.where(ok, lam * np.maximum(1 / 3, 1 - (2 * rho - 1) ** 3),
                        np.where(converged, lam, 2.0 * lam))
-        for old, new in ((p, trial), (jac, jac_t), (r, r_t), (cost, cost_t)):
-            np.copyto(old, new, where=ok.reshape((-1,) + (1,) * (old.ndim - 1)))
+        if ok.all():
+            p, jac, jac_t, r, cost = trial, jac_t, jac, r_t, cost_t
+        elif ok.any():
+            for old, new in ((p, trial), (jac, jac_t), (r, r_t), (cost, cost_t)):
+                np.copyto(old, new, where=ok.reshape((-1,) + (1,) * (old.ndim - 1)))
     return LeastSquaresResult(p, cost, converged, nfev)
 
 
@@ -318,7 +356,7 @@ def fit_hom_dips(scans, max_iterations: int = 500) -> list[DipFit]:
     if not all(np.array_equal(scan.delays, x) for scan in scans[1:]):
         raise ValueError("scans must share their delays")
     y = np.stack([scan.counts for scan in scans])
-    lower = np.array([-np.inf, -np.inf, 0.0, x[0], 0.5 * np.diff(x).min()])
+    lower = np.array([-np.inf, -np.inf, 0.0, x[0], 0.5 * (x[1:] - x[:-1]).min()])
     upper = np.array([np.inf, np.inf, 1.0, x[-1], 0.5 * (x[-1] - x[0])])
     guesses = np.clip([_initial_guess(scan) for scan in scans], lower, upper)
     starts = np.concatenate((_grid_seeds(x, y, lower, upper), guesses[:, None]), 1)
@@ -327,14 +365,14 @@ def fit_hom_dips(scans, max_iterations: int = 500) -> list[DipFit]:
                            lower, upper, max_iterations)
     best = k * np.arange(len(y)) + result.cost.reshape(-1, k).argmin(1)
     fits = []
-    for scan, i in zip(scans, best):
+    for i, n_min in zip(best, y.min(1).tolist()):
         if not result.converged[i]:
             raise FitFailureError("HOM dip fit did not converge",
                                   math.sqrt(2.0 * result.cost[i]))
-        fit = DipFit(*map(float, result.x[i]))
-        n_max, n_min = dip_extrema(fit, scan)
+        params = result.x[i].tolist()
+        n_max = _half_max_counts(*params)
         err = visibility_error(n_max, n_min) if n_max > 0 else 0.0
-        fits.append(replace(fit, visibility_error=float(err)))
+        fits.append(DipFit(*params, visibility_error=float(err)))
     return fits
 
 
@@ -360,11 +398,15 @@ def dip_extrema(fit: DipFit, scan: HomScan) -> tuple[float, float]:
     N_max averages the fitted curve at the half-maximum offsets a3 +/- alpha/2
     with alpha the Gaussian FWHM; N_min is the raw scan minimum.
     """
-    alpha = FWHM_FACTOR * fit.a4
-    n_max = 0.5 * (float(fit.model(fit.a3 - alpha / 2))
-                   + float(fit.model(fit.a3 + alpha / 2)))
-    n_min = float(np.min(scan.counts))
-    return n_max, n_min
+    return (_half_max_counts(fit.a0, fit.a1, fit.a2, fit.a3, fit.a4),
+            float(np.min(scan.counts)))
+
+
+def _half_max_counts(a0, a1, a2, a3, a4) -> float:
+    """`dip_extrema`'s N_max from the fitted parameters as floats."""
+    alpha = FWHM_FACTOR * a4
+    return 0.5 * (float(dip_model(np.asarray(a3 - alpha / 2), a0, a1, a2, a3, a4))
+                  + float(dip_model(np.asarray(a3 + alpha / 2), a0, a1, a2, a3, a4)))
 
 
 def visibility_error(n_max: float, n_min: float) -> float:

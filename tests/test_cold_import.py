@@ -4,7 +4,8 @@ No module of rwasim imports scipy, so no command loads it, `compile`
 included.  Only `rwasim compile` optimises, so only it may load
 `rwasim.compiler`; the package itself re-exports nothing, so importing it
 loads no submodule.  The compiler resolves the name `minimize`, which only
-the benchmark tracer binds, to scipy's on first lookup.
+the benchmark tracer binds, to scipy's on first lookup.  Only reading or
+writing a device file loads `yaml`.
 """
 import json
 import os
@@ -17,6 +18,7 @@ import scipy.optimize
 
 import rwasim
 import rwasim.compiler
+from rwasim.cli import DEVICE_ENV_VAR
 
 SRC = str(Path(rwasim.__file__).resolve().parent.parent)
 
@@ -40,6 +42,21 @@ def test_cli_loads_neither_scipy_nor_compiler():
     assert "rwasim.cli" in loaded
     assert scipy_modules(loaded) == []
     assert "rwasim.compiler" not in loaded
+
+
+def test_cli_loads_no_yaml():
+    loaded = modules_after("import rwasim.cli")
+    assert "rwasim.device" in loaded
+    assert "yaml" not in loaded
+
+
+def test_simulate_without_device_loads_no_yaml(tmp_path):
+    argv = ["simulate", "--out", str(tmp_path / "out")]
+    loaded = modules_after(
+        f"import os\nos.environ.pop({DEVICE_ENV_VAR!r}, None)\nimport rwasim.cli\n"
+        f"assert rwasim.cli.main({argv!r}) == 0")
+    assert (tmp_path / "out" / "manifest.json").is_file()
+    assert "yaml" not in loaded
 
 
 def test_compiler_loads_no_scipy():

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from rwasim.evolution import TransferUnitary, unitary
 from rwasim.device import TridiagonalHamiltonian, VoltageConfig, build_hamiltonian
+from rwasim import photon_stats
 from rwasim.photon_stats import (
+    _SEED_TABLES_KEPT,
     DEFAULT_COHERENCE_SIGMA_MM,
     DegenerateSplittingError,
     DipFit,
@@ -16,12 +18,14 @@ from rwasim.photon_stats import (
     HomScan,
     _grid_seeds,
     _initial_guess,
+    _seed_tables,
     dip_extrema,
     dip_jacobian,
     dip_model,
     fit_hom_dip,
     fit_hom_dips,
     ideal_visibility,
+    least_squares,
     reflectivity_from_powers,
     scan_to_csv,
     simulate_hom_scan,
@@ -394,6 +398,195 @@ class TestGlobalFit:
                  (self.DELAYS, self.DELAYS + 0.01)]
         with pytest.raises(ValueError, match="share their delays"):
             fit_hom_dips(scans)
+
+
+def golden_scan(eta, points, half_span, baseline, slope, seed):
+    return simulate_hom_scan(eta, np.linspace(-half_span, half_span, points), baseline,
+                             slope=slope, noise_seed=seed)
+
+
+def hexes(fit: DipFit) -> tuple:
+    return tuple(float(v).hex() for v in fit.to_dict().values())
+
+
+def fit_bounds(x) -> tuple:
+    """The (lower, upper) bounds `fit_hom_dips` gives `least_squares`."""
+    return (np.array([-np.inf, -np.inf, 0.0, x[0], 0.5 * np.diff(x).min()]),
+            np.array([np.inf, np.inf, 1.0, x[-1], 0.5 * (x[-1] - x[0])]))
+
+
+class TestGoldenFits:
+    """`fit_hom_dip(scan).to_dict()` pinned bit for bit, in `to_dict` order,
+    so that a change meant to leave the fit's arithmetic alone is seen to.
+    Captured with numpy 2.4 and OpenBLAS at one thread on x86-64; another
+    BLAS build may differ in the last bits."""
+
+    # (eta, points, half span in mm, baseline, slope, noise seed), to_dict
+    CASES = [
+        ((0.0, 121, 0.6, 1e4, 0.0, 1),
+         ('-0x1.92d3ded1d54c5p+5', '0x1.384393a068093p+13', '0x1.7ffed1233494dp-7',
+          '0x1.864b4cd79554fp-4', '0x1.7f35f36fb3fa9p-7', '0x1.7ffed1233494dp-7',
+          '0x1.c95b0616edab8p-7')),
+        ((0.3, 121, 0.6, 1e4, 0.0, 2),
+         ('-0x1.1fecf4cab7d3ep+4', '0x1.38667a052a9d5p+13', '0x1.70e46e110c482p-1',
+          '-0x1.d6a9539ef27c7p-12', '0x1.6e7dd590b524ap-4', '0x1.70e46e110c482p-1',
+          '0x1.476fa5fdaff2ep-7')),
+        ((0.5, 121, 0.6, 1e4, 0.0, 3),
+         ('0x1.f14d973e885c5p+0', '0x1.38d1623a79674p+13', '0x1.ffcefeb0d1384p-1',
+          '0x1.ddb82ed71bfd3p-13', '0x1.6eaa8afd53d5fp-4', '0x1.ffcefeb0d1384p-1',
+          '0x0.0p+0')),
+        ((0.9, 121, 0.6, 1e4, 0.0, 4),
+         ('-0x1.826f366a03f66p+4', '0x1.38c8028a7e0e4p+13', '0x1.c1633bf169f6bp-3',
+          '-0x1.bbb007ef3b49bp-11', '0x1.6a1a5aabbd3ddp-4', '0x1.c1633bf169f6bp-3',
+          '0x1.b7da5ff93e1a8p-7')),
+        ((1.0, 121, 0.6, 1e4, 0.0, 5),
+         ('-0x1.61473eb3b253ep+4', '0x1.388924853ad66p+13', '0x1.4c7d1fff84df6p-6',
+          '-0x1.5860ca29db77cp-12', '0x1.7ae94612b778bp-7', '0x1.4c7d1fff84df6p-6',
+          '0x1.cbeff00b0bb3dp-7')),
+        ((0.5, 121, 0.6, 1e3, 0.0, 6),
+         ('-0x1.537ff60b905bep+2', '0x1.f2d0756f0fa5cp+9', '0x1.fd579621dbcbfp-1',
+          '0x1.4fa25883b9442p-14', '0x1.6ef90b81fdca1p-4', '0x1.fd579621dbcbfp-1',
+          '0x0.0p+0')),
+        ((1.0, 121, 0.6, 1e3, 0.0, 7),
+         ('0x1.bc871b641e947p+2', '0x1.f5a3e4df86261p+9', '0x1.01a7634cd8687p-5',
+          '0x1.03313d219989dp-1', '0x1.f9568cc40e448p-5', '0x1.01a7634cd8687p-5',
+          '0x1.56dd38fdf615ep-5')),
+        ((0.3, 121, 0.6, 1e4, 150.0, 8),
+         ('0x1.3bdf0dc29a3cep+7', '0x1.38166cfe66e7cp+13', '0x1.7124f43971b70p-1',
+          '0x1.e58eedc99a149p-12', '0x1.6d2ae70a0e790p-4', '0x1.7124f43971b70p-1',
+          '0x1.49046483564d3p-7')),
+        ((0.5, 51, 0.5, 1e4, 0.0, 9),
+         ('-0x1.c85d00539b48ep+3', '0x1.394870c7ae9b1p+13', '0x1.ff90b301d5ec2p-1',
+          '0x1.803d88ee15599p-14', '0x1.6e24d4b15bda4p-4', '0x1.ff90b301d5ec2p-1',
+          '0x0.0p+0')),
+        ((0.9, 51, 0.5, 1e3, 0.0, 10),
+         ('-0x1.2f977917ad47cp+4', '0x1.f1b42e3346088p+9', '0x1.b80d04e569c7ep-3',
+          '-0x1.62630b011202dp-10', '0x1.6e6013d43c9bep-4', '0x1.b80d04e569c7ep-3',
+          '0x1.5de2ab515d497p-5')),
+        ((1.0, 51, 0.5, 1e4, 0.0, 11),
+         ('0x1.b2eb64c18de85p+3', '0x1.37f39ee52d2e2p+13', '0x1.373656a0f482ep-6',
+          '0x1.0000000000000p-1', '0x1.d7cb4f2b9429cp-7', '0x1.373656a0f482ep-6',
+          '0x1.cb2ef6091fa84p-7')),
+        ((0.0, 51, 0.5, 1e3, -100.0, 12),
+         ('-0x1.5f556281d44e6p+4', '0x1.01822b3552affp+10', '0x1.1dfde62423e75p-4',
+          '0x1.511a58d9fc3cfp-2', '0x1.867188d3f100cp-3', '0x1.1dfde62423e75p-4',
+          '0x1.55b3b8d92719ep-5')),
+    ]
+    # fit_hom_dips on eta 0.1, 0.5, 0.7, 0.95 and 1.0 (121 delays over
+    # +/-0.6 mm, baseline 1e4, noise seeds 20-24)
+    BATCH_ETAS = (0.1, 0.5, 0.7, 0.95, 1.0)
+    BATCH = [
+        ('0x1.a8594a196cd34p+5', '0x1.390368ab75ea2p+13', '0x1.c9432f37821fbp-3',
+         '0x1.ca1364a6394bep-11', '0x1.7542155e424aep-4', '0x1.c9432f37821fbp-3',
+         '0x1.ba8d2646f9e03p-7'),
+        ('-0x1.758acdc8d11c2p+5', '0x1.389e99b1baf6ep+13', '0x1.0000000000000p+0',
+         '-0x1.1fe021d7813fcp-14', '0x1.6d57cb264c234p-4', '0x1.0000000000000p+0',
+         '0x0.0p+0'),
+        ('-0x1.948865f80fd17p+4', '0x1.37f5dd5db8a2ep+13', '0x1.7234ca2af41bfp-1',
+         '0x1.8524e498b6f48p-12', '0x1.70c3140474193p-4', '0x1.7234ca2af41bfp-1',
+         '0x1.45c3f4ecff1efp-7'),
+        ('-0x1.7c8a09cdf7eb0p+3', '0x1.3890e811f80d1p+13', '0x1.9b38372b1e7b2p-4',
+         '0x1.eab651ceb46c7p-9', '0x1.789152ae209b1p-4', '0x1.9b38372b1e7b2p-4',
+         '0x1.c303e917f6e08p-7'),
+        ('-0x1.1f1c34d69dfb9p+4', '0x1.385e6d0572254p+13', '0x1.e93ccc94890e5p-6',
+         '0x1.bc6eb27ff2b20p-4', '0x1.47ae147ae1400p-8', '0x1.e93ccc94890e5p-6',
+         '0x1.cdb940b87c53bp-7'),
+    ]
+
+    @pytest.mark.parametrize("case,expected", CASES)
+    def test_fit_is_pinned(self, case, expected):
+        assert hexes(fit_hom_dip(golden_scan(*case))) == expected
+
+    def test_batch_is_pinned(self):
+        scans = [golden_scan(eta, 121, 0.6, 1e4, 0.0, 20 + i)
+                 for i, eta in enumerate(self.BATCH_ETAS)]
+        assert [hexes(fit) for fit in fit_hom_dips(scans)] == self.BATCH
+
+
+class TestSeedTableCache:
+    """`_seed_tables` keeps what the seed grid needs of each delay grid."""
+
+    A = np.linspace(-0.6, 0.6, 121)
+    B = np.linspace(-0.5, 0.5, 51)
+    C = A.copy()
+    C[30] = np.nextafter(A[30], 1.0)  # A but for the last bit of one delay
+
+    def test_alternating_grids_fit_as_after_a_clear(self):
+        scans = {name: simulate_hom_scan(0.7, x, 1e3, noise_seed=3)
+                 for name, x in (("A", self.A), ("B", self.B), ("C", self.C))}
+        fresh, seeds = {}, {}
+        for name, scan in scans.items():
+            _seed_tables.cache_clear()
+            fresh[name] = hexes(fit_hom_dip(scan))
+            seeds[name] = _grid_seeds(scan.delays, scan.counts[None],
+                                      *fit_bounds(scan.delays)).tobytes()
+        assert seeds["A"] != seeds["C"]
+        _seed_tables.cache_clear()
+        for name in "ABACACBCA":
+            scan = scans[name]
+            assert hexes(fit_hom_dip(scan)) == fresh[name], name
+            assert _grid_seeds(scan.delays, scan.counts[None],
+                               *fit_bounds(scan.delays)).tobytes() == seeds[name], name
+        assert _seed_tables.cache_info().currsize == 3
+
+    def test_tables_are_read_only(self):
+        tables = _seed_tables(*(a.tobytes() for a in (self.A, *fit_bounds(self.A))))
+        assert len(tables) == 6
+        for table in tables:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[...] = 0.0
+
+    def test_cache_stays_within_its_bound(self):
+        _seed_tables.cache_clear()
+        assert _seed_tables.cache_info().maxsize == _SEED_TABLES_KEPT
+        for k in range(3 * _SEED_TABLES_KEPT):
+            x = np.linspace(-0.6, 0.6, 21 + k)
+            fit_hom_dip(simulate_hom_scan(0.5, x, 1e3, noise_seed=k))
+            assert _seed_tables.cache_info().currsize <= _SEED_TABLES_KEPT
+        assert _seed_tables.cache_info().currsize == _SEED_TABLES_KEPT
+
+
+class TestLeastSquaresBuffers:
+    """`least_squares` trades its two Jacobian buffers when every row keeps
+    its step and copies the kept rows otherwise; either way a row's result
+    is that of its own single-row run."""
+
+    DELAYS = np.linspace(-0.6, 0.6, 121)
+
+    def test_swap_and_copy_rounds_match_single_rows(self, monkeypatch):
+        x = self.DELAYS
+        lower, upper = fit_bounds(x)
+        scan = simulate_hom_scan(0.9, x, 1e4, noise_seed=1)
+        y = scan.counts[None]
+        starts = np.concatenate((_grid_seeds(x, y, lower, upper)[0],
+                                 np.clip(_initial_guess(scan), lower, upper)[None]))
+        buffers, copies = [], []
+        jacobian = photon_stats.dip_jacobian
+        copyto = np.copyto
+
+        def recording_jacobian(*args, out):
+            buffers.append(out.__array_interface__["data"][0])
+            return jacobian(*args, out=out)
+
+        def recording_copyto(dst, src, **kwargs):
+            copies.append(kwargs["where"].ravel().copy())
+            return copyto(dst, src, **kwargs)
+
+        monkeypatch.setattr(photon_stats, "dip_jacobian", recording_jacobian)
+        monkeypatch.setattr(np, "copyto", recording_copyto)
+        batch = least_squares(x, y.repeat(3, axis=0), starts, lower, upper, 500)
+        # a trial lands in the other buffer only after a round that swapped
+        trials = buffers[1:]
+        assert sum(a != b for a, b in zip(trials, trials[1:])) > 0
+        # copyto runs only in rounds where some rows kept their step and some not
+        assert copies and all(0 < keep.sum() < keep.size for keep in copies)
+        monkeypatch.undo()
+        for i in range(3):
+            single = least_squares(x, y, starts[i:i + 1], lower, upper, 500)
+            assert batch.x[i].tobytes() == single.x[0].tobytes(), i
+            assert batch.cost[i].tobytes() == single.cost[0].tobytes(), i
+            assert batch.converged[i] == single.converged[0], i
 
 
 class TestDipExtrema:
