@@ -4,12 +4,12 @@ A lookup map records the simulated reflectivity and leakage of one
 subcircuit while two electrodes sweep a voltage grid, then serves as the
 inversion target for operating-point searches and linear gate-voltage fits.
 
-A map is built in blocks of `evolution.STACK_ROWS` grid cells: each block
-stacks the cells' Hamiltonians, runs one batched eigensolve
-(`evolution.unitary_blocks`) and keeps only the pair's 2x2 block of U, from
-which `subcircuits.reflectivity_and_leakage` gives eta and both leakages.
-The block size bounds the working set (H and Q for a block take about
-0.5 MB) without changing any cell's value.
+`pair_response` is the one path from voltage rows to a pair's eta and
+leakages: one batched eigensolve (`evolution.unitary_blocks`) keeps only the
+pair's 2x2 block of each U, read by `subcircuits.reflectivity_and_leakage`.
+A map calls it per block of `evolution.STACK_ROWS` cells, which bounds the
+working set (H and Q take about 0.5 MB) without changing any cell's value;
+`rwasim hom` calls it for one row.
 """
 from __future__ import annotations
 
@@ -65,12 +65,7 @@ class LookupMap:
 
     def __post_init__(self):
         for name in ("grid_a", "grid_b"):
-            g = frozen_array(getattr(self, name), name, error=ValueError)
-            if g.ndim != 1 or g.size < 1:
-                raise ValueError(f"{name} must be a non-empty finite 1-D vector")
-            if not np.all(np.diff(g) > 0):
-                raise ValueError(f"{name} must be strictly increasing")
-            object.__setattr__(self, name, g)
+            object.__setattr__(self, name, _checked_grid(getattr(self, name), name))
         shape = (self.grid_a.size, self.grid_b.size)
         # leakage gets 1e-9 of rounding slack
         for name, hi, slack in (("eta", 1, 0.0), ("leakage_in1", 100, 1e-9),
@@ -91,6 +86,28 @@ class LookupMap:
 def _mean_leakage(leak_in1, leak_in2):
     """Leakage averaged over the pair's two inputs, elementwise."""
     return 0.5 * (leak_in1 + leak_in2)
+
+
+def _checked_grid(value, name: str, error: type[Exception] = ValueError):
+    """`value` frozen as a non-empty, strictly increasing 1-D grid, else
+    ValueError; `error` for non-finite entries."""
+    g = frozen_array(value, name, error=error)
+    if g.ndim != 1 or g.size < 1:
+        raise ValueError(f"{name} must be a non-empty finite 1-D vector")
+    if not np.all(np.diff(g) > 0):
+        raise ValueError(f"{name} must be strictly increasing")
+    return g
+
+
+def pair_response(spec: DeviceSpec, pair: SubcircuitPair, volts):
+    """(eta, leak_in1, leak_in2 in percent) of `pair` at each row of a (B, E)
+    voltage stack, each row's from that row alone.  All B rows go into one
+    eigensolve, so the caller keeps B within `evolution.STACK_ROWS`."""
+    i, j = pair.indices(spec.n_guides)
+    diag, offdiag = device_mod.hamiltonian_diagonals(spec, volts)
+    sub = evolution.unitary_blocks(diag, offdiag, spec.coupling_length,
+                                   [i, j], [i, j])
+    return reflectivity_and_leakage(sub.real**2 + sub.imag**2)
 
 
 def build_lookup_map(
@@ -115,8 +132,8 @@ def build_lookup_map(
     for e in (electrode_a, electrode_b):
         if not 1 <= e <= spec.n_electrodes:
             raise IndexError(f"electrode {e} out of range 1..{spec.n_electrodes}")
-    ga = frozen_array(grid_a, "grid_a")
-    gb = frozen_array(grid_b, "grid_b")
+    ga = _checked_grid(grid_a, "grid_a", device_mod.DeviceSpecError)
+    gb = _checked_grid(grid_b, "grid_b", device_mod.DeviceSpecError)
     for name, g in (("grid_a", ga), ("grid_b", gb)):
         if np.any(np.abs(g) > spec.voltage_limit):
             raise device_mod.VoltageBoundError(
@@ -124,7 +141,6 @@ def build_lookup_map(
             )
     base = (fixed_voltages.volts if fixed_voltages is not None
             else np.zeros(spec.n_electrodes))
-    i, j = pair.indices(spec.n_guides)
     n_cells = ga.size * gb.size
     tables = np.empty((3, n_cells))
     eta, leak1, leak2 = tables
@@ -136,11 +152,7 @@ def build_lookup_map(
         v = volts[:cells.size]
         v[:, electrode_a - 1] = ga[cells // gb.size]
         v[:, electrode_b - 1] = gb[cells % gb.size]
-        diag, offdiag = device_mod.hamiltonian_diagonals(spec, v)
-        sub = evolution.unitary_blocks(diag, offdiag, spec.coupling_length,
-                                       [i, j], [i, j])
-        eta[cells], leak1[cells], leak2[cells] = reflectivity_and_leakage(
-            sub.real**2 + sub.imag**2)
+        eta[cells], leak1[cells], leak2[cells] = pair_response(spec, pair, v)
     # the map takes the filled tables over read-only rather than copying them
     tables.setflags(write=False)
     eta, leak1, leak2 = tables.reshape(3, ga.size, gb.size)

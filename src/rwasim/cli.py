@@ -28,7 +28,7 @@ from .device import DeviceSpec, VoltageConfig
 from .csvio import write_csv, write_json
 from .manifest import Run, file_sha256, read_manifest
 from .photon_stats import FitFailureError
-from .subcircuits import SubcircuitPair, effective_reflectivity
+from .subcircuits import SubcircuitPair
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -166,10 +166,9 @@ def _cmd_hom(args, run: Run) -> dict:
     elif not etas:
         spec = _load_device(args, run)
         volts = _load_voltages(args.voltages, spec, run)
-        h = device_mod.build_hamiltonian(spec, volts)
-        u = evolution.unitary(h, spec.coupling_length)
-        pair = 1 if args.pair is None else args.pair
-        etas = [effective_reflectivity(u, SubcircuitPair(pair))]
+        pair = SubcircuitPair(1 if args.pair is None else args.pair)
+        [eta], _, _ = calibration.pair_response(spec, pair, volts.volts[None])
+        etas = [float(eta)]
 
     delays = _uniform_grid(*_parse_floats(args.scan, "--scan", 3), "--scan")
     scans = [photon_stats.simulate_hom_scan(
@@ -224,9 +223,15 @@ def _cmd_compile(args, run: Run) -> dict:
 
     lengths = args.lengths and _parse_floats(args.lengths, "--lengths")
     if lengths:
-        results = [(f"_{length:g}mm", result) for length, result in
-                   compiler.sweep_chip_length(spec, config, targets, lengths,
-                                              restarts=args.restarts, seed=args.seed)]
+        tags = [f"_{length:g}mm" for length in lengths]
+        clash = [text.strip() for text, tag in zip(args.lengths.split(","), tags)
+                 if tags.count(tag) > 1]
+        if clash:
+            raise UsageError(f"--lengths {', '.join(clash)} share output names; "
+                             "lengths must differ in 6 significant digits")
+        swept = compiler.sweep_chip_length(spec, config, targets, lengths,
+                                           restarts=args.restarts, seed=args.seed)
+        results = [(tag, result) for tag, (_, result) in zip(tags, swept)]
     else:
         results = [("", compiler.optimize_parallel_gates(
             spec, config, targets, restarts=args.restarts, seed=args.seed))]

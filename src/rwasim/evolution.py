@@ -12,8 +12,9 @@ of each U, (Q[rows] e^{-iwL}) Q[cols]^T, so a caller that reads a 2x2 block
 never builds the N x N matrix; `unitary` is its full block at B = 1, and
 `propagation_profile` and the compiler's gradient kernel use w and Q
 directly.  The stack costs 2 B N^2 floats for H and Q, so batch callers
-(the lookup map and the compiler's lockstep restarts) bound B by
-`STACK_ROWS`, which they read at call time.
+(the lookup map's blocks through `calibration.pair_response`, and the
+compiler's lockstep restarts) bound B by `STACK_ROWS`, which they read at
+call time.
 """
 from __future__ import annotations
 

@@ -2,8 +2,8 @@
 
 Covers the quantum side of the toolkit: two-photon coincidence
 probabilities from a transfer unitary, the ideal dip visibility of a
-two-mode coupler, reflectivity extraction from classical powers, synthetic
-delay scans, and the Gaussian-plus-linear dip fit with its error estimate.
+two-mode coupler, synthetic delay scans, and the Gaussian-plus-linear dip
+fit with its error estimate.
 Grid seeds with the linear baseline profiled out (Golub & Pereyra 1973)
 start a batched, bound-projected Levenberg-Marquardt fit (More 1978).  The
 seed grid's tables depend on the delays alone and are built once per delay
@@ -21,17 +21,12 @@ import numpy as np
 from .csvio import write_csv
 from .device import frozen_array
 from .evolution import TransferUnitary
-from .subcircuits import reflectivity_and_leakage
 
 # Coherence length from a 3.1 nm FWHM filter at 807.5 nm:
 # l_c ~ lambda^2 / dlambda ~ 0.21 mm; Gaussian sigma = l_c / 2.355.
 DEFAULT_COHERENCE_SIGMA_MM = (0.8075e-3**2 / 3.1e-6) / (2 * math.sqrt(2 * math.log(2)))
 
 FWHM_FACTOR = 2 * math.sqrt(2 * math.log(2))
-
-
-class DegenerateSplittingError(ValueError):
-    """Cross powers vanish; the reflectivity ratio is indeterminate."""
 
 
 class FitFailureError(RuntimeError):
@@ -153,25 +148,6 @@ def ideal_visibility(eta: float) -> float:
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must be in [0, 1], got {eta}")
     return 2.0 * eta * (1.0 - eta) / (1.0 - 2.0 * eta + 2.0 * eta**2)
-
-
-def reflectivity_from_powers(p11: float, p12: float, p21: float, p22: float) -> float:
-    """Reflectivity from the four cross-port powers, by
-    `subcircuits.reflectivity_and_leakage`.
-
-    P_mn is the detected power at guide n with light injected in guide m.
-    Measured powers that are negative, not finite, or have no cross signal
-    raise rather than read as NaN or eta = 1.
-    """
-    for name, p in (("P11", p11), ("P12", p12), ("P21", p21), ("P22", p22)):
-        if not 0.0 <= p < math.inf:
-            raise ValueError(f"{name} must be finite and non-negative, got {p}")
-    if p12 == 0.0 or p21 == 0.0:
-        raise DegenerateSplittingError(
-            "P12 * P21 = 0: splitting ratio indeterminate (eta at exactly 1)"
-        )
-    block = np.array([[p11, p21], [p12, p22]])  # [guide, input]
-    return float(reflectivity_and_leakage(block)[0])
 
 
 def simulate_hom_scan(

@@ -1,9 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rwasim import evolution
+from rwasim import calibration, evolution
 from rwasim.calibration import (
     FlatCurveError,
     LookupMap,
@@ -13,6 +15,7 @@ from rwasim.calibration import (
     gate_voltages_by_linear_fit,
     map_metadata,
     map_to_csv,
+    pair_response,
     solve_voltage,
 )
 from rwasim.device import (
@@ -187,6 +190,21 @@ class TestBuildLookupMap:
         assert (23 * 29) % evolution.STACK_ROWS != 0
         assert (16 * 32) % evolution.STACK_ROWS == 0
 
+    @pytest.mark.parametrize("grid_a,message", [
+        (np.array([1.0, 0.0, -1.0]), "grid_a must be strictly increasing"),
+        (np.zeros((2, 2)), "grid_a must be a non-empty finite 1-D vector"),
+        (np.zeros(0), "grid_a must be a non-empty finite 1-D vector"),
+    ])
+    def test_grid_checked_before_first_block(self, device, grid_a, message):
+        # a decreasing grid was refused by LookupMap only after every cell
+        # was computed, and a 2-D one failed inside numpy's broadcasting
+        with mock.patch.object(calibration, "pair_response",
+                               wraps=calibration.pair_response) as spy:
+            with pytest.raises(ValueError, match=message):
+                build_lookup_map(device, SubcircuitPair(1), 1, 4, grid_a,
+                                 np.zeros(1))
+        assert spy.call_count == 0
+
     def test_nan_grid_entry_rejected(self, device):
         grid = np.array([np.nan, 0.0])
         with pytest.raises(DeviceSpecError):
@@ -262,6 +280,43 @@ class TestBuildLookupMap:
         with pytest.raises(ValueError, match=table):
             LookupMap(electrode_a=1, electrode_b=4, grid_a=grid, grid_b=grid,
                       input_guides=(1, 2), **tables)
+
+
+class TestPairResponse:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), lower=st.integers(1, 10),
+           rows=st.integers(1, 8))
+    def test_eta_equals_effective_reflectivity_exactly(self, seed, lower, rows):
+        rng = np.random.default_rng(seed)
+        spec = random_device(rng)
+        volts = rng.uniform(-10.0, 10.0, (rows, spec.n_electrodes))
+        pair = SubcircuitPair(lower)
+        eta, _, _ = pair_response(spec, pair, volts)
+        assert eta.shape == (rows,)
+        for row, value in zip(volts, eta):
+            u = unitary(build_hamiltonian(spec, VoltageConfig(row)),
+                        spec.coupling_length)
+            assert effective_reflectivity(u, pair) == value
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), lower=st.integers(1, 10),
+           electrodes=st.lists(st.integers(1, 22), min_size=2, max_size=2,
+                               unique=True),
+           shape=st.tuples(st.integers(1, 8), st.integers(1, 8)))
+    def test_rows_equal_map_cells(self, seed, lower, electrodes, shape):
+        rng = np.random.default_rng(seed)
+        spec = random_device(rng)
+        fixed = rng.uniform(-10.0, 10.0, spec.n_electrodes)
+        grid_a, grid_b = (np.sort(rng.uniform(-10.0, 10.0, n)) for n in shape)
+        pair = SubcircuitPair(lower)
+        lut = build_lookup_map(spec, pair, *electrodes, grid_a, grid_b,
+                               VoltageConfig(fixed))
+        volts = np.tile(fixed, (grid_a.size * grid_b.size, 1))
+        volts[:, electrodes[0] - 1] = np.repeat(grid_a, grid_b.size)
+        volts[:, electrodes[1] - 1] = np.tile(grid_b, grid_a.size)
+        for table, rows in zip((lut.eta, lut.leakage_in1, lut.leakage_in2),
+                               pair_response(spec, pair, volts)):
+            np.testing.assert_array_equal(rows.reshape(shape), table)
 
 
 class TestSolveVoltage:

@@ -1,5 +1,6 @@
 import functools
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,8 +8,11 @@ import pytest
 from rwasim import __version__, compiler, photon_stats
 from rwasim.cli import DEVICE_ENV_VAR, main
 from rwasim.compiler import random_base_device
-from rwasim.device import default_device, save_device_spec
+from rwasim.device import (VoltageConfig, build_hamiltonian, default_device,
+                           save_device_spec)
+from rwasim.evolution import unitary
 from rwasim.manifest import read_manifest
+from rwasim.subcircuits import SubcircuitPair, effective_reflectivity
 
 
 def run(*argv):
@@ -208,7 +212,25 @@ class TestHom:
                    "--scan=-0.5,0.5,0.02", "--noiseless",
                    "--out", str(out)) == 0
         man = read_manifest(out / "manifest.json")
-        assert 0.0 <= man["params"]["eta"] <= 1.0
+        spec = default_device()
+        u = unitary(build_hamiltonian(spec, VoltageConfig.zeros(22)),
+                    spec.coupling_length)
+        assert man["params"]["eta"] == effective_reflectivity(u, SubcircuitPair(1))
+
+    @pytest.mark.parametrize("pair", [1, 4, 10])
+    def test_device_eta_at_voltages_equals_full_unitary(self, tmp_path, pair):
+        volts = np.random.default_rng(pair).uniform(-10.0, 10.0, 22)
+        path = tmp_path / "v.txt"
+        path.write_text(" ".join(map(repr, volts.tolist())))
+        out = tmp_path / "run"
+        assert run("hom", "--voltages", str(path), "--pair", str(pair),
+                   "--scan=-0.5,0.5,0.02", "--noiseless",
+                   "--out", str(out)) == 0
+        spec = default_device()
+        u = unitary(build_hamiltonian(spec, VoltageConfig(volts)),
+                    spec.coupling_length)
+        assert read_manifest(out / "manifest.json")["params"]["eta"] == (
+            effective_reflectivity(u, SubcircuitPair(pair)))
 
     @pytest.mark.parametrize("eta", ["0.5", "0.5,1.0,0.25"])
     @pytest.mark.parametrize("flag", ["--device", "--pair", "--voltages"])
@@ -342,6 +364,26 @@ class TestCompile:
         assert run("compile", "--config", "2", "--gates", "XX", "--restarts", "1",
                    "--lengths", "10,x", "--out", str(out)) == 2
         assert "--lengths" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lengths,clash", [
+        ("24.0000001,24.0000002", ["24.0000001", "24.0000002"]),
+        ("24,24", ["24, 24"]),
+        ("10,24,10.0000001", ["10, 10.0000001"]),
+    ])
+    def test_lengths_sharing_output_names_are_usage_error(self, tmp_path, capsys,
+                                                          lengths, clash):
+        # both lengths wrote result_24mm.json, the second over the first,
+        # and the manifest listed each name twice
+        out = tmp_path / "run"
+        with mock.patch.object(compiler, "optimize_parallel_gates",
+                               wraps=compiler.optimize_parallel_gates) as spy:
+            assert run("compile", "--config", "2", "--gates", "XX",
+                       "--restarts", "3", "--lengths", lengths,
+                       "--out", str(out)) == 2
+        assert spy.call_count == 0
+        err = capsys.readouterr().err
+        assert all(x in err for x in clash)
         assert not out.exists()
 
     def test_length_sweep_files(self, tmp_path):

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from rwasim import photon_stats
 from rwasim.photon_stats import (
     _SEED_TABLES_KEPT,
     DEFAULT_COHERENCE_SIGMA_MM,
-    DegenerateSplittingError,
     DipFit,
     FitFailureError,
     HomScan,
@@ -26,7 +24,6 @@ from rwasim.photon_stats import (
     fit_hom_dips,
     ideal_visibility,
     least_squares,
-    reflectivity_from_powers,
     scan_to_csv,
     simulate_hom_scan,
     two_photon_coincidence,
@@ -114,47 +111,6 @@ class TestIdealVisibility:
         assert ideal_visibility(eta) == pytest.approx(
             (p_dist - p_ind) / p_dist, abs=1e-12
         )
-
-
-class TestReflectivityFromPowers:
-    def test_balanced(self):
-        assert reflectivity_from_powers(0.5, 0.5, 0.5, 0.5) == pytest.approx(0.5)
-
-    def test_ratio_nine(self):
-        assert reflectivity_from_powers(0.9, 0.1, 0.1, 0.9) == pytest.approx(
-            0.9, abs=1e-12
-        )
-
-    def test_degenerate_splitting(self):
-        with pytest.raises(DegenerateSplittingError):
-            reflectivity_from_powers(0.5, 0.0, 0.5, 0.5)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1])
-    def test_non_finite_or_negative_power_rejected(self, bad):
-        # NaN passed a bare p < 0 check and came back as eta = NaN
-        for i in range(4):
-            powers = [0.5] * 4
-            powers[i] = bad
-            with pytest.raises(ValueError, match=f"P{(11, 12, 21, 22)[i]}"):
-                reflectivity_from_powers(*powers)
-
-    @pytest.mark.parametrize("powers,expected", [
-        ((0.5, 1e-160, 1e-160, 0.5), 1.0),
-        ((1e200, 1e200, 1e200, 1e200), 0.5),
-        ((3e160, 1.0, 1.0, 3e160), 1.0),
-        ((1e-170, 1e-170, 1e-170, 1e-170), 0.5),  # P12 P21 underflows to 0
-    ])
-    def test_powers_beyond_double_range(self, powers, expected):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert reflectivity_from_powers(*powers) == expected
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.floats(0.001, 0.999))
-    def test_inverts_the_coupler(self, eta):
-        p = np.abs(eta_coupler(eta).matrix) ** 2
-        recovered = reflectivity_from_powers(p[0, 0], p[1, 0], p[0, 1], p[1, 1])
-        assert recovered == pytest.approx(eta, abs=1e-12)
 
 
 class TestSimulateHomScan:
