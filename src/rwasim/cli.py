@@ -270,6 +270,14 @@ def _replay(path: str, out: str) -> int:
 
 # -- parser ------------------------------------------------------------------
 
+def _seed(text: str) -> int:
+    """--seed's type: numpy's generators take only non-negative seeds."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rwasim",
@@ -319,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--center", type=float, default=0.0)
     p.add_argument("--width", type=float,
                    default=photon_stats.DEFAULT_COHERENCE_SIGMA_MM)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--noiseless", action="store_true")
     p.add_argument("--fit", action="store_true")
     p.set_defaults(func=_cmd_hom)
@@ -330,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="1, 2, 3 or config1/config2/config3")
     p.add_argument("--gates", required=True, help="two of X, H, I (e.g. XX)")
     p.add_argument("--restarts", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--lengths", help="comma list of chip lengths in mm")
     p.add_argument("--random-device", action="store_true",
                    help="draw the base beta and coupling from --seed instead "

@@ -10,11 +10,16 @@ against its target plus the squared crosstalk and leakage fractions:
 
 Each restart runs a bound-constrained L-BFGS search (`minimize_box`) from a
 uniform random start.  The search gets the objective together with its exact
-gradient from one eigendecomposition of H = Q diag(w) Q^T: the derivative of
-U = exp(-iHL) is Q (G o Q^T dH Q) Q^T with the divided differences
+gradient from one eigendecomposition of H = Q diag(w) Q^T.  The metrics read
+only the two pairs' 4x4 block of U = exp(-iHL), which is v v^T for
+v = Q[cols] e^{-iwL/2} because U is symmetric.  The derivative of U is
+Q (G o Q^T dH Q) Q^T with the divided differences
 G_ab = (e^{-iw_a L} - e^{-iw_b L}) / (w_a - w_b) (Daleckii-Krein; Najfeld &
 Havel 1995), and the chain rule runs backwards from the objective to the
-electrode voltages.
+electrode voltages through the real adjoint R = L Q (S o Im C) Q^T, with
+S_ab = sin(dw) / dw for dw = L (w_a - w_b) / 2 and C = v^T (d f / d P o
+conj(U)) v over the block.  dH is tridiagonal, so only R's three diagonals
+are formed.
 
 The restarts run in lockstep, in blocks of at most `evolution.STACK_ROWS`: each
 round steps every running restart and evaluates their trial points in one
@@ -37,7 +42,7 @@ import numpy as np
 from . import evolution
 from .csvio import write_csv
 from .device import (N_GUIDES_DEFAULT, DeviceSpec, DeviceSpecError,
-                     VoltageBoundError, VoltageConfig)
+                     VoltageBoundError, VoltageConfig, frozen_array)
 from .subcircuits import (
     SubcircuitPair,
     _bhattacharyya,
@@ -133,6 +138,12 @@ class CompileResult:
     restart_nit: np.ndarray  # per-restart iterations
     restart_reason: tuple[str, ...]  # per-restart stop reason, from STOP_REASONS
 
+    def __post_init__(self):
+        for name, dtype in (("restart_trace", float), ("restart_status", int),
+                            ("restart_nfev", int), ("restart_nit", int)):
+            object.__setattr__(self, name, frozen_array(getattr(self, name), name,
+                                                        error=ValueError, dtype=dtype))
+
     def to_dict(self) -> dict:
         return {
             "best_voltages": self.best_voltages.volts.tolist(),
@@ -162,8 +173,10 @@ def _input_terms(powers: np.ndarray, rows, other_rows, target_p):
     """Per-input metric terms from the output powers of each input.
 
     powers[..., :, k] holds the output powers for input k, with any leading
-    batch axes; rows[k] are the guides of that input's own pair, other_rows[k]
-    those of the other pair and target_p[k] the target split over rows[k].
+    batch axes: the kernel passes the 4x4 block of |U|^2 over the two pairs'
+    guides, pair a first.  rows[k] index the outputs of that input's own
+    pair, other_rows[k] those of the other pair, and target_p[k] is the
+    target split over rows[k].
     Returns, per input, the power kept in the own pair, the post-selected
     split, the fidelity (0 when nothing is kept), the crosstalk and the
     leakage, all as fractions.  The fidelity is the row-wise Bhattacharyya
@@ -215,7 +228,10 @@ def objective_with_gradient(
     grads[b] (n_active,) its gradient.  metrics[:, s, b] holds subcircuit s's
     fidelity, crosstalk and leakage at that point, each averaged over the
     pair's two inputs.  targets[s] is subcircuit s's target split, one row
-    per input.  All B points share one stacked eigensolve.
+    per input.  All B points share one stacked eigensolve.  Each point forms
+    only the two pairs' 4x4 block of U and, for the gradient, the three
+    diagonals of the real adjoint R = L Q (S o Im C) Q^T; no step mixes
+    points, so a row's results do not depend on its batch mates.
     """
     config.validate(spec)
     n = spec.n_guides
@@ -224,11 +240,11 @@ def objective_with_gradient(
     s_coupling = spec.coupling_sensitivity[:, active]
     length = spec.coupling_length
     limit = spec.voltage_limit
-    pair_a, pair_b = (list(pair.indices(n)) for pair in config.pairs)
-    # the four inputs whose output columns the metrics read, pair a first
-    cols = pair_a + pair_b
+    # the four guides whose inputs and outputs the metrics read, pair a first;
+    # rows and other_rows index them
+    cols = [*config.pairs[0].indices(n), *config.pairs[1].indices(n)]
     inputs = np.arange(4)[:, None]
-    rows = np.array([pair_a, pair_a, pair_b, pair_b])
+    rows = np.array([[0, 1], [0, 1], [2, 3], [2, 3]])
     other_rows = rows[[2, 3, 0, 1]]
     target_p = np.vstack(targets)
     check_rows_normalized("target", target_p)
@@ -238,12 +254,13 @@ def objective_with_gradient(
             raise VoltageBoundError(f"voltages {x} exceed limit +/-{limit} V")
         w, q = evolution.eigh_tridiagonal(spec.base_beta + x @ s_beta.T,
                                           spec.base_coupling + x @ s_coupling.T)
-        half = np.exp(-0.5j * length * w)
-        q_t = q.transpose(0, 2, 1)
-        q_cols = q[:, cols]
-        u = (q * (half**2)[:, None, :]) @ q_t[:, :, cols]
-        own, split, fid, ct, leak = _input_terms(np.abs(u) ** 2, rows, other_rows,
-                                                 target_p)
+        # U = Q diag(e^{-iwL}) Q^T is symmetric, so with v = Q[cols] e^{-iwL/2}
+        # its 4x4 block U[cols][:, cols] is v v^T
+        v = q[:, cols] * np.exp(-0.5j * length * w)[:, None, :]
+        v_t = v.transpose(0, 2, 1)
+        u = v @ v_t
+        own, split, fid, ct, leak = _input_terms(u.real**2 + u.imag**2, rows,
+                                                 other_rows, target_p)
         terms = np.stack((fid, ct, leak))
         # per pair, (metric, pair, point)
         means = (0.5 * (terms[..., 0::2] + terms[..., 1::2])).transpose(0, 2, 1)
@@ -260,15 +277,17 @@ def objective_with_gradient(
         d_powers[:, rows, inputs] = -(1.0 - fid_m) * d_fid - leak_m
         d_powers[:, other_rows, inputs] = ct_m
 
-        # d powers = 2 Re(conj(u) du) with du = Q (G o Q^T dH Q) Q^T, so the
-        # adjoint is R = Q (G o B) Q^T, B = Q^T (d_powers o conj(u)) Q[cols];
-        # dH is tridiagonal, so only three diagonals of R are needed
-        b = q_t @ ((d_powers * u.conj()) @ q_cols)
-        g = (-1j * length) * (half[:, :, None] * half[:, None, :]) * np.sinc(
-            (length / (2.0 * np.pi)) * (w[:, :, None] - w[:, None, :]))
-        r = (q @ (g * b) @ q_t).real
-        r_off = r.diagonal(1, 1, 2) + r.diagonal(-1, 1, 2)
-        return value, 2.0 * (r.diagonal(0, 1, 2) @ s_beta + r_off @ s_coupling), means
+        # d powers = 2 Re(conj(u) du) and G_ab = -iL e^{-i(w_a+w_b)L/2} S_ab,
+        # so d objective = 2 tr(R dH) for the real adjoint R of the module
+        # docstring, C = v^T (d_powers o conj(u)) v; R's three diagonals are
+        # diag(Q M Q^T) and its two off-diagonals, M = S o Im C
+        c = v_t @ ((d_powers * u.conj()) @ v)
+        dw = (0.5 * length) * (w[:, :, None] - w[:, None, :])
+        dw = np.where(dw == 0.0, 1e-20, dw)  # sin(dw) / dw is then exactly 1
+        qm = q @ (np.sin(dw) / dw * c.imag)
+        diag = np.vecdot(qm, q)
+        off = np.vecdot(qm[:, :-1], q[:, 1:]) + np.vecdot(qm[:, 1:], q[:, :-1])
+        return value, (2.0 * length) * (diag @ s_beta + off @ s_coupling), means
 
     return f
 

@@ -44,8 +44,10 @@ class VoltageBoundError(ValueError):
 def frozen_array(value, name: str, shape: tuple | None = None,
                  error: type[Exception] = DeviceSpecError,
                  dtype: type = float) -> np.ndarray:
-    """`value` as a read-only `dtype` (float or complex) array, checked finite
-    and, if `shape` is given, of that shape; `error` is raised otherwise.
+    """`value` as a read-only `dtype` (float, complex or int) array, checked
+    finite and, if `shape` is given, of that shape; `error` is raised
+    otherwise.  An int array keeps its integer dtype, so it serializes as
+    integers.
 
     A read-only input is returned as it is.  A writable array is copied
     before the copy is frozen, so the caller's array stays writable and no

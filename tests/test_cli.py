@@ -413,6 +413,31 @@ class TestCompile:
         assert not out.exists()
 
 
+class TestSeed:
+    @pytest.mark.parametrize("argv", [
+        ["compile", "--config", "2", "--gates", "XX", "--restarts", "2", "--seed", "-1"],
+        ["compile", "--config", "2", "--gates", "XX", "--restarts", "2",
+         "--random-device", "--seed", "-3"],
+        ["hom", "--eta", "0.5", "--scan=-0.6,0.6,0.01", "--seed", "-1"],
+        ["hom", "--eta", "0.2,0.4,0.1", "--scan=-0.6,0.6,0.01", "--seed", "-2"],
+        # the seed goes unused here, but a negative one is still refused
+        ["hom", "--eta", "0.5", "--scan=-0.6,0.6,0.01", "--noiseless", "--seed", "-1"],
+        ["compile", "--config", "2", "--gates", "XX", "--seed", "x"],
+    ], ids=["compile", "random-device", "hom", "hom-sweep", "hom-noiseless",
+            "not-a-number"])
+    def test_seed_must_be_non_negative_integer(self, tmp_path, capsys, argv):
+        # numpy refused a negative seed after parsing, naming no flag
+        out = tmp_path / "run"
+        assert run(*argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "--seed" in err and "non-negative integer" in err
+        assert not out.exists()
+
+    def test_zero_seed_accepted(self, tmp_path):
+        assert run("hom", "--eta", "0.5", "--scan=-0.6,0.6,0.01", "--seed", "0",
+                   "--out", str(tmp_path / "run")) == 0
+
+
 class TestLoss:
     def test_report(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -498,6 +523,10 @@ class TestReplay:
         # 0.5, which moves H-target compiles in their last digits
         pytest.param("0.12.0", ["compile", "--config", "2", "--gates", "XH",
                                 "--restarts", "3", "--seed", "4"], id="0.12.0-compile"),
+        # 0.14.0 scores the pairs' 4x4 block of U with a real adjoint, which
+        # moves compiled objectives and traces in their last digits
+        pytest.param("0.13.0", ["compile", "--config", "2", "--gates", "XH",
+                                "--restarts", "3", "--seed", "4"], id="0.13.0-compile"),
     ])
     def test_replay_refuses_old_version(self, device_file, tmp_path, capsys,
                                         version, argv):

@@ -252,6 +252,30 @@ class TestObjectiveWithGradient:
             assert abs(value - ref_value) <= 1e-12
             assert np.max(np.abs(grad - ref_grad)) <= 1e-12
 
+    @settings(max_examples=20, deadline=None)
+    @given(device_seed=st.one_of(st.none(), st.integers(0, 2**16)),
+           config_name=st.sampled_from(["config1", "config2", "config3"]),
+           gates=st.tuples(GATES, GATES),
+           batch=st.sampled_from([7, 64, 256]),
+           point_seed=st.integers(0, 2**32 - 1))
+    def test_rows_equal_single_point_calls(self, device_seed, config_name, gates,
+                                           batch, point_seed):
+        # the lockstep's determinism rests on this: a restart's values do not
+        # depend on which restarts share its round
+        spec = (make_xx_device() if device_seed is None
+                else random_base_device(device_seed))
+        config = preset_config(config_name)
+        f = objective_with_gradient(spec, config, tuple(gate_target(g) for g in gates))
+        x = np.random.default_rng(point_seed).uniform(
+            -spec.voltage_limit, spec.voltage_limit,
+            (batch, len(config.active_electrodes)))
+        values, grads, metrics = f(x)
+        for b in range(batch):
+            value, grad, metric = f(x[b:b + 1])
+            assert value[0] == values[b]
+            np.testing.assert_array_equal(grad[0], grads[b])
+            np.testing.assert_array_equal(metric[..., 0], metrics[..., b])
+
     def test_zero_at_exact_solution(self):
         spec = make_xx_device()
         [value], [grad], _ = objective_with_gradient(spec, preset_config("config3"),
@@ -569,6 +593,18 @@ class TestExport:
         assert doc["restart_reason"] == list(result.restart_reason)
         assert all(isinstance(n, int) and n > 0 for n in doc["restart_nit"])
         assert all(isinstance(n, int) and n > 0 for n in doc["restart_nfev"])
+
+    def test_restart_arrays_read_only(self):
+        # a write would change what to_dict reports; the counts stay integers
+        result = optimize_parallel_gates(make_xx_device(),
+                                         preset_config("config2"), XX,
+                                         restarts=2, seed=0)
+        for name, kind in (("restart_trace", "f"), ("restart_status", "i"),
+                           ("restart_nfev", "i"), ("restart_nit", "i")):
+            arr = getattr(result, name)
+            assert arr.dtype.kind == kind, name
+            with pytest.raises(ValueError):
+                arr[0] = 7
 
     def test_trace_csv(self, tmp_path):
         trace = np.array([0.5, 0.2, 0.3])
