@@ -5,11 +5,13 @@ subcircuit while two electrodes sweep a voltage grid, then serves as the
 inversion target for operating-point searches and linear gate-voltage fits.
 
 `pair_response` is the one path from voltage rows to a pair's eta and
-leakages: one batched eigensolve (`evolution.unitary_blocks`) keeps only the
-pair's 2x2 block of each U, read by `subcircuits.reflectivity_and_leakage`.
-A map calls it per block of `evolution.STACK_ROWS` cells, which bounds the
-working set (H and Q take about 0.5 MB) without changing any cell's value;
-`rwasim hom` calls it for one row.
+leakages: `evolution.unitary_blocks` forms only the pair's 2x2 block of each
+U, from one stacked `numpy.linalg.eigvalsh` and the minors of w - H, and
+`subcircuits.reflectivity_and_leakage` reads it.  A map calls it per block
+of `evolution.STACK_ROWS` cells, which bounds the working set (the stacked
+H takes about 0.25 MB) without changing any cell's value; `rwasim hom`
+calls it for one row.  Each cell's block is bit-identical to the one
+`evolution.unitary` gives for the same voltages.
 """
 from __future__ import annotations
 
@@ -102,7 +104,7 @@ def _checked_grid(value, name: str, error: type[Exception] = ValueError):
 def pair_response(spec: DeviceSpec, pair: SubcircuitPair, volts):
     """(eta, leak_in1, leak_in2 in percent) of `pair` at each row of a (B, E)
     voltage stack, each row's from that row alone.  All B rows go into one
-    eigensolve, so the caller keeps B within `evolution.STACK_ROWS`."""
+    eigenvalue solve, so the caller keeps B within `evolution.STACK_ROWS`."""
     i, j = pair.indices(spec.n_guides)
     diag, offdiag = device_mod.hamiltonian_diagonals(spec, volts)
     sub = evolution.unitary_blocks(diag, offdiag, spec.coupling_length,

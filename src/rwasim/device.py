@@ -47,21 +47,30 @@ def frozen_array(value, name: str, shape: tuple | None = None,
     """`value` as a read-only `dtype` (float, complex or int) array, checked
     finite and, if `shape` is given, of that shape; `error` is raised
     otherwise.  An int array keeps its integer dtype, so it serializes as
-    integers.
+    integers, and takes only whole numbers: 3.0 is 3, 1.5 is refused rather
+    than cut to 1.
 
     A read-only input is returned as it is.  A writable array is copied
     before the copy is frozen, so the caller's array stays writable and no
     one else can write to the result; an array made here from other input is
     frozen without a copy.
     """
+    integral = np.dtype(dtype).kind in "iu"
     try:
-        arr = np.asarray(value, dtype=dtype)
+        arr = np.asarray(value, dtype=None if integral else dtype)
+        if integral and arr.dtype.kind not in "biu":
+            # checked as floats first, so that 1.5 is refused, not cut to 1
+            arr = np.asarray(arr, dtype=float)
     except (TypeError, ValueError) as exc:
         raise error(f"{name}: not numeric ({exc})") from exc
     if shape is not None and arr.shape != shape:
         raise error(f"{name} has shape {arr.shape}, expected {shape}")
     if not np.all(np.isfinite(arr)):
         raise error(f"{name}: contains non-finite entries")
+    if integral:
+        if not np.all(arr == np.trunc(arr)):
+            raise error(f"{name}: entries must be whole numbers")
+        arr = arr.astype(dtype, copy=False)
     if arr.flags.writeable:
         if arr is value or arr.base is not None:
             arr = arr.copy()

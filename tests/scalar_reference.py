@@ -15,6 +15,10 @@ the batched-versus-scalar tests compare two independent eigensolvers.
 `scipy.optimize.minimize`, as the compiler did before it stepped them in
 lockstep.
 
+`eigh_blocks` is the eigenvector formula `evolution.unitary_blocks` used
+before it formed U from eigenvalues and minors: (Q[rows] e^{-iwL}) Q[cols]^T
+from the stacked eigendecomposition of `evolution.eigh_tridiagonal`.
+
 `trf_dip_fit` fits the HOM dip model with scipy's trust-region reflective
 `least_squares`, within the bounds and tolerances `fit_hom_dip` used while it
 ran that solver.
@@ -25,7 +29,7 @@ from scipy.optimize import least_squares, minimize
 
 from rwasim import compiler
 from rwasim.device import VoltageBoundError, VoltageConfig, build_hamiltonian
-from rwasim.evolution import unitary
+from rwasim.evolution import eigh_tridiagonal as stacked_eigh, unitary
 from rwasim.photon_stats import dip_jacobian, dip_model
 from rwasim.subcircuits import distribution_fidelity
 
@@ -122,6 +126,14 @@ def sequential_restarts(spec, config, targets, restarts, seed):
                      options={"maxiter": compiler.MAX_ITERATIONS,
                               "ftol": 1e-14, "gtol": 1e-10})
             for x0 in starts]
+
+
+def eigh_blocks(diag, offdiag, length, rows, cols):
+    """U[rows][:, cols] of U = exp(-i H L) for each of B stacked tridiagonals
+    diag (B, N), offdiag (B, N-1), through their eigenvectors."""
+    w, q = stacked_eigh(diag, offdiag)
+    q_rows = q[:, rows, :] * np.exp(-1j * length * w)[:, None, :]
+    return q_rows @ q[:, cols, :].transpose(0, 2, 1)
 
 
 def trf_dip_fit(scan, x0, exact_jacobian=False):

@@ -114,3 +114,20 @@ class TestFrozenArray:
     def test_rejects_with_the_given_error(self, value):
         with pytest.raises(RuntimeError, match="x"):
             frozen_array(value, "x", error=RuntimeError)
+
+    @pytest.mark.parametrize("dtype", [int, np.int64, np.intp, "int"])
+    def test_int_refuses_what_is_not_a_whole_number(self, dtype):
+        # the cast to int cut [1.5, 2.7] to [1 2] without a word
+        with pytest.raises(ValueError, match="x: entries must be whole numbers"):
+            frozen_array([1.5, 2.7], "x", error=ValueError, dtype=dtype)
+
+    @pytest.mark.parametrize("value", [[np.nan], [np.inf]])
+    def test_int_refuses_non_finite_entries(self, value):
+        with pytest.raises(ValueError, match="x: contains non-finite entries"):
+            frozen_array(value, "x", error=ValueError, dtype=int)
+
+    @pytest.mark.parametrize("value", [[3.0, -4.0], np.array([3, -4])])
+    def test_int_keeps_whole_numbers(self, value):
+        arr = frozen_array(value, "x", error=ValueError, dtype=int)
+        assert arr.dtype.kind == "i" and arr.tolist() == [3, -4]
+        assert not arr.flags.writeable

@@ -73,7 +73,8 @@ class TestSimulate:
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigh", fail)
+        for solver in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, solver, fail)
         out = tmp_path / "run"
         assert run("simulate", "--out", str(out)) == 4
         assert "did not converge" in capsys.readouterr().err
@@ -527,6 +528,11 @@ class TestReplay:
         # moves compiled objectives and traces in their last digits
         pytest.param("0.13.0", ["compile", "--config", "2", "--gates", "XH",
                                 "--restarts", "3", "--seed", "4"], id="0.13.0-compile"),
+        # 0.15.0 forms U from eigenvalues and minors, which moves map cells
+        # and simulated powers in their last digits
+        pytest.param("0.14.0", ["map", "--electrodes", "1,4", "--range=-2,2",
+                                "--step", "2"], id="0.14.0-map"),
+        pytest.param("0.14.0", ["simulate"], id="0.14.0-simulate"),
     ])
     def test_replay_refuses_old_version(self, device_file, tmp_path, capsys,
                                         version, argv):

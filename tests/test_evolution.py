@@ -58,6 +58,13 @@ class TestUnitary:
         with pytest.raises(ValueError):
             unitary(h, 0.0)
 
+    @pytest.mark.parametrize("length", [math.inf, math.nan])
+    def test_length_must_be_positive_and_finite(self, length):
+        # an infinite length gave a RuntimeWarning, then blamed the matrix
+        # for containing non-finite entries
+        with pytest.raises(ValueError, match="length must be positive and finite"):
+            unitary(two_mode(0.0, 0.0, 0.1), length)
+
     def test_composition(self):
         rng = np.random.default_rng(11)
         h = build_hamiltonian(random_device(rng), VoltageConfig(np.zeros(22)))
@@ -215,6 +222,11 @@ class TestPropagationProfile:
         h = two_mode(0.0, 0.0, 0.1)
         with pytest.raises(ValueError):
             propagation_profile(h, 1.0, n_steps=1)
+
+    @pytest.mark.parametrize("length", [math.inf, math.nan, -1.0])
+    def test_length_must_be_positive_and_finite(self, length):
+        with pytest.raises(ValueError, match="length must be positive and finite"):
+            propagation_profile(two_mode(0.0, 0.0, 0.1), length)
 
 
 class TestCsvExport:

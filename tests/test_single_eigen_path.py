@@ -1,9 +1,11 @@
-"""The package diagonalizes through one function.
+"""The package calls a library eigensolver in exactly two places.
 
-Every eigendecomposition in `src/rwasim` runs through
-`evolution.eigh_tridiagonal`, one stacked `numpy.linalg.eigh`.  These tests
-parse the package with `ast`, without importing it, and fail on a
-`scipy.linalg` import in any module or on an eigensolver called anywhere
+Eigenvalues for every transfer unitary come from one stacked
+`numpy.linalg.eigvalsh` in `evolution.unitary_blocks`; eigenvectors, for the
+callers that need Q and for the rows the residue formula does not serve,
+come from one stacked `numpy.linalg.eigh` in `evolution.eigh_tridiagonal`.
+These tests parse the package with `ast`, without importing it, and fail on
+a `scipy.linalg` import in any module or on an eigensolver called anywhere
 else.
 """
 import ast
@@ -64,4 +66,5 @@ def test_one_eigensolver_call_site():
         visitor = SolverCalls(module)
         visitor.visit(tree)
         found += visitor.found
-    assert found == [("evolution", "eigh_tridiagonal", "np.linalg.eigh")]
+    assert found == [("evolution", "eigh_tridiagonal", "np.linalg.eigh"),
+                     ("evolution", "unitary_blocks", "np.linalg.eigvalsh")]
