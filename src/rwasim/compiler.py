@@ -8,9 +8,20 @@ against its target plus the squared crosstalk and leakage fractions:
 
     (1-F1)^2 + (1-F2)^2 + ct1^2 + ct2^2 + leak1^2 + leak2^2
 
-Each restart runs a bound-constrained L-BFGS search (`minimize_box`) from a
-uniform random start.  The search gets the objective together with its exact
-gradient from one eigendecomposition of H = Q diag(w) Q^T.  The metrics read
+That sum of the six squared residuals r >= 0 is the judge of every result.
+Each r is quadratic in the distance to an exact solution, so the sum is
+quartic there and its minimum flat; the search runs instead on
+f_eps = sum (r^2 + eps r), eps = `SEARCH_EPS`, which has the same zeros and
+a quadratic bottom.
+
+Each restart runs a bound-constrained L-BFGS search (`minimize_box`) on f_eps
+from a uniform random start.  Every end point is then scored on sum r^2, and
+those that converged within `POLISH_WINDOW` times the best score run one more
+`minimize_box` on sum r^2: where no exact solution exists, eps moves the
+minima, and this polish takes them back.
+
+The kernel gets the objective together with its exact gradient from one
+eigendecomposition of H = Q diag(w) Q^T.  The metrics read
 only the two pairs' 4x4 block of U = exp(-iHL), which is v v^T for
 v = Q[cols] e^{-iwL/2} because U is symmetric.  The derivative of U is
 Q (G o Q^T dH Q) Q^T with the divided differences
@@ -24,11 +35,12 @@ are formed.
 The restarts run in lockstep, in blocks of at most `evolution.STACK_ROWS`: each
 round steps every running restart and evaluates their trial points in one
 call of the batched kernel, one stacked eigensolve; the solver's steps act on
-each restart alone.  The winner is picked by (objective, restart index), so
-the result is deterministic for a given seed.
+each restart alone.  The polish and the scoring run in blocks of the same
+size.  The winner is picked by (sum r^2, restart index), so the result is
+deterministic for a given seed.
 
 The winner is scored by the kernel its restarts ran, at a batch of one, so
-the reported objective is the winning restart's own value and the reported
+the reported objective is the winning restart's own sum r^2 and the reported
 metrics are the ones behind it; `objective` is the same kernel at one point.
 """
 from __future__ import annotations
@@ -54,6 +66,15 @@ from .subcircuits import (
 from .subcircuits import distribution_fidelity  # noqa: F401
 
 MAX_ITERATIONS = 500
+# the search's objective is sum (r^2 + SEARCH_EPS r) over the six residuals;
+# the end points within POLISH_WINDOW times the best sum r^2 that converged are
+# polished on sum r^2
+SEARCH_EPS = 0.1
+POLISH_WINDOW = 10.0
+# U's entries carry absolute rounding errors of up to about 3e-14 at the
+# default device's phases (w L up to about 100 rad, against a 40-digit expm),
+# so an output power below (1e-13)^2 is zero up to rounding
+ZERO_POWER = 1e-26
 
 logger = logging.getLogger("rwasim.compiler")
 
@@ -132,7 +153,7 @@ class CompileResult:
     fidelities: tuple[float, float]
     crosstalks: tuple[float, float]
     leakages: tuple[float, float]
-    restart_trace: np.ndarray  # per-restart best objective
+    restart_trace: np.ndarray  # per-restart objective (sum r^2) at its end point
     restart_status: np.ndarray  # per-restart status: 0 converged, 1 limit, 2 other
     restart_nfev: np.ndarray  # per-restart objective evaluations
     restart_nit: np.ndarray  # per-restart iterations
@@ -221,17 +242,19 @@ def objective_with_gradient(
     config: ElectrodeConfig,
     targets: tuple[np.ndarray, np.ndarray],
 ):
-    """f(X) -> (objectives, d objective / dX, metrics) for B points at once.
+    """f(X, eps=0) -> (objectives, d objective / dX, metrics) for B points.
 
     Row b of X (B, n_active) holds the active electrodes' voltages in
     `config.active_electrodes` order; values[b] is the objective there and
-    grads[b] (n_active,) its gradient.  metrics[:, s, b] holds subcircuit s's
-    fidelity, crosstalk and leakage at that point, each averaged over the
-    pair's two inputs.  targets[s] is subcircuit s's target split, one row
-    per input.  All B points share one stacked eigensolve.  Each point forms
-    only the two pairs' 4x4 block of U and, for the gradient, the three
-    diagonals of the real adjoint R = L Q (S o Im C) Q^T; no step mixes
-    points, so a row's results do not depend on its batch mates.
+    grads[b] (n_active,) its gradient.  The objective is sum (r^2 + eps r)
+    over the six residuals, sum r^2 at eps = 0.  metrics[:, s, b] holds
+    subcircuit s's fidelity, crosstalk and leakage at that point, each
+    averaged over the pair's two inputs.  targets[s] is subcircuit s's
+    target split, one row per input.  All B points share one stacked
+    eigensolve.  Each point forms only the two pairs' 4x4 block of U and,
+    for the gradient, the three diagonals of the real adjoint
+    R = L Q (S o Im C) Q^T; no step mixes points, so a row's results do not
+    depend on its batch mates.
     """
     config.validate(spec)
     n = spec.n_guides
@@ -249,7 +272,8 @@ def objective_with_gradient(
     target_p = np.vstack(targets)
     check_rows_normalized("target", target_p)
 
-    def f(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def f(x: np.ndarray, eps: float = 0.0
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if not np.abs(x).max() <= limit:  # also rejects NaN
             raise VoltageBoundError(f"voltages {x} exceed limit +/-{limit} V")
         w, q = evolution.eigh_tridiagonal(spec.base_beta + x @ s_beta.T,
@@ -264,18 +288,25 @@ def objective_with_gradient(
         terms = np.stack((fid, ct, leak))
         # per pair, (metric, pair, point)
         means = (0.5 * (terms[..., 0::2] + terms[..., 1::2])).transpose(0, 2, 1)
-        value = _objective_value(*means)
+        value = (_objective_value(*means)
+                 + eps * ((1.0 - means[0]) + means[1] + means[2]).sum(axis=0))
 
-        # d objective / d powers.  d sqrt(t m) / dm is set to 0 where m = 0
-        # (t / inf) and the fidelity term to 0 where the pair keeps nothing.
-        d_split = 0.5 * np.sqrt(target_p / np.where(split > 0.0, split, np.inf))
+        # d objective / d powers.  d sqrt(t p) / dp is set to 0 where the own
+        # power p is zero up to rounding: sqrt(t p) = sqrt(t) |u| has a cone
+        # there, and 0 is its central difference.  The fidelity term is 0
+        # where the pair keeps nothing.
+        zero = split * own[..., None] <= ZERO_POWER
+        d_split = 0.5 * np.sqrt(target_p / np.where(zero, np.inf, split))
         # split = p / own: the fidelity gradient loses its normal component
         d_fid = ((d_split - 0.5 * fid[..., None])
                  / np.where(own > 0.0, own, np.inf)[..., None])
+        # d (r^2 + eps r) / dr = 2 (r + eps / 2), the 2 in the gradient's 2L
+        half = 0.5 * eps
         fid_m, ct_m, leak_m = means.repeat(2, axis=1).transpose(0, 2, 1)[..., None]
         d_powers = np.zeros(u.shape)
-        d_powers[:, rows, inputs] = -(1.0 - fid_m) * d_fid - leak_m
-        d_powers[:, other_rows, inputs] = ct_m
+        d_powers[:, rows, inputs] = (-((1.0 - fid_m) + half) * d_fid
+                                     - (leak_m + half))
+        d_powers[:, other_rows, inputs] = ct_m + half
 
         # d powers = 2 Re(conj(u) du) and G_ab = -iL e^{-i(w_a+w_b)L/2} S_ab,
         # so d objective = 2 tr(R dH) for the real adjoint R of the module
@@ -294,8 +325,8 @@ def objective_with_gradient(
 
 STOP_REASONS = ("projected gradient below gtol", "relative reduction of f below ftol",
                 "iteration limit reached", "evaluation limit reached",
-                "line search found no acceptable step")
-STOP_STATUS = np.array([0, 0, 1, 1, 2])  # 0 converged, 1 limit reached, 2 other
+                "line search found no acceptable step", "no decrease above rounding")
+STOP_STATUS = np.array([0, 0, 1, 1, 2, 0])  # 0 converged, 1 limit reached, 2 other
 
 
 BoxResult = namedtuple("BoxResult", "x fun nit nfev stop")  # stop: STOP_REASONS index
@@ -311,11 +342,20 @@ def minimize_box(fun, x0: np.ndarray, lower: float, upper: float, *, maxiter: in
     Hessian of the last 10 curvature pairs, each restricted to the variables
     free at its new point (Kim, Sra & Dhillon 2010).  The first trial, step
     1, stops at the nearest bound; up to 20 quadratic backtracks seek Armijo
-    decrease, else the row retries from the projected gradient or stops.  A
+    decrease, else the row retries from the projected gradient or stops.
+    While a row holds no curvature pair, H = gamma I, and an accepted step
+    that shows no positive curvature multiplies gamma by 4, the largest
+    extrapolation of Moré & Thuente's line search: a row on a nearly linear
+    or concave slope would otherwise creep at the gradient's own length.  A
     row stops once its largest projected gradient entry is at most gtol, an
     iteration lowers f by at most ftol * max(|f_old|, |f|, 1), or at maxiter
-    iterations or maxfun evaluations.  Each round evaluates all running rows
-    in one call of `fun`; a row depends on its batch mates only through fun.
+    iterations or maxfun evaluations.  A row whose line search fails stops
+    as converged, "no decrease above rounding", if its largest projected
+    gradient entry p has p^2 <= eps * max(|f|, 1), f's rounding on the ftol
+    test's scale: a unit step along that entry, the longest the retry
+    tries, then promises less decrease than f's rounding.
+    Each round evaluates all running rows in one call of `fun`; a row
+    depends on its batch mates only through fun.
     """
     m, max_tries, c1, eps = 10, 20, 1e-4, np.finfo(float).eps
     snap = 4.0 * eps * max(abs(lower), abs(upper), 1.0)
@@ -393,6 +433,9 @@ def minimize_box(fun, x0: np.ndarray, lower: float, upper: float, *, maxiter: in
             mats[new, k, :m], mats[new, k, m:] = yy, 0.0
             mats[rows_k + (k[:, None],)], mats[rows_k + (m + k[:, None],)] = yy, col
             gamma[new, 0], count[new] = sy_new / y_y[new], count[new] + 1
+        # no curvature pair yet and none from this step: H = gamma I is too
+        # short a model, so lengthen the next step as a line search would
+        gamma[ok & (count == 0) & (s_y <= eps * y_y)] *= 4.0
         conv = ok & (np.maximum.reduce(np.abs(pg), axis=1) <= gtol)
         reduced = ok & (drop <= ftol * np.maximum(np.maximum(f, -f_t), 1.0))
         for old, accepted in ((x, trial), (g, g_t), (free, free_t)):
@@ -407,7 +450,13 @@ def minimize_box(fun, x0: np.ndarray, lower: float, upper: float, *, maxiter: in
         limit = nit >= maxiter
         done = conv | reduced | limit | give_up | (evaluations >= maxfun)
         if np.count_nonzero(done):
-            code = np.argmax((conv, reduced, limit, ~give_up, done), axis=0)
+            # a row whose line search failed is at a minimum if a unit step
+            # along its largest projected gradient entry promises less
+            # decrease than f's rounding
+            pg = np.minimum(np.maximum(x - g, lower), upper) - x
+            flat = (np.maximum.reduce(np.abs(pg), axis=1) ** 2
+                    <= eps * np.maximum(np.abs(f), 1.0))
+            code = np.argmax((conv, reduced, limit, ~give_up, ~flat, done), axis=0)
 
 
 def optimize_parallel_gates(
@@ -423,14 +472,26 @@ def optimize_parallel_gates(
     limit = spec.voltage_limit
     n_active = len(config.active_electrodes)
     kernel = objective_with_gradient(spec, config, targets)
-
-    rng = np.random.default_rng(seed)
-    starts = rng.uniform(-limit, limit, size=(restarts, n_active))
     block = evolution.STACK_ROWS
-    runs = [minimize_box(lambda x: kernel(x)[:2], starts[lo:lo + block],
-                         -limit, limit, maxiter=MAX_ITERATIONS, ftol=1e-13, gtol=1e-10)
-            for lo in range(0, restarts, block)]
-    xs, fun, nit, nfev, stop = (np.concatenate(field) for field in zip(*runs))
+
+    def search(x0, eps):  # minimize_box from each row of x0, a block at a time
+        runs = [minimize_box(lambda x: kernel(x, eps)[:2], x0[lo:lo + block],
+                             -limit, limit, maxiter=MAX_ITERATIONS, ftol=1e-13,
+                             gtol=1e-10)
+                for lo in range(0, len(x0), block)]
+        return [np.concatenate(field) for field in zip(*runs)]
+
+    starts = np.random.default_rng(seed).uniform(-limit, limit,
+                                                 size=(restarts, n_active))
+    xs, _, nit, nfev, stop = search(starts, SEARCH_EPS)
+    # score every end point on sum r^2, then polish the converged ones near the best
+    fun = np.concatenate([kernel(xs[lo:lo + block])[0]
+                          for lo in range(0, restarts, block)])
+    near = np.flatnonzero((STOP_STATUS[stop] == 0) & (fun <= POLISH_WINDOW * fun.min()))
+    if near.size:
+        xs[near], fun[near], polish_nit, polish_nfev, stop[near] = search(xs[near], 0.0)
+        nit[near] += polish_nit
+        nfev[near] += polish_nfev
     status, reasons = STOP_STATUS[stop], tuple(STOP_REASONS[k] for k in stop)
     for r in np.flatnonzero(status):
         logger.warning("%s restart %d: status %d after %d iterations and %d"

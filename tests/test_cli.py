@@ -533,6 +533,10 @@ class TestReplay:
         pytest.param("0.14.0", ["map", "--electrodes", "1,4", "--range=-2,2",
                                 "--step", "2"], id="0.14.0-map"),
         pytest.param("0.14.0", ["simulate"], id="0.14.0-simulate"),
+        # 0.16.0 searches on sum (r^2 + eps r), polishes the near-best restarts
+        # on sum r^2 and adds a stop reason, which moves compiled voltages
+        pytest.param("0.15.0", ["compile", "--config", "2", "--gates", "XH",
+                                "--restarts", "3", "--seed", "4"], id="0.15.0-compile"),
     ])
     def test_replay_refuses_old_version(self, device_file, tmp_path, capsys,
                                         version, argv):

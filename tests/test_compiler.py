@@ -24,7 +24,8 @@ from rwasim.compiler import (
     trace_to_csv,
 )
 from rwasim.csvio import write_json
-from rwasim.device import DeviceSpec, DeviceSpecError, VoltageBoundError, VoltageConfig
+from rwasim.device import (DeviceSpec, DeviceSpecError, VoltageBoundError,
+                           VoltageConfig, default_device)
 from rwasim.subcircuits import SubcircuitPair, coupler_split
 
 from conftest import make_xx_device, spec_equal, with_electrode
@@ -169,11 +170,12 @@ class TestObjectiveWithGradient:
     @given(device_seed=st.one_of(st.none(), st.integers(0, 2**16)),
            config_name=st.sampled_from(["config1", "config2", "config3"]),
            gates=st.tuples(GATES, GATES),
+           eps=st.sampled_from([0.0, compiler.SEARCH_EPS]),
            point_seed=st.integers(0, 2**32 - 1))
     def test_matches_objective_and_central_differences(
-            self, device_seed, config_name, gates, point_seed):
+            self, device_seed, config_name, gates, eps, point_seed):
         # device_seed None is the decoupled X(x)X device, whose Hamiltonian
-        # has repeated eigenvalues
+        # has repeated eigenvalues; eps > 0 is the search's sum (r^2 + eps r)
         spec = (make_xx_device() if device_seed is None
                 else random_base_device(device_seed))
         config = preset_config(config_name)
@@ -188,13 +190,17 @@ class TestObjectiveWithGradient:
             return VoltageConfig(volts)
 
         def reference(y):
-            return full_u_evaluate(spec, embed(y), config, targets)[0]
+            value, metrics = full_u_evaluate(spec, embed(y), config, targets)
+            return value + eps * sum((1.0 - fid) + ct + leak
+                                     for fid, ct, leak in metrics)
 
-        [value], [grad], _ = objective_with_gradient(spec, config, targets)(x[None])
+        f = objective_with_gradient(spec, config, targets)
+        [value], [grad], _ = f(x[None], eps)
         obj, metrics = kernel_metrics(spec, config, targets, embed(x))
         ref_obj, ref_metrics = full_u_evaluate(spec, embed(x), config, targets)
-        assert objective(spec, embed(x), config, targets) == obj == value
+        assert objective(spec, embed(x), config, targets) == obj == f(x[None])[0][0]
         assert abs(obj - ref_obj) <= 1e-12
+        assert abs(value - reference(x)) <= 1e-12
         for m, ref in zip(metrics, ref_metrics):
             assert np.max(np.abs(np.subtract(m, ref))) <= 1e-12
         h = 1e-5
@@ -257,9 +263,10 @@ class TestObjectiveWithGradient:
            config_name=st.sampled_from(["config1", "config2", "config3"]),
            gates=st.tuples(GATES, GATES),
            batch=st.sampled_from([7, 64, 256]),
+           eps=st.sampled_from([0.0, compiler.SEARCH_EPS]),
            point_seed=st.integers(0, 2**32 - 1))
     def test_rows_equal_single_point_calls(self, device_seed, config_name, gates,
-                                           batch, point_seed):
+                                           batch, eps, point_seed):
         # the lockstep's determinism rests on this: a restart's values do not
         # depend on which restarts share its round
         spec = (make_xx_device() if device_seed is None
@@ -269,12 +276,30 @@ class TestObjectiveWithGradient:
         x = np.random.default_rng(point_seed).uniform(
             -spec.voltage_limit, spec.voltage_limit,
             (batch, len(config.active_electrodes)))
-        values, grads, metrics = f(x)
+        values, grads, metrics = f(x, eps)
         for b in range(batch):
-            value, grad, metric = f(x[b:b + 1])
+            value, grad, metric = f(x[b:b + 1], eps)
             assert value[0] == values[b]
             np.testing.assert_array_equal(grad[0], grads[b])
             np.testing.assert_array_equal(metric[..., 0], metrics[..., b])
+
+    @pytest.mark.parametrize("eps", [0.0, compiler.SEARCH_EPS])
+    @pytest.mark.parametrize("config_name", ["config1", "config2", "config3"])
+    def test_gradient_defined_where_an_own_power_is_zero(self, config_name, eps):
+        # at 0 V the X(x)X device swaps each pair, so the I target's own output
+        # power is zero up to rounding; sqrt(t p) = sqrt(t) |u| has a cone there
+        # and the gradient is its central difference, not one set by rounding
+        spec, config = make_xx_device(), preset_config(config_name)
+        for gates in ("IX", "XI", "II", "HI"):
+            f = objective_with_gradient(spec, config,
+                                        tuple(gate_target(g) for g in gates))
+            n = len(config.active_electrodes)
+            [_], [grad], _ = f(np.zeros((1, n)), eps)
+            h = 1e-6
+            central = np.array([(f(h * e[None], eps)[0][0] - f(-h * e[None], eps)[0][0])
+                                / (2 * h) for e in np.eye(n)])
+            np.testing.assert_allclose(grad, central, rtol=0, atol=1e-8,
+                                       err_msg=gates)
 
     def test_zero_at_exact_solution(self):
         spec = make_xx_device()
@@ -370,10 +395,13 @@ class TestOptimize:
         assert message.endswith("(iteration limit reached)")
 
     def test_abnormal_stop_warning_names_line_search(self, monkeypatch, caplog):
-        solver = compiler.minimize_box
+        solver, calls = compiler.minimize_box, []
 
         def first_fails_line_search(*args, **kwargs):
             result = solver(*args, **kwargs)
+            if calls:  # the polish, which takes only restarts that converged
+                return result
+            calls.append(result)
             return result._replace(stop=np.where(np.arange(len(result.stop)) == 0,
                                                  4, result.stop))
 
@@ -409,17 +437,105 @@ class TestOptimize:
         assert hits >= 0.95 * scipy_hits
         assert result.restart_nfev.sum() <= sum(r.nfev for r in sequential)
 
-    def test_restart_blocks_bound_the_batch(self, monkeypatch):
-        spec, config = make_xx_device(), preset_config("config2")
-        whole = optimize_parallel_gates(spec, config, XX, restarts=7, seed=4)
+    @staticmethod
+    def blocked_calls(monkeypatch, spec, targets):
+        """The rows of each `minimize_box` call and of each kernel call in a
+        7-restart compile with `STACK_ROWS` = 3, which must end where the
+        unblocked compile does."""
+        config = preset_config("config2")
+        whole = optimize_parallel_gates(spec, config, targets, restarts=7, seed=4)
         monkeypatch.setattr(evolution, "STACK_ROWS", 3)
+        build, rows = compiler.objective_with_gradient, []
+
+        def counted(*args):
+            kernel = build(*args)
+
+            def f(x, *eps):
+                rows.append(len(x))
+                return kernel(x, *eps)
+            return f
+
+        monkeypatch.setattr(compiler, "objective_with_gradient", counted)
         with mock.patch.object(compiler, "minimize_box",
                                wraps=compiler.minimize_box) as driver:
-            blocked = optimize_parallel_gates(spec, config, XX, restarts=7, seed=4)
-        assert [len(call.args[1]) for call in driver.call_args_list] == [3, 3, 1]
+            blocked = optimize_parallel_gates(spec, config, targets, restarts=7,
+                                              seed=4)
         np.testing.assert_array_equal(blocked.restart_status, whole.restart_status)
         np.testing.assert_allclose(blocked.restart_trace, whole.restart_trace,
                                    rtol=0, atol=1e-12)
+        return [len(call.args[1]) for call in driver.call_args_list], rows
+
+    def test_restart_blocks_bound_the_batch(self, monkeypatch):
+        sizes, rows = self.blocked_calls(monkeypatch, make_xx_device(), XX)
+        assert sizes[:3] == [3, 3, 1]  # the search; then the polish
+        assert max(sizes) <= 3 and max(rows) <= 3
+
+    def test_polish_blocks_bound_the_batch(self, monkeypatch):
+        # no exact solution: the polish takes more restarts than a block holds
+        sizes, rows = self.blocked_calls(monkeypatch, default_device(),
+                                         (gate_target("X"), gate_target("H")))
+        assert sizes[:3] == [3, 3, 1]
+        assert sum(sizes[3:]) > 3
+        assert max(sizes) <= 3 and max(rows) <= 3
+
+    @pytest.mark.parametrize("spec, targets", [
+        (make_xx_device(), XX),
+        (default_device(), (gate_target("H"), gate_target("H"))),
+    ], ids=["xx", "default"])
+    def test_trace_scores_each_end_point(self, spec, targets):
+        # restart_trace holds sum r^2, objective() at each restart's end point:
+        # the search's, or the polish's where it ran
+        config = preset_config("config2")
+        solver, calls = compiler.minimize_box, []
+
+        def recorded(fun, x0, *args, **kwargs):
+            calls.append((np.array(x0), solver(fun, x0, *args, **kwargs)))
+            return calls[-1][1]
+
+        with mock.patch.object(compiler, "minimize_box", recorded):
+            result = optimize_parallel_gates(spec, config, targets, restarts=20,
+                                             seed=5)
+        [(_, search), *polish] = calls
+        ends = search.x.copy()
+        for x0, run in polish:
+            for start, end in zip(x0, run.x):
+                [restart] = np.flatnonzero((search.x == start).all(axis=1))
+                ends[restart] = end
+        assert polish
+        active = np.array(config.active_electrodes) - 1
+        for restart, end in enumerate(ends):
+            volts = np.zeros(spec.n_electrodes)
+            volts[active] = end
+            assert result.restart_trace[restart] == objective(
+                spec, VoltageConfig(volts), config, targets)
+        assert result.objective == result.restart_trace.min()
+
+    def test_hits_at_least_the_plain_objective_search(self):
+        # compile_xx's device, restart counts and seeds for workload seeds 1
+        # and 2, first pass; a search on sum r^2 alone made 19 hits here
+        spec = make_xx_device()
+        hits = 0
+        for workload_seed in (1, 2):
+            for k, (name, restarts) in enumerate((("config2", 50), ("config3", 45))):
+                result = optimize_parallel_gates(spec, preset_config(name), XX,
+                                                 restarts=restarts,
+                                                 seed=(workload_seed << 32) | k)
+                hits += int(np.sum(result.restart_trace <= 1e-6))
+        assert hits >= 19
+
+    def test_default_device_sweep_stops_converged(self, caplog):
+        # restarts here stop at bound-constrained minima where no line search
+        # can show a decrease above rounding: they converge, without a warning
+        with caplog.at_level(logging.WARNING, logger="rwasim.compiler"):
+            results = sweep_chip_length(default_device(), preset_config("config2"),
+                                        (gate_target("X"), gate_target("H")),
+                                        [12.0, 18.0, 24.0, 30.0, 36.0],
+                                        restarts=100, seed=3)
+        for _, result in results:
+            assert not np.any(result.restart_status == 2)
+        assert "no decrease above rounding" in {
+            reason for _, result in results for reason in result.restart_reason}
+        assert not caplog.records
 
     def test_invalid_restarts(self):
         with pytest.raises(ValueError):
@@ -535,6 +651,34 @@ class TestMinimizeBox:
         assert result.nit.tolist() == [0, 0]
         assert result.nfev.tolist() == [21, 21]  # the start and 20 trials
         np.testing.assert_array_equal(result.x, np.full((2, 3), 0.5))
+
+    def test_flat_slope_lengthens_the_step(self):
+        # a slope of 1e-5 with slight negative curvature: at the gradient's own
+        # length a step would cover 1e-5, and the bound at -10 lies 1e6 away
+        def tilted(x):
+            return np.sum(1e-5 * x - 1e-9 * x * x, axis=1), 1e-5 - 2e-9 * x
+
+        result = minimize_box(tilted, np.zeros((1, 1)), -10.0, 10.0, maxiter=500,
+                              ftol=0.0, gtol=1e-10)
+        assert result.x.tolist() == [[-10.0]]
+        assert compiler.STOP_STATUS[result.stop].tolist() == [0]
+        assert result.nit[0] <= 20
+
+    def test_no_decrease_above_rounding_stops_converged(self):
+        # f = 1 + |x - c|^2 with |x - c| = 1e-9: the projected gradient is
+        # above gtol, yet no step can lower f by more than its rounding
+        c = np.array([0.5, 1.0 - 1e-9, 1.0])
+
+        def shallow(x):
+            e = x - c
+            return 1.0 + np.sum(e * e, axis=1), 2.0 * e
+
+        result = minimize_box(shallow, np.array([[0.5, 1.0, 1.5]]), -1.0, 1.0,
+                              maxiter=500, ftol=0.0, gtol=1e-10)
+        assert [compiler.STOP_REASONS[k] for k in result.stop] == [
+            "no decrease above rounding"]
+        assert compiler.STOP_STATUS[result.stop].tolist() == [0]
+        np.testing.assert_array_equal(result.x, [[0.5, 1.0, 1.0]])
 
     def test_converged_start_takes_no_step(self):
         result = minimize_box(rosen_rows, np.ones((1, 4)), -2.0, 2.0,
