@@ -687,6 +687,217 @@ class TestMinimizeBox:
             [0], [1], [0])
 
 
+class TestGoldenCompile:
+    """`optimize_parallel_gates` pinned bit for bit, so that a change meant to
+    leave the compiler's arithmetic alone is seen to: `float.hex` of the
+    objective, the active electrodes' voltages and every restart's sum r^2,
+    and each restart's exact status, stop reason (its `STOP_REASONS` index),
+    evaluations and iterations.  The compile_xx device's cases are the
+    benchmark's first pass at workload seeds 1 and 2.  Captured with numpy 2.4
+    and OpenBLAS at one thread on x86-64; another BLAS build may differ in the
+    last bits."""
+
+    # (device, config, gates, restarts, seed), pins
+    CASES = [
+        (('xx', 'config2', 'XX', 50, (1 << 32) | 0), dict(
+            objective='0x1.3000000000000p-102',
+            voltages=(
+                '0x1.054d08ed140efp+3', '-0x1.b07d701b89200p-29',
+                '0x1.054d08c03cc90p+3', '0x1.64f6cfc13b934p-24', '0x1.3b07b5cbb7628p+3',
+                '0x1.0fa3494911eb0p-24', '0x1.3b07b5dd6aa09p+3',
+                '-0x1.652f0124c3b00p-25'),
+            trace=(
+                '0x1.abcec21a93aa8p-7', '0x1.abcec22594ea1p-6', '0x1.abcec25d5494ap-7',
+                '0x1.abcec22f0ff66p-7', '0x1.1a77f631a07c3p-4', '0x1.abcec210a2df4p-7',
+                '0x1.355a377b9379dp-6', '0x1.1a77f631a07bfp-3', '0x1.abcec02a30543p-7',
+                '0x1.1a77f631a07bbp-4', '0x1.abcec1dec9426p-7', '0x1.0a00000000000p-98',
+                '0x1.05a0ccd74d9b1p-5', '0x1.1a77f631a07c3p-4', '0x1.4ff1ce7214a66p-4',
+                '0x1.4ff1ce74aba4bp-4', '0x1.4ff1ce7dc5ad6p-4', '0x1.1a77f631a07bfp-4',
+                '0x1.1a77f631a07c3p-4', '0x1.abcec22430d7bp-7', '0x1.67ce84108558ep-4',
+                '0x1.1a77f631a091cp-4', '0x1.1a77f631a07ccp-4', '0x1.4ff1ce7545b2ap-4',
+                '0x1.3000000000000p-102', '0x1.355a377b936edp-6',
+                '0x1.67ce84108558cp-4', '0x1.abcec233bd32ep-7', '0x1.1a77f631a07bfp-3',
+                '0x1.abcec221121dcp-6', '0x1.1a77f631a07bfp-3', '0x1.abcec2eb0d6a0p-7',
+                '0x1.4c00000000000p-98', '0x1.abcec2c936ec5p-7', '0x1.abcec316c78b9p-6',
+                '0x1.abcec1fa49b22p-6', '0x1.abcec21cf6f14p-6',
+                '0x1.e000000000000p-102', '0x1.4ff1ce769b4b8p-4',
+                '0x1.05a0cc7908486p-5', '0x1.abcec218aa0c7p-7', '0x1.abcec21ebfea5p-7',
+                '0x1.abcec23e9d26dp-7', '0x1.abcec215e963ap-6',
+                '0x1.e000000000000p-100', '0x1.1a77f631a07e5p-4',
+                '0x1.abcec1fc88ea8p-7', '0x1.abcec1d42f13cp-7', '0x1.abcec20b289bep-7',
+                '0x1.1a77f631a07c3p-4'),
+            status='00000000000000000000000000000000000000000000000000',
+            reason='01111111111111111111010001110111111100111011011111',
+            nfev=(
+                23, 24, 21, 23, 22, 21, 21, 18, 20, 19, 23, 15, 37, 19, 23, 45, 35, 24,
+                20, 45, 18, 35, 19, 33, 22, 21, 21, 20, 16, 23, 23, 22, 24, 18, 22, 24,
+                35, 19, 19, 21, 19, 19, 19, 25, 19, 16, 43, 21, 26, 18),
+            nit=(
+                22, 22, 20, 21, 21, 20, 19, 17, 19, 18, 22, 14, 33, 17, 21, 34, 32, 21,
+                19, 39, 17, 32, 18, 27, 20, 20, 18, 18, 15, 22, 21, 20, 23, 17, 21, 22,
+                31, 17, 17, 20, 18, 18, 17, 23, 17, 15, 37, 20, 24, 17))),
+        (('xx', 'config3', 'XX', 45, (1 << 32) | 1), dict(
+            objective='0x1.6000000000000p-103',
+            voltages=(
+                '0x1.246f64e6a7c29p-1', '-0x1.41c13dbdc9e38p-26',
+                '0x1.246f64e0d7d90p-1', '0x1.aa8a2d6f630f8p-25', '0x1.c364edb511580p+2',
+                '-0x1.3b60f045866a3p+1', '-0x1.33d84496fd27fp+3',
+                '-0x1.7c59c305091e5p+1', '0x1.25b01974cab54p+3', '0x1.bf86a1b4733cfp+2',
+                '-0x1.be0c71ec02772p+0', '-0x1.f3cdacd336475p-4',
+                '-0x1.c48ad18227430p+0', '-0x1.357de1f15ac64p-23',
+                '0x1.182bf6c780fc2p+2', '-0x1.27025743fadfap-25',
+                '0x1.182bf6bd5775bp+2', '0x1.84ba8b33d46e4p-25', '0x1.0512be2cc07d6p-1',
+                '-0x1.00bc9516a1b5ep+3', '0x1.0ff4979c0a5ccp+3', '0x1.3cd063bb2355ep+3'),
+            trace=(
+                '0x1.abcec2c90dbedp-7', '0x1.355a377b936f2p-5', '0x1.abcebfdfa373fp-6',
+                '0x1.1a77f631a07ccp-4', '0x1.9fd4000000000p-92',
+                '0x1.2a3a85dfa0b06p-12', '0x1.1a77f631a07aep-4', '0x1.355a377b933cdp-6',
+                '0x1.b5209730823ecp-7', '0x1.355a377b936edp-6', '0x1.05a0cc5f345dep-5',
+                '0x1.abcec22bdaddcp-7', '0x1.2a3a88ab39654p-12',
+                '0x1.1b80000000000p-97', '0x1.abcec0e43f554p-6', '0x1.abcebe21f864bp-7',
+                '0x1.abcec59917003p-6', '0x1.67ce84108558bp-4', '0x1.b520972d359efp-7',
+                '0x1.1a77f631a07bbp-4', '0x1.355a377b93719p-6', '0x1.1a77f631a07bbp-4',
+                '0x1.1ba230b64f910p-4', '0x1.abcec3d6aecc8p-7', '0x1.05a0cc4506a0dp-5',
+                '0x1.abcec22adc81ap-7', '0x1.6000000000000p-103',
+                '0x1.1a77f631a07c3p-4', '0x1.abcec0ebb1309p-6', '0x1.4ff1ce752a648p-4',
+                '0x1.355a377b936dcp-6', '0x1.67ce841085587p-4', '0x1.abcec2c349263p-6',
+                '0x1.355a377b93722p-6', '0x1.abcec3218450ep-6', '0x1.0c3c900000000p-85',
+                '0x1.b520989177116p-7', '0x1.3a03219c123f1p-6', '0x1.4ff1ce3c08866p-4',
+                '0x1.355a377b93708p-6', '0x1.abcec054bc09ep-7', '0x1.1a77f631a07b6p-3',
+                '0x1.abcec3898d600p-7', '0x1.05a0ccbd74e6ap-5', '0x1.1a77f631a10a9p-4'),
+            status='000000000000000000000000000000000000000000000',
+            reason='111111111111111111111111110010111011111111111',
+            nfev=(
+                54, 26, 44, 32, 25, 43, 26, 18, 44, 21, 28, 48, 33, 23, 29, 29, 66, 23,
+                51, 23, 17, 20, 58, 26, 52, 32, 20, 19, 31, 32, 30, 24, 46, 19, 33, 30,
+                41, 29, 31, 23, 32, 25, 29, 28, 18),
+            nit=(
+                52, 25, 40, 29, 23, 40, 24, 17, 40, 18, 27, 41, 31, 21, 27, 28, 55, 21,
+                45, 22, 16, 18, 53, 23, 41, 29, 18, 18, 28, 28, 27, 23, 42, 18, 31, 28,
+                37, 27, 29, 22, 30, 23, 28, 26, 17))),
+        (('xx', 'config2', 'XX', 50, (2 << 32) | 0), dict(
+            objective='0x1.a000000000000p-103',
+            voltages=(
+                '0x1.5e65152b7e70fp-4', '-0x1.e601b19b3a9c0p-29',
+                '0x1.5e651c33ec75ap-4', '0x1.b8aee7010b1a0p-28',
+                '-0x1.131e164d3b3ddp+3', '0x1.be02165ea7440p-29',
+                '-0x1.131e164fa0735p+3', '-0x1.73b547e2b3240p-31'),
+            trace=(
+                '0x1.abcec079e13f1p-7', '0x1.abcec21f21170p-6', '0x1.abcec230f3cb2p-6',
+                '0x1.4ff1ce74aedd2p-4', '0x1.abcec20774be2p-7', '0x1.abcebf65c6702p-6',
+                '0x1.4d42000000000p-90', '0x1.abcec1cded4bdp-7', '0x1.abcec229ce177p-7',
+                '0x1.1a77f631a07cap-3', '0x1.abcec2207d7c5p-7', '0x1.abcec21d55da7p-6',
+                '0x1.abcec2ec9a5bep-7', '0x1.abcec1bafd823p-7', '0x1.abcec51c7ce7cp-7',
+                '0x1.4800000000000p-101', '0x1.abcec28807a22p-7',
+                '0x1.67ce8410855c0p-4', '0x1.abcec26cbb97ep-7', '0x1.abcec2508981ap-7',
+                '0x1.4ff1ce59f7dd9p-4', '0x1.4ff1ce6e654b2p-4', '0x1.4ff1ce89916ddp-4',
+                '0x1.abcec1eb3fd56p-7', '0x1.1a77f631a07c3p-4', '0x1.1a77f631a07bbp-4',
+                '0x1.abcec22e04cd3p-7', '0x1.05a0cc85a607fp-5', '0x1.abcec22326744p-7',
+                '0x1.a000000000000p-103', '0x1.abcec2a29cd9ep-6',
+                '0x1.1a77f631a07bbp-4', '0x1.4ff1ce9ebd785p-4', '0x1.abcec220d2b60p-7',
+                '0x1.6800000000000p-101', '0x1.4ff1ce771867cp-4',
+                '0x1.1a77f631a07ccp-4', '0x1.abcec1f5b62acp-7', '0x1.4ff1ce6068885p-4',
+                '0x1.4ff1ce759d6b8p-4', '0x1.355a377b936ffp-5', '0x1.05a0cc3bc8e6bp-5',
+                '0x1.4ff1ce7611e9cp-4', '0x1.1a77f631a0804p-3', '0x1.4ff1ce1a311f3p-4',
+                '0x1.abcec1e853a5cp-7', '0x1.abcec17eeac56p-7', '0x1.4ff1ce7515337p-4',
+                '0x1.67ce841085576p-4', '0x1.d400000000000p-100'),
+            status='00000000000000000000000000000000000000000000000000',
+            reason='11111111111111101111111111110011100111101111111100',
+            nfev=(
+                23, 28, 27, 27, 27, 21, 16, 22, 24, 18, 21, 18, 19, 22, 19, 15, 23, 26,
+                21, 25, 24, 24, 23, 23, 21, 15, 20, 22, 26, 17, 28, 21, 22, 30, 26, 47,
+                17, 23, 24, 29, 18, 19, 27, 32, 20, 24, 19, 22, 20, 16),
+            nit=(
+                21, 26, 25, 25, 24, 20, 14, 20, 23, 16, 20, 17, 18, 21, 17, 13, 20, 23,
+                20, 24, 23, 22, 22, 22, 19, 14, 18, 21, 22, 15, 24, 19, 20, 28, 23, 40,
+                16, 21, 23, 27, 17, 18, 24, 29, 18, 22, 18, 20, 17, 14))),
+        (('xx', 'config3', 'XX', 45, (2 << 32) | 1), dict(
+            objective='0x1.0000000000000p-102',
+            voltages=(
+                '0x1.688a20c887d17p-2', '0x1.49e873144de58p-26', '0x1.688a22b54a65dp-2',
+                '0x1.22bb084c48660p-25', '-0x1.10eb92d3e0777p+1',
+                '-0x1.02b4f3e5cbfb8p+2', '-0x1.329069321bdbfp+2',
+                '-0x1.fd017b08d7903p+2', '-0x1.09d6944019a8ap+3',
+                '0x1.32f0985106b9ap+3', '-0x1.92edce6b4aab8p-2',
+                '-0x1.bea6d71799467p+2', '0x1.1e3d07882c092p+3',
+                '-0x1.18029e70370c4p-24', '-0x1.2bf256a4727bap+1',
+                '0x1.226bc73e78074p-26', '-0x1.2bf2567406c28p+1',
+                '0x1.f59536d3c1ff0p-26', '0x1.8b761070736b7p+1', '0x1.8ccbc52fa8464p+2',
+                '0x1.2ecba2f233850p+0', '0x1.63a501d20ba40p+2'),
+            trace=(
+                '0x1.abcec14bbfe64p-7', '0x1.4ff1ce7a6e56bp-4', '0x1.b52094095aaafp-7',
+                '0x1.1a77f631a07c3p-4', '0x1.4ff1ce4c92399p-4', '0x1.1a77f631a07ccp-4',
+                '0x1.0000000000000p-102', '0x1.abcebf09b7dd8p-7',
+                '0x1.2a3a89113f92ap-12', '0x1.abcec1ec854d2p-7', '0x1.1a77f631a07c8p-4',
+                '0x1.1a77f631a07bbp-4', '0x1.abcec1eaa1336p-7', '0x1.355a377b936ffp-6',
+                '0x1.abcec2be69fb8p-7', '0x1.2d00000000000p-98', '0x1.1a77f631a07c3p-4',
+                '0x1.3a032199cd26bp-6', '0x1.4ff1cea47fa8fp-4', '0x1.3a0321bf97d3bp-6',
+                '0x1.b5209815a7857p-7', '0x1.abcec278d6b5fp-7', '0x1.1a77f631a07d0p-4',
+                '0x1.4ff1cea0e44c2p-4', '0x1.1a77f631a07c3p-4', '0x1.355a377b93708p-6',
+                '0x1.1a77f631a07c3p-4', '0x1.abcec1ed9a304p-7', '0x1.abcec219d8f0cp-6',
+                '0x1.abcec34331db9p-7', '0x1.4000000000000p-102',
+                '0x1.1a77f631a07ccp-4', '0x1.4ff1ce6d734b2p-4', '0x1.355a377b936dcp-6',
+                '0x1.abcec3ad1b846p-7', '0x1.67ce841085583p-4', '0x1.1a77f631a0818p-4',
+                '0x1.9500000000000p-98', '0x1.abcec1719a059p-7', '0x1.67ce841085574p-4',
+                '0x1.4ff1ce9143b76p-4', '0x1.355a377b936edp-6', '0x1.2a3acab8bee07p-12',
+                '0x1.5a00000000000p-97', '0x1.b520976bb1200p-7'),
+            status='000000000000000000000000000000000000000000000',
+            reason='111111011111111111111111101111011111111110111',
+            nfev=(
+                20, 37, 41, 21, 25, 26, 19, 36, 31, 31, 23, 17, 40, 32, 44, 18, 22, 33,
+                58, 53, 35, 34, 35, 32, 19, 18, 24, 32, 30, 41, 20, 21, 51, 24, 38, 19,
+                24, 21, 32, 25, 32, 23, 44, 22, 58),
+            nit=(
+                19, 32, 39, 20, 23, 25, 16, 32, 29, 27, 22, 16, 36, 25, 38, 16, 21, 30,
+                51, 48, 33, 31, 34, 29, 18, 17, 23, 30, 28, 39, 18, 20, 44, 22, 33, 18,
+                22, 20, 28, 23, 28, 22, 39, 21, 53))),
+        (('default', 'config2', 'XH', 20, 3), dict(
+            objective='0x1.e06c4248ad4b8p-6',
+            voltages=(
+                '-0x1.571ddb5a80fb5p+2', '0x1.fc0d8c757f26ap+2',
+                '-0x1.4000000000000p+3', '0x1.4000000000000p+3', '0x1.3d06ed0323e59p+3',
+                '0x1.1fd7d61e9c02dp+3', '-0x1.971e95830ac61p+2', '0x1.62ca578e0a317p-1'),
+            trace=(
+                '0x1.5b4f8608492e8p-2', '0x1.144955048e3d4p-5', '0x1.38a554186294bp-2',
+                '0x1.3d512f37ecfbap-2', '0x1.e06c4248ad51ep-6', '0x1.eb4bd261981ccp-4',
+                '0x1.448041d164494p-3', '0x1.6d5f29b20f991p-3', '0x1.ef125ffe9f31ap-4',
+                '0x1.baa2524e0012cp-3', '0x1.144955048e3d2p-5', '0x1.b798c6609ab55p-4',
+                '0x1.9d8f1ed1c3a5cp-4', '0x1.75954935c3df3p-4', '0x1.638c507793574p-4',
+                '0x1.ffba812592f68p-5', '0x1.e06c4248ad4b8p-6', '0x1.144955048e44cp-5',
+                '0x1.485cea4b19f1fp-5', '0x1.485cea4b19edbp-5'),
+            status='00000000000000000000',
+            reason='11111101011001111111',
+            nfev=(
+                24, 73, 32, 29, 38, 40, 34, 43, 29, 36, 49, 32, 45, 44, 52, 38, 46, 50,
+                49, 41),
+            nit=(
+                23, 68, 29, 26, 34, 33, 25, 39, 25, 34, 43, 28, 42, 40, 45, 35, 43, 48,
+                47, 39))),
+    ]
+
+    @pytest.mark.parametrize("case,pins", CASES,
+                             ids=lambda c: "-".join(map(str, c[:4]))
+                             if isinstance(c, tuple) else "")
+    def test_compile_is_pinned(self, case, pins):
+        device, name, gates, restarts, seed = case
+        spec = make_xx_device() if device == "xx" else default_device()
+        config = preset_config(name)
+        result = optimize_parallel_gates(spec, config, (gate_target(gates[0]),
+                                                        gate_target(gates[1])),
+                                         restarts=restarts, seed=seed)
+        active = np.array(config.active_electrodes) - 1
+        volts = result.best_voltages.volts
+        assert not np.delete(volts, active).any()
+        assert result.objective.hex() == pins["objective"]
+        assert tuple(v.hex() for v in volts[active].tolist()) == pins["voltages"]
+        assert tuple(v.hex() for v in result.restart_trace.tolist()) == pins["trace"]
+        assert "".join(map(str, result.restart_status.tolist())) == pins["status"]
+        assert result.restart_reason == tuple(compiler.STOP_REASONS[int(k)]
+                                              for k in pins["reason"])
+        assert tuple(result.restart_nfev.tolist()) == pins["nfev"]
+        assert tuple(result.restart_nit.tolist()) == pins["nit"]
+
+
 class TestSweepChipLength:
     def test_single_length_equals_direct_call(self):
         spec = make_xx_device()
