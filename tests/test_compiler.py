@@ -875,9 +875,8 @@ class TestGoldenCompile:
                 47, 39))),
     ]
 
-    @pytest.mark.parametrize("case,pins", CASES,
-                             ids=lambda c: "-".join(map(str, c[:4]))
-                             if isinstance(c, tuple) else "")
+    @pytest.mark.parametrize("case,pins", CASES, ids=[
+        f"{device}-{name}-{gates}-{seed:#x}" for (device, name, gates, _, seed), _ in CASES])
     def test_compile_is_pinned(self, case, pins):
         device, name, gates, restarts, seed = case
         spec = make_xx_device() if device == "xx" else default_device()
