@@ -215,11 +215,14 @@ def _input_terms(powers: np.ndarray, rows, other_rows, target_p):
     return own, split, fid, crosstalk, 1.0 - own
 
 
-def _objective_value(fid, ct, leak):
-    """The objective from the two subcircuits' fidelity, crosstalk and
-    leakage, each indexed by subcircuit along its first axis."""
-    return ((1.0 - fid[0]) ** 2 + (1.0 - fid[1]) ** 2
-            + ct[0] ** 2 + ct[1] ** 2 + leak[0] ** 2 + leak[1] ** 2)
+def _objective_value(metrics):
+    """The objective and its six residuals r from metrics[k, s], the
+    fidelity, crosstalk and leakage (k = 0, 1, 2) of subcircuit s, with any
+    trailing batch axes: r[k, s] is 1 - fidelity, the crosstalk or the
+    leakage."""
+    r = np.concatenate((1.0 - metrics[:1], metrics[1:]))
+    sq = r * r
+    return sq[0, 0] + sq[0, 1] + sq[1, 0] + sq[1, 1] + sq[2, 0] + sq[2, 1], r
 
 
 def objective(
@@ -266,11 +269,17 @@ def objective_with_gradient(
     # the four guides whose inputs and outputs the metrics read, pair a first;
     # rows and other_rows index them
     cols = [*config.pairs[0].indices(n), *config.pairs[1].indices(n)]
-    inputs = np.arange(4)[:, None]
     rows = np.array([[0, 1], [0, 1], [2, 3], [2, 3]])
     other_rows = rows[[2, 3, 0, 1]]
     target_p = np.vstack(targets)
     check_rows_normalized("target", target_p)
+    # S is symmetric, as sin is odd: S_ab is formed for a <= b over the upper
+    # triangle's pairs and one diagonal pair, and s_at picks S's n x n entries
+    pairs_ab = np.append(np.triu_indices(n, 1), [[0], [0]], axis=1)
+    s_at = np.full((n, n), pairs_ab.shape[1] - 1)
+    s_at[tuple(pairs_ab[:, :-1])] = s_at[tuple(pairs_ab[::-1, :-1])] = np.arange(
+        pairs_ab.shape[1] - 1)
+    s_at = s_at.ravel()
 
     def f(x: np.ndarray, eps: float = 0.0
           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -285,11 +294,11 @@ def objective_with_gradient(
         u = v @ v_t
         own, split, fid, ct, leak = _input_terms(u.real**2 + u.imag**2, rows,
                                                  other_rows, target_p)
-        terms = np.stack((fid, ct, leak))
-        # per pair, (metric, pair, point)
-        means = (0.5 * (terms[..., 0::2] + terms[..., 1::2])).transpose(0, 2, 1)
-        value = (_objective_value(*means)
-                 + eps * ((1.0 - means[0]) + means[1] + means[2]).sum(axis=0))
+        # per (metric, point, pair), and as metrics[:, s, b]
+        terms = np.concatenate((fid, ct, leak)).reshape(3, -1, 2, 2)
+        metrics = (0.5 * (terms[..., 0] + terms[..., 1])).transpose(0, 2, 1)
+        value, r = _objective_value(metrics)
+        value = value + eps * (r[0] + r[1] + r[2]).sum(axis=0)
 
         # d objective / d powers.  d sqrt(t p) / dp is set to 0 where the own
         # power p is zero up to rounding: sqrt(t p) = sqrt(t) |u| has a cone
@@ -300,25 +309,30 @@ def objective_with_gradient(
         # split = p / own: the fidelity gradient loses its normal component
         d_fid = ((d_split - 0.5 * fid[..., None])
                  / np.where(own > 0.0, own, np.inf)[..., None])
-        # d (r^2 + eps r) / dr = 2 (r + eps / 2), the 2 in the gradient's 2L
-        half = 0.5 * eps
-        fid_m, ct_m, leak_m = means.repeat(2, axis=1).transpose(0, 2, 1)[..., None]
-        d_powers = np.zeros(u.shape)
-        d_powers[:, rows, inputs] = (-((1.0 - fid_m) + half) * d_fid
-                                     - (leak_m + half))
-        d_powers[:, other_rows, inputs] = ct_m + half
+        # d (r^2 + eps r) / dr = 2 (r + eps / 2), the 2 in the gradient's 2L;
+        # in the (point, output pair, output, input pair, input) view of the
+        # 4x4 block, a pair's own outputs sit where the two pairs agree
+        dr = r.transpose(0, 2, 1) + 0.5 * eps
+        own_d = (-dr[0, :, :, None, None] * d_fid.reshape(-1, 2, 2, 2)
+                 - dr[2, :, :, None, None]).transpose(0, 1, 3, 2)
+        ct_d = dr[1, :, :, None, None]
+        d_powers = np.empty(u.shape)
+        block = d_powers.reshape(-1, 2, 2, 2, 2)
+        block[:, 0, :, 0], block[:, 1, :, 1] = own_d[:, 0], own_d[:, 1]
+        block[:, 1, :, 0], block[:, 0, :, 1] = ct_d[:, 0], ct_d[:, 1]
 
         # d powers = 2 Re(conj(u) du) and G_ab = -iL e^{-i(w_a+w_b)L/2} S_ab,
         # so d objective = 2 tr(R dH) for the real adjoint R of the module
         # docstring, C = v^T (d_powers o conj(u)) v; R's three diagonals are
         # diag(Q M Q^T) and its two off-diagonals, M = S o Im C
         c = v_t @ ((d_powers * u.conj()) @ v)
-        dw = (0.5 * length) * (w[:, :, None] - w[:, None, :])
+        w_ab = w[:, pairs_ab]
+        dw = (0.5 * length) * (w_ab[:, 0] - w_ab[:, 1])
         dw = np.where(dw == 0.0, 1e-20, dw)  # sin(dw) / dw is then exactly 1
-        qm = q @ (np.sin(dw) / dw * c.imag)
+        qm = q @ ((np.sin(dw) / dw).take(s_at, axis=1).reshape(c.shape) * c.imag)
         diag = np.vecdot(qm, q)
         off = np.vecdot(qm[:, :-1], q[:, 1:]) + np.vecdot(qm[:, 1:], q[:, :-1])
-        return value, (2.0 * length) * (diag @ s_beta + off @ s_coupling), means
+        return value, (2.0 * length) * (diag @ s_beta + off @ s_coupling), metrics
 
     return f
 
@@ -333,10 +347,14 @@ BoxResult = namedtuple("BoxResult", "x fun nit nfev stop")  # stop: STOP_REASONS
 
 
 def minimize_box(fun, x0: np.ndarray, lower: float, upper: float, *, maxiter: int,
-                 ftol: float, gtol: float, maxfun: int = 15000) -> BoxResult:
+                 ftol: float, gtol: float, maxfun: int = 15000,
+                 start: tuple[np.ndarray, np.ndarray] | None = None) -> BoxResult:
     """Bound-constrained L-BFGS from each row of x0, clipped into the box.
 
-    `fun(X) -> (values, grads)` evaluates a batch of points.  An iteration
+    `fun(X) -> (values, grads)` evaluates a batch of points; `start`, if
+    given, is its output at x0, which must then lie in the box on a bound
+    or at least rounding away from it: the first evaluation is taken from
+    it, and still counted.  An iteration
     holds the variables on a bound that the gradient, or then the step,
     points out of and steps the others along -H g, H the L-BFGS inverse
     Hessian of the last 10 curvature pairs, each restricted to the variables
@@ -360,38 +378,78 @@ def minimize_box(fun, x0: np.ndarray, lower: float, upper: float, *, maxiter: in
     m, max_tries, c1, eps = 10, 20, 1e-4, np.finfo(float).eps
     snap = 4.0 * eps * max(abs(lower), abs(upper), 1.0)
 
-    def into_box(v):  # clipped, and on a bound if within rounding of it
-        return np.where(v <= lower + snap, lower, np.where(v >= upper - snap, upper, v))
+    def into_box(v):  # in place: clipped, and on a bound if within rounding of it
+        low, high = v <= lower + snap, v >= upper - snap
+        np.copyto(v, upper, where=high)
+        np.copyto(v, lower, where=low)
+        return v
 
     x = into_box(np.array(x0, dtype=float))
-    f, g = (np.array(a, dtype=float) for a in fun(x))
+    f, g = (np.array(a, dtype=float) for a in (fun(x) if start is None else start))
     n_rows, n = x.shape
-    out = BoxResult(x.copy(), f.copy(), *(np.zeros(n_rows, dtype=int) for _ in range(3)))
-    rows, evaluations = np.arange(n_rows), 1
-    # ring of each row's last m pairs, pair j in slot j % m, zero if unset:
-    # (s, y), s.y and (Y^T Y, R^-1), R_jk = s_j.y_k unless pair j is newer
-    pairs, sy, mats = (np.zeros((n_rows, m) + shape) for shape in ((2, n), (), (2 * m,)))
-    count, tries, nit = (np.zeros(n_rows, dtype=int) for _ in range(3))
-    gamma, step, d = np.ones((n_rows, 1)), np.ones(n_rows), np.zeros(x.shape)
+    # a row's state lives in three packed arrays, so that one take per dtype
+    # drops the rows that stop: `vec` holds x, g, the projected gradient pg
+    # at x and the direction d; `row` holds f, the step, gamma, then the ring
+    # of the last m curvature pairs, pair j in slot j % m and zero if unset:
+    # (s, y), s.y and (Y^T Y, R^-1) with R_jk = s_j.y_k unless pair j is
+    # newer, and last a scratch entry; `ints` holds the row's index in x0,
+    # its iterations and pairs, the evaluation that last accepted a step or
+    # started one from the projected gradient, its evaluations and its stop
+    # reason
+    pairs_at, sy_at, mats_at = 3, 3 + 2 * m * n, 3 + 2 * m * n + m
+    width = mats_at + 2 * m * m + 1
+    # the entries of a row that a new pair in slot k writes: ahead of R^-1,
+    # (s, y) and s.y; after it, row k and column k of Y^T Y, then of R^-1
+    # (an entry in both goes to the scratch entry once), R^-1_kk and gamma
+    j, k = np.arange(m), np.arange(m)[:, None]
+    scratch = width - 1
+    pair_slot = np.hstack((pairs_at + 2 * n * k + np.arange(2 * n), sy_at + k))
+    mat_slot = np.hstack((mats_at + 2 * m * k + j,
+                          np.where(j == k, scratch, mats_at + 2 * m * j + k),
+                          np.where(j == k, scratch, mats_at + 2 * m * k + m + j),
+                          np.where(j == k, scratch, mats_at + 2 * m * j + m + k),
+                          mats_at + 2 * m * k + m + k, np.full((m, 1), 2)))
+    vec = np.zeros((4, n_rows, n))
+    vec[0], vec[1] = x, g
+    np.subtract(np.minimum(np.maximum(x - g, lower), upper), x, out=vec[2])
+    row = np.zeros((n_rows, width))
+    row[:, 0], row[:, 1:3] = f, 1.0
+    ints = np.zeros((n_rows, 6), dtype=int)
+    ints[:, 0], ints[:, 3] = np.arange(n_rows), 1
+    reset = np.zeros(width - 2)  # gamma and the ring of a row without pairs
+    reset[0] = 1.0
+    trials = np.empty((3, n_rows, n))  # the trial points, their g and pg
+    evaluations, n_run, stopped = 1, 0, []
+    fresh = np.ones(n_rows, dtype=bool)  # start an iteration
     # the projected gradient is zero at a binding variable, and at a free one
     # only where its gradient is (to rounding)
-    pg = np.minimum(np.maximum(x - g, lower), upper) - x
-    free, fresh = pg != 0.0, np.ones(n_rows, dtype=bool)  # fresh: start an iteration
-    done, code = np.maximum.reduce(np.abs(pg), axis=1) <= gtol, np.zeros(n_rows, dtype=int)
+    done = np.maximum.reduce(np.abs(vec[2]), axis=1) <= gtol
+    reasons = [0] * np.count_nonzero(done)
     while True:
-        if np.count_nonzero(done):
-            for a, v in zip(out, (x[done], f[done], nit[done], evaluations, code[done])):
-                a[rows[done]] = v
-            (rows, x, f, g, free, d, step, tries, nit, fresh, pairs, sy, mats, count,
-             gamma) = (a[~done] for a in (rows, x, f, g, free, d, step, tries, nit,
-                                          fresh, pairs, sy, mats, count, gamma))
-            if not rows.size:
-                return out
+        if reasons or not n_run:  # the running rows changed
+            if reasons:
+                ints[:, 4] = evaluations
+                ints[done, 5] = reasons
+                stopped.append((ints[done], vec[0][done], row[done, 0]))
+                keep = ~done
+                vec, row, ints, fresh = vec[:, keep], row[keep], ints[keep], fresh[keep]
+            n_run = len(fresh)
+            if not n_run:
+                break
+            x, g, pg, d = vec
+            f, step, gamma = row[:, 0], row[:, 1], row[:, 2:3]
+            pairs = row[:, pairs_at:sy_at].reshape(n_run, m, 2, n)
+            sy, mats = row[:, sy_at:mats_at], row[:, mats_at:-1].reshape(n_run, m, 2 * m)
+            pair_rows, r_inv, flat = pairs.reshape(n_run, 2 * m, n), mats[:, :, m:], row.ravel()
+            nit, count, since = ints[:, 1], ints[:, 2], ints[:, 3]
+            accepted = trials[:, :n_run]
+            trial, g_t, pg_t = accepted
         if np.count_nonzero(fresh):
             # H q for the free part q of g from the compact form H = gamma I +
             # [S gamma Y] M [S gamma Y]^T (Byrd, Nocedal & Schnabel 1994)
-            q, r_inv, g3 = g * free, mats[:, :, m:], gamma[:, :, None]
-            sq_yq = pairs.reshape(len(rows), 2 * m, n) @ q[:, :, None]
+            free = pg != 0.0
+            q, g3 = g * free, gamma[:, :, None]
+            sq_yq = pair_rows @ q[:, :, None]
             ra = r_inv @ sq_yq[:, 0::2]
             w = sy[:, :, None] * ra + g3 * (mats[:, :, :m] @ ra - sq_yq[:, 1::2])
             u = r_inv.transpose(0, 2, 1) @ w
@@ -404,59 +462,65 @@ def minimize_box(fun, x0: np.ndarray, lower: float, upper: float, *, maxiter: in
             np.copyto(step, np.minimum.reduce(np.divide(
                 full, new_d, out=np.ones(x.shape), where=new_d != 0.0), axis=1),
                 where=fresh)
-        trial = into_box(x + step[:, None] * d)
-        f_t, g_t = fun(trial)
+        into_box(np.add(x, step[:, None] * d, out=trial))
+        f_t, g_t[...] = fun(trial)
         evaluations += 1
         s = trial - x
         slope, drop = np.vecdot(g, s), f - f_t
         ok = (slope < 0.0) & (drop + c1 * slope >= 0.0)
-        if np.count_nonzero(ok) < len(rows):  # quadratic backtrack
+        if np.count_nonzero(ok) < n_run:  # quadratic backtrack
             curv = -drop - slope
             cut = -0.5 * slope / np.where(curv > 0.0, curv, np.inf)
-            step = np.where(ok, step, step * np.minimum(np.maximum(cut, 0.1), 0.5))
-        pg = np.minimum(np.maximum(trial - g_t, lower), upper) - trial
-        free_t = pg != 0.0
+            np.copyto(step, step * np.minimum(np.maximum(cut, 0.1), 0.5), where=~ok)
+        np.subtract(np.minimum(np.maximum(trial - g_t, lower), upper), trial, out=pg_t)
+        free_t = pg_t != 0.0
         s, y = s * free_t, (g_t - g) * free_t
         s_y, y_y = np.vecdot(s, y), np.vecdot(y, y)
-        new = np.flatnonzero(ok & (s_y > eps * y_y))
+        eps_yy = eps * y_y
+        curved = ok & (s_y > eps_yy)
+        new = np.flatnonzero(curved)
         if new.size:
             # the pair takes the oldest's slot k: R^-1 gets row k = e_k / s.y
             # and column k = (-R'^-1 r, 1) / s.y with r_j = s_j.y
-            k, sy_new = count[new] % m, s_y[new]
-            pairs.reshape(-1, 2 * n)[new * m + k] = np.concatenate((s, y), axis=1)[new]
-            sy[new, k] = sy_new
-            r_yy = (pairs.reshape(len(rows), 2 * m, n) @ y[:, :, None])[:, :, 0]
+            k, sy_new, at = count[new] % m, s_y[new], (new * width)[:, None]
+            flat[at + pair_slot[k]] = np.concatenate((s, y, s_y[:, None]), axis=1)[new]
+            r_yy = (pair_rows @ y[:, :, None])[:, :, 0]
             r_yy[new, 2 * k] = 0.0
-            col = (mats[:, :, m:] @ r_yy[:, 0::2, None])[new, :, 0] / -sy_new[:, None]
-            col[np.arange(new.size), k] = 1.0 / sy_new
-            yy, rows_k = r_yy[new, 1::2], (new[:, None], np.arange(m))
-            mats[new, k, :m], mats[new, k, m:] = yy, 0.0
-            mats[rows_k + (k[:, None],)], mats[rows_k + (m + k[:, None],)] = yy, col
-            gamma[new, 0], count[new] = sy_new / y_y[new], count[new] + 1
+            col = (r_inv @ r_yy[:, 0::2, None])[new, :, 0] / -sy_new[:, None]
+            yy = r_yy[new, 1::2]
+            flat[at + mat_slot[k]] = np.concatenate(
+                (yy, yy, np.zeros(yy.shape), col, (1.0 / sy_new)[:, None],
+                 (sy_new / y_y[new])[:, None]), axis=1)
+            count += curved
         # no curvature pair yet and none from this step: H = gamma I is too
         # short a model, so lengthen the next step as a line search would
-        gamma[ok & (count == 0) & (s_y <= eps * y_y)] *= 4.0
-        conv = ok & (np.maximum.reduce(np.abs(pg), axis=1) <= gtol)
+        np.multiply(gamma, 4.0, out=gamma,
+                    where=(ok & (count == 0) & (s_y <= eps_yy))[:, None])
+        conv = ok & (np.abs(pg_t) <= gtol).all(axis=1)
         reduced = ok & (drop <= ftol * np.maximum(np.maximum(f, -f_t), 1.0))
-        for old, accepted in ((x, trial), (g, g_t), (free, free_t)):
-            np.copyto(old, accepted, where=ok[:, None])
-        f, nit, tries = np.where(ok, f_t, f), nit + ok, np.where(ok, 0, tries + 1)
-        fresh, give_up = ok, tries >= max_tries
+        np.copyto(vec[:3], accepted, where=ok[:, None])
+        np.copyto(f, f_t, where=ok)
+        np.copyto(since, evaluations, where=ok)
+        nit += ok
+        fresh, give_up = ok, since <= evaluations - max_tries
         if np.count_nonzero(give_up):  # retry from the projected gradient, or stop
             retry = give_up & (count > 0)
-            for a in (pairs, sy, mats, count, tries):
-                a[retry] = 0
-            gamma[retry], fresh, give_up = 1.0, ok | retry, give_up & ~retry
+            row[retry, 2:] = reset
+            ints[retry, 2:4] = 0, evaluations
+            fresh, give_up = ok | retry, give_up & ~retry
         limit = nit >= maxiter
         done = conv | reduced | limit | give_up | (evaluations >= maxfun)
-        if np.count_nonzero(done):
-            # a row whose line search failed is at a minimum if a unit step
-            # along its largest projected gradient entry promises less
-            # decrease than f's rounding
-            pg = np.minimum(np.maximum(x - g, lower), upper) - x
-            flat = (np.maximum.reduce(np.abs(pg), axis=1) ** 2
-                    <= eps * np.maximum(np.abs(f), 1.0))
-            code = np.argmax((conv, reduced, limit, ~give_up, ~flat, done), axis=0)
+        reasons = [0 if conv[i] else 1 if reduced[i] else 2 if limit[i]
+                   else 3 if not give_up[i]
+                   # a row whose line search failed is at a minimum if a unit
+                   # step along its largest projected gradient entry promises
+                   # less decrease than f's rounding
+                   else 5 if np.square(np.abs(pg[i]).max()) <= eps * max(abs(f[i]), 1.0)
+                   else 4 for i in np.flatnonzero(done).tolist()
+                   ] if np.count_nonzero(done) else []
+    ints, x, f = (np.concatenate(part) for part in zip(*stopped))
+    order = np.argsort(ints[:, 0])
+    return BoxResult(x[order], f[order], *(ints[order, c] for c in (1, 4, 5)))
 
 
 def optimize_parallel_gates(
@@ -474,22 +538,25 @@ def optimize_parallel_gates(
     kernel = objective_with_gradient(spec, config, targets)
     block = evolution.STACK_ROWS
 
-    def search(x0, eps):  # minimize_box from each row of x0, a block at a time
+    def search(x0, eps, start=None):  # minimize_box from each row of x0, by block
         runs = [minimize_box(lambda x: kernel(x, eps)[:2], x0[lo:lo + block],
                              -limit, limit, maxiter=MAX_ITERATIONS, ftol=1e-13,
-                             gtol=1e-10)
+                             gtol=1e-10,
+                             start=start and tuple(a[lo:lo + block] for a in start))
                 for lo in range(0, len(x0), block)]
         return [np.concatenate(field) for field in zip(*runs)]
 
     starts = np.random.default_rng(seed).uniform(-limit, limit,
                                                  size=(restarts, n_active))
     xs, _, nit, nfev, stop = search(starts, SEARCH_EPS)
-    # score every end point on sum r^2, then polish the converged ones near the best
-    fun = np.concatenate([kernel(xs[lo:lo + block])[0]
-                          for lo in range(0, restarts, block)])
+    # score every end point on sum r^2, then polish the converged ones near the
+    # best from there
+    fun, grad = (np.concatenate(part) for part in zip(
+        *(kernel(xs[lo:lo + block])[:2] for lo in range(0, restarts, block))))
     near = np.flatnonzero((STOP_STATUS[stop] == 0) & (fun <= POLISH_WINDOW * fun.min()))
     if near.size:
-        xs[near], fun[near], polish_nit, polish_nfev, stop[near] = search(xs[near], 0.0)
+        xs[near], fun[near], polish_nit, polish_nfev, stop[near] = search(
+            xs[near], 0.0, start=(fun[near], grad[near]))
         nit[near] += polish_nit
         nfev[near] += polish_nfev
     status, reasons = STOP_STATUS[stop], tuple(STOP_REASONS[k] for k in stop)

@@ -61,7 +61,7 @@ def full_u_evaluate(spec, v, config, targets):
                 spec.coupling_length)
     m1 = _subcircuit_metrics(u.matrix, config.pairs[0], config.pairs[1], targets[0])
     m2 = _subcircuit_metrics(u.matrix, config.pairs[1], config.pairs[0], targets[1])
-    value = compiler._objective_value(*zip(m1, m2))
+    value, _ = compiler._objective_value(np.array([*zip(m1, m2)]))
     return float(value), (m1, m2)
 
 
@@ -93,7 +93,7 @@ def scalar_objective_with_gradient(spec, config, targets):
             np.abs(u) ** 2, rows, other_rows, target_p)
         terms = np.stack((fid, ct, leak))
         means = 0.5 * (terms[:, 0::2] + terms[:, 1::2])
-        value = float(compiler._objective_value(*means))
+        value = float(compiler._objective_value(means)[0])
 
         d_split = 0.5 * np.sqrt(target_p / np.where(split > 0.0, split, np.inf))
         d_fid = ((d_split - 0.5 * fid[:, None])

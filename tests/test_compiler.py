@@ -139,7 +139,7 @@ class TestObjective:
         for s in (0, 1):
             assert fid[s] == 0.0
             assert leak[s] == pytest.approx(1.0)
-        obj = compiler._objective_value(fid, ct, leak)
+        obj, _ = compiler._objective_value(np.array([fid, ct, leak]))
         assert obj == pytest.approx(4.0 + ct[0]**2 + ct[1]**2)
 
     def test_unnormalized_target_rejected(self):
@@ -379,6 +379,54 @@ class TestOptimize:
                                     restarts=2, seed=0)
         assert build.call_count == 1
 
+    def test_polish_takes_its_start_from_the_scoring_call(self, monkeypatch):
+        # the kernel sees each restart once more than its search counts (the
+        # scoring call) and the winner once, and a polished restart's counted
+        # start evaluation is the scoring call's; the polish once evaluated it
+        # again, which this count did not allow
+        build, rows = compiler.objective_with_gradient, []
+
+        def counted(*args):
+            kernel = build(*args)
+
+            def f(x, *eps):
+                rows.append(len(x))
+                return kernel(x, *eps)
+            return f
+
+        monkeypatch.setattr(compiler, "objective_with_gradient", counted)
+        with mock.patch.object(compiler, "minimize_box",
+                               wraps=compiler.minimize_box) as driver:
+            result = optimize_parallel_gates(default_device(), preset_config("config2"),
+                                             (gate_target("X"), gate_target("H")),
+                                             restarts=20, seed=5)
+        polished = sum(len(call.args[1]) for call in driver.call_args_list[1:])
+        assert polished > 0
+        assert sum(rows) == result.restart_nfev.sum() - polished + 20 + 1
+
+    def test_polish_start_equals_its_evaluation(self):
+        # a search end point lies in the box as the polish would clip it, so
+        # the scoring call's (f, g) there are the bits the polish's own first
+        # evaluation gives, and the polish ends where it would without them
+        solver, polish = compiler.minimize_box, []
+
+        def recorded(fun, x0, *args, start=None, **kwargs):
+            if start is not None:
+                polish.append((fun, x0, args, kwargs, start))
+            return solver(fun, x0, *args, start=start, **kwargs)
+
+        with mock.patch.object(compiler, "minimize_box", recorded):
+            optimize_parallel_gates(default_device(), preset_config("config2"),
+                                    (gate_target("H"), gate_target("H")),
+                                    restarts=20, seed=5)
+        assert polish
+        for fun, x0, args, kwargs, start in polish:
+            for got, want in zip(start, fun(x0)):
+                np.testing.assert_array_equal(got, want)
+            with_start = solver(fun, x0, *args, start=start, **kwargs)
+            for got, want in zip(with_start, solver(fun, x0, *args, **kwargs)):
+                np.testing.assert_array_equal(got, want)
+
     def test_abnormal_restart_kept_and_logged(self, monkeypatch, caplog):
         monkeypatch.setattr(compiler, "MAX_ITERATIONS", 1)
         with caplog.at_level(logging.WARNING, logger="rwasim.compiler"):
@@ -576,6 +624,25 @@ def box_quadratic(where, seed):
     return f, x_star, lower, upper
 
 
+def uphill(x):
+    """A gradient of the wrong sign: no step along -g lowers f."""
+    return np.sum(x * x, axis=1), -2.0 * x
+
+
+SHALLOW_MINIMUM = np.array([0.5, 1.0 - 1e-9, 1.0])
+
+
+def shallow(x):
+    """f = 1 + |x - c|^2, whose decrease within 1e-9 of c is below f's rounding."""
+    e = x - SHALLOW_MINIMUM
+    return 1.0 + np.sum(e * e, axis=1), 2.0 * e
+
+
+def tilted(x):
+    """A slope of 1e-5 with slight negative curvature."""
+    return np.sum(1e-5 * x - 1e-9 * x * x, axis=1), 1e-5 - 2e-9 * x
+
+
 @st.composite
 def box_quadratics(draw):
     n = draw(st.integers(1, 8))
@@ -622,6 +689,40 @@ class TestMinimizeBox:
             for got, want in zip(batch, single):
                 np.testing.assert_array_equal(got[i], want[0])
 
+    def test_rows_stopping_for_every_reason_equal_single_row_runs(self):
+        # a row for each of STOP_REASONS in order, and a second failed line
+        # search from near the shallow minimum: from far, a row builds a
+        # curvature pair, and its first failed line search retries from the
+        # projected gradient (42 evaluations); from near, it has none and
+        # stops (21), as the uphill row does.  The last variable names the
+        # row's objective: its gradient is zero, so it never moves.
+        box, *_ = box_quadratic(np.array([0, -1, 1]), 3)
+        rosen = np.random.default_rng(0).uniform(-1.0, 1.0, (30, 3))
+        problems = [(box, [0.2, 0.3, -0.4]), (rosen_rows, rosen[9]),
+                    (rosen_rows, rosen[26]), (rosen_rows, rosen[1]),
+                    (uphill, [0.5, 0.5, 0.5]), (shallow, [-0.9, -0.8, 0.1]),
+                    (tilted, [0.0, 0.0, 0.0]), (shallow, [0.5, 1.0, 1.5])]
+        x0 = np.array([[*start, k / 10] for k, (_, start) in enumerate(problems)])
+
+        def fun(x):
+            values, grads = np.empty(len(x)), np.zeros(x.shape)
+            for k, (f, _) in enumerate(problems):
+                mine = x[:, -1] == k / 10
+                if mine.any():
+                    values[mine], grads[mine, :-1] = f(x[mine, :-1])
+            return values, grads
+
+        def solve(x):
+            return minimize_box(fun, x, -1.0, 1.0, maxiter=40, ftol=1e-13, gtol=0.0,
+                                maxfun=49)
+
+        batch = solve(x0)
+        assert batch.stop.tolist() == [0, 1, 2, 3, 4, 5, 0, 5]
+        assert batch.nfev[[4, 5, 7]].tolist() == [21, 42, 21]
+        for i in range(len(x0)):
+            for got, want in zip(batch, solve(x0[i:i + 1])):
+                np.testing.assert_array_equal(got[i], want[0])
+
     def test_iteration_limit(self):
         x0 = np.random.default_rng(1).uniform(-1.5, 2.0, (4, 5))
         result = minimize_box(rosen_rows, x0, -1.5, 2.0, maxiter=3, ftol=1e-13,
@@ -641,10 +742,6 @@ class TestMinimizeBox:
             "evaluation limit reached"}
 
     def test_failed_line_search_stops_with_status_2(self):
-        # a gradient of the wrong sign: no step along -g lowers f
-        def uphill(x):
-            return np.sum(x * x, axis=1), -2.0 * x
-
         result = minimize_box(uphill, np.full((2, 3), 0.5), -1.0, 1.0,
                               maxiter=500, ftol=1e-13, gtol=1e-10)
         assert compiler.STOP_STATUS[result.stop].tolist() == [2, 2]
@@ -655,9 +752,6 @@ class TestMinimizeBox:
     def test_flat_slope_lengthens_the_step(self):
         # a slope of 1e-5 with slight negative curvature: at the gradient's own
         # length a step would cover 1e-5, and the bound at -10 lies 1e6 away
-        def tilted(x):
-            return np.sum(1e-5 * x - 1e-9 * x * x, axis=1), 1e-5 - 2e-9 * x
-
         result = minimize_box(tilted, np.zeros((1, 1)), -10.0, 10.0, maxiter=500,
                               ftol=0.0, gtol=1e-10)
         assert result.x.tolist() == [[-10.0]]
@@ -665,14 +759,8 @@ class TestMinimizeBox:
         assert result.nit[0] <= 20
 
     def test_no_decrease_above_rounding_stops_converged(self):
-        # f = 1 + |x - c|^2 with |x - c| = 1e-9: the projected gradient is
-        # above gtol, yet no step can lower f by more than its rounding
-        c = np.array([0.5, 1.0 - 1e-9, 1.0])
-
-        def shallow(x):
-            e = x - c
-            return 1.0 + np.sum(e * e, axis=1), 2.0 * e
-
+        # |x - c| = 1e-9 at the clipped start: the projected gradient is above
+        # gtol, yet no step can lower f by more than its rounding
         result = minimize_box(shallow, np.array([[0.5, 1.0, 1.5]]), -1.0, 1.0,
                               maxiter=500, ftol=0.0, gtol=1e-10)
         assert [compiler.STOP_REASONS[k] for k in result.stop] == [
