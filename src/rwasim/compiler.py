@@ -205,14 +205,13 @@ def _input_terms(powers: np.ndarray, rows, other_rows, target_p):
     are divided by their own sums, and the kernel checks its targets once.
     """
     k = np.arange(powers.shape[-1])[:, None]
-    own_p = powers[..., rows, k]
-    own = own_p.sum(axis=-1)
+    own_p, other_p = powers[..., rows, k], powers[..., other_rows, k]
+    own = own_p[..., 0] + own_p[..., 1]
     kept = own > 0.0
     split = np.where(kept[..., None],
                      own_p / np.where(kept, own, 1.0)[..., None], 0.5)
     fid = np.where(kept, _bhattacharyya(target_p, split), 0.0)
-    crosstalk = powers[..., other_rows, k].sum(axis=-1)
-    return own, split, fid, crosstalk, 1.0 - own
+    return own, split, fid, other_p[..., 0] + other_p[..., 1], 1.0 - own
 
 
 def _objective_value(metrics):
@@ -268,7 +267,7 @@ def objective_with_gradient(
     limit = spec.voltage_limit
     # the four guides whose inputs and outputs the metrics read, pair a first;
     # rows and other_rows index them
-    cols = [*config.pairs[0].indices(n), *config.pairs[1].indices(n)]
+    cols = np.array([*config.pairs[0].indices(n), *config.pairs[1].indices(n)])
     rows = np.array([[0, 1], [0, 1], [2, 3], [2, 3]])
     other_rows = rows[[2, 3, 0, 1]]
     target_p = np.vstack(targets)
@@ -398,17 +397,18 @@ def minimize_box(fun, x0: np.ndarray, lower: float, upper: float, *, maxiter: in
     # reason
     pairs_at, sy_at, mats_at = 3, 3 + 2 * m * n, 3 + 2 * m * n + m
     width = mats_at + 2 * m * m + 1
-    # the entries of a row that a new pair in slot k writes: ahead of R^-1,
-    # (s, y) and s.y; after it, row k and column k of Y^T Y, then of R^-1
-    # (an entry in both goes to the scratch entry once), R^-1_kk and gamma
+    # slots[i, k]: the flat entries that a new pair in slot k of the i-th
+    # running row writes, first (s, y) and s.y, then, from `pair_end` on,
+    # row k and column k of Y^T Y and of R^-1 (an entry in both goes to the
+    # scratch entry once), R^-1_kk and gamma
     j, k = np.arange(m), np.arange(m)[:, None]
-    scratch = width - 1
-    pair_slot = np.hstack((pairs_at + 2 * n * k + np.arange(2 * n), sy_at + k))
-    mat_slot = np.hstack((mats_at + 2 * m * k + j,
-                          np.where(j == k, scratch, mats_at + 2 * m * j + k),
-                          np.where(j == k, scratch, mats_at + 2 * m * k + m + j),
-                          np.where(j == k, scratch, mats_at + 2 * m * j + m + k),
-                          mats_at + 2 * m * k + m + k, np.full((m, 1), 2)))
+    scratch, pair_end = width - 1, 2 * n + 1
+    slots = width * np.arange(n_rows)[:, None, None] + np.hstack((
+        pairs_at + 2 * n * k + np.arange(2 * n), sy_at + k,
+        mats_at + 2 * m * k + j, np.where(j == k, scratch, mats_at + 2 * m * j + k),
+        np.where(j == k, scratch, mats_at + 2 * m * k + m + j),
+        np.where(j == k, scratch, mats_at + 2 * m * j + m + k),
+        mats_at + 2 * m * k + m + k, np.full((m, 1), 2)))
     vec = np.zeros((4, n_rows, n))
     vec[0], vec[1] = x, g
     np.subtract(np.minimum(np.maximum(x - g, lower), upper), x, out=vec[2])
@@ -419,6 +419,7 @@ def minimize_box(fun, x0: np.ndarray, lower: float, upper: float, *, maxiter: in
     reset = np.zeros(width - 2)  # gamma and the ring of a row without pairs
     reset[0] = 1.0
     trials = np.empty((3, n_rows, n))  # the trial points, their g and pg
+    ratios, new_pairs = np.empty((n_rows, n)), np.empty((n_rows, 2 * n + 1))
     evaluations, n_run, stopped = 1, 0, []
     fresh = np.ones(n_rows, dtype=bool)  # start an iteration
     # the projected gradient is zero at a binding variable, and at a free one
@@ -442,7 +443,7 @@ def minimize_box(fun, x0: np.ndarray, lower: float, upper: float, *, maxiter: in
             sy, mats = row[:, sy_at:mats_at], row[:, mats_at:-1].reshape(n_run, m, 2 * m)
             pair_rows, r_inv, flat = pairs.reshape(n_run, 2 * m, n), mats[:, :, m:], row.ravel()
             nit, count, since = ints[:, 1], ints[:, 2], ints[:, 3]
-            accepted = trials[:, :n_run]
+            accepted, ratio, new_pair = trials[:, :n_run], ratios[:n_run], new_pairs[:n_run]
             trial, g_t, pg_t = accepted
         if np.count_nonzero(fresh):
             # H q for the free part q of g from the compact form H = gamma I +
@@ -456,12 +457,14 @@ def minimize_box(fun, x0: np.ndarray, lower: float, upper: float, *, maxiter: in
             hq = gamma * q + (u.transpose(0, 2, 1) @ pairs[:, :, 0]
                               - (g3 * ra).transpose(0, 2, 1) @ pairs[:, :, 1])[:, 0]
             # hold binding variables and those on a bound -hq points out of
+            # (x lies in the box, so hq is nonzero where full is)
             full = np.minimum(np.maximum(x - hq, lower), upper) - x
-            new_d = np.where(free & (full != 0.0), -hq, 0.0)
+            moves = free & (full != 0.0)
+            new_d = np.where(moves, -hq, 0.0)
             np.copyto(d, new_d, where=fresh[:, None])
-            np.copyto(step, np.minimum.reduce(np.divide(
-                full, new_d, out=np.ones(x.shape), where=new_d != 0.0), axis=1),
-                where=fresh)
+            ratio.fill(1.0)
+            np.copyto(step, np.minimum.reduce(
+                np.divide(full, new_d, out=ratio, where=moves), axis=1), where=fresh)
         into_box(np.add(x, step[:, None] * d, out=trial))
         f_t, g_t[...] = fun(trial)
         evaluations += 1
@@ -473,31 +476,38 @@ def minimize_box(fun, x0: np.ndarray, lower: float, upper: float, *, maxiter: in
             cut = -0.5 * slope / np.where(curv > 0.0, curv, np.inf)
             np.copyto(step, step * np.minimum(np.maximum(cut, 0.1), 0.5), where=~ok)
         np.subtract(np.minimum(np.maximum(trial - g_t, lower), upper), trial, out=pg_t)
+        # the step's curvature pair (s, y) and s.y, restricted to the
+        # variables free at the trial point
         free_t = pg_t != 0.0
-        s, y = s * free_t, (g_t - g) * free_t
-        s_y, y_y = np.vecdot(s, y), np.vecdot(y, y)
+        s, y, s_y = np.multiply(s, free_t, out=new_pair[:, :n]), new_pair[:, n:-1], new_pair[:, -1]
+        np.multiply(g_t - g, free_t, out=y)
+        np.vecdot(s, y, out=s_y)
+        y_y = np.vecdot(y, y)
         eps_yy = eps * y_y
         curved = ok & (s_y > eps_yy)
         new = np.flatnonzero(curved)
         if new.size:
             # the pair takes the oldest's slot k: R^-1 gets row k = e_k / s.y
             # and column k = (-R'^-1 r, 1) / s.y with r_j = s_j.y
-            k, sy_new, at = count[new] % m, s_y[new], (new * width)[:, None]
-            flat[at + pair_slot[k]] = np.concatenate((s, y, s_y[:, None]), axis=1)[new]
+            k, sy_new = count[new] % m, s_y[new]
+            at = slots[new, k]
+            flat[at[:, :pair_end]] = new_pair[new]
             r_yy = (pair_rows @ y[:, :, None])[:, :, 0]
             r_yy[new, 2 * k] = 0.0
             col = (r_inv @ r_yy[:, 0::2, None])[new, :, 0] / -sy_new[:, None]
             yy = r_yy[new, 1::2]
-            flat[at + mat_slot[k]] = np.concatenate(
+            flat[at[:, pair_end:]] = np.concatenate(
                 (yy, yy, np.zeros(yy.shape), col, (1.0 / sy_new)[:, None],
                  (sy_new / y_y[new])[:, None]), axis=1)
             count += curved
-        # no curvature pair yet and none from this step: H = gamma I is too
-        # short a model, so lengthen the next step as a line search would
-        np.multiply(gamma, 4.0, out=gamma,
-                    where=(ok & (count == 0) & (s_y <= eps_yy))[:, None])
-        conv = ok & (np.abs(pg_t) <= gtol).all(axis=1)
-        reduced = ok & (drop <= ftol * np.maximum(np.maximum(f, -f_t), 1.0))
+        if not count.all():
+            # no curvature pair yet and none from this step: H = gamma I is too
+            # short a model, so lengthen the next step as a line search would
+            np.multiply(gamma, 4.0, out=gamma,
+                        where=(ok & (count == 0) & (s_y <= eps_yy))[:, None])
+        # an accepted step converged, or reduced f by little
+        conv = (np.abs(pg_t) <= gtol).all(axis=1)
+        reduced = drop <= ftol * np.maximum(np.maximum(f, -f_t), 1.0)
         np.copyto(vec[:3], accepted, where=ok[:, None])
         np.copyto(f, f_t, where=ok)
         np.copyto(since, evaluations, where=ok)
@@ -509,8 +519,10 @@ def minimize_box(fun, x0: np.ndarray, lower: float, upper: float, *, maxiter: in
             ints[retry, 2:4] = 0, evaluations
             fresh, give_up = ok | retry, give_up & ~retry
         limit = nit >= maxiter
-        done = conv | reduced | limit | give_up | (evaluations >= maxfun)
-        reasons = [0 if conv[i] else 1 if reduced[i] else 2 if limit[i]
+        done = ok & (conv | reduced) | limit | give_up
+        if evaluations >= maxfun:
+            done[:] = True
+        reasons = [0 if ok[i] and conv[i] else 1 if ok[i] and reduced[i] else 2 if limit[i]
                    else 3 if not give_up[i]
                    # a row whose line search failed is at a minimum if a unit
                    # step along its largest projected gradient entry promises
