@@ -18,7 +18,8 @@ Each restart runs a bound-constrained L-BFGS search (`minimize_box`) on f_eps
 from a uniform random start.  Every end point is then scored on sum r^2, and
 those that converged within `POLISH_WINDOW` times the best score run one more
 `minimize_box` on sum r^2: where no exact solution exists, eps moves the
-minima, and this polish takes them back.
+minima, and this polish takes them back.  The polish starts from the scoring
+call's value and gradient at its end points rather than evaluating them again.
 
 The kernel gets the objective together with its exact gradient from one
 eigendecomposition of H = Q diag(w) Q^T.  The metrics read
@@ -29,15 +30,20 @@ G_ab = (e^{-iw_a L} - e^{-iw_b L}) / (w_a - w_b) (Daleckii-Krein; Najfeld &
 Havel 1995), and the chain rule runs backwards from the objective to the
 electrode voltages through the real adjoint R = L Q (S o Im C) Q^T, with
 S_ab = sin(dw) / dw for dw = L (w_a - w_b) / 2 and C = v^T (d f / d P o
-conj(U)) v over the block.  dH is tridiagonal, so only R's three diagonals
-are formed.
+conj(U)) v over the block.  S is symmetric, as sin is odd, so its upper
+triangle is formed and mirrored.  dH is tridiagonal, so only R's three
+diagonals are formed.
 
 The restarts run in lockstep, in blocks of at most `evolution.STACK_ROWS`: each
 round steps every running restart and evaluates their trial points in one
 call of the batched kernel, one stacked eigensolve; the solver's steps act on
-each restart alone.  The polish and the scoring run in blocks of the same
-size.  The winner is picked by (sum r^2, restart index), so the result is
-deterministic for a given seed.
+each restart alone.  A round's cost is mostly fixed, a few hundred small numpy
+steps at a few dozen rows, so `minimize_box` keeps each restart's state in
+three packed arrays: an accepted step is one masked copy of x, g and the
+projected gradient, a new curvature pair two writes through precomputed flat
+indices, and a stopping restart one take per array.  The polish and the
+scoring run in blocks of the same size.  The winner is picked by (sum r^2,
+restart index), so the result is deterministic for a given seed.
 
 The winner is scored by the kernel its restarts ran, at a batch of one, so
 the reported objective is the winning restart's own sum r^2 and the reported
@@ -195,8 +201,8 @@ def _input_terms(powers: np.ndarray, rows, other_rows, target_p):
 
     powers[..., :, k] holds the output powers for input k, with any leading
     batch axes: the kernel passes the 4x4 block of |U|^2 over the two pairs'
-    guides, pair a first.  rows[k] index the outputs of that input's own
-    pair, other_rows[k] those of the other pair, and target_p[k] is the
+    guides, pair a first.  rows[k] index the two outputs of that input's
+    own pair, other_rows[k] those of the other pair, and target_p[k] is the
     target split over rows[k].
     Returns, per input, the power kept in the own pair, the post-selected
     split, the fidelity (0 when nothing is kept), the crosstalk and the
@@ -208,8 +214,9 @@ def _input_terms(powers: np.ndarray, rows, other_rows, target_p):
     own_p, other_p = powers[..., rows, k], powers[..., other_rows, k]
     own = own_p[..., 0] + own_p[..., 1]
     kept = own > 0.0
-    split = np.where(kept[..., None],
-                     own_p / np.where(kept, own, 1.0)[..., None], 0.5)
+    split = np.empty(own_p.shape)
+    split.fill(0.5)
+    np.divide(own_p, own[..., None], out=split, where=kept[..., None])
     fid = np.where(kept, _bhattacharyya(target_p, split), 0.0)
     return own, split, fid, other_p[..., 0] + other_p[..., 1], 1.0 - own
 
@@ -288,16 +295,18 @@ def objective_with_gradient(
                                           spec.base_coupling + x @ s_coupling.T)
         # U = Q diag(e^{-iwL}) Q^T is symmetric, so with v = Q[cols] e^{-iwL/2}
         # its 4x4 block U[cols][:, cols] is v v^T
-        v = q[:, cols] * np.exp(-0.5j * length * w)[:, None, :]
+        v = q.take(cols, axis=1) * np.exp(-0.5j * length * w)[:, None, :]
         v_t = v.transpose(0, 2, 1)
         u = v @ v_t
-        own, split, fid, ct, leak = _input_terms(u.real**2 + u.imag**2, rows,
+        sq = np.square(u.view(float))  # Re(u)^2 and Im(u)^2, interleaved
+        own, split, fid, ct, leak = _input_terms(sq[..., 0::2] + sq[..., 1::2], rows,
                                                  other_rows, target_p)
         # per (metric, point, pair), and as metrics[:, s, b]
         terms = np.concatenate((fid, ct, leak)).reshape(3, -1, 2, 2)
         metrics = (0.5 * (terms[..., 0] + terms[..., 1])).transpose(0, 2, 1)
         value, r = _objective_value(metrics)
-        value = value + eps * (r[0] + r[1] + r[2]).sum(axis=0)
+        r_sum = r[0] + r[1] + r[2]
+        value = value + eps * (r_sum[0] + r_sum[1])
 
         # d objective / d powers.  d sqrt(t p) / dp is set to 0 where the own
         # power p is zero up to rounding: sqrt(t p) = sqrt(t) |u| has a cone
@@ -325,7 +334,7 @@ def objective_with_gradient(
         # docstring, C = v^T (d_powers o conj(u)) v; R's three diagonals are
         # diag(Q M Q^T) and its two off-diagonals, M = S o Im C
         c = v_t @ ((d_powers * u.conj()) @ v)
-        w_ab = w[:, pairs_ab]
+        w_ab = w.take(pairs_ab, axis=1)
         dw = (0.5 * length) * (w_ab[:, 0] - w_ab[:, 1])
         dw = np.where(dw == 0.0, 1e-20, dw)  # sin(dw) / dw is then exactly 1
         qm = q @ ((np.sin(dw) / dw).take(s_at, axis=1).reshape(c.shape) * c.imag)
@@ -350,10 +359,10 @@ def minimize_box(fun, x0: np.ndarray, lower: float, upper: float, *, maxiter: in
                  start: tuple[np.ndarray, np.ndarray] | None = None) -> BoxResult:
     """Bound-constrained L-BFGS from each row of x0, clipped into the box.
 
-    `fun(X) -> (values, grads)` evaluates a batch of points; `start`, if
-    given, is its output at x0, which must then lie in the box on a bound
-    or at least rounding away from it: the first evaluation is taken from
-    it, and still counted.  An iteration
+    `fun(X) -> (values, grads)` evaluates a batch of points.  `start`, if
+    given, is fun's output at x0, whose rows must then be points the
+    clipping leaves as they are (as the rows of an earlier result are): the
+    first evaluation is taken from it, and still counted.  An iteration
     holds the variables on a bound that the gradient, or then the step,
     points out of and steps the others along -H g, H the L-BFGS inverse
     Hessian of the last 10 curvature pairs, each restricted to the variables
@@ -431,9 +440,11 @@ def minimize_box(fun, x0: np.ndarray, lower: float, upper: float, *, maxiter: in
             if reasons:
                 ints[:, 4] = evaluations
                 ints[done, 5] = reasons
-                stopped.append((ints[done], vec[0][done], row[done, 0]))
+                stopped.append((ints.compress(done, axis=0), vec[0].compress(done, axis=0),
+                                row[:, 0].compress(done)))
                 keep = ~done
-                vec, row, ints, fresh = vec[:, keep], row[keep], ints[keep], fresh[keep]
+                vec, row, ints, fresh = (vec.compress(keep, axis=1), row.compress(keep, axis=0),
+                                         ints.compress(keep, axis=0), fresh[keep])
             n_run = len(fresh)
             if not n_run:
                 break
@@ -466,7 +477,7 @@ def minimize_box(fun, x0: np.ndarray, lower: float, upper: float, *, maxiter: in
             np.copyto(step, np.minimum.reduce(
                 np.divide(full, new_d, out=ratio, where=moves), axis=1), where=fresh)
         into_box(np.add(x, step[:, None] * d, out=trial))
-        f_t, g_t[...] = fun(trial)
+        f_t, g_t[...] = fun(trial)  # the gradient goes to its packed slot
         evaluations += 1
         s = trial - x
         slope, drop = np.vecdot(g, s), f - f_t
@@ -485,22 +496,22 @@ def minimize_box(fun, x0: np.ndarray, lower: float, upper: float, *, maxiter: in
         y_y = np.vecdot(y, y)
         eps_yy = eps * y_y
         curved = ok & (s_y > eps_yy)
-        new = np.flatnonzero(curved)
+        new = curved.nonzero()[0]
         if new.size:
             # the pair takes the oldest's slot k: R^-1 gets row k = e_k / s.y
             # and column k = (-R'^-1 r, 1) / s.y with r_j = s_j.y
             k, sy_new = count[new] % m, s_y[new]
             at = slots[new, k]
-            flat[at[:, :pair_end]] = new_pair[new]
+            flat[at[:, :pair_end]] = new_pair.take(new, axis=0)
             r_yy = (pair_rows @ y[:, :, None])[:, :, 0]
             r_yy[new, 2 * k] = 0.0
-            col = (r_inv @ r_yy[:, 0::2, None])[new, :, 0] / -sy_new[:, None]
-            yy = r_yy[new, 1::2]
+            col = (r_inv @ r_yy[:, 0::2, None]).take(new, axis=0)[:, :, 0] / -sy_new[:, None]
+            yy = r_yy.take(new, axis=0)[:, 1::2]
             flat[at[:, pair_end:]] = np.concatenate(
                 (yy, yy, np.zeros(yy.shape), col, (1.0 / sy_new)[:, None],
                  (sy_new / y_y[new])[:, None]), axis=1)
             count += curved
-        if not count.all():
+        if np.count_nonzero(count) < n_run:
             # no curvature pair yet and none from this step: H = gamma I is too
             # short a model, so lengthen the next step as a line search would
             np.multiply(gamma, 4.0, out=gamma,
@@ -528,7 +539,7 @@ def minimize_box(fun, x0: np.ndarray, lower: float, upper: float, *, maxiter: in
                    # step along its largest projected gradient entry promises
                    # less decrease than f's rounding
                    else 5 if np.square(np.abs(pg[i]).max()) <= eps * max(abs(f[i]), 1.0)
-                   else 4 for i in np.flatnonzero(done).tolist()
+                   else 4 for i in done.nonzero()[0].tolist()
                    ] if np.count_nonzero(done) else []
     ints, x, f = (np.concatenate(part) for part in zip(*stopped))
     order = np.argsort(ints[:, 0])
