@@ -406,13 +406,13 @@ def minimize_box(fun, x0: np.ndarray, lower: float, upper: float, *, maxiter: in
     # reason
     pairs_at, sy_at, mats_at = 3, 3 + 2 * m * n, 3 + 2 * m * n + m
     width = mats_at + 2 * m * m + 1
-    # slots[i, k]: the flat entries that a new pair in slot k of the i-th
-    # running row writes, first (s, y) and s.y, then, from `pair_end` on,
-    # row k and column k of Y^T Y and of R^-1 (an entry in both goes to the
-    # scratch entry once), R^-1_kk and gamma
+    # slots[k]: the entries of a row that a new pair in slot k writes, first
+    # (s, y) and s.y, then, from `pair_end` on, row k and column k of Y^T Y
+    # and of R^-1 (an entry in both goes to the scratch entry once), R^-1_kk
+    # and gamma
     j, k = np.arange(m), np.arange(m)[:, None]
     scratch, pair_end = width - 1, 2 * n + 1
-    slots = width * np.arange(n_rows)[:, None, None] + np.hstack((
+    slots = np.hstack((
         pairs_at + 2 * n * k + np.arange(2 * n), sy_at + k,
         mats_at + 2 * m * k + j, np.where(j == k, scratch, mats_at + 2 * m * j + k),
         np.where(j == k, scratch, mats_at + 2 * m * k + m + j),
@@ -501,7 +501,7 @@ def minimize_box(fun, x0: np.ndarray, lower: float, upper: float, *, maxiter: in
             # the pair takes the oldest's slot k: R^-1 gets row k = e_k / s.y
             # and column k = (-R'^-1 r, 1) / s.y with r_j = s_j.y
             k, sy_new = count[new] % m, s_y[new]
-            at = slots[new, k]
+            at = (new * width)[:, None] + slots.take(k, axis=0)
             flat[at[:, :pair_end]] = new_pair.take(new, axis=0)
             r_yy = (pair_rows @ y[:, :, None])[:, :, 0]
             r_yy[new, 2 * k] = 0.0
