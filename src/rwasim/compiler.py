@@ -425,8 +425,6 @@ def minimize_box(fun, x0: np.ndarray, lower: float, upper: float, *, maxiter: in
     row[:, 0], row[:, 1:3] = f, 1.0
     ints = np.zeros((n_rows, 6), dtype=int)
     ints[:, 0], ints[:, 3] = np.arange(n_rows), 1
-    reset = np.zeros(width - 2)  # gamma and the ring of a row without pairs
-    reset[0] = 1.0
     trials = np.empty((3, n_rows, n))  # the trial points, their g and pg
     ratios, new_pairs = np.empty((n_rows, n)), np.empty((n_rows, 2 * n + 1))
     evaluations, n_run, stopped = 1, 0, []
@@ -526,7 +524,7 @@ def minimize_box(fun, x0: np.ndarray, lower: float, upper: float, *, maxiter: in
         fresh, give_up = ok, since <= evaluations - max_tries
         if np.count_nonzero(give_up):  # retry from the projected gradient, or stop
             retry = give_up & (count > 0)
-            row[retry, 2:] = reset
+            row[retry, 2], row[retry, 3:] = 1.0, 0.0  # gamma, and no pairs
             ints[retry, 2:4] = 0, evaluations
             fresh, give_up = ok | retry, give_up & ~retry
         limit = nit >= maxiter
