@@ -380,10 +380,9 @@ class TestOptimize:
         assert build.call_count == 1
 
     def test_polish_takes_its_start_from_the_scoring_call(self, monkeypatch):
-        # the kernel sees each restart once more than its search counts (the
-        # scoring call) and the winner once, and a polished restart's counted
-        # start evaluation is the scoring call's; the polish once evaluated it
-        # again, which this count did not allow
+        # the kernel sees every restart once in the scoring call and the
+        # winner once more, and a polished restart's counted first evaluation
+        # is the scoring call's, not a kernel row of its own
         build, rows = compiler.objective_with_gradient, []
 
         def counted(*args):
@@ -690,12 +689,13 @@ class TestMinimizeBox:
                 np.testing.assert_array_equal(got[i], want[0])
 
     def test_rows_stopping_for_every_reason_equal_single_row_runs(self):
-        # a row for each of STOP_REASONS in order, and a second failed line
-        # search from near the shallow minimum: from far, a row builds a
-        # curvature pair, and its first failed line search retries from the
-        # projected gradient (42 evaluations); from near, it has none and
-        # stops (21), as the uphill row does.  The last variable names the
-        # row's objective: its gradient is zero, so it never moves.
+        # rows that stop for each of STOP_REASONS in order, then a tilted row
+        # and a shallow row started near its minimum.  The shallow row from
+        # far holds a curvature pair when its line search first fails, so it
+        # retries from the projected gradient (42 evaluations); from near it
+        # holds none and stops (21), as the uphill row does.  The last
+        # variable names the row's objective: its gradient is zero, so it
+        # never moves.
         box, *_ = box_quadratic(np.array([0, -1, 1]), 3)
         rosen = np.random.default_rng(0).uniform(-1.0, 1.0, (30, 3))
         problems = [(box, [0.2, 0.3, -0.4]), (rosen_rows, rosen[9]),
