@@ -319,6 +319,101 @@ class TestPairResponse:
             np.testing.assert_array_equal(rows.reshape(shape), table)
 
 
+class TestGoldenPairResponse:
+    """`pair_response` pinned bit for bit: `float.hex` of eta and both
+    leakages at pairs 1, 5 and 10 of three devices, for five voltage rows
+    stacked together and for each row alone.  Rows 1 and 3 are 0 V, where
+    the X(x)X device's repeated spectrum sends them to `eigh_tridiagonal`.
+    Captured with numpy 2.4 and OpenBLAS at one thread on x86-64; another
+    LAPACK build may differ in the last bits."""
+
+    DEVICES = {"default": default_device, "xx": make_xx_device,
+               "random": lambda: random_device(np.random.default_rng(11))}
+
+    # (device, lower guide), one (eta, leak_in1, leak_in2) per row
+    CASES = [
+        (('default', 1), (
+            ('0x1.d063d51402cd9p-1', '0x1.0d589508a97a5p+6', '0x1.25a073351cf0ep+5'),
+            ('0x1.ae6fa4c9a70e6p-2', '0x1.eb32bafeeb4dap+5', '0x1.fa8310d089e7ep+5'),
+            ('0x1.f4e7da291bc48p-1', '0x1.d72759ada8dfcp+4', '0x1.0eea81b6c2b8dp+3'),
+            ('0x1.ae6fa4c9a70e6p-2', '0x1.eb32bafeeb4dap+5', '0x1.fa8310d089e7ep+5'),
+            ('0x1.8f928f4b1c563p-1', '0x1.d35f75313f286p+2', '0x1.62eb186fa2231p+5'),
+        )),
+        (('default', 5), (
+            ('0x1.eb21a653910a2p-1', '0x1.b5f8df62b760ap+5', '0x1.89b097f1ec00ep+6'),
+            ('0x1.480a859b4a327p-4', '0x1.5dd0e0438d2abp+6', '0x1.5d109220a365dp+6'),
+            ('0x1.5dbb9c1a9ea64p-2', '0x1.6eeac933d3f8ep+4', '0x1.b3a9acebc7f5dp+5'),
+            ('0x1.480a859b4a327p-4', '0x1.5dd0e0438d2abp+6', '0x1.5d109220a365dp+6'),
+            ('0x1.622471621e802p-1', '0x1.5065d0335f396p+6', '0x1.83ae269c6e846p+6'),
+        )),
+        (('default', 10), (
+            ('0x1.3b691f08b3b38p-4', '0x1.39075c779afd4p+5', '0x1.3a629d8d3e543p+5'),
+            ('0x1.ae6fa4c9a6e22p-2', '0x1.fa8310d089de5p+5', '0x1.eb32bafeeb4e0p+5'),
+            ('0x1.70d75c039ad89p-1', '0x1.211da3958bb0ep+6', '0x1.32817edc0dc25p+6'),
+            ('0x1.ae6fa4c9a6e22p-2', '0x1.fa8310d089de5p+5', '0x1.eb32bafeeb4e0p+5'),
+            ('0x1.4b8ee53ab7602p-3', '0x1.1b7af266ac637p+5', '0x1.64c24c77e2223p+4'),
+        )),
+        (('xx', 1), (
+            ('0x1.fda2f4c16893ap-1', '0x1.149b57f2a5ed8p-6', '0x1.05f861c0cebffp+3'),
+            ('0x1.377ce858a5d48p-108', '0x1.9000000000000p-45', '0x1.9000000000000p-45'),
+            ('0x1.de4bf28c9ddf2p-2', '0x1.ad75d7ccd65d4p+2', '0x1.9606e67808a18p+4'),
+            ('0x1.377ce858a5d48p-108', '0x1.9000000000000p-45', '0x1.9000000000000p-45'),
+            ('0x1.f5643f4549683p-1', '0x1.0dc571e837fe6p+1', '0x1.929d07d0125cap+5'),
+        )),
+        (('xx', 5), (
+            ('0x1.0b57edc82fb5cp-1', '0x1.3fb9b86397dafp+3', '0x1.00773953a405dp+5'),
+            ('0x1.0000000000000p+0', '0x0.0p+0', '0x0.0p+0'),
+            ('0x1.f313808261e6dp-1', '0x1.586b28e439257p+6', '0x1.9d6ad9482c9c2p+5'),
+            ('0x1.0000000000000p+0', '0x0.0p+0', '0x0.0p+0'),
+            ('0x1.90adc847ee5e6p-1', '0x1.557da6ae382a4p+6', '0x1.4428d91dda7cbp+4'),
+        )),
+        (('xx', 10), (
+            ('0x1.862e47fd12abcp-2', '0x1.4d0dd1a0ded00p-7', '0x1.52802cc059e00p-5'),
+            ('0x1.0000000000000p+0', '0x0.0p+0', '0x0.0p+0'),
+            ('0x1.4b54a485e9a28p-1', '0x1.c7e28794e0368p-2', '0x1.27bf9600d98e0p-4'),
+            ('0x1.0000000000000p+0', '0x0.0p+0', '0x0.0p+0'),
+            ('0x1.72eeccf5e458ep-1', '0x1.237d57112da00p-4', '0x1.29221eb2d2d80p-6'),
+        )),
+        (('random', 1), (
+            ('0x1.bd945dc702b2ep-2', '0x1.7bc6f39391cfcp+4', '0x1.2d7faa00b33aap+6'),
+            ('0x1.ed6986ef686f3p-4', '0x1.29d61aec62da8p+6', '0x1.0483926a0c1a1p+6'),
+            ('0x1.a0cc9dc230c8dp-2', '0x1.f9003b94bf647p+3', '0x1.b25fbe58d8067p+3'),
+            ('0x1.ed6986ef686f3p-4', '0x1.29d61aec62da8p+6', '0x1.0483926a0c1a1p+6'),
+            ('0x1.507bf2200e7f9p-1', '0x1.c148c19e527dbp+0', '0x1.f91b2f0a780a7p+3'),
+        )),
+        (('random', 5), (
+            ('0x1.fc6f8b2d29191p-1', '0x1.7e64f0010c75bp+6', '0x1.a10bf94601970p+5'),
+            ('0x1.63148f6dc58a0p-3', '0x1.45f926afe3d00p+6', '0x1.768f0872896c3p+5'),
+            ('0x1.ca4dc1231c796p-1', '0x1.525a496d9b8ecp+1', '0x1.c88fb85278853p+3'),
+            ('0x1.63148f6dc58a0p-3', '0x1.45f926afe3d00p+6', '0x1.768f0872896c3p+5'),
+            ('0x1.f0bc373c7922cp-2', '0x1.1bea543249816p+6', '0x1.d15dafd5458a3p+5'),
+        )),
+        (('random', 10), (
+            ('0x1.fa3f7175a3076p-1', '0x1.aa87350d38eaep+1', '0x1.95a8b33b027bap+4'),
+            ('0x1.5d1fd53c2f6dbp-1', '0x1.4c94bcc6d81c2p+6', '0x1.e159f006b118bp+5'),
+            ('0x1.b7cf0d1369353p-1', '0x1.3155ac8418535p+5', '0x1.0b284e184c79ep+4'),
+            ('0x1.5d1fd53c2f6dbp-1', '0x1.4c94bcc6d81c2p+6', '0x1.e159f006b118bp+5'),
+            ('0x1.c93b014af0fd6p-1', '0x1.7279edbb68d51p+4', '0x1.5d67703812930p+3'),
+        )),
+    ]
+
+    @staticmethod
+    def rows():
+        volts = np.random.default_rng(5).uniform(-10.0, 10.0, (5, 22))
+        volts[[1, 3]] = 0.0
+        return volts
+
+    @pytest.mark.parametrize("case,pins", CASES, ids=[f"{d}-pair{p}" for (d, p), _ in CASES])
+    def test_rows_are_pinned(self, case, pins):
+        name, lower = case
+        spec, pair, volts = self.DEVICES[name](), SubcircuitPair(lower), self.rows()
+        stacked = np.column_stack(pair_response(spec, pair, volts))
+        alone = np.vstack([np.column_stack(pair_response(spec, pair, row[None]))
+                           for row in volts])
+        for got in (stacked, alone):
+            assert [tuple(map(float.hex, row)) for row in got] == list(pins)
+
+
 class TestSolveVoltage:
     def test_exact_cell_selected(self):
         lut = linear_eta_map()
