@@ -5,13 +5,14 @@ subcircuit while two electrodes sweep a voltage grid, then serves as the
 inversion target for operating-point searches and linear gate-voltage fits.
 
 `pair_response` is the one path from voltage rows to a pair's eta and
-leakages: `evolution.unitary_blocks` forms only the pair's 2x2 block of each
+leakages: `evolution.pair_blocks` forms only the pair's 2x2 block of each
 U, from one stacked `numpy.linalg.eigvalsh` and the minors of w - H, and
 `subcircuits.reflectivity_and_leakage` reads it.  A map calls it per block
 of `evolution.STACK_ROWS` cells, which bounds the working set (the stacked
 H takes about 0.25 MB) without changing any cell's value; `rwasim hom`
-calls it for one row.  Each cell's block is bit-identical to the one
-`evolution.unitary` gives for the same voltages.
+calls it for one row.  A cell's eta agrees with the one
+`subcircuits.effective_reflectivity` reads from `evolution.unitary` at the
+same voltages to about 1e-13, not bit for bit: the two form U differently.
 """
 from __future__ import annotations
 
@@ -105,10 +106,9 @@ def pair_response(spec: DeviceSpec, pair: SubcircuitPair, volts):
     """(eta, leak_in1, leak_in2 in percent) of `pair` at each row of a (B, E)
     voltage stack, each row's from that row alone.  All B rows go into one
     eigenvalue solve, so the caller keeps B within `evolution.STACK_ROWS`."""
-    i, j = pair.indices(spec.n_guides)
+    i, _ = pair.indices(spec.n_guides)
     diag, offdiag = device_mod.hamiltonian_diagonals(spec, volts)
-    sub = evolution.unitary_blocks(diag, offdiag, spec.coupling_length,
-                                   [i, j], [i, j])
+    sub = evolution.pair_blocks(diag, offdiag, spec.coupling_length, i)
     return reflectivity_and_leakage(sub.real**2 + sub.imag**2)
 
 

@@ -15,9 +15,11 @@ the batched-versus-scalar tests compare two independent eigensolvers.
 `scipy.optimize.minimize`, as the compiler did before it stepped them in
 lockstep.
 
-`eigh_blocks` is the eigenvector formula `evolution.unitary_blocks` used
-before it formed U from eigenvalues and minors: (Q[rows] e^{-iwL}) Q[cols]^T
-from the stacked eigendecomposition of `evolution.eigh_tridiagonal`.
+`eigh_blocks` is the eigenvector formula, (Q[rows] e^{-iwL}) Q[cols]^T from
+the stacked eigendecomposition of `evolution.eigh_tridiagonal`, for a stack
+of points: `evolution.unitary` forms U this way at one point, and
+`evolution.pair_blocks`, which forms a pair's block from eigenvalues and
+minors, is tested against it.
 
 `trf_dip_fit` fits the HOM dip model with scipy's trust-region reflective
 `least_squares`, within the bounds and tolerances `fit_hom_dip` used while it

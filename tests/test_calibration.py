@@ -31,6 +31,9 @@ from rwasim.subcircuits import SubcircuitPair, effective_reflectivity, leakage
 
 from conftest import make_xx_device, random_device, with_electrode
 
+# a lookup map cell's eta against `effective_reflectivity` of `unitary`
+ETA_TOL = 1e-12
+
 
 def reference_cells(spec, pair, electrode_a, electrode_b, grid_a, grid_b,
                     fixed_voltages=None):
@@ -134,6 +137,7 @@ class TestBuildLookupMap:
         default_device, make_xx_device,
         lambda: random_device(np.random.default_rng(4))])
     def test_eta_equals_effective_reflectivity_exactly(self, make_spec):
+        # to ETA_TOL: a cell's block and `unitary` come from different formulas
         spec = make_spec()
         grid_a, grid_b = np.array([-3.0, 0.0, 5.5]), np.array([0.0, 2.0])
         for pair in (SubcircuitPair(1), SubcircuitPair(2), SubcircuitPair(7)):
@@ -142,7 +146,7 @@ class TestBuildLookupMap:
                 v = with_electrode(with_electrode(VoltageConfig.zeros(22), 1,
                                                   grid_a[ia]), 4, grid_b[ib])
                 u = unitary(build_hamiltonian(spec, v), spec.coupling_length)
-                assert effective_reflectivity(u, pair) == eta
+                assert abs(effective_reflectivity(u, pair) - eta) <= ETA_TOL
 
     def test_uncrossed_pair_eta_is_one_on_both_paths(self):
         # the X(x)X device at 0 V has no coupling inside pair 2, so no power
@@ -284,19 +288,21 @@ class TestBuildLookupMap:
 
 class TestPairResponse:
     @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), lower=st.integers(1, 10),
-           rows=st.integers(1, 8))
-    def test_eta_equals_effective_reflectivity_exactly(self, seed, lower, rows):
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 8))
+    def test_eta_equals_effective_reflectivity_exactly(self, seed, rows):
+        # to ETA_TOL at every pair: the residue and eigenvector formulas
+        # differ in their last bits (3.1e-13 the worst over 300 seeds)
         rng = np.random.default_rng(seed)
         spec = random_device(rng)
         volts = rng.uniform(-10.0, 10.0, (rows, spec.n_electrodes))
-        pair = SubcircuitPair(lower)
-        eta, _, _ = pair_response(spec, pair, volts)
-        assert eta.shape == (rows,)
-        for row, value in zip(volts, eta):
-            u = unitary(build_hamiltonian(spec, VoltageConfig(row)),
-                        spec.coupling_length)
-            assert effective_reflectivity(u, pair) == value
+        units = [unitary(build_hamiltonian(spec, VoltageConfig(row)),
+                         spec.coupling_length) for row in volts]
+        for lower in range(1, 11):
+            pair = SubcircuitPair(lower)
+            eta, _, _ = pair_response(spec, pair, volts)
+            assert eta.shape == (rows,)
+            for u, value in zip(units, eta):
+                assert abs(effective_reflectivity(u, pair) - value) <= ETA_TOL
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), lower=st.integers(1, 10),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rwasim import __version__, compiler, photon_stats
+from rwasim.calibration import pair_response
 from rwasim.cli import DEVICE_ENV_VAR, main
 from rwasim.compiler import random_base_device
 from rwasim.device import (VoltageConfig, build_hamiltonian, default_device,
@@ -212,11 +213,12 @@ class TestHom:
         assert run("hom", "--device", device_file, "--pair", "1",
                    "--scan=-0.5,0.5,0.02", "--noiseless",
                    "--out", str(out)) == 0
-        man = read_manifest(out / "manifest.json")
+        eta = read_manifest(out / "manifest.json")["params"]["eta"]
         spec = default_device()
+        assert eta == pair_response(spec, SubcircuitPair(1), np.zeros((1, 22)))[0][0]
         u = unitary(build_hamiltonian(spec, VoltageConfig.zeros(22)),
                     spec.coupling_length)
-        assert man["params"]["eta"] == effective_reflectivity(u, SubcircuitPair(1))
+        assert abs(eta - effective_reflectivity(u, SubcircuitPair(1))) <= 1e-12
 
     @pytest.mark.parametrize("pair", [1, 4, 10])
     def test_device_eta_at_voltages_equals_full_unitary(self, tmp_path, pair):
@@ -227,11 +229,13 @@ class TestHom:
         assert run("hom", "--voltages", str(path), "--pair", str(pair),
                    "--scan=-0.5,0.5,0.02", "--noiseless",
                    "--out", str(out)) == 0
+        # the map's path exactly, and the full unitary's to 1e-12
+        eta = read_manifest(out / "manifest.json")["params"]["eta"]
         spec = default_device()
+        assert eta == pair_response(spec, SubcircuitPair(pair), volts[None])[0][0]
         u = unitary(build_hamiltonian(spec, VoltageConfig(volts)),
                     spec.coupling_length)
-        assert read_manifest(out / "manifest.json")["params"]["eta"] == (
-            effective_reflectivity(u, SubcircuitPair(pair)))
+        assert abs(eta - effective_reflectivity(u, SubcircuitPair(pair))) <= 1e-12
 
     @pytest.mark.parametrize("eta", ["0.5", "0.5,1.0,0.25"])
     @pytest.mark.parametrize("flag", ["--device", "--pair", "--voltages"])

@@ -13,11 +13,11 @@ from rwasim.device import (
 from rwasim.evolution import (
     eigh_tridiagonal,
     output_power,
+    pair_blocks,
     powers_to_csv,
     profile_to_csv,
     propagation_profile,
     unitary,
-    unitary_blocks,
     unitary_to_csv,
 )
 
@@ -91,19 +91,19 @@ class TestUnitaryBlocks:
         rng = np.random.default_rng(seed)
         spec = random_device(rng)
         volts = rng.uniform(-10.0, 10.0, (7, spec.n_electrodes))
-        rows, cols = [0, 3, 10], [5, 1]
-        blocks = unitary_blocks(*hamiltonian_diagonals(spec, volts),
-                                spec.coupling_length, rows, cols)
-        assert blocks.shape == (7, 3, 2)
-        for v, block in zip(volts, blocks):
+        diag, offdiag = hamiltonian_diagonals(spec, volts)
+        blocks = [pair_blocks(diag, offdiag, spec.coupling_length, i) for i in range(10)]
+        assert all(block.shape == (7, 2, 2) for block in blocks)
+        for b, v in enumerate(volts):
             u = unitary(build_hamiltonian(spec, VoltageConfig(v)),
                         spec.coupling_length)
-            np.testing.assert_allclose(block, u.matrix[np.ix_(rows, cols)],
-                                       rtol=0, atol=1e-12)
+            for i, block in enumerate(blocks):
+                np.testing.assert_allclose(block[b], u.matrix[i:i + 2, i:i + 2],
+                                           rtol=0, atol=1e-12)
 
     def test_non_positive_length_rejected(self):
         with pytest.raises(ValueError):
-            unitary_blocks(np.zeros((1, 3)), np.zeros((1, 2)), 0.0, [0], [0])
+            pair_blocks(np.zeros((1, 3)), np.zeros((1, 2)), 0.0, 0)
 
 
 class TestEighTridiagonal:

@@ -1,12 +1,13 @@
 """The package calls a library eigensolver in exactly two places.
 
-Eigenvalues for every transfer unitary come from one stacked
-`numpy.linalg.eigvalsh` in `evolution.unitary_blocks`; eigenvectors, for the
-callers that need Q and for the rows the residue formula does not serve,
-come from one stacked `numpy.linalg.eigh` in `evolution.eigh_tridiagonal`.
-These tests parse the package with `ast`, without importing it, and fail on
-a `scipy.linalg` import in any module or on an eigensolver called anywhere
-else.
+Eigenvalues for a lookup map's pair blocks come from one stacked
+`numpy.linalg.eigvalsh` in `evolution.pair_blocks`; eigenvectors, for
+`evolution.unitary`, the other callers that need Q and the rows the residue
+formula does not serve, come from one stacked `numpy.linalg.eigh` in
+`evolution.eigh_tridiagonal`.  These tests parse the package with `ast`,
+without importing it, and fail on a `scipy.linalg` import in any module, on
+an eigensolver called anywhere else, or on another caller of
+`eigh_tridiagonal`.
 """
 import ast
 from pathlib import Path
@@ -40,10 +41,12 @@ def test_no_module_imports_scipy_linalg():
 
 
 class SolverCalls(ast.NodeVisitor):
-    """(module, innermost enclosing function, callee) of each solver call."""
+    """(module, innermost enclosing function, callee) of each call to one of
+    `names`, by default the library solvers."""
 
-    def __init__(self, module):
+    def __init__(self, module, names=SOLVERS):
         self.scope = [module]
+        self.names = names
         self.found = []
 
     def visit_FunctionDef(self, node):
@@ -55,7 +58,7 @@ class SolverCalls(ast.NodeVisitor):
         callee = node.func
         name = callee.attr if isinstance(callee, ast.Attribute) else getattr(
             callee, "id", None)
-        if name in SOLVERS:
+        if name in self.names:
             self.found.append((self.scope[0], self.scope[-1], ast.unparse(callee)))
         self.generic_visit(node)
 
@@ -67,4 +70,15 @@ def test_one_eigensolver_call_site():
         visitor.visit(tree)
         found += visitor.found
     assert found == [("evolution", "eigh_tridiagonal", "np.linalg.eigh"),
-                     ("evolution", "unitary_blocks", "np.linalg.eigvalsh")]
+                     ("evolution", "pair_blocks", "np.linalg.eigvalsh")]
+
+
+def test_eigenvector_callers():
+    found = []
+    for module, tree in modules():
+        visitor = SolverCalls(module, {"eigh_tridiagonal"})
+        visitor.visit(tree)
+        found += [(m, scope) for m, scope, _ in visitor.found]
+    assert sorted(found) == [("compiler", "f"), ("evolution", "pair_blocks"),
+                             ("evolution", "propagation_profile"),
+                             ("evolution", "unitary")]

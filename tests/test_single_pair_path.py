@@ -4,9 +4,8 @@
 pair's 2x2 block of U and the eta and leakages read from it; the lookup
 map and `rwasim hom` both call it.  These tests parse the package with
 `ast`, without importing it, and fail if any other function calls
-`evolution.unitary_blocks` or `subcircuits.reflectivity_and_leakage`,
-apart from the full-matrix `evolution.unitary` and the single-unitary
-`subcircuits.effective_reflectivity`.
+`evolution.pair_blocks`, or calls `subcircuits.reflectivity_and_leakage`
+apart from the single-unitary `subcircuits.effective_reflectivity`.
 """
 import ast
 from pathlib import Path
@@ -46,9 +45,8 @@ def callers(name: str) -> list[tuple[str, str]]:
     return sorted(found)
 
 
-def test_unitary_blocks_callers():
-    assert callers("unitary_blocks") == [("calibration", "pair_response"),
-                                         ("evolution", "unitary")]
+def test_pair_blocks_callers():
+    assert callers("pair_blocks") == [("calibration", "pair_response")]
 
 
 def test_reflectivity_and_leakage_callers():
