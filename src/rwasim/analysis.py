@@ -6,6 +6,7 @@ loss over depth N, the array only propagation loss over its length.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .csvio import write_csv
@@ -58,14 +59,19 @@ def clements_loss(
         raise ValueError(f"need at least 2 modes, got {n_modes}")
     count = n_modes * (n_modes - 1) // 2
     depth = n_modes
-    return count, depth, n_modes * per_mzi_db
+    return count, depth, n_modes * _checked("per-MZI loss", per_mzi_db)
 
 
 def wa_loss(length_cm: float, db_per_cm: float = WA_DB_PER_CM_DEFAULT) -> float:
     """Propagation loss of a waveguide array of the given length."""
-    if length_cm < 0:
-        raise ValueError(f"length must be non-negative, got {length_cm}")
-    return length_cm * db_per_cm
+    return _checked("length", length_cm) * _checked("loss per cm", db_per_cm)
+
+
+def _checked(name: str, value: float) -> float:
+    """`value` as a float, else ValueError unless it is finite and >= 0."""
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be non-negative and finite, got {value}")
+    return float(value)
 
 
 def loss_report(

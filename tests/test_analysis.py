@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from rwasim.analysis import clements_loss, loss_report, wa_loss
@@ -23,6 +25,11 @@ class TestClementsLoss:
         with pytest.raises(ValueError):
             clements_loss(1)
 
+    @pytest.mark.parametrize("per_mzi", [math.nan, math.inf, -math.inf, -0.2])
+    def test_non_finite_or_negative_loss_rejected(self, per_mzi):
+        with pytest.raises(ValueError, match="per-MZI loss"):
+            clements_loss(4, per_mzi_db=per_mzi)
+
     def test_monotone_in_modes(self):
         counts, totals = zip(*(
             (clements_loss(n)[0], clements_loss(n)[2]) for n in range(2, 30)
@@ -44,6 +51,14 @@ class TestWaLoss:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             wa_loss(-1.0)
+
+    @pytest.mark.parametrize("length,db_per_cm,name", [
+        (math.nan, 0.1, "length"), (math.inf, 0.1, "length"),
+        (2.4, math.nan, "loss per cm"), (2.4, math.inf, "loss per cm"),
+        (2.4, -2.0, "loss per cm")])
+    def test_non_finite_or_negative_rejected(self, length, db_per_cm, name):
+        with pytest.raises(ValueError, match=name):
+            wa_loss(length, db_per_cm)
 
     def test_linear_in_length(self):
         assert wa_loss(3.7) + wa_loss(1.3) == wa_loss(5.0)

@@ -454,6 +454,16 @@ class TestLoss:
     def test_single_mode_error(self, tmp_path):
         assert run("loss", "--modes", "1", "--out", str(tmp_path / "x")) == 3
 
+    @pytest.mark.parametrize("flags", [
+        ["--per-mzi", "nan"], ["--per-mzi", "-1"], ["--per-mzi", "inf"],
+        ["--db-per-cm", "-2"], ["--db-per-cm", "nan"],
+        ["--length-cm", "inf"], ["--length-cm", "nan"]])
+    def test_non_finite_or_negative_loss_refused(self, tmp_path, capsys, flags):
+        out = tmp_path / "run"
+        assert run("loss", "--modes", "4", *flags, "--out", str(out)) == 3
+        assert "non-negative and finite" in capsys.readouterr().err
+        assert not (out / "loss.csv").exists()
+
 
 class TestReplay:
     def test_replay_reproduces_bytes(self, tmp_path):
