@@ -551,6 +551,9 @@ class TestReplay:
         # on sum r^2 and adds a stop reason, which moves compiled voltages
         pytest.param("0.15.0", ["compile", "--config", "2", "--gates", "XH",
                                 "--restarts", "3", "--seed", "4"], id="0.15.0-compile"),
+        # 0.17.0 forms a single U from eigenvectors again, which moves
+        # simulated powers and unitaries in their last digits
+        pytest.param("0.16.0", ["simulate", "--unitary"], id="0.16.0-simulate"),
     ])
     def test_replay_refuses_old_version(self, device_file, tmp_path, capsys,
                                         version, argv):
