@@ -12,7 +12,7 @@ of `evolution.STACK_ROWS` cells, which bounds the working set (the stacked
 H takes about 0.25 MB) without changing any cell's value; `rwasim hom`
 calls it for one row.  A cell's eta agrees with the one
 `subcircuits.effective_reflectivity` reads from `evolution.unitary` at the
-same voltages to about 1e-13, not bit for bit: the two form U differently.
+same voltages within 1e-12, not bit for bit: the two form U differently.
 """
 from __future__ import annotations
 

@@ -23,7 +23,7 @@ trailing minor recurrence run to the pair, and one product of eigenvalue
 differences give the pair's three distinct entries (U is symmetric); the sum
 over k runs along a contiguous axis, so a row's bits do not depend on the
 rest of the stack.  A map cell and the `unitary` of the same voltages are
-two formulas for the same block: their eta agree to about 1e-13.
+two formulas for the same block: their eta agree within 1e-12.
 
 The residue loses digits as eigenvalues close up: against the eigenvector
 formula its error grew from about 1e-13 at gaps of 1e-3 rad/mm to 1e-12 at
