@@ -72,10 +72,13 @@ from .subcircuits import (
 from .subcircuits import distribution_fidelity  # noqa: F401
 
 MAX_ITERATIONS = 500
-# the search's objective is sum (r^2 + SEARCH_EPS r) over the six residuals;
+# the search's objective is sum (r^2 + SEARCH_EPS r) over the six residuals,
+# and it stops once an iteration lowers that by at most SEARCH_FTOL relative;
 # the end points within POLISH_WINDOW times the best sum r^2 that converged are
-# polished on sum r^2
+# polished on sum r^2 at POLISH_FTOL
 SEARCH_EPS = 0.1
+SEARCH_FTOL = 1e-6
+POLISH_FTOL = 1e-13
 POLISH_WINDOW = 10.0
 # U's entries carry absolute rounding errors of up to about 3e-14 at the
 # default device's phases (w L up to about 100 rad, against a 40-digit expm),
@@ -559,9 +562,9 @@ def optimize_parallel_gates(
     kernel = objective_with_gradient(spec, config, targets)
     block = evolution.STACK_ROWS
 
-    def search(x0, eps, start=None):  # minimize_box from each row of x0, by block
+    def search(x0, eps, ftol, start=None):  # minimize_box from each row of x0, by block
         runs = [minimize_box(lambda x: kernel(x, eps)[:2], x0[lo:lo + block],
-                             -limit, limit, maxiter=MAX_ITERATIONS, ftol=1e-13,
+                             -limit, limit, maxiter=MAX_ITERATIONS, ftol=ftol,
                              gtol=1e-10,
                              start=start and tuple(a[lo:lo + block] for a in start))
                 for lo in range(0, len(x0), block)]
@@ -569,7 +572,7 @@ def optimize_parallel_gates(
 
     starts = np.random.default_rng(seed).uniform(-limit, limit,
                                                  size=(restarts, n_active))
-    xs, _, nit, nfev, stop = search(starts, SEARCH_EPS)
+    xs, _, nit, nfev, stop = search(starts, SEARCH_EPS, SEARCH_FTOL)
     # score every end point on sum r^2, then polish the converged ones near the
     # best from there
     fun, grad = (np.concatenate(part) for part in zip(
@@ -577,7 +580,7 @@ def optimize_parallel_gates(
     near = np.flatnonzero((STOP_STATUS[stop] == 0) & (fun <= POLISH_WINDOW * fun.min()))
     if near.size:
         xs[near], fun[near], polish_nit, polish_nfev, stop[near] = search(
-            xs[near], 0.0, start=(fun[near], grad[near]))
+            xs[near], 0.0, POLISH_FTOL, start=(fun[near], grad[near]))
         nit[near] += polish_nit
         nfev[near] += polish_nfev
     status, reasons = STOP_STATUS[stop], tuple(STOP_REASONS[k] for k in stop)

@@ -554,6 +554,10 @@ class TestReplay:
         # 0.17.0 forms a single U from eigenvectors again, which moves
         # simulated powers and unitaries in their last digits
         pytest.param("0.16.0", ["simulate", "--unitary"], id="0.16.0-simulate"),
+        # 0.18.0 stops each restart's search once an iteration lowers f_eps by
+        # at most 1e-6 relative, which moves compiled voltages and traces
+        pytest.param("0.17.0", ["compile", "--config", "2", "--gates", "XH",
+                                "--restarts", "3", "--seed", "4"], id="0.17.0-compile"),
     ])
     def test_replay_refuses_old_version(self, device_file, tmp_path, capsys,
                                         version, argv):

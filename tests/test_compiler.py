@@ -570,6 +570,42 @@ class TestOptimize:
                 hits += int(np.sum(result.restart_trace <= 1e-6))
         assert hits >= 19
 
+    def test_search_stops_at_search_ftol_and_polish_at_1e_13(self):
+        # the f_eps search only has to put each restart in its basin, so it
+        # stops at the looser SEARCH_FTOL; the polish on sum r^2 keeps 1e-13,
+        # and both stages keep gtol 1e-10
+        solver, calls = compiler.minimize_box, []
+
+        def recorded(fun, x0, *args, start=None, **kwargs):
+            calls.append((start is not None, kwargs["ftol"], kwargs["gtol"]))
+            return solver(fun, x0, *args, start=start, **kwargs)
+
+        with mock.patch.object(compiler, "minimize_box", recorded):
+            optimize_parallel_gates(default_device(), preset_config("config2"),
+                                    (gate_target("H"), gate_target("H")),
+                                    restarts=20, seed=5)
+        [search, *polish] = calls
+        assert search == (False, 1e-6, 1e-10)
+        assert polish and set(polish) == {(True, 1e-13, 1e-10)}
+        assert compiler.SEARCH_FTOL == 1e-6
+
+    def test_compile_xx_hits_at_pass_0(self):
+        # compile_xx's device, restart counts and seed derivation, workload
+        # seeds 1-12 at pass 0: 184 hits with the search at ftol 1e-13, 183
+        # at SEARCH_FTOL; a hit now stops near sum r^2 = 1e-16, not 1e-30,
+        # and every winner stays far below the 1e-6 hit bar
+        spec = make_xx_device()
+        hits, winners = 0, []
+        for workload_seed in range(1, 13):
+            for k, (name, restarts) in enumerate((("config2", 50), ("config3", 45))):
+                result = optimize_parallel_gates(spec, preset_config(name), XX,
+                                                 restarts=restarts,
+                                                 seed=(workload_seed << 32) | k)
+                hits += int(np.sum(result.restart_trace <= 1e-6))
+                winners.append(result.objective)
+        assert hits >= 181
+        assert max(winners) <= 1e-12
+
     def test_default_device_sweep_stops_converged(self, caplog):
         # restarts here stop at bound-constrained minima where no line search
         # can show a decrease above rounding: they converge, without a warning
