@@ -824,179 +824,213 @@ class TestGoldenCompile:
     # (device, config, gates, restarts, seed), pins
     CASES = [
         (('xx', 'config2', 'XX', 50, (1 << 32) | 0), dict(
-            objective='0x1.3000000000000p-102',
+            objective='0x1.2057ce84342c8p-52',
             voltages=(
-                '0x1.054d08ed140efp+3', '-0x1.b07d701b89200p-29',
-                '0x1.054d08c03cc90p+3', '0x1.64f6cfc13b934p-24', '0x1.3b07b5cbb7628p+3',
-                '0x1.0fa3494911eb0p-24', '0x1.3b07b5dd6aa09p+3',
-                '-0x1.652f0124c3b00p-25'),
+                '0x1.4000000000000p+3', '0x1.55f2320a8cfd0p-12',
+                '0x1.4000000000000p+3', '-0x1.9a61e49302360p-10',
+                '-0x1.4000000000000p+3', '-0x1.0bd847d4bbf70p-11',
+                '-0x1.4000000000000p+3', '-0x1.ee3f3d1477360p-12'),
             trace=(
-                '0x1.abcec21a93aa8p-7', '0x1.abcec22594ea1p-6', '0x1.abcec25d5494ap-7',
-                '0x1.abcec22f0ff66p-7', '0x1.1a77f631a07c3p-4', '0x1.abcec210a2df4p-7',
-                '0x1.355a377b9379dp-6', '0x1.1a77f631a07bfp-3', '0x1.abcec02a30543p-7',
-                '0x1.1a77f631a07bbp-4', '0x1.abcec1dec9426p-7', '0x1.0a00000000000p-98',
-                '0x1.05a0ccd74d9b1p-5', '0x1.1a77f631a07c3p-4', '0x1.4ff1ce7214a66p-4',
-                '0x1.4ff1ce74aba4bp-4', '0x1.4ff1ce7dc5ad6p-4', '0x1.1a77f631a07bfp-4',
-                '0x1.1a77f631a07c3p-4', '0x1.abcec22430d7bp-7', '0x1.67ce84108558ep-4',
-                '0x1.1a77f631a091cp-4', '0x1.1a77f631a07ccp-4', '0x1.4ff1ce7545b2ap-4',
-                '0x1.3000000000000p-102', '0x1.355a377b936edp-6',
-                '0x1.67ce84108558cp-4', '0x1.abcec233bd32ep-7', '0x1.1a77f631a07bfp-3',
-                '0x1.abcec221121dcp-6', '0x1.1a77f631a07bfp-3', '0x1.abcec2eb0d6a0p-7',
-                '0x1.4c00000000000p-98', '0x1.abcec2c936ec5p-7', '0x1.abcec316c78b9p-6',
-                '0x1.abcec1fa49b22p-6', '0x1.abcec21cf6f14p-6',
-                '0x1.e000000000000p-102', '0x1.4ff1ce769b4b8p-4',
-                '0x1.05a0cc7908486p-5', '0x1.abcec218aa0c7p-7', '0x1.abcec21ebfea5p-7',
-                '0x1.abcec23e9d26dp-7', '0x1.abcec215e963ap-6',
-                '0x1.e000000000000p-100', '0x1.1a77f631a07e5p-4',
-                '0x1.abcec1fc88ea8p-7', '0x1.abcec1d42f13cp-7', '0x1.abcec20b289bep-7',
-                '0x1.1a77f631a07c3p-4'),
+                '0x1.abc787d608e54p-7', '0x1.abc3fbd124312p-6',
+                '0x1.ac028828f9f6cp-7', '0x1.abe5749eca40ep-7',
+                '0x1.1a77f54478a9cp-4', '0x1.abb51729d82cdp-7',
+                '0x1.355a3c40f80ccp-6', '0x1.1a78241a8256ep-3',
+                '0x1.abdcb5968b2bep-7', '0x1.1a77f66a4ae06p-4',
+                '0x1.abea3a19f772ap-7', '0x1.c1efa4809a403p-45',
+                '0x1.059726ec4f1fap-5', '0x1.1a77f7a9a1b2ep-4',
+                '0x1.4ff233568ee25p-4', '0x1.4ff642aec0342p-4',
+                '0x1.4ff1f72c76b88p-4', '0x1.1a7807103f3b8p-4',
+                '0x1.1a77f35d0ee14p-4', '0x1.350ec8f601a3cp-6',
+                '0x1.67ce840b0b0bcp-4', '0x1.1a77f809d50f9p-4',
+                '0x1.1a77f8a730cdbp-4', '0x1.4ff0e29fcb3bep-4',
+                '0x1.045c4e3f28c10p-42', '0x1.3559b89b581cfp-6',
+                '0x1.67ce838ba351ep-4', '0x1.abc8f5df56d75p-7',
+                '0x1.1a77c8b88fddep-3', '0x1.abd163c4c993dp-6',
+                '0x1.1a77f7da3c6bep-3', '0x1.abcfa4f5434f6p-7',
+                '0x1.2057ce84342c8p-52', '0x1.abb8d316418dap-7',
+                '0x1.abc7d21ebc077p-6', '0x1.abc09629d8af6p-6',
+                '0x1.abc3cf6aae308p-6', '0x1.b93eff84dc128p-41',
+                '0x1.4ff246e9c2636p-4', '0x1.05a470f942978p-5',
+                '0x1.abcef6e6b8dd9p-7', '0x1.ab8ffdc31140bp-7',
+                '0x1.abf0cce38e618p-7', '0x1.abcf59dd54bacp-6',
+                '0x1.6a89890bd3a4cp-44', '0x1.1a77f632c04d4p-4',
+                '0x1.34f21de540d87p-6', '0x1.abc9b449fa34ep-7',
+                '0x1.abb062e4ed4dap-7', '0x1.1a77e6383251ap-4'),
             status='00000000000000000000000000000000000000000000000000',
-            reason='01111111111111111111010001110111111100111011011111',
+            reason='11111111111111111111111111111111011111111111111111',
             nfev=(
-                23, 24, 21, 23, 22, 21, 21, 18, 20, 19, 23, 15, 37, 19, 23, 45, 35, 24,
-                20, 45, 18, 35, 19, 33, 22, 21, 21, 20, 16, 23, 23, 22, 24, 18, 22, 24,
-                35, 19, 19, 21, 19, 19, 19, 25, 19, 16, 43, 21, 26, 18),
+                17, 17, 16, 17, 17, 15, 17, 12, 15, 16, 16, 10, 28, 16, 16, 41, 32,
+                15, 15, 14, 15, 30, 14, 28, 15, 15, 16, 16, 11, 17, 18, 17, 22, 15,
+                16, 17, 29, 14, 16, 14, 14, 13, 12, 21, 13, 13, 16, 16, 20, 13),
             nit=(
-                22, 22, 20, 21, 21, 20, 19, 17, 19, 18, 22, 14, 33, 17, 21, 34, 32, 21,
-                19, 39, 17, 32, 18, 27, 20, 20, 18, 18, 15, 22, 21, 20, 23, 17, 21, 22,
-                31, 17, 17, 20, 18, 18, 17, 23, 17, 15, 37, 20, 24, 17))),
+                16, 16, 15, 15, 16, 14, 15, 11, 14, 15, 15, 9, 25, 14, 15, 30, 29,
+                13, 14, 13, 14, 27, 13, 22, 14, 14, 14, 14, 10, 16, 17, 16, 20, 14,
+                15, 15, 25, 13, 14, 13, 13, 12, 10, 19, 12, 12, 15, 15, 18, 12))),
         (('xx', 'config3', 'XX', 45, (1 << 32) | 1), dict(
-            objective='0x1.6000000000000p-103',
+            objective='0x1.5a4cae60a19d6p-53',
             voltages=(
-                '0x1.246f64e6a7c29p-1', '-0x1.41c13dbdc9e38p-26',
-                '0x1.246f64e0d7d90p-1', '0x1.aa8a2d6f630f8p-25', '0x1.c364edb511580p+2',
-                '-0x1.3b60f045866a3p+1', '-0x1.33d84496fd27fp+3',
-                '-0x1.7c59c305091e5p+1', '0x1.25b01974cab54p+3', '0x1.bf86a1b4733cfp+2',
-                '-0x1.be0c71ec02772p+0', '-0x1.f3cdacd336475p-4',
-                '-0x1.c48ad18227430p+0', '-0x1.357de1f15ac64p-23',
-                '0x1.182bf6c780fc2p+2', '-0x1.27025743fadfap-25',
-                '0x1.182bf6bd5775bp+2', '0x1.84ba8b33d46e4p-25', '0x1.0512be2cc07d6p-1',
-                '-0x1.00bc9516a1b5ep+3', '0x1.0ff4979c0a5ccp+3', '0x1.3cd063bb2355ep+3'),
+                '-0x1.a35159d535a0fp+2', '-0x1.415295824521cp-12',
+                '-0x1.a35033b91d1bfp+2', '0x1.025a248aa8920p-9',
+                '0x1.4000000000000p+3', '0x1.33eb99c48ee88p-1',
+                '-0x1.9dc6deddcb841p+1', '-0x1.d77c93442a7c9p+1',
+                '-0x1.149d0de39f85bp+3', '0x1.0075380460e11p+3',
+                '0x1.3b904b55799c9p+2', '0x1.9b1a4aba157e6p-3',
+                '-0x1.340944005741dp+3', '-0x1.1624c336c79e0p-11',
+                '0x1.0516d2bb4e2d2p+3', '-0x1.7e8dde62913ecp-12',
+                '0x1.051d823221c2bp+3', '0x1.7ce3dbfd3a444p-11',
+                '-0x1.b2a7f23bca758p+2', '-0x1.b29864c6780cbp+2',
+                '0x1.859894382cd60p+2', '-0x1.05fcb1de306dap+3'),
             trace=(
-                '0x1.abcec2c90dbedp-7', '0x1.355a377b936f2p-5', '0x1.abcebfdfa373fp-6',
-                '0x1.1a77f631a07ccp-4', '0x1.9fd4000000000p-92',
-                '0x1.2a3a85dfa0b06p-12', '0x1.1a77f631a07aep-4', '0x1.355a377b933cdp-6',
-                '0x1.b5209730823ecp-7', '0x1.355a377b936edp-6', '0x1.05a0cc5f345dep-5',
-                '0x1.abcec22bdaddcp-7', '0x1.2a3a88ab39654p-12',
-                '0x1.1b80000000000p-97', '0x1.abcec0e43f554p-6', '0x1.abcebe21f864bp-7',
-                '0x1.abcec59917003p-6', '0x1.67ce84108558bp-4', '0x1.b520972d359efp-7',
-                '0x1.1a77f631a07bbp-4', '0x1.355a377b93719p-6', '0x1.1a77f631a07bbp-4',
-                '0x1.1ba230b64f910p-4', '0x1.abcec3d6aecc8p-7', '0x1.05a0cc4506a0dp-5',
-                '0x1.abcec22adc81ap-7', '0x1.6000000000000p-103',
-                '0x1.1a77f631a07c3p-4', '0x1.abcec0ebb1309p-6', '0x1.4ff1ce752a648p-4',
-                '0x1.355a377b936dcp-6', '0x1.67ce841085587p-4', '0x1.abcec2c349263p-6',
-                '0x1.355a377b93722p-6', '0x1.abcec3218450ep-6', '0x1.0c3c900000000p-85',
-                '0x1.b520989177116p-7', '0x1.3a03219c123f1p-6', '0x1.4ff1ce3c08866p-4',
-                '0x1.355a377b93708p-6', '0x1.abcec054bc09ep-7', '0x1.1a77f631a07b6p-3',
-                '0x1.abcec3898d600p-7', '0x1.05a0ccbd74e6ap-5', '0x1.1a77f631a10a9p-4'),
+                '0x1.0979bd86b3f48p-5', '0x1.355286fc712b0p-5',
+                '0x1.abcd33d06df00p-6', '0x1.1a77f6e44b0aep-4',
+                '0x1.8ba26728b46eap-49', '0x1.295e68862e240p-12',
+                '0x1.1a7800446c8d7p-4', '0x1.355a30ae992d9p-6',
+                '0x1.b51c0634488dap-7', '0x1.355a39adfb203p-6',
+                '0x1.059b3be21411ep-5', '0x1.ac08ded40cf6dp-7',
+                '0x1.2af6a278529b2p-12', '0x1.4925733ed7999p-42',
+                '0x1.abc77ac497573p-6', '0x1.ab89cb8f0a736p-7',
+                '0x1.05980a199672ap-5', '0x1.67ce841c80842p-4',
+                '0x1.b52306754f2a9p-7', '0x1.1a77f73d3768ap-4',
+                '0x1.355a477906898p-6', '0x1.1a77f62ec01f5p-4',
+                '0x1.1ba15cde48223p-4', '0x1.abc43b33c9deep-7',
+                '0x1.059f284fb872dp-5', '0x1.abd63df8419cep-7',
+                '0x1.305c1d2ef3686p-49', '0x1.1a77f6560a1f1p-4',
+                '0x1.abf03f8f85bfap-6', '0x1.4ff432077d656p-4',
+                '0x1.3556782adcf58p-6', '0x1.67ce85c49ebecp-4',
+                '0x1.ab972ce11d1a9p-6', '0x1.355a3a5b9b543p-6',
+                '0x1.abe46fc1b9f66p-6', '0x1.5a4cae60a19d6p-53',
+                '0x1.b5073b538e527p-7', '0x1.3a0276f24e7b1p-6',
+                '0x1.4fe7ae0264f41p-4', '0x1.355a377cddba3p-6',
+                '0x1.abdbebcc12d68p-7', '0x1.1a77f4428fb2fp-3',
+                '0x1.aba9ae16cd96ap-7', '0x1.059cd045fd61ap-5',
+                '0x1.1a77f66287c32p-4'),
             status='000000000000000000000000000000000000000000000',
-            reason='111111111111111111111111110010111011111111111',
+            reason='111111111111111111111111111111111110111111111',
             nfev=(
-                54, 26, 44, 32, 25, 43, 26, 18, 44, 21, 28, 48, 33, 23, 29, 29, 66, 23,
-                51, 23, 17, 20, 58, 26, 52, 32, 20, 19, 31, 32, 30, 24, 46, 19, 33, 30,
-                41, 29, 31, 23, 32, 25, 29, 28, 18),
+                20, 19, 38, 26, 20, 36, 20, 13, 38, 13, 23, 37, 22, 16, 22, 23, 16,
+                15, 42, 17, 12, 15, 48, 22, 44, 25, 13, 14, 19, 24, 22, 20, 41, 13,
+                25, 24, 21, 21, 23, 17, 24, 21, 18, 18, 11),
             nit=(
-                52, 25, 40, 29, 23, 40, 24, 17, 40, 18, 27, 41, 31, 21, 27, 28, 55, 21,
-                45, 22, 16, 18, 53, 23, 41, 29, 18, 18, 28, 28, 27, 23, 42, 18, 31, 28,
-                37, 27, 29, 22, 30, 23, 28, 26, 17))),
+                19, 18, 34, 23, 18, 33, 19, 12, 34, 12, 22, 31, 20, 15, 21, 22, 15,
+                14, 36, 16, 11, 13, 43, 19, 34, 22, 12, 13, 16, 21, 19, 19, 37, 12,
+                23, 22, 20, 20, 21, 16, 22, 19, 17, 17, 10))),
         (('xx', 'config2', 'XX', 50, (2 << 32) | 0), dict(
-            objective='0x1.a000000000000p-103',
+            objective='0x1.679016db1801ep-54',
             voltages=(
-                '0x1.5e65152b7e70fp-4', '-0x1.e601b19b3a9c0p-29',
-                '0x1.5e651c33ec75ap-4', '0x1.b8aee7010b1a0p-28',
-                '-0x1.131e164d3b3ddp+3', '0x1.be02165ea7440p-29',
-                '-0x1.131e164fa0735p+3', '-0x1.73b547e2b3240p-31'),
+                '0x1.15877b151eb2ep+1', '0x1.bafa8e860fac8p-14',
+                '0x1.156b970e86fc5p+1', '-0x1.b27df733a45b0p-13',
+                '-0x1.4000000000000p+3', '0x1.57b8628600c96p-14',
+                '-0x1.4000000000000p+3', '0x1.a104191e4e400p-14'),
             trace=(
-                '0x1.abcec079e13f1p-7', '0x1.abcec21f21170p-6', '0x1.abcec230f3cb2p-6',
-                '0x1.4ff1ce74aedd2p-4', '0x1.abcec20774be2p-7', '0x1.abcebf65c6702p-6',
-                '0x1.4d42000000000p-90', '0x1.abcec1cded4bdp-7', '0x1.abcec229ce177p-7',
-                '0x1.1a77f631a07cap-3', '0x1.abcec2207d7c5p-7', '0x1.abcec21d55da7p-6',
-                '0x1.abcec2ec9a5bep-7', '0x1.abcec1bafd823p-7', '0x1.abcec51c7ce7cp-7',
-                '0x1.4800000000000p-101', '0x1.abcec28807a22p-7',
-                '0x1.67ce8410855c0p-4', '0x1.abcec26cbb97ep-7', '0x1.abcec2508981ap-7',
-                '0x1.4ff1ce59f7dd9p-4', '0x1.4ff1ce6e654b2p-4', '0x1.4ff1ce89916ddp-4',
-                '0x1.abcec1eb3fd56p-7', '0x1.1a77f631a07c3p-4', '0x1.1a77f631a07bbp-4',
-                '0x1.abcec22e04cd3p-7', '0x1.05a0cc85a607fp-5', '0x1.abcec22326744p-7',
-                '0x1.a000000000000p-103', '0x1.abcec2a29cd9ep-6',
-                '0x1.1a77f631a07bbp-4', '0x1.4ff1ce9ebd785p-4', '0x1.abcec220d2b60p-7',
-                '0x1.6800000000000p-101', '0x1.4ff1ce771867cp-4',
-                '0x1.1a77f631a07ccp-4', '0x1.abcec1f5b62acp-7', '0x1.4ff1ce6068885p-4',
-                '0x1.4ff1ce759d6b8p-4', '0x1.355a377b936ffp-5', '0x1.05a0cc3bc8e6bp-5',
-                '0x1.4ff1ce7611e9cp-4', '0x1.1a77f631a0804p-3', '0x1.4ff1ce1a311f3p-4',
-                '0x1.abcec1e853a5cp-7', '0x1.abcec17eeac56p-7', '0x1.4ff1ce7515337p-4',
-                '0x1.67ce841085576p-4', '0x1.d400000000000p-100'),
+                '0x1.abd59615d684cp-7', '0x1.aba230a579b86p-6',
+                '0x1.abcd83595f1edp-6', '0x1.4ff0c5600e15cp-4',
+                '0x1.abcddc12a0736p-7', '0x1.abd3c2810fbd4p-6',
+                '0x1.72717018af3d6p-49', '0x1.abc396b837913p-7',
+                '0x1.abf39953e9c32p-7', '0x1.1a77f63287872p-3',
+                '0x1.abd1babf4212bp-7', '0x1.abbbdf3098584p-6',
+                '0x1.abd6dc4754612p-7', '0x1.abf105a52ead4p-7',
+                '0x1.abcac8fc036d7p-7', '0x1.197e0828de047p-50',
+                '0x1.abf1081fc525ap-7', '0x1.67ce8517bda63p-4',
+                '0x1.ac0c7e0e408c9p-7', '0x1.abbde0fe0c087p-7',
+                '0x1.4ff89ccebd57bp-4', '0x1.4ff1566faa4afp-4',
+                '0x1.4ff255e7f28bbp-4', '0x1.abd4f4c4fc087p-7',
+                '0x1.1a77f5bafba82p-4', '0x1.1a77f648e5ddap-4',
+                '0x1.abe2506bac40ap-7', '0x1.05a11fdf503a6p-5',
+                '0x1.ab76ac6abfed6p-7', '0x1.8a6a68b53d274p-54',
+                '0x1.abe69fa247292p-6', '0x1.1a77f6beaf36bp-4',
+                '0x1.4ff39bdd0f288p-4', '0x1.ab8b2330664c8p-7',
+                '0x1.679016db1801ep-54', '0x1.67cd2900d27dfp-4',
+                '0x1.1a76f041ef45dp-4', '0x1.abd5935eadabep-7',
+                '0x1.4ff3f097df66bp-4', '0x1.4ff36747ab7b1p-4',
+                '0x1.355a36d0bc239p-5', '0x1.05a5ae504c2c4p-5',
+                '0x1.4fee589675fc0p-4', '0x1.1a77f639c50a6p-3',
+                '0x1.4ff28b1d736adp-4', '0x1.abd68b119095cp-7',
+                '0x1.abcfebc5fe611p-7', '0x1.4ff1d0c5a6a49p-4',
+                '0x1.67ce84120f7a1p-4', '0x1.758f989451c95p-40'),
             status='00000000000000000000000000000000000000000000000000',
-            reason='11111111111111101111111111110011100111101111111100',
+            reason='11111111111111111111111111111011110111111111111111',
             nfev=(
-                23, 28, 27, 27, 27, 21, 16, 22, 24, 18, 21, 18, 19, 22, 19, 15, 23, 26,
-                21, 25, 24, 24, 23, 23, 21, 15, 20, 22, 26, 17, 28, 21, 22, 30, 26, 47,
-                17, 23, 24, 29, 18, 19, 27, 32, 20, 24, 19, 22, 20, 16),
+                18, 20, 22, 22, 21, 16, 13, 16, 18, 16, 15, 12, 14, 17, 15, 10, 17,
+                22, 16, 19, 17, 17, 16, 19, 16, 11, 15, 18, 20, 13, 20, 13, 16, 25,
+                21, 14, 11, 15, 19, 24, 14, 13, 22, 29, 16, 20, 14, 18, 17, 9),
             nit=(
-                21, 26, 25, 25, 24, 20, 14, 20, 23, 16, 20, 17, 18, 21, 17, 13, 20, 23,
-                20, 24, 23, 22, 22, 22, 19, 14, 18, 21, 22, 15, 24, 19, 20, 28, 23, 40,
-                16, 21, 23, 27, 17, 18, 24, 29, 18, 22, 18, 20, 17, 14))),
+                16, 18, 20, 20, 19, 15, 11, 14, 17, 14, 14, 11, 13, 16, 13, 9, 15,
+                19, 15, 18, 16, 15, 15, 18, 14, 10, 13, 17, 16, 11, 17, 12, 14, 23,
+                19, 13, 10, 14, 18, 22, 13, 12, 19, 26, 14, 18, 13, 16, 14, 8))),
         (('xx', 'config3', 'XX', 45, (2 << 32) | 1), dict(
-            objective='0x1.0000000000000p-102',
+            objective='0x1.fdda4fccc14f8p-55',
             voltages=(
-                '0x1.688a20c887d17p-2', '0x1.49e873144de58p-26', '0x1.688a22b54a65dp-2',
-                '0x1.22bb084c48660p-25', '-0x1.10eb92d3e0777p+1',
-                '-0x1.02b4f3e5cbfb8p+2', '-0x1.329069321bdbfp+2',
-                '-0x1.fd017b08d7903p+2', '-0x1.09d6944019a8ap+3',
-                '0x1.32f0985106b9ap+3', '-0x1.92edce6b4aab8p-2',
-                '-0x1.bea6d71799467p+2', '0x1.1e3d07882c092p+3',
-                '-0x1.18029e70370c4p-24', '-0x1.2bf256a4727bap+1',
-                '0x1.226bc73e78074p-26', '-0x1.2bf2567406c28p+1',
-                '0x1.f59536d3c1ff0p-26', '0x1.8b761070736b7p+1', '0x1.8ccbc52fa8464p+2',
-                '0x1.2ecba2f233850p+0', '0x1.63a501d20ba40p+2'),
+                '0x1.68a2d163b90d1p-2', '-0x1.2431926b8c96cp-12',
+                '0x1.687116fe90829p-2', '0x1.44a88aae6aaa8p-12',
+                '-0x1.10eb86e762afep+1', '-0x1.02b4f43d3f139p+2',
+                '-0x1.3290697e04838p+2', '-0x1.fd017b5772b52p+2',
+                '-0x1.09d6939c4412cp+3', '0x1.32f0976367781p+3',
+                '-0x1.92eef939b41c5p-2', '-0x1.bea6be2199e7dp+2',
+                '0x1.1e3d481ec506bp+3', '-0x1.b71acb56fa6f8p-11',
+                '-0x1.2bf766340a671p+1', '0x1.362d984a6892cp-13',
+                '-0x1.2bee5b4454436p+1', '-0x1.f5b960ae4c7f0p-12',
+                '0x1.8b764c615779cp+1', '0x1.8ccbc8f5c6b77p+2',
+                '0x1.2ecb98389e20ep+0', '0x1.63a501d20ba40p+2'),
             trace=(
-                '0x1.abcec14bbfe64p-7', '0x1.4ff1ce7a6e56bp-4', '0x1.b52094095aaafp-7',
-                '0x1.1a77f631a07c3p-4', '0x1.4ff1ce4c92399p-4', '0x1.1a77f631a07ccp-4',
-                '0x1.0000000000000p-102', '0x1.abcebf09b7dd8p-7',
-                '0x1.2a3a89113f92ap-12', '0x1.abcec1ec854d2p-7', '0x1.1a77f631a07c8p-4',
-                '0x1.1a77f631a07bbp-4', '0x1.abcec1eaa1336p-7', '0x1.355a377b936ffp-6',
-                '0x1.abcec2be69fb8p-7', '0x1.2d00000000000p-98', '0x1.1a77f631a07c3p-4',
-                '0x1.3a032199cd26bp-6', '0x1.4ff1cea47fa8fp-4', '0x1.3a0321bf97d3bp-6',
-                '0x1.b5209815a7857p-7', '0x1.abcec278d6b5fp-7', '0x1.1a77f631a07d0p-4',
-                '0x1.4ff1cea0e44c2p-4', '0x1.1a77f631a07c3p-4', '0x1.355a377b93708p-6',
-                '0x1.1a77f631a07c3p-4', '0x1.abcec1ed9a304p-7', '0x1.abcec219d8f0cp-6',
-                '0x1.abcec34331db9p-7', '0x1.4000000000000p-102',
-                '0x1.1a77f631a07ccp-4', '0x1.4ff1ce6d734b2p-4', '0x1.355a377b936dcp-6',
-                '0x1.abcec3ad1b846p-7', '0x1.67ce841085583p-4', '0x1.1a77f631a0818p-4',
-                '0x1.9500000000000p-98', '0x1.abcec1719a059p-7', '0x1.67ce841085574p-4',
-                '0x1.4ff1ce9143b76p-4', '0x1.355a377b936edp-6', '0x1.2a3acab8bee07p-12',
-                '0x1.5a00000000000p-97', '0x1.b520976bb1200p-7'),
+                '0x1.abd90f0e765f4p-7', '0x1.4fe615ed59c7cp-4',
+                '0x1.b4ff509b35f99p-7', '0x1.1a77f5bf84927p-4',
+                '0x1.4ff9b20074685p-4', '0x1.1a780c92492b5p-4',
+                '0x1.fdda4fccc14f8p-55', '0x1.abf3281991b26p-7',
+                '0x1.29672c0894932p-12', '0x1.abc979b87aac2p-7',
+                '0x1.1a78a6a2089a1p-4', '0x1.1a77f12f4b7dcp-4',
+                '0x1.abd5a69bd7807p-7', '0x1.355a3abdeb22ep-6',
+                '0x1.abe23cce439bcp-7', '0x1.51b51e6f7fc34p-47',
+                '0x1.1a77f771ddeabp-4', '0x1.3a06a5f1e2de6p-6',
+                '0x1.67c1166c3b0bap-4', '0x1.3a04a6b4b1be2p-6',
+                '0x1.b4ee07aa986d4p-7', '0x1.abe96172cfd7dp-7',
+                '0x1.1a77ff49585f7p-4', '0x1.4ff29135de12cp-4',
+                '0x1.1a77f6370420fp-4', '0x1.355a37824565cp-6',
+                '0x1.1a7826649eecdp-4', '0x1.ab9063d9b7d70p-7',
+                '0x1.abcd39724e3c6p-6', '0x1.abbf7b0aafbdcp-7',
+                '0x1.d1952fbd0d819p-38', '0x1.1a77f82d87684p-4',
+                '0x1.4febd79d4f2b7p-4', '0x1.355a21731e608p-6',
+                '0x1.abd2636f79a00p-7', '0x1.67ce8477b47d4p-4',
+                '0x1.1a77f6ca700c7p-4', '0x1.07773f9c3ade1p-39',
+                '0x1.abc59a1c9c632p-7', '0x1.67ce84c4f61fcp-4',
+                '0x1.4ff22da44c438p-4', '0x1.3559eee58a024p-6',
+                '0x1.29932d9284466p-12', '0x1.77f2b64e4e043p-47',
+                '0x1.b523d04c753ecp-7'),
             status='000000000000000000000000000000000000000000000',
-            reason='111111011111111111111111101111011111111110111',
+            reason='111111011111111111111111111111111111111111111',
             nfev=(
-                20, 37, 41, 21, 25, 26, 19, 36, 31, 31, 23, 17, 40, 32, 44, 18, 22, 33,
-                58, 53, 35, 34, 35, 32, 19, 18, 24, 32, 30, 41, 20, 21, 51, 24, 38, 19,
-                24, 21, 32, 25, 32, 23, 44, 22, 58),
+                13, 29, 34, 16, 18, 19, 15, 19, 23, 25, 15, 11, 31, 25, 37, 13, 17,
+                23, 21, 45, 25, 25, 27, 23, 14, 14, 19, 23, 20, 26, 13, 17, 42, 18,
+                33, 15, 18, 13, 22, 17, 28, 14, 35, 16, 48),
             nit=(
-                19, 32, 39, 20, 23, 25, 16, 32, 29, 27, 22, 16, 36, 25, 38, 16, 21, 30,
-                51, 48, 33, 31, 34, 29, 18, 17, 23, 30, 28, 39, 18, 20, 44, 22, 33, 18,
-                22, 20, 28, 23, 28, 22, 39, 21, 53))),
+                12, 25, 32, 15, 16, 18, 12, 18, 22, 22, 14, 10, 27, 19, 32, 11, 16,
+                21, 19, 40, 24, 22, 26, 21, 13, 13, 18, 22, 19, 24, 12, 16, 36, 17,
+                28, 14, 16, 12, 18, 16, 24, 13, 30, 15, 43))),
         (('default', 'config2', 'XH', 20, 3), dict(
-            objective='0x1.e06c4248ad4b8p-6',
+            objective='0x1.e06c42489b064p-6',
             voltages=(
-                '-0x1.571ddb5a80fb5p+2', '0x1.fc0d8c757f26ap+2',
-                '-0x1.4000000000000p+3', '0x1.4000000000000p+3', '0x1.3d06ed0323e59p+3',
-                '0x1.1fd7d61e9c02dp+3', '-0x1.971e95830ac61p+2', '0x1.62ca578e0a317p-1'),
+                '-0x1.571de07445f9bp+2', '0x1.fc0d8da6a9ac0p+2',
+                '-0x1.4000000000000p+3', '0x1.4000000000000p+3',
+                '0x1.3d06f030a7580p+3', '0x1.1fd7e3decb801p+3',
+                '-0x1.971e1fa20818ap+2', '0x1.62c6be9a31ca9p-1'),
             trace=(
-                '0x1.5b4f8608492e8p-2', '0x1.144955048e3d4p-5', '0x1.38a554186294bp-2',
-                '0x1.3d512f37ecfbap-2', '0x1.e06c4248ad51ep-6', '0x1.eb4bd261981ccp-4',
-                '0x1.448041d164494p-3', '0x1.6d5f29b20f991p-3', '0x1.ef125ffe9f31ap-4',
-                '0x1.baa2524e0012cp-3', '0x1.144955048e3d2p-5', '0x1.b798c6609ab55p-4',
-                '0x1.9d8f1ed1c3a5cp-4', '0x1.75954935c3df3p-4', '0x1.638c507793574p-4',
-                '0x1.ffba812592f68p-5', '0x1.e06c4248ad4b8p-6', '0x1.144955048e44cp-5',
-                '0x1.485cea4b19f1fp-5', '0x1.485cea4b19edbp-5'),
+                '0x1.5b501c405a318p-2', '0x1.144955048e487p-5',
+                '0x1.38a567c99a72cp-2', '0x1.3d5123dfc384bp-2',
+                '0x1.e06c42489b064p-6', '0x1.eb4bd261983dbp-4',
+                '0x1.448041d1644f4p-3', '0x1.6d5f29b20f418p-3',
+                '0x1.ef125ffe9f328p-4', '0x1.baa2524e00115p-3',
+                '0x1.144955048ea40p-5', '0x1.b798c6609ab1fp-4',
+                '0x1.9d8f1ed1c3a6bp-4', '0x1.75954935c3e0ep-4',
+                '0x1.638c5077936c6p-4', '0x1.ffba812592f53p-5',
+                '0x1.e06c42489b116p-6', '0x1.144955048e49ap-5',
+                '0x1.485cea4b19fa4p-5', '0x1.485cea4b19f23p-5'),
             status='00000000000000000000',
-            reason='11111101011001111111',
+            reason='11111101011101111111',
             nfev=(
-                24, 73, 32, 29, 38, 40, 34, 43, 29, 36, 49, 32, 45, 44, 52, 38, 46, 50,
-                49, 41),
+                21, 64, 28, 25, 34, 32, 26, 36, 28, 38, 38, 32, 42, 38, 48, 33, 45,
+                45, 46, 35),
             nit=(
-                23, 68, 29, 26, 34, 33, 25, 39, 25, 34, 43, 28, 42, 40, 45, 35, 43, 48,
-                47, 39))),
+                20, 59, 25, 22, 30, 29, 23, 33, 24, 32, 35, 27, 38, 36, 42, 30, 42,
+                43, 44, 33))),
     ]
 
     @pytest.mark.parametrize("case,pins", CASES, ids=[
