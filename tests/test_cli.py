@@ -237,6 +237,24 @@ class TestHom:
                     spec.coupling_length)
         assert abs(eta - effective_reflectivity(u, SubcircuitPair(pair))) <= 1e-12
 
+    @pytest.mark.parametrize("flags,name", [
+        (["--width", "inf", "--fit"], "coherence_width"),
+        (["--width", "1e300"], "coherence_width"),
+        (["--slope", "nan"], "slope"),
+        (["--center", "nan"], "dip_center"),
+        (["--center", "inf"], "dip_center"),
+        (["--baseline", "inf"], "baseline_rate"),
+    ])
+    def test_non_finite_scan_parameters_exit_3(self, tmp_path, capsys, flags, name):
+        # each once exited 0 with a flat or all-zero scan, died with an
+        # OverflowError traceback, or exited 3 with numpy's Poisson message;
+        # a warning would fail here too, as pytest raises it
+        out = tmp_path / "run"
+        assert run("hom", "--eta", "0.5", "--scan=-0.6,0.6,0.01", *flags,
+                   "--out", str(out)) == 3
+        assert capsys.readouterr().err.startswith(f"error: {name} must be")
+        assert not out.exists()
+
     @pytest.mark.parametrize("eta", ["0.5", "0.5,1.0,0.25"])
     @pytest.mark.parametrize("flag", ["--device", "--pair", "--voltages"])
     def test_eta_excludes_device_flags(self, device_file, tmp_path, capsys, eta, flag):

@@ -141,6 +141,24 @@ class TestSimulateHomScan:
         with pytest.raises(ValueError):
             simulate_hom_scan(0.5, [0.0], baseline_rate=10.0, coherence_width=0.0)
 
+    @pytest.mark.parametrize("kwargs,name", [
+        (dict(baseline_rate=np.inf), "baseline_rate"),
+        (dict(slope=np.nan), "slope"), (dict(slope=-np.inf), "slope"),
+        (dict(dip_center=np.nan), "dip_center"), (dict(dip_center=np.inf), "dip_center"),
+        (dict(coherence_width=np.inf), "coherence_width"),
+        (dict(coherence_width=np.nan), "coherence_width"),
+        # finite, but 2 width^2 overflows or vanishes
+        (dict(coherence_width=1e300), "coherence_width"),
+        (dict(coherence_width=1.5e154), "coherence_width"),
+        (dict(coherence_width=1e-300), "coherence_width"),
+    ])
+    def test_non_finite_parameters_rejected(self, kwargs, name):
+        # these used to give a flat or all-zero scan, an OverflowError from
+        # dip_model or numpy's "lam value too large" from the Poisson draw
+        kwargs = dict(dict(baseline_rate=1e3), **kwargs)
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            simulate_hom_scan(0.5, np.linspace(-0.6, 0.6, 121), noise_seed=0, **kwargs)
+
 
 class TestFitHomDip:
     def make_scan(self, a0, a1, a2, a3, a4, n=81, span=1.0):
