@@ -20,6 +20,11 @@ those that converged within `POLISH_WINDOW` times the best score run one more
 `minimize_box` on sum r^2: where no exact solution exists, eps moves the
 minima, and this polish takes them back.  The polish starts from the scoring
 call's value and gradient at its end points rather than evaluating them again.
+Each stage has its own stop rule on the relative reduction of its objective:
+the search only has to reach a restart's basin and stops at `SEARCH_FTOL`,
+the polish at `POLISH_FTOL`; both stop at a projected gradient of 1e-10.  A
+restart that hits an exact solution stops on f_eps's quadratic bottom, so its
+sum r^2 ends near 1e-16 rather than at rounding.
 
 The kernel gets the objective together with its exact gradient from one
 eigendecomposition of H = Q diag(w) Q^T.  The metrics read
@@ -562,7 +567,7 @@ def optimize_parallel_gates(
     kernel = objective_with_gradient(spec, config, targets)
     block = evolution.STACK_ROWS
 
-    def search(x0, eps, ftol, start=None):  # minimize_box from each row of x0, by block
+    def search(x0, eps, ftol, start=None):  # minimize_box from x0's rows, by block
         runs = [minimize_box(lambda x: kernel(x, eps)[:2], x0[lo:lo + block],
                              -limit, limit, maxiter=MAX_ITERATIONS, ftol=ftol,
                              gtol=1e-10,
