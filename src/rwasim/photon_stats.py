@@ -167,14 +167,15 @@ def simulate_hom_scan(
     distinguishability.  With a seed, counts are Poisson draws around the
     mean, reproducible per seed.
     """
-    # dip_model divides by 2 coherence_width^2, so that must be a finite,
-    # non-zero float too: (2 w) w is 2 w^2 exactly where neither overflows
+    # dip_model divides by 2 coherence_width^2, which must be finite and
+    # non-zero too
     width = float(coherence_width)
     if not (width > 0 and 0.0 < 2.0 * width * width < math.inf):
         raise ValueError(f"coherence_width must be positive, with 2 width^2 finite"
                          f" and non-zero, got {coherence_width}")
     if not 0 < baseline_rate < math.inf:
-        raise ValueError(f"baseline_rate must be positive and finite, got {baseline_rate}")
+        raise ValueError(f"baseline_rate must be positive and finite,"
+                         f" got {baseline_rate}")
     for name, value in (("slope", slope), ("dip_center", dip_center)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")

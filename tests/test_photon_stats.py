@@ -144,7 +144,8 @@ class TestSimulateHomScan:
     @pytest.mark.parametrize("kwargs,name", [
         (dict(baseline_rate=np.inf), "baseline_rate"),
         (dict(slope=np.nan), "slope"), (dict(slope=-np.inf), "slope"),
-        (dict(dip_center=np.nan), "dip_center"), (dict(dip_center=np.inf), "dip_center"),
+        (dict(dip_center=np.nan), "dip_center"),
+        (dict(dip_center=np.inf), "dip_center"),
         (dict(coherence_width=np.inf), "coherence_width"),
         (dict(coherence_width=np.nan), "coherence_width"),
         # finite, but 2 width^2 overflows or vanishes
