@@ -83,6 +83,12 @@ MAX_ITERATIONS = 500
 # polished on sum r^2 at POLISH_FTOL
 SEARCH_EPS = 0.1
 SEARCH_FTOL = 1e-6
+# a search row also stops once an accepted step leaves f_eps >= SEARCH_STALL_FLOOR
+# after f_eps fell by at most SEARCH_STALL_RATIO times itself over the last
+# SEARCH_STALL_ITERATIONS accepted iterations: it has settled above zero
+SEARCH_STALL_ITERATIONS = 5
+SEARCH_STALL_RATIO = 0.1
+SEARCH_STALL_FLOOR = 0.01
 POLISH_FTOL = 1e-13
 POLISH_WINDOW = 10.0
 # U's entries carry absolute rounding errors of up to about 3e-14 at the
@@ -355,8 +361,9 @@ def objective_with_gradient(
 
 STOP_REASONS = ("projected gradient below gtol", "relative reduction of f below ftol",
                 "iteration limit reached", "evaluation limit reached",
-                "line search found no acceptable step", "no decrease above rounding")
-STOP_STATUS = np.array([0, 0, 1, 1, 2, 0])  # 0 converged, 1 limit reached, 2 other
+                "line search found no acceptable step", "no decrease above rounding",
+                "f stalled over the window")
+STOP_STATUS = np.array([0, 0, 1, 1, 2, 0, 0])  # 0 converged, 1 limit reached, 2 other
 
 
 BoxResult = namedtuple("BoxResult", "x fun nit nfev stop")  # stop: STOP_REASONS index
@@ -364,7 +371,8 @@ BoxResult = namedtuple("BoxResult", "x fun nit nfev stop")  # stop: STOP_REASONS
 
 def minimize_box(fun, x0: np.ndarray, lower: float, upper: float, *, maxiter: int,
                  ftol: float, gtol: float, maxfun: int = 15000,
-                 start: tuple[np.ndarray, np.ndarray] | None = None) -> BoxResult:
+                 start: tuple[np.ndarray, np.ndarray] | None = None,
+                 stall: tuple[int, float, float] | None = None) -> BoxResult:
     """Bound-constrained L-BFGS from each row of x0, clipped into the box.
 
     `fun(X) -> (values, grads)` evaluates a batch of points.  `start`, if
@@ -387,7 +395,12 @@ def minimize_box(fun, x0: np.ndarray, lower: float, upper: float, *, maxiter: in
     as converged, "no decrease above rounding", if its largest projected
     gradient entry p has p^2 <= eps * max(|f|, 1), f's rounding on the ftol
     test's scale: a unit step along that entry, the longest the retry
-    tries, then promises less decrease than f's rounding.
+    tries, then promises less decrease than f's rounding.  With
+    `stall` = (window, ratio, floor), a row also stops as converged, "f
+    stalled over the window", once an accepted step leaves f >= floor after
+    f fell by at most ratio * f over the row's last `window` accepted
+    iterations: a row bound for f = 0 keeps cutting f by large factors,
+    while one that settles above it cuts f by ever smaller ones.
     Each round evaluates all running rows in one call of `fun`; a row
     depends on its batch mates only through fun.
     """
@@ -405,14 +418,17 @@ def minimize_box(fun, x0: np.ndarray, lower: float, upper: float, *, maxiter: in
     n_rows, n = x.shape
     # a row's state lives in three packed arrays, so that one take per dtype
     # drops the rows that stop: `vec` holds x, g, the projected gradient pg
-    # at x and the direction d; `row` holds f, the step, gamma, then the ring
-    # of the last m curvature pairs, pair j in slot j % m and zero if unset:
-    # (s, y), s.y and (Y^T Y, R^-1) with R_jk = s_j.y_k unless pair j is
-    # newer, and last a scratch entry; `ints` holds the row's index in x0,
-    # its iterations and pairs, the evaluation that last accepted a step or
-    # started one from the projected gradient, its evaluations and its stop
-    # reason
-    pairs_at, sy_at, mats_at = 3, 3 + 2 * m * n, 3 + 2 * m * n + m
+    # at x and the direction d; `row` holds f, the step, gamma, the ring of
+    # f after the last `window` accepted iterations, iteration i in slot
+    # i % window, then the ring of the last m curvature pairs, pair j in slot
+    # j % m and zero if unset: (s, y), s.y and (Y^T Y, R^-1) with R_jk =
+    # s_j.y_k unless pair j is newer, and last a scratch entry; `ints` holds
+    # the row's index in x0, its iterations and pairs, the evaluation that
+    # last accepted a step or started one from the projected gradient, its
+    # evaluations and its stop reason
+    window, stall_ratio, floor = stall or (0, 0.0, 0.0)
+    pairs_at = 3 + window
+    sy_at, mats_at = pairs_at + 2 * m * n, pairs_at + 2 * m * n + m
     width = mats_at + 2 * m * m + 1
     # slots[k]: the entries of a row that a new pair in slot k writes, first
     # (s, y) and s.y, then, from `pair_end` on, row k and column k of Y^T Y
@@ -431,6 +447,8 @@ def minimize_box(fun, x0: np.ndarray, lower: float, upper: float, *, maxiter: in
     np.subtract(np.minimum(np.maximum(x - g, lower), upper), x, out=vec[2])
     row = np.zeros((n_rows, width))
     row[:, 0], row[:, 1:3] = f, 1.0
+    if window:
+        row[:, 3] = f
     ints = np.zeros((n_rows, 6), dtype=int)
     ints[:, 0], ints[:, 3] = np.arange(n_rows), 1
     trials = np.empty((3, n_rows, n))  # the trial points, their g and pg
@@ -459,6 +477,7 @@ def minimize_box(fun, x0: np.ndarray, lower: float, upper: float, *, maxiter: in
             pairs = row[:, pairs_at:sy_at].reshape(n_run, m, 2, n)
             sy, mats = row[:, sy_at:mats_at], row[:, mats_at:-1].reshape(n_run, m, 2 * m)
             pair_rows, r_inv, flat = pairs.reshape(n_run, 2 * m, n), mats[:, :, m:], row.ravel()
+            ring_at = np.arange(3, n_run * width, width)
             nit, count, since = ints[:, 1], ints[:, 2], ints[:, 3]
             accepted, ratio, new_pair = trials[:, :n_run], ratios[:n_run], new_pairs[:n_run]
             trial, g_t, pg_t = accepted
@@ -532,14 +551,21 @@ def minimize_box(fun, x0: np.ndarray, lower: float, upper: float, *, maxiter: in
         fresh, give_up = ok, since <= evaluations - max_tries
         if np.count_nonzero(give_up):  # retry from the projected gradient, or stop
             retry = give_up & (count > 0)
-            row[retry, 2], row[retry, 3:] = 1.0, 0.0  # gamma, and no pairs
+            row[retry, 2], row[retry, pairs_at:] = 1.0, 0.0  # gamma, and no pairs
             ints[retry, 2:4] = 0, evaluations
             fresh, give_up = ok | retry, give_up & ~retry
+        stalled = np.zeros(n_run, dtype=bool)
+        if window:  # the ring slot of f after nit - window iterations takes f
+            at = ring_at + nit % window
+            np.logical_and(ok & (nit >= window) & (f >= floor),
+                           flat[at] - f <= stall_ratio * f, out=stalled)
+            flat[at] = f
         limit = nit >= maxiter
-        done = ok & (conv | reduced) | limit | give_up
+        done = ok & (conv | reduced) | stalled | limit | give_up
         if evaluations >= maxfun:
             done[:] = True
-        reasons = [0 if ok[i] and conv[i] else 1 if ok[i] and reduced[i] else 2 if limit[i]
+        reasons = [0 if ok[i] and conv[i] else 1 if ok[i] and reduced[i]
+                   else 6 if stalled[i] else 2 if limit[i]
                    else 3 if not give_up[i]
                    # a row whose line search failed is at a minimum if a unit
                    # step along its largest projected gradient entry promises
@@ -567,17 +593,19 @@ def optimize_parallel_gates(
     kernel = objective_with_gradient(spec, config, targets)
     block = evolution.STACK_ROWS
 
-    def search(x0, eps, ftol, start=None):  # minimize_box from x0's rows, by block
+    def search(x0, eps, ftol, start=None, stall=None):  # minimize_box by block
         runs = [minimize_box(lambda x: kernel(x, eps)[:2], x0[lo:lo + block],
                              -limit, limit, maxiter=MAX_ITERATIONS, ftol=ftol,
                              gtol=1e-10,
-                             start=start and tuple(a[lo:lo + block] for a in start))
+                             start=start and tuple(a[lo:lo + block] for a in start),
+                             stall=stall)
                 for lo in range(0, len(x0), block)]
         return [np.concatenate(field) for field in zip(*runs)]
 
     starts = np.random.default_rng(seed).uniform(-limit, limit,
                                                  size=(restarts, n_active))
-    xs, _, nit, nfev, stop = search(starts, SEARCH_EPS, SEARCH_FTOL)
+    xs, _, nit, nfev, stop = search(starts, SEARCH_EPS, SEARCH_FTOL, stall=(
+        SEARCH_STALL_ITERATIONS, SEARCH_STALL_RATIO, SEARCH_STALL_FLOOR))
     # score every end point on sum r^2, then polish the converged ones near the
     # best from there
     fun, grad = (np.concatenate(part) for part in zip(

@@ -576,6 +576,10 @@ class TestReplay:
         # at most 1e-6 relative, which moves compiled voltages and traces
         pytest.param("0.17.0", ["compile", "--config", "2", "--gates", "XH",
                                 "--restarts", "3", "--seed", "4"], id="0.17.0-compile"),
+        # 0.19.0 stops a restart's search once f_eps has stalled above a floor,
+        # which moves compiled traces and adds a stop reason
+        pytest.param("0.18.0", ["compile", "--config", "2", "--gates", "XH",
+                                "--restarts", "3", "--seed", "4"], id="0.18.0-compile"),
     ])
     def test_replay_refuses_old_version(self, device_file, tmp_path, capsys,
                                         version, argv):
