@@ -890,41 +890,41 @@ class TestGoldenCompile:
                 '-0x1.4000000000000p+3', '-0x1.0bd847d4bbf70p-11',
                 '-0x1.4000000000000p+3', '-0x1.ee3f3d1477360p-12'),
             trace=(
-                '0x1.abc787d608e54p-7', '0x1.abc3fbd124312p-6',
-                '0x1.ac028828f9f6cp-7', '0x1.abe5749eca40ep-7',
-                '0x1.1a77f54478a9cp-4', '0x1.abb51729d82cdp-7',
-                '0x1.355a3c40f80ccp-6', '0x1.1a78241a8256ep-3',
-                '0x1.abdcb5968b2bep-7', '0x1.1a77f66a4ae06p-4',
+                '0x1.aba54cc0fd01bp-7', '0x1.abfc1720be9f5p-6',
+                '0x1.ad5861c2b8e33p-7', '0x1.ac4c20172576cp-7',
+                '0x1.1a589c78b019ep-4', '0x1.ae48b07615fcfp-7',
+                '0x1.355a280cdd91ap-6', '0x1.1a78675813815p-3',
+                '0x1.abe343885267ap-7', '0x1.1a756078c77e0p-4',
                 '0x1.abea3a19f772ap-7', '0x1.c1efa4809a403p-45',
-                '0x1.059726ec4f1fap-5', '0x1.1a77f7a9a1b2ep-4',
-                '0x1.4ff233568ee25p-4', '0x1.4ff642aec0342p-4',
-                '0x1.4ff1f72c76b88p-4', '0x1.1a7807103f3b8p-4',
-                '0x1.1a77f35d0ee14p-4', '0x1.350ec8f601a3cp-6',
-                '0x1.67ce840b0b0bcp-4', '0x1.1a77f809d50f9p-4',
-                '0x1.1a77f8a730cdbp-4', '0x1.4ff0e29fcb3bep-4',
-                '0x1.045c4e3f28c10p-42', '0x1.3559b89b581cfp-6',
-                '0x1.67ce838ba351ep-4', '0x1.abc8f5df56d75p-7',
-                '0x1.1a77c8b88fddep-3', '0x1.abd163c4c993dp-6',
-                '0x1.1a77f7da3c6bep-3', '0x1.abcfa4f5434f6p-7',
-                '0x1.2057ce84342c8p-52', '0x1.abb8d316418dap-7',
-                '0x1.abc7d21ebc077p-6', '0x1.abc09629d8af6p-6',
-                '0x1.abc3cf6aae308p-6', '0x1.b93eff84dc128p-41',
-                '0x1.4ff246e9c2636p-4', '0x1.05a470f942978p-5',
-                '0x1.abcef6e6b8dd9p-7', '0x1.ab8ffdc31140bp-7',
-                '0x1.abf0cce38e618p-7', '0x1.abcf59dd54bacp-6',
-                '0x1.6a89890bd3a4cp-44', '0x1.1a77f632c04d4p-4',
-                '0x1.34f21de540d87p-6', '0x1.abc9b449fa34ep-7',
-                '0x1.abb062e4ed4dap-7', '0x1.1a77e6383251ap-4'),
+                '0x1.3176b99bcaca7p-5', '0x1.1a783af1dd917p-4',
+                '0x1.4fcfa22b96718p-4', '0x1.67b2d44eee21dp-4',
+                '0x1.02b9bbdf0b518p-1', '0x1.1a77ff5ff3689p-4',
+                '0x1.1ae04adf601e7p-4', '0x1.3516bbf12f563p-6',
+                '0x1.67ce840b0b0bcp-4', '0x1.1a7a2abd0172bp-4',
+                '0x1.1a756f4213a76p-4', '0x1.64767049cbe7ap-4',
+                '0x1.045c4e3f28c10p-42', '0x1.34b50e076b655p-6',
+                '0x1.67ce838ba351ep-4', '0x1.ac436f7e3fb1cp-7',
+                '0x1.1a77b44e8e36bp-3', '0x1.abc6b152a9438p-6',
+                '0x1.1a75d5e148831p-3', '0x1.abcfa4f5434f6p-7',
+                '0x1.2057ce84342c8p-52', '0x1.abd9cbeb9fb5ep-7',
+                '0x1.ac559e64bcd29p-6', '0x1.abc09629d8af6p-6',
+                '0x1.f3c0b752d4757p-6', '0x1.b93eff84dc128p-41',
+                '0x1.500f8787a76c5p-4', '0x1.055009db416e0p-5',
+                '0x1.abc5220f15184p-7', '0x1.ab8ffdc31140bp-7',
+                '0x1.ac146a5c62b4cp-7', '0x1.ab563c55f013fp-6',
+                '0x1.6a89890bd3a4cp-44', '0x1.1a76f0fa59eadp-4',
+                '0x1.33df6ae3e2aedp-6', '0x1.acfb29e5456d8p-7',
+                '0x1.f5269328b832bp-7', '0x1.1a794feb8149dp-4'),
             status='00000000000000000000000000000000000000000000000000',
-            reason='11111111111111111111111111111111011111111111111111',
+            reason='66666666661166666666166616166661066161666166166666',
             nfev=(
-                17, 17, 16, 17, 17, 15, 17, 12, 15, 16, 16, 10, 28, 16, 16, 41, 32,
-                15, 15, 14, 15, 30, 14, 28, 15, 15, 16, 16, 11, 17, 18, 17, 22, 15,
-                16, 17, 29, 14, 16, 14, 14, 13, 12, 21, 13, 13, 16, 16, 20, 13),
+                16, 15, 14, 16, 13, 13, 16, 11, 14, 11, 16, 10, 16, 15, 14, 17, 15,
+                13, 10, 13, 15, 27, 12, 13, 15, 12, 16, 12, 10, 16, 16, 17, 22, 14,
+                14, 17, 14, 14, 13, 11, 13, 13, 11, 18, 13, 10, 13, 13, 14, 10),
             nit=(
-                16, 16, 15, 15, 16, 14, 15, 11, 14, 15, 15, 9, 25, 14, 15, 30, 29,
-                13, 14, 13, 14, 27, 13, 22, 14, 14, 14, 14, 10, 16, 17, 16, 20, 14,
-                15, 15, 25, 13, 14, 13, 13, 12, 10, 19, 12, 12, 15, 15, 18, 12))),
+                15, 14, 13, 14, 12, 12, 14, 10, 13, 10, 15, 9, 14, 13, 13, 14, 14,
+                11, 9, 12, 14, 24, 11, 11, 14, 11, 14, 11, 9, 15, 15, 16, 20, 13,
+                13, 15, 13, 13, 11, 10, 12, 12, 9, 16, 12, 9, 12, 12, 12, 9))),
         (('xx', 'config3', 'XX', 45, (1 << 32) | 1), dict(
             objective='0x1.5a4cae60a19d6p-53',
             voltages=(
@@ -940,39 +940,39 @@ class TestGoldenCompile:
                 '-0x1.b2a7f23bca758p+2', '-0x1.b29864c6780cbp+2',
                 '0x1.859894382cd60p+2', '-0x1.05fcb1de306dap+3'),
             trace=(
-                '0x1.0979bd86b3f48p-5', '0x1.355286fc712b0p-5',
-                '0x1.abcd33d06df00p-6', '0x1.1a77f6e44b0aep-4',
-                '0x1.8ba26728b46eap-49', '0x1.295e68862e240p-12',
-                '0x1.1a7800446c8d7p-4', '0x1.355a30ae992d9p-6',
-                '0x1.b51c0634488dap-7', '0x1.355a39adfb203p-6',
-                '0x1.059b3be21411ep-5', '0x1.ac08ded40cf6dp-7',
+                '0x1.098cf40053cc8p-5', '0x1.348d1c071fcb1p-5',
+                '0x1.1f974e9bb40e0p-5', '0x1.1a78ed5ecb73cp-4',
+                '0x1.8ba26728b46eap-49', '0x1.8679b611ec74ep-7',
+                '0x1.1ac4d882e7d23p-4', '0x1.35419c3b4520ep-6',
+                '0x1.9d721c99f5f17p-6', '0x1.3559f4ad06cbfp-6',
+                '0x1.05999214eb442p-5', '0x1.2f3834f44b1a4p-6',
                 '0x1.2af6a278529b2p-12', '0x1.4925733ed7999p-42',
-                '0x1.abc77ac497573p-6', '0x1.ab89cb8f0a736p-7',
-                '0x1.05980a199672ap-5', '0x1.67ce841c80842p-4',
-                '0x1.b52306754f2a9p-7', '0x1.1a77f73d3768ap-4',
-                '0x1.355a477906898p-6', '0x1.1a77f62ec01f5p-4',
-                '0x1.1ba15cde48223p-4', '0x1.abc43b33c9deep-7',
-                '0x1.059f284fb872dp-5', '0x1.abd63df8419cep-7',
-                '0x1.305c1d2ef3686p-49', '0x1.1a77f6560a1f1p-4',
-                '0x1.abf03f8f85bfap-6', '0x1.4ff432077d656p-4',
-                '0x1.3556782adcf58p-6', '0x1.67ce85c49ebecp-4',
-                '0x1.ab972ce11d1a9p-6', '0x1.355a3a5b9b543p-6',
-                '0x1.abe46fc1b9f66p-6', '0x1.5a4cae60a19d6p-53',
-                '0x1.b5073b538e527p-7', '0x1.3a0276f24e7b1p-6',
-                '0x1.4fe7ae0264f41p-4', '0x1.355a377cddba3p-6',
-                '0x1.abdbebcc12d68p-7', '0x1.1a77f4428fb2fp-3',
-                '0x1.aba9ae16cd96ap-7', '0x1.059cd045fd61ap-5',
+                '0x1.af62668c510dep-6', '0x1.ab935125c551cp-7',
+                '0x1.05c7a75c0eadep-5', '0x1.67cd52e02efecp-4',
+                '0x1.a01abca797ac1p-6', '0x1.1a94a20f53b17p-4',
+                '0x1.355a477906898p-6', '0x1.1a66699984171p-4',
+                '0x1.6185fc8e15344p-4', '0x1.ac0c3d2b5fe2cp-7',
+                '0x1.16252d8acc2cfp-5', '0x1.ff665e6801685p-7',
+                '0x1.305c1d2ef3686p-49', '0x1.1a7d4a8923f6cp-4',
+                '0x1.ac055e5e4a7c7p-6', '0x1.52c1940ef12e5p-4',
+                '0x1.34ee7a3b1a818p-6', '0x1.67dca28709605p-4',
+                '0x1.0469379fac521p-5', '0x1.355a68fc66d61p-6',
+                '0x1.be98709baf16fp-6', '0x1.5a4cae60a19d6p-53',
+                '0x1.b4b96f26bad99p-7', '0x1.3aa982280b84ep-6',
+                '0x1.506b48ecc09bbp-4', '0x1.355a43876d661p-6',
+                '0x1.ac61373c60415p-7', '0x1.1a601e3963719p-3',
+                '0x1.abb5e1c7b29e2p-7', '0x1.072e736b65cd8p-5',
                 '0x1.1a77f66287c32p-4'),
             status='000000000000000000000000000000000000000000000',
-            reason='111111111111111111111111111111111110111111111',
+            reason='666616666666116666661666661666666660666666661',
             nfev=(
-                20, 19, 38, 26, 20, 36, 20, 13, 38, 13, 23, 37, 22, 16, 22, 23, 16,
-                15, 42, 17, 12, 15, 48, 22, 44, 25, 13, 14, 19, 24, 22, 20, 41, 13,
-                25, 24, 21, 21, 23, 17, 24, 21, 18, 18, 11),
+                18, 15, 15, 23, 20, 16, 12, 11, 15, 11, 19, 14, 22, 16, 14, 18, 13,
+                11, 20, 13, 12, 11, 11, 17, 20, 12, 13, 11, 13, 15, 19, 16, 18, 11,
+                16, 24, 19, 16, 16, 16, 15, 14, 17, 13, 11),
             nit=(
-                19, 18, 34, 23, 18, 33, 19, 12, 34, 12, 22, 31, 20, 15, 21, 22, 15,
-                14, 36, 16, 11, 13, 43, 19, 34, 22, 12, 13, 16, 21, 19, 19, 37, 12,
-                23, 22, 20, 20, 21, 16, 22, 19, 17, 17, 10))),
+                17, 14, 13, 20, 18, 15, 11, 10, 14, 10, 18, 13, 20, 15, 13, 17, 12,
+                10, 17, 12, 11, 9, 10, 14, 16, 11, 12, 10, 11, 13, 16, 15, 17, 10,
+                15, 22, 18, 15, 15, 15, 14, 13, 16, 12, 10))),
         (('xx', 'config2', 'XX', 50, (2 << 32) | 0), dict(
             objective='0x1.679016db1801ep-54',
             voltages=(
@@ -981,41 +981,41 @@ class TestGoldenCompile:
                 '-0x1.4000000000000p+3', '0x1.57b8628600c96p-14',
                 '-0x1.4000000000000p+3', '0x1.a104191e4e400p-14'),
             trace=(
-                '0x1.abd59615d684cp-7', '0x1.aba230a579b86p-6',
-                '0x1.abcd83595f1edp-6', '0x1.4ff0c5600e15cp-4',
-                '0x1.abcddc12a0736p-7', '0x1.abd3c2810fbd4p-6',
-                '0x1.72717018af3d6p-49', '0x1.abc396b837913p-7',
+                '0x1.abab1b9afaaafp-7', '0x1.ab8300258cd7fp-6',
+                '0x1.ac61d57e84d3ap-6', '0x1.4ff6d62d0d9f3p-4',
+                '0x1.abcddc12a0736p-7', '0x1.ac49547e00f5cp-6',
+                '0x1.72717018af3d6p-49', '0x1.abd4d5729a007p-7',
                 '0x1.abf39953e9c32p-7', '0x1.1a77f63287872p-3',
-                '0x1.abd1babf4212bp-7', '0x1.abbbdf3098584p-6',
-                '0x1.abd6dc4754612p-7', '0x1.abf105a52ead4p-7',
-                '0x1.abcac8fc036d7p-7', '0x1.197e0828de047p-50',
+                '0x1.ac2145bfbbea6p-7', '0x1.abb49229e21f4p-6',
+                '0x1.abfc96343280cp-7', '0x1.abf105a52ead4p-7',
+                '0x1.ac6c860318a79p-7', '0x1.197e0828de047p-50',
                 '0x1.abf1081fc525ap-7', '0x1.67ce8517bda63p-4',
-                '0x1.ac0c7e0e408c9p-7', '0x1.abbde0fe0c087p-7',
-                '0x1.4ff89ccebd57bp-4', '0x1.4ff1566faa4afp-4',
-                '0x1.4ff255e7f28bbp-4', '0x1.abd4f4c4fc087p-7',
-                '0x1.1a77f5bafba82p-4', '0x1.1a77f648e5ddap-4',
-                '0x1.abe2506bac40ap-7', '0x1.05a11fdf503a6p-5',
-                '0x1.ab76ac6abfed6p-7', '0x1.8a6a68b53d274p-54',
-                '0x1.abe69fa247292p-6', '0x1.1a77f6beaf36bp-4',
-                '0x1.4ff39bdd0f288p-4', '0x1.ab8b2330664c8p-7',
-                '0x1.679016db1801ep-54', '0x1.67cd2900d27dfp-4',
+                '0x1.abae8b6aab2f7p-7', '0x1.aba3cc565cdecp-7',
+                '0x1.5003bb9ea32d6p-4', '0x1.5000627b80402p-4',
+                '0x1.50348e682fcfdp-4', '0x1.acbaea3201fd5p-7',
+                '0x1.1a7654a9f3113p-4', '0x1.1a77ee52eb4b4p-4',
+                '0x1.ac0b681cf0322p-7', '0x1.059f76b0e350ep-5',
+                '0x1.c83c7fe57d874p-7', '0x1.8a6a68b53d274p-54',
+                '0x1.abbab45269a84p-6', '0x1.1a779f150e3c5p-4',
+                '0x1.50228682f056cp-4', '0x1.129c16e88429cp-6',
+                '0x1.679016db1801ep-54', '0x1.67cd67d49637dp-4',
                 '0x1.1a76f041ef45dp-4', '0x1.abd5935eadabep-7',
-                '0x1.4ff3f097df66bp-4', '0x1.4ff36747ab7b1p-4',
-                '0x1.355a36d0bc239p-5', '0x1.05a5ae504c2c4p-5',
-                '0x1.4fee589675fc0p-4', '0x1.1a77f639c50a6p-3',
-                '0x1.4ff28b1d736adp-4', '0x1.abd68b119095cp-7',
-                '0x1.abcfebc5fe611p-7', '0x1.4ff1d0c5a6a49p-4',
-                '0x1.67ce84120f7a1p-4', '0x1.758f989451c95p-40'),
+                '0x1.4f834e9f5be7ap-4', '0x1.5017122060d38p-4',
+                '0x1.35555c34de18dp-5', '0x1.05a7cde7bd8c8p-5',
+                '0x1.4f80b1405a269p-4', '0x1.330bc7c2b8454p-1',
+                '0x1.5001fc9378508p-4', '0x1.abf035e810851p-7',
+                '0x1.abc73d01919d4p-7', '0x1.4ff8b29426762p-4',
+                '0x1.67cc45cbd397bp-4', '0x1.758f989451c95p-40'),
             status='00000000000000000000000000000000000000000000000000',
-            reason='11111111111111111111111111111011110111111111111111',
+            reason='66661616116661611166666666666066660611666666666661',
             nfev=(
-                18, 20, 22, 22, 21, 16, 13, 16, 18, 16, 15, 12, 14, 17, 15, 10, 17,
-                22, 16, 19, 17, 17, 16, 19, 16, 11, 15, 18, 20, 13, 20, 13, 16, 25,
-                21, 14, 11, 15, 19, 24, 14, 13, 22, 29, 16, 20, 14, 18, 17, 9),
+                17, 19, 20, 20, 21, 14, 13, 15, 18, 16, 14, 11, 13, 17, 13, 10, 17,
+                22, 14, 16, 15, 15, 12, 17, 13, 10, 14, 17, 16, 13, 17, 11, 12, 16,
+                21, 13, 11, 15, 16, 20, 12, 12, 19, 11, 13, 19, 13, 16, 14, 9),
             nit=(
-                16, 18, 20, 20, 19, 15, 11, 14, 17, 14, 14, 11, 13, 16, 13, 9, 15,
-                19, 15, 18, 16, 15, 15, 18, 14, 10, 13, 17, 16, 11, 17, 12, 14, 23,
-                19, 13, 10, 14, 18, 22, 13, 12, 19, 26, 14, 18, 13, 16, 14, 8))),
+                15, 17, 18, 18, 19, 13, 11, 13, 17, 14, 13, 10, 12, 16, 11, 9, 15,
+                19, 13, 15, 14, 13, 11, 16, 11, 9, 12, 16, 12, 11, 14, 10, 10, 14,
+                19, 12, 10, 14, 15, 19, 11, 11, 16, 9, 11, 17, 12, 14, 11, 8))),
         (('xx', 'config3', 'XX', 45, (2 << 32) | 1), dict(
             objective='0x1.fdda4fccc14f8p-55',
             voltages=(
@@ -1031,65 +1031,65 @@ class TestGoldenCompile:
                 '0x1.8b764c615779cp+1', '0x1.8ccbc8f5c6b77p+2',
                 '0x1.2ecb98389e20ep+0', '0x1.63a501d20ba40p+2'),
             trace=(
-                '0x1.abd90f0e765f4p-7', '0x1.4fe615ed59c7cp-4',
-                '0x1.b4ff509b35f99p-7', '0x1.1a77f5bf84927p-4',
-                '0x1.4ff9b20074685p-4', '0x1.1a780c92492b5p-4',
-                '0x1.fdda4fccc14f8p-55', '0x1.abf3281991b26p-7',
-                '0x1.29672c0894932p-12', '0x1.abc979b87aac2p-7',
-                '0x1.1a78a6a2089a1p-4', '0x1.1a77f12f4b7dcp-4',
-                '0x1.abd5a69bd7807p-7', '0x1.355a3abdeb22ep-6',
-                '0x1.abe23cce439bcp-7', '0x1.51b51e6f7fc34p-47',
-                '0x1.1a77f771ddeabp-4', '0x1.3a06a5f1e2de6p-6',
-                '0x1.67c1166c3b0bap-4', '0x1.3a04a6b4b1be2p-6',
-                '0x1.b4ee07aa986d4p-7', '0x1.abe96172cfd7dp-7',
-                '0x1.1a77ff49585f7p-4', '0x1.4ff29135de12cp-4',
-                '0x1.1a77f6370420fp-4', '0x1.355a37824565cp-6',
-                '0x1.1a7826649eecdp-4', '0x1.ab9063d9b7d70p-7',
-                '0x1.abcd39724e3c6p-6', '0x1.abbf7b0aafbdcp-7',
-                '0x1.d1952fbd0d819p-38', '0x1.1a77f82d87684p-4',
-                '0x1.4febd79d4f2b7p-4', '0x1.355a21731e608p-6',
-                '0x1.abd2636f79a00p-7', '0x1.67ce8477b47d4p-4',
-                '0x1.1a77f6ca700c7p-4', '0x1.07773f9c3ade1p-39',
-                '0x1.abc59a1c9c632p-7', '0x1.67ce84c4f61fcp-4',
-                '0x1.4ff22da44c438p-4', '0x1.3559eee58a024p-6',
-                '0x1.29932d9284466p-12', '0x1.77f2b64e4e043p-47',
-                '0x1.b523d04c753ecp-7'),
+                '0x1.abd90f0e765f4p-7', '0x1.5b6f9955f7a8fp-4',
+                '0x1.9bfafb4751d3cp-6', '0x1.1a7965ad9407ep-4',
+                '0x1.50ff690229627p-4', '0x1.1aaa7ed030b69p-4',
+                '0x1.fdda4fccc14f8p-55', '0x1.aeda488d0b855p-7',
+                '0x1.29672c0894932p-12', '0x1.f81fa2693d182p-7',
+                '0x1.1a6726f71c331p-4', '0x1.1a77b83862542p-4',
+                '0x1.ab1d46795239ap-7', '0x1.355a3abdeb22ep-6',
+                '0x1.33da08508c694p-6', '0x1.51b51e6f7fc34p-47',
+                '0x1.1a7f0d60f5f3dp-4', '0x1.3a19037a0588bp-6',
+                '0x1.670ec92f683e5p-4', '0x1.00078b2929c47p-5',
+                '0x1.b76f514a062c1p-7', '0x1.a9107ed9d1fcfp-7',
+                '0x1.1a7c63746524cp-4', '0x1.51ea6f5bca95ap-4',
+                '0x1.1a77ec14a2a55p-4', '0x1.355a37d99c985p-6',
+                '0x1.1a97b630f26c2p-4', '0x1.aa538c003e428p-7',
+                '0x1.ac20d2f520ad9p-6', '0x1.aa8d7d52db35bp-7',
+                '0x1.d1952fbd0d819p-38', '0x1.1a7abd8f9f9bep-4',
+                '0x1.5a0625af853d8p-4', '0x1.3527f2bbb38d1p-6',
+                '0x1.15e7e27f7b4c2p-6', '0x1.67d1e4835854bp-4',
+                '0x1.1a791a60f08b8p-4', '0x1.07773f9c3ade1p-39',
+                '0x1.ab9d5c109ba9ap-7', '0x1.681aa7c857ffbp-4',
+                '0x1.6293298d96eb3p-4', '0x1.34f8b57b93268p-6',
+                '0x1.6fb28ed2be374p-7', '0x1.77f2b64e4e043p-47',
+                '0x1.0aa6b2683c80cp-5'),
             status='000000000000000000000000000000000000000000000',
-            reason='111111011111111111111111111111111111111111111',
+            reason='166666061666616166666666666666166666616666616',
             nfev=(
-                13, 29, 34, 16, 18, 19, 15, 19, 23, 25, 15, 11, 31, 25, 37, 13, 17,
-                23, 21, 45, 25, 25, 27, 23, 14, 14, 19, 23, 20, 26, 13, 17, 42, 18,
-                33, 15, 18, 13, 22, 17, 28, 14, 35, 16, 48),
+                13, 17, 16, 13, 14, 16, 15, 16, 23, 14, 12, 10, 29, 25, 16, 13, 14,
+                19, 15, 14, 21, 21, 22, 18, 12, 13, 13, 17, 15, 21, 13, 13, 34, 14,
+                13, 12, 14, 13, 21, 13, 14, 11, 12, 16, 12),
             nit=(
-                12, 25, 32, 15, 16, 18, 12, 18, 22, 22, 14, 10, 27, 19, 32, 11, 16,
-                21, 19, 40, 24, 22, 26, 21, 13, 13, 18, 22, 19, 24, 12, 16, 36, 17,
-                28, 14, 16, 12, 18, 16, 24, 13, 30, 15, 43))),
+                12, 15, 15, 12, 12, 15, 12, 15, 22, 13, 11, 9, 25, 19, 14, 11, 13,
+                17, 13, 13, 20, 18, 21, 16, 11, 12, 12, 16, 14, 19, 12, 12, 28, 13,
+                12, 11, 13, 12, 17, 12, 11, 10, 11, 15, 11))),
         (('default', 'config2', 'XH', 20, 3), dict(
-            objective='0x1.e06c42489b064p-6',
+            objective='0x1.e06c42489af00p-6',
             voltages=(
-                '-0x1.571de07445f9bp+2', '0x1.fc0d8da6a9ac0p+2',
+                '-0x1.571de1526cf1ep+2', '0x1.fc0d8d85c89a6p+2',
                 '-0x1.4000000000000p+3', '0x1.4000000000000p+3',
-                '0x1.3d06f030a7580p+3', '0x1.1fd7e3decb801p+3',
-                '-0x1.971e1fa20818ap+2', '0x1.62c6be9a31ca9p-1'),
+                '0x1.3d06f05a207d9p+3', '0x1.1fd7e48d0fae6p+3',
+                '-0x1.971e1ada489dep+2', '0x1.62c69a75c8b5cp-1'),
             trace=(
-                '0x1.5b501c405a318p-2', '0x1.144955048e487p-5',
-                '0x1.38a567c99a72cp-2', '0x1.3d5123dfc384bp-2',
-                '0x1.e06c42489b064p-6', '0x1.eb4bd261983dbp-4',
-                '0x1.448041d1644f4p-3', '0x1.6d5f29b20f418p-3',
-                '0x1.ef125ffe9f328p-4', '0x1.baa2524e00115p-3',
-                '0x1.144955048ea40p-5', '0x1.b798c6609ab1fp-4',
-                '0x1.9d8f1ed1c3a6bp-4', '0x1.75954935c3e0ep-4',
-                '0x1.638c5077936c6p-4', '0x1.ffba812592f53p-5',
-                '0x1.e06c42489b116p-6', '0x1.144955048e49ap-5',
-                '0x1.485cea4b19fa4p-5', '0x1.485cea4b19f23p-5'),
+                '0x1.791efdf6d96fdp-2', '0x1.4f6160a346051p-2',
+                '0x1.4ed0d4b88b95ep-2', '0x1.3e057577e4c68p-2',
+                '0x1.e06c42489af00p-6', '0x1.eb4bd26198196p-4',
+                '0x1.448041d1644f4p-3', '0x1.6d5f29b20f43ap-3',
+                '0x1.ef125ffe9f328p-4', '0x1.baa2524e0015cp-3',
+                '0x1.144955048e6e3p-5', '0x1.b798c6609ab1fp-4',
+                '0x1.9d8f1ed1c3a18p-4', '0x1.75954935c3af4p-4',
+                '0x1.638c50779362ep-4', '0x1.ffba812592ea6p-5',
+                '0x1.e06c4248abaf8p-6', '0x1.144955048e4b2p-5',
+                '0x1.485cea4b19f9ep-5', '0x1.485cea4b19f1ap-5'),
             status='00000000000000000000',
-            reason='11111101011101111111',
+            reason='66660101011110111111',
             nfev=(
-                21, 64, 28, 25, 34, 32, 26, 36, 28, 38, 38, 32, 42, 38, 48, 33, 45,
-                45, 46, 35),
+                14, 12, 16, 14, 36, 38, 26, 32, 28, 25, 38, 32, 36, 30, 50, 26, 39,
+                39, 41, 41),
             nit=(
-                20, 59, 25, 22, 30, 29, 23, 33, 24, 32, 35, 27, 38, 36, 42, 30, 42,
-                43, 44, 33))),
+                13, 11, 14, 12, 31, 29, 23, 29, 24, 22, 34, 27, 33, 28, 43, 24, 35,
+                36, 39, 28))),
     ]
 
     @pytest.mark.parametrize("case,pins", CASES, ids=[
