@@ -150,6 +150,11 @@ def ideal_visibility(eta: float) -> float:
     return 2.0 * eta * (1.0 - eta) / (1.0 - 2.0 * eta + 2.0 * eta**2)
 
 
+# the largest mean numpy's Poisson draw takes: int64's largest value less ten
+# of its square roots
+_POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
+
+
 def simulate_hom_scan(
     eta: float,
     delays,
@@ -182,10 +187,24 @@ def simulate_hom_scan(
     if not 0.0 <= overlap <= 1.0:
         raise ValueError(f"overlap must be in [0, 1], got {overlap}")
     x = np.asarray(delays, dtype=float)
+    # dip_model's line and its Gaussian's exponent are largest at the scan's
+    # ends, where Python floats overflow to inf without a warning
+    for end in (float(x.min()), float(x.max())) if x.size else ():
+        if abs(slope * end + baseline_rate) == math.inf:
+            raise ValueError(f"baseline_rate and slope must be small enough to keep"
+                             f" the mean count finite, got {baseline_rate} and {slope}")
+        if (end - dip_center) * (end - dip_center) / (2.0 * width * width) == math.inf:
+            raise ValueError(f"coherence_width must be wide enough that (delay -"
+                             f" dip_center)^2 / (2 width^2) stays finite, got"
+                             f" {coherence_width}")
     v = overlap * ideal_visibility(eta)
     mean = dip_model(x, slope, baseline_rate, v, dip_center, coherence_width)
     if np.any(mean < 0):
         raise ValueError("model mean went negative; check slope/baseline")
+    if noise_seed is not None and np.any(mean > _POISSON_MEAN_MAX):
+        raise ValueError(f"baseline_rate and slope must be small enough to keep the"
+                         f" mean count at most {_POISSON_MEAN_MAX:.6g} for a Poisson"
+                         f" draw, got up to {mean.max():.6g}")
     if noise_seed is None:
         counts = mean
     else:

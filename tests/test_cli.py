@@ -244,6 +244,8 @@ class TestHom:
         (["--center", "nan"], "dip_center"),
         (["--center", "inf"], "dip_center"),
         (["--baseline", "inf"], "baseline_rate"),
+        (["--width", "1e-160"], "coherence_width"),
+        (["--baseline", "1e308", "--slope", "1e308"], "baseline_rate and slope"),
     ])
     def test_non_finite_scan_parameters_exit_3(self, tmp_path, capsys, flags, name):
         # each once exited 0 with a flat or all-zero scan, died with an

@@ -152,6 +152,13 @@ class TestSimulateHomScan:
         (dict(coherence_width=1e300), "coherence_width"),
         (dict(coherence_width=1.5e154), "coherence_width"),
         (dict(coherence_width=1e-300), "coherence_width"),
+        # finite, but 2 width^2 is subnormal and the exponent overflows
+        (dict(coherence_width=1e-160), "coherence_width"),
+        (dict(dip_center=1e200), "coherence_width"),
+        # a finite mean above the Poisson draw's limit, and an overflowing one
+        (dict(baseline_rate=1e308, slope=1e308), "baseline_rate and slope"),
+        (dict(baseline_rate=1e19), "baseline_rate and slope"),
+        (dict(baseline_rate=1e308, slope=1.7e308), "baseline_rate and slope"),
     ])
     def test_non_finite_parameters_rejected(self, kwargs, name):
         # these used to give a flat or all-zero scan, an OverflowError from
