@@ -150,11 +150,6 @@ def ideal_visibility(eta: float) -> float:
     return 2.0 * eta * (1.0 - eta) / (1.0 - 2.0 * eta + 2.0 * eta**2)
 
 
-# the largest mean numpy's Poisson draw takes: int64's largest value less ten
-# of its square roots
-_POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
-
-
 def simulate_hom_scan(
     eta: float,
     delays,
@@ -201,14 +196,15 @@ def simulate_hom_scan(
     mean = dip_model(x, slope, baseline_rate, v, dip_center, coherence_width)
     if np.any(mean < 0):
         raise ValueError("model mean went negative; check slope/baseline")
-    if noise_seed is not None and np.any(mean > _POISSON_MEAN_MAX):
-        raise ValueError(f"baseline_rate and slope must be small enough to keep the"
-                         f" mean count at most {_POISSON_MEAN_MAX:.6g} for a Poisson"
-                         f" draw, got up to {mean.max():.6g}")
     if noise_seed is None:
         counts = mean
     else:
-        counts = np.random.default_rng(noise_seed).poisson(mean).astype(float)
+        try:
+            counts = np.random.default_rng(noise_seed).poisson(mean).astype(float)
+        except ValueError as exc:  # numpy draws no Poisson mean above about 9.2e18
+            raise ValueError(f"baseline_rate and slope must be small enough for a"
+                             f" Poisson draw of the mean count, got up to"
+                             f" {mean.max():.6g}") from exc
     return HomScan(delays=x, counts=counts)
 
 
