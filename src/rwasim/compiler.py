@@ -24,7 +24,16 @@ Each stage has its own stop rule on the relative reduction of its objective:
 the search only has to reach a restart's basin and stops at `SEARCH_FTOL`,
 the polish at `POLISH_FTOL`; both stop at a projected gradient of 1e-10.  A
 restart that hits an exact solution stops on f_eps's quadratic bottom, so its
-sum r^2 ends near 1e-16 rather than at rounding.
+sum r^2 ends near 1e-16 rather than at rounding.  The search also stops a
+restart whose f_eps has stalled above a floor: once an accepted step leaves
+f_eps >= `SEARCH_STALL_FLOOR` after f_eps fell by at most `SEARCH_STALL_RATIO`
+times itself over the restart's last `SEARCH_STALL_ITERATIONS` accepted
+iterations.  A restart bound for an exact solution keeps cutting f_eps by
+large factors on its way to 0, while a miss settles above 0 and its relative
+fall shrinks.  The floor is there because on the default device, which has
+no exact solution, config3's best restarts creep at small f_eps: without it
+the rule stopped them short.  The rule reads only the restart's own history,
+so a restart ends the same in any batch.
 
 The kernel gets the objective together with its exact gradient from one
 eigendecomposition of H = Q diag(w) Q^T.  The metrics read
@@ -78,14 +87,12 @@ from .subcircuits import distribution_fidelity  # noqa: F401
 
 MAX_ITERATIONS = 500
 # the search's objective is sum (r^2 + SEARCH_EPS r) over the six residuals,
-# and it stops once an iteration lowers that by at most SEARCH_FTOL relative;
-# the end points within POLISH_WINDOW times the best sum r^2 that converged are
+# and it stops once an iteration lowers that by at most SEARCH_FTOL relative,
+# or once it has stalled above SEARCH_STALL_FLOOR (the module docstring); the
+# end points within POLISH_WINDOW times the best sum r^2 that converged are
 # polished on sum r^2 at POLISH_FTOL
 SEARCH_EPS = 0.1
 SEARCH_FTOL = 1e-6
-# a search row also stops once an accepted step leaves f_eps >= SEARCH_STALL_FLOOR
-# after f_eps fell by at most SEARCH_STALL_RATIO times itself over the last
-# SEARCH_STALL_ITERATIONS accepted iterations: it has settled above zero
 SEARCH_STALL_ITERATIONS = 5
 SEARCH_STALL_RATIO = 0.1
 SEARCH_STALL_FLOOR = 0.01
@@ -400,7 +407,9 @@ def minimize_box(fun, x0: np.ndarray, lower: float, upper: float, *, maxiter: in
     stalled over the window", once an accepted step leaves f >= floor after
     f fell by at most ratio * f over the row's last `window` accepted
     iterations: a row bound for f = 0 keeps cutting f by large factors,
-    while one that settles above it cuts f by ever smaller ones.
+    while one that settles above it cuts f by ever smaller ones, and the
+    floor spares rows that creep at small f.  The search stage of
+    `optimize_parallel_gates` passes the `SEARCH_STALL_*` constants.
     Each round evaluates all running rows in one call of `fun`; a row
     depends on its batch mates only through fun.
     """
