@@ -199,8 +199,9 @@ def simulate_hom_scan(
     if noise_seed is None:
         counts = mean
     else:
+        rng = np.random.default_rng(noise_seed)
         try:
-            counts = np.random.default_rng(noise_seed).poisson(mean).astype(float)
+            counts = rng.poisson(mean).astype(float)
         except ValueError as exc:  # numpy draws no Poisson mean above about 9.2e18
             raise ValueError(f"baseline_rate and slope must be small enough for a"
                              f" Poisson draw of the mean count, got up to"

@@ -168,6 +168,11 @@ class TestSimulateHomScan:
             simulate_hom_scan(0.5, np.linspace(-0.6, 0.6, 121), noise_seed=0, **kwargs)
 
 
+    def test_negative_noise_seed_is_not_blamed_on_the_rate(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            simulate_hom_scan(0.5, np.linspace(-0.6, 0.6, 121), 1e3, noise_seed=-1)
+
+
 class TestFitHomDip:
     def make_scan(self, a0, a1, a2, a3, a4, n=81, span=1.0):
         x = np.linspace(a3 - span, a3 + span, n)
