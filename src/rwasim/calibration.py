@@ -9,7 +9,8 @@ leakages: `evolution.pair_blocks` forms only the pair's 2x2 block of each
 U, from one stacked `numpy.linalg.eigvalsh` and the minors of w - H, and
 `subcircuits.reflectivity_and_leakage` reads it.  A map calls it per block
 of `evolution.STACK_ROWS` cells, which bounds the working set (the stacked
-H takes about 0.25 MB) without changing any cell's value; `rwasim hom`
+H of the default 11-guide device takes about 1 MB) without changing any
+cell's value; `rwasim hom`
 calls it for one row.  A cell's eta agrees with the one
 `subcircuits.effective_reflectivity` reads from `evolution.unitary` at the
 same voltages within 1e-12, not bit for bit: the two form U differently.
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import write_csv
+from .csvio import grid_lead, write_csv
 from .device import DeviceSpec, VoltageConfig, frozen_array
 from .subcircuits import SubcircuitPair, reflectivity_and_leakage
 from . import device as device_mod
@@ -278,12 +279,13 @@ def map_to_csv(lut: LookupMap, path) -> None:
     """Header `v_a, v_b, eta, leak_in1, leak_in2`, row-major over grid_a then grid_b.
 
     Written one grid_a row per block, so the text of the whole map is never
-    held at once.
+    held at once; the grid columns come from `grid_lead`, which formats each
+    grid value once.
     """
     write_csv(path, ["v_a", "v_b", "eta", "leak_in1", "leak_in2"], (
-        np.column_stack((np.full(lut.grid_b.size, va), lut.grid_b, lut.eta[ia],
-                         lut.leakage_in1[ia], lut.leakage_in2[ia])).ravel().tolist()
-        for ia, va in enumerate(lut.grid_a)))
+        (lead, np.column_stack((lut.eta[ia], lut.leakage_in1[ia],
+                                lut.leakage_in2[ia])).ravel().tolist())
+        for ia, lead in enumerate(grid_lead(lut.grid_a, lut.grid_b))))
 
 
 def map_metadata(lut: LookupMap) -> dict:

@@ -45,8 +45,10 @@ import numpy as np
 from .csvio import write_csv
 from .device import TridiagonalHamiltonian, frozen_array
 
-# most rows a batch caller stacks into one eigensolve
-STACK_ROWS = 256
+# most rows a batch caller stacks into one eigensolve: per lookup-map cell,
+# the numpy calls' fixed cost stops falling beyond about 1024 rows, where the
+# stacked dense H of an 11-guide device takes about 1 MB
+STACK_ROWS = 1024
 # smallest eigenvalue gap, rad/mm, at which `pair_blocks` uses the residue
 # formula rather than `eigh_tridiagonal`
 GAP_BOUND = 1e-4

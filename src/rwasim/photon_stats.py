@@ -356,7 +356,15 @@ def fit_hom_dips(scans, max_iterations: int = 500) -> list[DipFit]:
     if not all(np.array_equal(scan.delays, x) for scan in scans[1:]):
         raise ValueError("scans must share their delays")
     y = np.stack([scan.counts for scan in scans])
-    lower = np.array([-np.inf, -np.inf, 0.0, x[0], 0.5 * (x[1:] - x[:-1]).min()])
+    # the fit's tolerance scales with each scan's sum of squared counts: an
+    # all-zero scan has no dip to fit, and counts near 1e308 overflow it
+    with np.errstate(over="ignore"):
+        yy = (y * y).sum(-1)
+    bad = np.flatnonzero(~((yy > 0) & (yy < math.inf)))
+    if bad.size:
+        raise ValueError(f"counts must be not all zero and small enough for a finite"
+                         f" sum of squares, got {yy[bad[0]]:g} for scan {bad[0]}")
+    lower =np.array([-np.inf, -np.inf, 0.0, x[0], 0.5 * (x[1:] - x[:-1]).min()])
     upper = np.array([np.inf, np.inf, 1.0, x[-1], 0.5 * (x[-1] - x[0])])
     guesses = np.clip([_initial_guess(scan) for scan in scans], lower, upper)
     starts = np.concatenate((_grid_seeds(x, y, lower, upper), guesses[:, None]), 1)
@@ -387,7 +395,9 @@ def fit_hom_dip(scan: HomScan, max_iterations: int = 500) -> DipFit:
     by the bound-projected Levenberg-Marquardt `least_squares` until a step
     changes the cost by at most 1e-10 of it; the lowest cost wins.  If that
     start has not converged within `max_iterations` steps, `FitFailureError`
-    is raised.  The visibility error comes from `visibility_error`.
+    is raised.  The visibility error comes from `visibility_error`.  A scan
+    whose counts are all zero, or whose sum of squared counts is not finite,
+    is refused with ValueError before any fit.
     """
     return fit_hom_dips([scan], max_iterations)[0]
 

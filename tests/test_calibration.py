@@ -169,11 +169,11 @@ class TestBuildLookupMap:
            electrodes=st.lists(st.integers(1, 22), min_size=2, max_size=2,
                                unique=True),
            shape=st.tuples(st.integers(1, 30), st.integers(1, 30)))
-    @example(seed=0, lower=1, electrodes=[1, 4], shape=(23, 29))
-    @example(seed=1, lower=10, electrodes=[22, 19], shape=(16, 32))
+    @example(seed=0, lower=1, electrodes=[1, 4], shape=(37, 29))
+    @example(seed=1, lower=10, electrodes=[22, 19], shape=(32, 64))
     def test_cells_match_scalar_reference(self, seed, lower, electrodes, shape):
-        # (23, 29) spans several blocks and ends mid-block; (16, 32) is an
-        # exact multiple of the block size
+        # (37, 29) spans two blocks and ends mid-block; (32, 64) is two
+        # blocks exactly
         rng = np.random.default_rng(seed)
         spec = random_device(rng)
         fixed = VoltageConfig(rng.uniform(-10.0, 10.0, spec.n_electrodes))
@@ -190,9 +190,10 @@ class TestBuildLookupMap:
         assert lut.input_guides == pair.guides
 
     def test_grid_sizes_straddle_block(self):
-        assert 23 * 29 > evolution.STACK_ROWS
-        assert (23 * 29) % evolution.STACK_ROWS != 0
-        assert (16 * 32) % evolution.STACK_ROWS == 0
+        # the examples of test_cells_match_scalar_reference
+        assert 37 * 29 > evolution.STACK_ROWS
+        assert (37 * 29) % evolution.STACK_ROWS != 0
+        assert (32 * 64) % evolution.STACK_ROWS == 0
 
     @pytest.mark.parametrize("grid_a,message", [
         (np.array([1.0, 0.0, -1.0]), "grid_a must be strictly increasing"),

@@ -246,11 +246,15 @@ class TestHom:
         (["--baseline", "inf"], "baseline_rate"),
         (["--width", "1e-160"], "coherence_width"),
         (["--baseline", "1e308", "--slope", "1e308"], "baseline_rate and slope"),
+        (["--baseline", "1e308", "--slope", "1e308", "--noiseless", "--fit"], "counts"),
+        (["--baseline", "1e-300", "--fit"], "counts"),
     ])
     def test_non_finite_scan_parameters_exit_3(self, tmp_path, capsys, flags, name):
-        # each once exited 0 with a flat or all-zero scan, died with an
-        # OverflowError traceback, or exited 3 with numpy's Poisson message;
-        # a warning would fail here too, as pytest raises it
+        # each once exited 0 with a flat or all-zero scan (the last fitted
+        # visibility 1.0 +/- 0.0 to it), died with an OverflowError
+        # traceback, exited 3 with numpy's Poisson message or exited 4 after
+        # overflow warnings in the fit; a warning would fail here too, as
+        # pytest raises it
         out = tmp_path / "run"
         assert run("hom", "--eta", "0.5", "--scan=-0.6,0.6,0.01", *flags,
                    "--out", str(out)) == 3

@@ -101,6 +101,20 @@ def test_map(tmp_path):
     )
 
 
+def test_map_grid_columns_as_one_format_per_value(tmp_path):
+    # the grid columns are formatted once per grid value, not once per row:
+    # every line must still read as one %.17g of each of its five values
+    rng = np.random.default_rng(0)
+    grid_a, grid_b = np.array([-0.0, SUB, 0.1]), np.array([-1 / 3, -0.0, SUB, 0.1])
+    eta = rng.uniform(0.0, 1.0, (3, 4))
+    leak1, leak2 = rng.uniform(0.0, 100.0, (2, 3, 4))
+    lut = LookupMap(electrode_a=1, electrode_b=4, grid_a=grid_a, grid_b=grid_b,
+                    eta=eta, leakage_in1=leak1, leakage_in2=leak2, input_guides=(1, 2))
+    assert written(tmp_path, map_to_csv, lut) == "v_a,v_b,eta,leak_in1,leak_in2\n" + "".join(
+        "%.17g,%.17g,%.17g,%.17g,%.17g\n" % (va, vb, eta[ia, ib], leak1[ia, ib], leak2[ia, ib])
+        for ia, va in enumerate(grid_a) for ib, vb in enumerate(grid_b))
+
+
 def test_loss(tmp_path):
     assert written(tmp_path, lambda r, p: r.to_csv(p), loss_report(11)) == (
         "n_modes,mzi_count,mzi_depth,clements_loss_db,wa_length_cm,wa_loss_db\n"

@@ -264,6 +264,20 @@ class TestFitHomDip:
             assert 0.5 * np.diff(x).min() <= fit.a4 <= 0.5 * (x[-1] - x[0]), seed
         assert failures == 0
 
+    @pytest.mark.parametrize("counts,got", [(0.0, "got 0 for scan 1"),
+                                            (1e300, "got inf for scan 1")])
+    def test_counts_need_a_positive_finite_sum_of_squares(self, counts, got):
+        # an all-zero scan fitted a perfect dip, a2 = 1 +/- 0, and counts
+        # whose squares overflow ended in "residual norm nan" after numpy's
+        # overflow warnings, which pytest raises
+        x = np.linspace(-0.6, 0.6, 121)
+        good = simulate_hom_scan(0.5, x, 1e4)
+        bad = HomScan(delays=x, counts=np.full(x.size, counts))
+        with pytest.raises(ValueError, match=f"^counts must .* {got}$"):
+            fit_hom_dips([good, bad])
+        with pytest.raises(ValueError, match="for scan 0"):
+            fit_hom_dip(bad)
+
     def test_evaluation_cap_raises(self):
         # a noiseless full dip pins a2 on its bound 1, which takes more
         # than the one step max_iterations=1 allows
