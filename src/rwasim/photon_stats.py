@@ -358,12 +358,11 @@ def fit_hom_dips(scans, max_iterations: int = 500) -> list[DipFit]:
     y = np.stack([scan.counts for scan in scans])
     # the fit's tolerance scales with each scan's sum of squared counts: an
     # all-zero scan has no dip to fit, and counts near 1e308 overflow it
-    with np.errstate(over="ignore"):
-        yy = (y * y).sum(-1)
-    bad = np.flatnonzero(~((yy > 0) & (yy < math.inf)))
-    if bad.size:
-        raise ValueError(f"counts must be not all zero and small enough for a finite"
-                         f" sum of squares, got {yy[bad[0]]:g} for scan {bad[0]}")
+    # (einsum overflows to inf without a warning)
+    for s, yy in enumerate(np.einsum("ij,ij->i", y, y).tolist()):
+        if not 0 < yy < math.inf:
+            raise ValueError(f"counts must be not all zero and small enough for a"
+                             f" finite sum of squares, got {yy:g} for scan {s}")
     lower =np.array([-np.inf, -np.inf, 0.0, x[0], 0.5 * (x[1:] - x[:-1]).min()])
     upper = np.array([np.inf, np.inf, 1.0, x[-1], 0.5 * (x[-1] - x[0])])
     guesses = np.clip([_initial_guess(scan) for scan in scans], lower, upper)
