@@ -10,10 +10,10 @@ U, from one stacked `numpy.linalg.eigvalsh` and the minors of w - H, and
 `subcircuits.reflectivity_and_leakage` reads it.  A map calls it per block
 of `evolution.STACK_ROWS` cells, which bounds the working set (the stacked
 H of the default 11-guide device takes about 1 MB) without changing any
-cell's value; `rwasim hom`
-calls it for one row.  A cell's eta agrees with the one
-`subcircuits.effective_reflectivity` reads from `evolution.unitary` at the
-same voltages within 1e-12, not bit for bit: the two form U differently.
+cell's value; `rwasim hom` calls it for one row.  A cell's eta agrees with
+the one `subcircuits.effective_reflectivity` reads from `evolution.unitary`
+at the same voltages within 1e-12, not bit for bit: the two form U
+differently.
 """
 from __future__ import annotations
 

@@ -3,9 +3,9 @@
 Every CSV and JSON file the package writes goes through `write_csv` or
 `write_json`, so the format is decided here alone: CSV floats with 17
 significant digits, which read back to the same double, and integer columns
-in full; JSON indented by two spaces with a final newline.  The leading grid
-columns of a table over a grid_a x grid_b grid (the lookup map's v_a and
-v_b) are formatted the same way, once per grid value rather than once per
+in full; JSON indented by two spaces with a final newline.  The two grid
+columns of a table over grid_a x grid_b, such as the lookup map's v_a and
+v_b, are floats too, but formatted once per grid value rather than once per
 row: `grid_lead` makes their text and `write_csv` takes it with each block.
 """
 from __future__ import annotations

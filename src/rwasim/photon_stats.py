@@ -363,7 +363,7 @@ def fit_hom_dips(scans, max_iterations: int = 500) -> list[DipFit]:
         if not 0 < yy < math.inf:
             raise ValueError(f"counts must be not all zero and small enough for a"
                              f" finite sum of squares, got {yy:g} for scan {s}")
-    lower =np.array([-np.inf, -np.inf, 0.0, x[0], 0.5 * (x[1:] - x[:-1]).min()])
+    lower = np.array([-np.inf, -np.inf, 0.0, x[0], 0.5 * (x[1:] - x[:-1]).min()])
     upper = np.array([np.inf, np.inf, 1.0, x[-1], 0.5 * (x[-1] - x[0])])
     guesses = np.clip([_initial_guess(scan) for scan in scans], lower, upper)
     starts = np.concatenate((_grid_seeds(x, y, lower, upper), guesses[:, None]), 1)
