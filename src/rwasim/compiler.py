@@ -36,17 +36,20 @@ the rule stopped them short.  The rule reads only the restart's own history,
 so a restart ends the same in any batch.
 
 The kernel gets the objective together with its exact gradient from one
-eigendecomposition of H = Q diag(w) Q^T.  The metrics read
-only the two pairs' 4x4 block of U = exp(-iHL), which is v v^T for
-v = Q[cols] e^{-iwL/2} because U is symmetric.  The derivative of U is
-Q (G o Q^T dH Q) Q^T with the divided differences
-G_ab = (e^{-iw_a L} - e^{-iw_b L}) / (w_a - w_b) (Daleckii-Krein; Najfeld &
-Havel 1995), and the chain rule runs backwards from the objective to the
-electrode voltages through the real adjoint R = L Q (S o Im C) Q^T, with
-S_ab = sin(dw) / dw for dw = L (w_a - w_b) / 2 and C = v^T (d f / d P o
-conj(U)) v over the block.  S is symmetric, as sin is odd, so its upper
-triangle is formed and mirrored.  dH is tridiagonal, so only R's three
-diagonals are formed.
+eigendecomposition of H = Q diag(w) Q^T, in real arithmetic.  The metrics
+read only the two pairs' 4x4 block of U = exp(-iHL), which is v v^T for
+v = Q[cols] e^{-iwL/2} because U is symmetric.  v = vr + i vi is carried as
+V = [vr; vi], Q[cols] times the cosines and the sines of -wL/2, and the
+Gram matrix V V^T gives Re U = vr vr^T - vi vi^T and Im U = vr vi^T +
+vi vr^T over the block.  The derivative of U is Q (G o Q^T dH Q) Q^T with
+the divided differences G_ab = (e^{-iw_a L} - e^{-iw_b L}) / (w_a - w_b)
+(Daleckii-Krein; Najfeld & Havel 1995), and the chain rule runs backwards
+from the objective to the electrode voltages through the real adjoint
+R = L Q (S o Im C) Q^T, with S_ab = sin(dw) / dw for dw = L (w_a - w_b) / 2
+and C = v^T (d f / d P o conj(U)) v over the block.  Im C = V^T K V for the
+real K = [[-Y, X], [X, Y]], X and Y being d f / d P times Re U and Im U.
+S is symmetric, as sin is odd, so its upper triangle is formed and
+mirrored.  dH is tridiagonal, so only R's three diagonals are read.
 
 The restarts run in lockstep, in blocks of at most `evolution.STACK_ROWS`: each
 round steps every running restart and evaluates their trial points in one
@@ -217,41 +220,6 @@ def trace_to_csv(trace: np.ndarray, path) -> None:
               [[x for row in rows for x in row]], int_columns=1)
 
 
-def _input_terms(powers: np.ndarray, rows, other_rows, target_p):
-    """Per-input metric terms from the output powers of each input.
-
-    powers[..., :, k] holds the output powers for input k, with any leading
-    batch axes: the kernel passes the 4x4 block of |U|^2 over the two pairs'
-    guides, pair a first.  rows[k] index the two outputs of that input's
-    own pair, other_rows[k] those of the other pair, and target_p[k] is the
-    target split over rows[k].
-    Returns, per input, the power kept in the own pair, the post-selected
-    split, the fidelity (0 when nothing is kept), the crosstalk and the
-    leakage, all as fractions.  The fidelity is the row-wise Bhattacharyya
-    sum without `distribution_fidelity`'s normalization check: the split rows
-    are divided by their own sums, and the kernel checks its targets once.
-    """
-    k = np.arange(powers.shape[-1])[:, None]
-    own_p, other_p = powers[..., rows, k], powers[..., other_rows, k]
-    own = own_p[..., 0] + own_p[..., 1]
-    kept = own > 0.0
-    split = np.empty(own_p.shape)
-    split.fill(0.5)
-    np.divide(own_p, own[..., None], out=split, where=kept[..., None])
-    fid = np.where(kept, _bhattacharyya(target_p, split), 0.0)
-    return own, split, fid, other_p[..., 0] + other_p[..., 1], 1.0 - own
-
-
-def _objective_value(metrics):
-    """The objective and its six residuals r from metrics[k, s], the
-    fidelity, crosstalk and leakage (k = 0, 1, 2) of subcircuit s, with any
-    trailing batch axes: r[k, s] is 1 - fidelity, the crosstalk or the
-    leakage."""
-    r = np.concatenate((1.0 - metrics[:1], metrics[1:]))
-    sq = r * r
-    return sq[0, 0] + sq[0, 1] + sq[1, 0] + sq[1, 1] + sq[2, 0] + sq[2, 1], r
-
-
 def objective(
     spec: DeviceSpec,
     v: VoltageConfig,
@@ -283,85 +251,139 @@ def objective_with_gradient(
     target split, one row per input.  All B points share one stacked
     eigensolve.  Each point forms only the two pairs' 4x4 block of U and,
     for the gradient, the three diagonals of the real adjoint
-    R = L Q (S o Im C) Q^T; no step mixes points, so a row's results do not
-    depend on its batch mates.
+    R = L Q (S o Im C) Q^T, all in real arithmetic.  No step mixes points,
+    and each of the kernel's constant maps sums at most two terms with
+    power-of-two weights, which round once in any order, so a row's results
+    do not depend on its batch mates on devices whose sensitivities give
+    each guide and coupling one electrode, as the built-in ones do.
     """
     config.validate(spec)
     n = spec.n_guides
     active = [e - 1 for e in config.active_electrodes]
-    s_beta = spec.beta_sensitivity[:, active]
-    s_coupling = spec.coupling_sensitivity[:, active]
     length = spec.coupling_length
     limit = spec.voltage_limit
-    # the four guides whose inputs and outputs the metrics read, pair a first;
-    # rows and other_rows index them
+    # H's diagonal and couplings, stacked, as base + x @ sens
+    sens = np.vstack((spec.beta_sensitivity[:, active],
+                      spec.coupling_sensitivity[:, active]))
+    base, sens_t = np.concatenate((spec.base_beta, spec.base_coupling)), sens.T.copy()
+    # d objective / dx = diags @ grad_sens over R's doubled diagonal and its
+    # two off-diagonals summed, 2 tr(R dH) in all
+    grad_sens = sens * np.repeat([length, 2.0 * length], [n, n - 1])[:, None]
+    flat = np.arange(n - 1) * (n + 1)
+    diags_at = np.array([np.append(np.arange(n) * (n + 1), flat + 1),
+                         np.append(np.arange(n) * (n + 1), flat + n)])
     cols = np.array([*config.pairs[0].indices(n), *config.pairs[1].indices(n)])
-    rows = np.array([[0, 1], [0, 1], [2, 3], [2, 3]])
-    other_rows = rows[[2, 3, 0, 1]]
     target_p = np.vstack(targets)
     check_rows_normalized("target", target_p)
+    # entry (i, k) of the 4x4 block is output i for input k, pair a first:
+    # output o of input k's own pair is row own_row[k, o], of the other pair
+    # other_row[k, o]
+    k = np.arange(4)[:, None]
+    own_row, other_row = 2 * (k // 2) + [0, 1], 2 * (1 - k // 2) + [0, 1]
+    # with V = [vr; vi] for v = vr + i vi and the blocks G_st of its Gram
+    # matrix V V^T, Re u = G_00 - G_11 and Im u = G_01 + G_10 give
+    # U8 = [[-Im u, Re u], [Re u, Im u]]: row (p, r, s, t, weight) of the
+    # table adds weight G_st to U8's block (p, r).  U8's lower half holds
+    # each row of Re u and Im u side by side.
+    p, r, s, t, weight = np.array([[0, 0, 0, 1, -1], [0, 0, 1, 0, -1],
+                                   [0, 1, 0, 0, 1], [0, 1, 1, 1, -1],
+                                   [1, 0, 0, 0, 1], [1, 0, 1, 1, -1],
+                                   [1, 1, 0, 1, 1], [1, 1, 1, 0, 1]]).T[:, :, None]
+    at = (8 * np.arange(4)[:, None] + np.arange(4)).ravel()  # a block's entries
+    u8_of_gram = np.zeros((64, 64))
+    u8_of_gram[at + 32 * s + 4 * t, at + 32 * p + 4 * r] = weight
+    # the squares of that lower half to the block's powers, gathered as
+    # [other pair, own pair] x input k x output o
+    i, j = np.divmod(np.stack((other_row, own_row)) * 4 + k, 4)
+    p_of_sq = np.zeros((32, 16))
+    p_of_sq[8 * i + j, np.arange(16).reshape(i.shape)] = 1.0
+    p_of_sq[8 * i + 4 + j, np.arange(16).reshape(i.shape)] = 1.0
+    # d objective / d powers from z = [a root (input k, output o), c (k),
+    # dr (residual, pair)], tiled over U8's four blocks
+    d_of_z = np.zeros((18, 4, 4))
+    d_of_z[2 * k + [0, 1], own_row, k] = -1.0
+    d_of_z[8 + k, own_row, k] = 1.0
+    d_of_z[14 + k // 2, other_row, k] = 1.0
+    d8_of_z = np.tile(d_of_z, (1, 2, 2)).reshape(18, 64)
     # S is symmetric, as sin is odd: S_ab is formed for a <= b over the upper
     # triangle's pairs and one diagonal pair, and s_at picks S's n x n entries
     pairs_ab = np.append(np.triu_indices(n, 1), [[0], [0]], axis=1)
-    s_at = np.full((n, n), pairs_ab.shape[1] - 1)
-    s_at[tuple(pairs_ab[:, :-1])] = s_at[tuple(pairs_ab[::-1, :-1])] = np.arange(
-        pairs_ab.shape[1] - 1)
+    n_ab = pairs_ab.shape[1]
+    # dw = L (w_a - w_b) / 2 of each pair as a difference of the phases -wL/2
+    phase_diff = np.zeros((n, n_ab))
+    phase_diff[pairs_ab[0], np.arange(n_ab)] = -1.0
+    phase_diff[pairs_ab[1], np.arange(n_ab)] += 1.0
+    s_at = np.full((n, n), n_ab - 1)
+    s_at[tuple(pairs_ab[:, :-1])] = s_at[tuple(pairs_ab[::-1, :-1])] = np.arange(n_ab - 1)
     s_at = s_at.ravel()
+    # per pair, half the sum over its inputs: the fidelity's mean, then the
+    # crosstalk's and minus the power kept
+    half_sum, half_sums = np.repeat(0.5 * np.eye(2), 2, axis=0), np.array([[0.5], [-0.5]])
+    r_sign, r_shift = np.array([[-1.0], [1.0], [1.0]]), np.array([[1.0], [0.0], [0.0]])
 
     def f(x: np.ndarray, eps: float = 0.0
           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if not np.abs(x).max() <= limit:  # also rejects NaN
             raise VoltageBoundError(f"voltages {x} exceed limit +/-{limit} V")
-        w, q = evolution.eigh_tridiagonal(spec.base_beta + x @ s_beta.T,
-                                          spec.base_coupling + x @ s_coupling.T)
+        h = x @ sens_t
+        h += base
+        w, q = evolution.eigh_tridiagonal(h[:, :n], h[:, n:])
+        b = len(w)
         # U = Q diag(e^{-iwL}) Q^T is symmetric, so with v = Q[cols] e^{-iwL/2}
-        # its 4x4 block U[cols][:, cols] is v v^T
-        v = q.take(cols, axis=1) * np.exp(-0.5j * length * w)[:, None, :]
+        # = vr + i vi its 4x4 block U[cols][:, cols] is v v^T, read from the
+        # Gram matrix of V = [vr; vi]
+        phase = (-0.5 * length) * w
+        cos_sin = np.empty((2, b, 1, n))
+        np.cos(phase, out=cos_sin[0, :, 0])
+        np.sin(phase, out=cos_sin[1, :, 0])
+        v = (q.take(cols, axis=1)[:, None] * cos_sin.transpose(1, 0, 2, 3)).reshape(b, 8, n)
         v_t = v.transpose(0, 2, 1)
-        u = v @ v_t
-        sq = np.square(u.view(float))  # Re(u)^2 and Im(u)^2, interleaved
-        own, split, fid, ct, leak = _input_terms(sq[..., 0::2] + sq[..., 1::2], rows,
-                                                 other_rows, target_p)
-        # per (metric, point, pair), and as metrics[:, s, b]
-        terms = np.concatenate((fid, ct, leak)).reshape(3, -1, 2, 2)
-        metrics = (0.5 * (terms[..., 0] + terms[..., 1])).transpose(0, 2, 1)
-        value, r = _objective_value(metrics)
-        r_sum = r[0] + r[1] + r[2]
-        value = value + eps * (r_sum[0] + r_sum[1])
+        u8 = (v @ v_t.copy()).reshape(b, 64) @ u8_of_gram
+        p = (np.square(u8[:, 32:]) @ p_of_sq).reshape(b, 2, 4, 2)
+        sums = p[..., 0] + p[..., 1]  # per input, the crosstalk and the power kept
+        own_p, own = p[:, 1], np.where(sums[:, 1] > 0.0, sums[:, 1], np.inf)
+        # the fidelity is the row-wise Bhattacharyya sum without
+        # `distribution_fidelity`'s normalization check: the split rows are
+        # divided by their own sums, and the targets are checked once
+        split = own_p / own[..., None]
+        fid = _bhattacharyya(target_p, split)  # 0 where the pair keeps nothing
+        # metrics[b, k, s] and the residuals r[b, k, s]: 1 - fidelity, the
+        # crosstalk and the leakage of subcircuit s
+        metrics = np.empty((b, 3, 2))
+        np.matmul(fid, half_sum, out=metrics[:, 0])
+        np.multiply(sums[..., 0::2] + sums[..., 1::2], half_sums, out=metrics[:, 1:])
+        metrics[:, 2] += 1.0
+        r = metrics * r_sign + r_shift
+        value = np.vecdot(r.reshape(b, 6), r.reshape(b, 6) + eps)
 
-        # d objective / d powers.  d sqrt(t p) / dp is set to 0 where the own
-        # power p is zero up to rounding: sqrt(t p) = sqrt(t) |u| has a cone
-        # there, and 0 is its central difference.  The fidelity term is 0
-        # where the pair keeps nothing.
-        zero = split * own[..., None] <= ZERO_POWER
-        d_split = 0.5 * np.sqrt(target_p / np.where(zero, np.inf, split))
-        # split = p / own: the fidelity gradient loses its normal component
-        d_fid = ((d_split - 0.5 * fid[..., None])
-                 / np.where(own > 0.0, own, np.inf)[..., None])
-        # d (r^2 + eps r) / dr = 2 (r + eps / 2), the 2 in the gradient's 2L;
-        # in the (point, output pair, output, input pair, input) view of the
-        # 4x4 block, a pair's own outputs sit where the two pairs agree
-        dr = r.transpose(0, 2, 1) + 0.5 * eps
-        own_d = (-dr[0, :, :, None, None] * d_fid.reshape(-1, 2, 2, 2)
-                 - dr[2, :, :, None, None]).transpose(0, 1, 3, 2)
-        ct_d = dr[1, :, :, None, None]
-        d_powers = np.empty(u.shape)
-        block = d_powers.reshape(-1, 2, 2, 2, 2)
-        block[:, 0, :, 0], block[:, 1, :, 1] = own_d[:, 0], own_d[:, 1]
-        block[:, 1, :, 0], block[:, 0, :, 1] = ct_d[:, 0], ct_d[:, 1]
+        # d objective / d powers, with d (r^2 + eps r) / dr = 2 (r + eps / 2)
+        # and the 2 in the gradient's 2 tr(R dH).  A power p_o kept in the
+        # own pair enters the fidelity as sqrt(t_o p_o / own): d / dp_o is
+        # a root, with a = (r_F + eps / 2) / (2 own) and root =
+        # sqrt(t_o / split_o), and d / d own is c + the leakage's dr.  root is
+        # set to 0 where p_o is zero up to rounding: sqrt(t p) = sqrt(t) |u|
+        # has a cone there, and 0 is its central difference.
+        z = np.empty((b, 18))
+        dr = np.add(r, 0.5 * eps, out=z[:, 12:].reshape(b, 3, 2))
+        a = dr[:, 0, :, None] * (0.5 / own).reshape(b, 2, 2)
+        np.multiply(np.sqrt(target_p / np.where(own_p <= ZERO_POWER, np.inf, split)),
+                    a.reshape(b, 4, 1), out=z[:, :8].reshape(b, 4, 2))
+        np.multiply(fid.reshape(b, 2, 2), a, out=z[:, 8:12].reshape(b, 2, 2))
+        np.subtract(z[:, 8:12].reshape(b, 2, 2), dr[:, 2, :, None],
+                    out=z[:, 8:12].reshape(b, 2, 2))
 
         # d powers = 2 Re(conj(u) du) and G_ab = -iL e^{-i(w_a+w_b)L/2} S_ab,
         # so d objective = 2 tr(R dH) for the real adjoint R of the module
-        # docstring, C = v^T (d_powers o conj(u)) v; R's three diagonals are
-        # diag(Q M Q^T) and its two off-diagonals, M = S o Im C
-        c = v_t @ ((d_powers * u.conj()) @ v)
-        w_ab = w.take(pairs_ab, axis=1)
-        dw = (0.5 * length) * (w_ab[:, 0] - w_ab[:, 1])
+        # docstring, C = v^T (d_powers o conj(u)) v, whose imaginary part is
+        # V^T K V for K = d_powers o U8, d_powers tiled over U8's blocks;
+        # R's three diagonals are read from Q M Q^T, M = S o Im C
+        im_c = v_t @ (((z @ d8_of_z) * u8).reshape(b, 8, 8) @ v)
+        dw = phase @ phase_diff
         dw = np.where(dw == 0.0, 1e-20, dw)  # sin(dw) / dw is then exactly 1
-        qm = q @ ((np.sin(dw) / dw).take(s_at, axis=1).reshape(c.shape) * c.imag)
-        diag = np.vecdot(qm, q)
-        off = np.vecdot(qm[:, :-1], q[:, 1:]) + np.vecdot(qm[:, 1:], q[:, :-1])
-        return value, (2.0 * length) * (diag @ s_beta + off @ s_coupling), metrics
+        m = (np.sin(dw) / dw).take(s_at, axis=1).reshape(b, n, n) * im_c
+        r_adj = ((q @ m) @ q.transpose(0, 2, 1).copy()).reshape(b, n * n)
+        diags = r_adj.take(diags_at, axis=1)
+        return value, (diags[:, 0] + diags[:, 1]) @ grad_sens, metrics.transpose(1, 2, 0)
 
     return f
 
@@ -563,14 +585,15 @@ def minimize_box(fun, x0: np.ndarray, lower: float, upper: float, *, maxiter: in
             row[retry, 2], row[retry, pairs_at:] = 1.0, 0.0  # gamma, and no pairs
             ints[retry, 2:4] = 0, evaluations
             fresh, give_up = ok | retry, give_up & ~retry
-        stalled = np.zeros(n_run, dtype=bool)
+        limit = nit >= maxiter
+        done = ok & (conv | reduced) | limit | give_up
         if window:  # the ring slot of f after nit - window iterations takes f
             at = ring_at + nit % window
-            np.logical_and(ok & (nit >= window) & (f >= floor),
-                           flat[at] - f <= stall_ratio * f, out=stalled)
+            stalled = ok & (nit >= window) & (f >= floor) & (flat[at] - f <= stall_ratio * f)
             flat[at] = f
-        limit = nit >= maxiter
-        done = ok & (conv | reduced) | stalled | limit | give_up
+            done |= stalled
+        else:
+            stalled = np.zeros(n_run, dtype=bool)
         if evaluations >= maxfun:
             done[:] = True
         reasons = [0 if ok[i] and conv[i] else 1 if ok[i] and reduced[i]

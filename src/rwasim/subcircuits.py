@@ -10,9 +10,10 @@ tables follow the classical balanced-input scheme: half the power enters
 each subcircuit's selected guide, each subcircuit's post-selected output
 distribution is taken over its own two guides, and the joint 4x4 table is
 the product of the two single-qubit distributions.  The compiler's
-per-input fidelity, crosstalk and leakage fractions live in
-`compiler._input_terms`, inside the one kernel that scores every compiler
-point; `distribution_fidelity` is the checked fidelity for truth tables.
+per-input fidelity, crosstalk and leakage fractions are formed inside
+`compiler.objective_with_gradient`, the one kernel that scores every
+compiler point; `distribution_fidelity` is the checked fidelity for truth
+tables.
 """
 from __future__ import annotations
 

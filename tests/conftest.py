@@ -1,9 +1,12 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from rwasim import evolution
+from rwasim.compiler import objective_with_gradient, preset_config
 from rwasim.device import DeviceSpec, VoltageConfig, default_device
 
 
@@ -48,3 +51,32 @@ def spec_equal(a: DeviceSpec, b: DeviceSpec) -> bool:
     """Every field of two device specs equal, arrays elementwise."""
     return all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
                for f in dataclasses.fields(DeviceSpec))
+
+
+def kernel_block_metrics(u, targets):
+    """(objective, metrics[k, s]) of the compiler's kernel, the fidelity,
+    crosstalk and leakage (k = 0, 1, 2) of config2's pairs (1, 2) and (8, 9)
+    (s = 0, 1), when the transfer matrix's block over guides 1, 2, 8 and 9 is
+    that of the complex symmetric 11 x 11 matrix u, unitary or not.
+
+    The kernel's eigendecomposition is replaced by one that gives this block
+    as sum_a q_a q_a^T e^{-i w_a L} with real q_a: the eigenpairs of Re and of
+    Im of the block, each q_a scaled by the root of its eigenvalue's size and
+    e^{-i w_a L} that eigenvalue's sign times 1 or i.
+    """
+    spec, config = default_device(), preset_config("config2")
+    cols = [0, 1, 7, 8]
+    block = np.asarray(u)[np.ix_(cols, cols)]
+    lam_re, q_re = np.linalg.eigh(block.real)
+    lam_im, q_im = np.linalg.eigh(block.imag)
+    q = np.zeros((11, 11))
+    q[cols, :8] = np.hstack((q_re * np.sqrt(np.abs(lam_re)),
+                             q_im * np.sqrt(np.abs(lam_im))))
+    phase = np.concatenate((np.where(lam_re < 0.0, np.pi, 0.0),
+                            np.where(lam_im < 0.0, 0.5 * np.pi, -0.5 * np.pi),
+                            np.zeros(3)))
+    with mock.patch.object(evolution, "eigh_tridiagonal",
+                           return_value=((phase / spec.coupling_length)[None], q[None])):
+        [value], _, metrics = objective_with_gradient(spec, config, targets)(
+            np.zeros((1, len(config.active_electrodes))))
+    return value, metrics[..., 0]

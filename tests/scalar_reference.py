@@ -8,7 +8,10 @@ compiler's gate splits, one row per input.
 
 `scalar_objective_with_gradient` is the one-point f+g closure the compiler
 ran before its restarts were batched, with the same Daleckii-Krein adjoint
-and no batch axis.  It diagonalizes H with scipy's `eigh_tridiagonal`, a
+in complex arithmetic, no batch axis and the search's eps.  Its per-input
+terms and its objective are this module's own copies of the formulas the
+kernel ran before it moved to real arithmetic, so the kernel is not checked
+against itself.  It diagonalizes H with scipy's `eigh_tridiagonal`, a
 different LAPACK driver from the package's stacked `numpy.linalg.eigh`, so
 the batched-versus-scalar tests compare two independent eigensolvers.
 `sequential_restarts` runs the restarts one after another through
@@ -34,6 +37,31 @@ from rwasim.device import VoltageBoundError, VoltageConfig, build_hamiltonian
 from rwasim.evolution import eigh_tridiagonal as stacked_eigh, unitary
 from rwasim.photon_stats import dip_jacobian, dip_model
 from rwasim.subcircuits import distribution_fidelity
+
+
+def input_terms(powers, rows, other_rows, target_p):
+    """Per-input (kept power, split, fidelity, crosstalk, leakage) fractions.
+
+    powers[:, k] holds the output powers for input k; rows[k] index the two
+    outputs of that input's own pair, other_rows[k] those of the other pair,
+    and target_p[k] is the target split over rows[k].  The split is 0.5 and
+    the fidelity 0 where the pair keeps nothing.
+    """
+    k = np.arange(powers.shape[-1])[:, None]
+    own_p, other_p = powers[rows, k], powers[other_rows, k]
+    own = own_p[:, 0] + own_p[:, 1]
+    kept = own > 0.0
+    split = np.where(kept[:, None], own_p / np.where(kept, own, 1.0)[:, None], 0.5)
+    fid = np.where(kept, np.sqrt(target_p * split).sum(axis=-1), 0.0)
+    return own, split, fid, other_p[:, 0] + other_p[:, 1], 1.0 - own
+
+
+def objective_value(metrics, eps=0.0):
+    """sum (r^2 + eps r) over the six residuals r from metrics[k, s], the
+    fidelity, crosstalk and leakage (k = 0, 1, 2) of subcircuit s: r is
+    1 - fidelity, the crosstalk or the leakage."""
+    r = np.concatenate((1.0 - metrics[:1], metrics[1:]))
+    return float(np.sum(r * r + eps * r))
 
 
 def _subcircuit_metrics(u_matrix, pair, other, target):
@@ -63,12 +91,12 @@ def full_u_evaluate(spec, v, config, targets):
                 spec.coupling_length)
     m1 = _subcircuit_metrics(u.matrix, config.pairs[0], config.pairs[1], targets[0])
     m2 = _subcircuit_metrics(u.matrix, config.pairs[1], config.pairs[0], targets[1])
-    value, _ = compiler._objective_value(np.array([*zip(m1, m2)]))
-    return float(value), (m1, m2)
+    return objective_value(np.array([*zip(m1, m2)])), (m1, m2)
 
 
 def scalar_objective_with_gradient(spec, config, targets):
-    """f(x) -> (objective, d objective / dx) at one point x (n_active,)."""
+    """f(x, eps=0) -> (objective, d objective / dx) at one point x
+    (n_active,), the objective sum (r^2 + eps r) over the six residuals."""
     config.validate(spec)
     n = spec.n_guides
     active = [e - 1 for e in config.active_electrodes]
@@ -83,7 +111,7 @@ def scalar_objective_with_gradient(spec, config, targets):
     other_rows = rows[[2, 3, 0, 1]]
     target_p = np.vstack(targets)
 
-    def f(x):
+    def f(x, eps=0.0):
         if not np.abs(x).max() <= limit:
             raise VoltageBoundError(f"voltages {x} exceed limit +/-{limit} V")
         w, q = eigh_tridiagonal(spec.base_beta + s_beta @ x,
@@ -91,19 +119,21 @@ def scalar_objective_with_gradient(spec, config, targets):
         half = np.exp(-0.5j * length * w)
         q_cols = q[cols]
         u = (q * half**2) @ q_cols.T
-        own, split, fid, ct, leak = compiler._input_terms(
-            np.abs(u) ** 2, rows, other_rows, target_p)
+        own, split, fid, ct, leak = input_terms(np.abs(u) ** 2, rows, other_rows,
+                                                target_p)
         terms = np.stack((fid, ct, leak))
         means = 0.5 * (terms[:, 0::2] + terms[:, 1::2])
-        value = float(compiler._objective_value(means)[0])
+        value = objective_value(means, eps)
 
         d_split = 0.5 * np.sqrt(target_p / np.where(split > 0.0, split, np.inf))
         d_fid = ((d_split - 0.5 * fid[:, None])
                  / np.where(own > 0.0, own, np.inf)[:, None])
-        fid_m, ct_m, leak_m = means.repeat(2, axis=1)[:, :, None]
+        # d (r^2 + eps r) / dr = 2 (r + eps / 2); the 2 is the gradient's
+        fid_r, ct_r, leak_r = (np.concatenate((1.0 - means[:1], means[1:]))
+                               + 0.5 * eps).repeat(2, axis=1)[:, :, None]
         d_powers = np.zeros((n, 4))
-        d_powers[rows, inputs] = -(1.0 - fid_m) * d_fid - leak_m
-        d_powers[other_rows, inputs] = ct_m
+        d_powers[rows, inputs] = -fid_r * d_fid - leak_r
+        d_powers[other_rows, inputs] = ct_r
 
         b = q.T @ ((d_powers * u.conj()) @ q_cols)
         g = (-1j * length) * (half[:, None] * half) * np.sinc(

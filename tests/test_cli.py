@@ -586,6 +586,10 @@ class TestReplay:
         # which moves compiled traces and adds a stop reason
         pytest.param("0.18.0", ["compile", "--config", "2", "--gates", "XH",
                                 "--restarts", "3", "--seed", "4"], id="0.18.0-compile"),
+        # 0.20.0 forms the kernel's block, objective and adjoint in real
+        # arithmetic, which moves compiled objectives, voltages and traces
+        pytest.param("0.19.0", ["compile", "--config", "2", "--gates", "XH",
+                                "--restarts", "3", "--seed", "4"], id="0.19.0-compile"),
     ])
     def test_replay_refuses_old_version(self, device_file, tmp_path, capsys,
                                         version, argv):

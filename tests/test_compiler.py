@@ -28,7 +28,7 @@ from rwasim.device import (DeviceSpec, DeviceSpecError, VoltageBoundError,
                            VoltageConfig, default_device)
 from rwasim.subcircuits import SubcircuitPair, coupler_split
 
-from conftest import make_xx_device, spec_equal, with_electrode
+from conftest import kernel_block_metrics, make_xx_device, spec_equal, with_electrode
 from scalar_reference import (
     full_u_evaluate,
     scalar_objective_with_gradient,
@@ -127,20 +127,12 @@ class TestObjective:
         assert expected > 0.01  # far from the trivial zero objective
 
     def test_worst_case_all_leaked(self):
-        # permutation sending both pairs' power elsewhere: F = 0 by
-        # convention, leak = 1, ct = 0 -> objective 1+1+0+0+1+1 = 4
-        perm = np.roll(np.eye(11, dtype=complex), 4, axis=0)
-        rows = np.array([[0, 1], [0, 1], [7, 8], [7, 8]])
-        target_p = np.vstack([gate_target("X")] * 2)
-        _, _, fid, ct, leak = compiler._input_terms(
-            np.abs(perm[:, [0, 1, 7, 8]]) ** 2, rows, rows[[2, 3, 0, 1]], target_p)
-        # per subcircuit, the mean over its two inputs
-        fid, ct, leak = (0.5 * (t[0::2] + t[1::2]) for t in (fid, ct, leak))
-        for s in (0, 1):
-            assert fid[s] == 0.0
-            assert leak[s] == pytest.approx(1.0)
-        obj, _ = compiler._objective_value(np.array([fid, ct, leak]))
-        assert obj == pytest.approx(4.0 + ct[0]**2 + ct[1]**2)
+        # a symmetric permutation sending both pairs' power elsewhere: F = 0
+        # by convention, leak = 1, ct = 0 -> objective 1+1+0+0+1+1 = 4
+        perm = np.eye(11, dtype=complex)[[4, 5, 7, 8, 0, 1, 6, 2, 3, 9, 10]]
+        obj, metrics = kernel_block_metrics(perm, XX)
+        np.testing.assert_array_equal(metrics, [[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
+        assert obj == 4.0
 
     def test_unnormalized_target_rejected(self):
         bad = 2.0 * np.eye(2)
@@ -238,9 +230,12 @@ class TestObjectiveWithGradient:
            config_name=st.sampled_from(["config1", "config2", "config3"]),
            gates=st.tuples(GATES, GATES),
            batch=st.sampled_from([1, 7, 64]),
+           eps=st.sampled_from([0.0, compiler.SEARCH_EPS]),
            point_seed=st.integers(0, 2**32 - 1))
     def test_batch_matches_scalar_reference(self, device_seed, config_name, gates,
-                                            batch, point_seed):
+                                            batch, eps, point_seed):
+        # eps > 0 is the search's sum (r^2 + eps r), which every search
+        # round runs
         spec = (make_xx_device() if device_seed is None
                 else random_base_device(device_seed))
         config = preset_config(config_name)
@@ -248,13 +243,13 @@ class TestObjectiveWithGradient:
         x = np.random.default_rng(point_seed).uniform(
             -spec.voltage_limit, spec.voltage_limit,
             (batch, len(config.active_electrodes)))
-        values, grads, metrics = objective_with_gradient(spec, config, targets)(x)
+        values, grads, metrics = objective_with_gradient(spec, config, targets)(x, eps)
         assert values.shape == (batch,)
         assert metrics.shape == (3, 2, batch)
         assert grads.shape == x.shape
         scalar = scalar_objective_with_gradient(spec, config, targets)
         for row, value, grad in zip(x, values, grads):
-            ref_value, ref_grad = scalar(row)
+            ref_value, ref_grad = scalar(row, eps)
             assert abs(value - ref_value) <= 1e-12
             assert np.max(np.abs(grad - ref_grad)) <= 1e-12
 

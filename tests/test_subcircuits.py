@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwasim.compiler import GATE_ETAS, _input_terms, gate_target
+from rwasim.compiler import GATE_ETAS, gate_target
 from rwasim.evolution import TransferUnitary
 from rwasim.subcircuits import (
     SubcircuitPair,
@@ -34,14 +34,14 @@ def embed_coupler(eta, pair_lower, n=11):
     return TransferUnitary(matrix=m, length=24.0)
 
 
-def pair_terms(u, pair, other, target=coupler_split(1.0)):
-    """Per-input (kept power, split, fidelity, crosstalk, leakage) fractions
-    for the pair's two inputs, from the compiler's one definition, against
-    the target split (the identity's by default)."""
-    n = u.shape[0]
-    rows, other_rows = list(pair.indices(n)), list(other.indices(n))
-    return _input_terms(np.abs(u[:, rows]) ** 2, [rows, rows],
-                        [other_rows, other_rows], target)
+from conftest import kernel_block_metrics
+
+
+def pair_metrics(u, target=coupler_split(1.0)):
+    """(fidelity, crosstalk, leakage) of pair (1, 2) against pair (8, 9) and
+    the target split (the identity's by default), each averaged over the
+    pair's two inputs, from the compiler kernel's one definition."""
+    return tuple(kernel_block_metrics(u, (target, coupler_split(1.0)))[1][:, 0])
 
 
 class TestLeakageAndCrosstalk:
@@ -55,20 +55,20 @@ class TestLeakageAndCrosstalk:
         assert leakage(p, SubcircuitPair(1)) == pytest.approx(100 * 9 / 11)
         # the discrete Fourier transform spreads every input evenly
         dft = np.exp(-2j * np.pi * np.outer(range(11), range(11)) / 11) / math.sqrt(11)
-        _, _, _, ct, leak = pair_terms(dft, SubcircuitPair(1), SubcircuitPair(8),
-                                       gate_target("H"))
-        assert leak.mean() == pytest.approx(9 / 11)
-        assert ct.mean() == pytest.approx(2 / 11)
+        _, ct, leak = pair_metrics(dft, gate_target("H"))
+        assert leak == pytest.approx(9 / 11)
+        assert ct == pytest.approx(2 / 11)
 
     def test_crosstalk_extremes(self):
         # both inputs of pair (1, 2) land entirely on pair (8, 9)
         perm = np.eye(11, dtype=complex)[[7, 8, 2, 3, 4, 5, 6, 0, 1, 9, 10]]
-        _, _, _, ct, leak = pair_terms(perm, SubcircuitPair(1), SubcircuitPair(8))
-        np.testing.assert_array_equal(ct, [1.0, 1.0])
-        np.testing.assert_array_equal(leak, [1.0, 1.0])
+        # (each input's crosstalk and leakage is at most 1, so means of 1 put
+        # both inputs there)
+        _, ct, leak = pair_metrics(perm)
+        assert (ct, leak) == pytest.approx((1.0, 1.0), abs=1e-12)
         u = embed_coupler(0.5, 1)
-        _, _, _, ct, _ = pair_terms(u.matrix, SubcircuitPair(1), SubcircuitPair(8))
-        np.testing.assert_allclose(ct, [0.0, 0.0], atol=1e-12)
+        _, ct, _ = pair_metrics(u.matrix)
+        assert ct == pytest.approx(0.0, abs=1e-12)
 
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
@@ -87,28 +87,33 @@ class TestLeakageAndCrosstalk:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_crosstalk_bounded_by_leakage(self, seed):
+        # a random symmetric unitary, as every U = exp(-iHL) is
         rng = np.random.default_rng(seed)
-        q, _ = np.linalg.qr(rng.normal(size=(11, 11))
-                            + 1j * rng.normal(size=(11, 11)))
-        _, _, _, ct, leak = pair_terms(q, SubcircuitPair(1), SubcircuitPair(8))
-        assert np.all(ct <= leak + 1e-12)
+        q, _ = np.linalg.qr(rng.normal(size=(11, 11)))
+        u = (q * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 11))) @ q.T
+        _, ct, leak = pair_metrics(u)
+        assert ct <= leak + 1e-12
 
 
 class TestPostSelection:
     """Success probability: the power an input keeps in its own pair."""
 
     def test_block_diagonal_success_probability_one(self):
+        # the pair keeps all its power, split as the 0.3-coupler's, and the
+        # fidelity to the 0.5-coupler's split is the Bhattacharyya sum
         u = embed_coupler(0.3, 1)
-        success, split, *_ = pair_terms(u.matrix, SubcircuitPair(1), SubcircuitPair(8))
-        np.testing.assert_allclose(success, [1.0, 1.0], atol=1e-12)
-        np.testing.assert_allclose(split, [[0.3, 0.7], [0.7, 0.3]], atol=1e-12)
+        fid, _, leak = pair_metrics(u.matrix, coupler_split(0.3))
+        assert (fid, leak) == pytest.approx((1.0, 0.0), abs=1e-12)
+        fid, _, _ = pair_metrics(u.matrix, coupler_split(0.5))
+        assert fid == pytest.approx(math.sqrt(0.15) + math.sqrt(0.35), abs=1e-12)
 
     def test_leaky_column_norms(self):
         m = np.eye(11, dtype=complex)
         m[0, 0] = math.sqrt(0.8)  # constructed, not unitary: leaky channel
-        success, split, *_ = pair_terms(m, SubcircuitPair(1), SubcircuitPair(8))
-        assert success == pytest.approx([0.8, 1.0])
-        np.testing.assert_array_equal(split, np.eye(2))
+        # input 1 keeps 0.8 and input 2 all of its power, each split as the
+        # identity's
+        fid, ct, leak = pair_metrics(m)
+        assert (fid, ct, leak) == pytest.approx((1.0, 0.0, 0.1), abs=1e-12)
 
 
 class TestEffectiveReflectivity:
@@ -239,14 +244,11 @@ class TestGateTruthTable:
         m = np.eye(11, dtype=complex)
         m[:2, :2] = coupler(0.3) * math.sqrt(0.5)
         m[7:9, 7:9] = coupler(0.8)
-        success, split, *_ = pair_terms(m, SubcircuitPair(1), SubcircuitPair(8))
-        np.testing.assert_allclose(success, [0.5, 0.5], atol=1e-12)
-        np.testing.assert_allclose(split[0], [0.3, 0.7], atol=1e-12)
-        # the pair's fidelity to its own coupler does not see the lost half
-        _, _, fid, _, leak = pair_terms(m, SubcircuitPair(1), SubcircuitPair(8),
-                                        coupler_split(0.3))
-        assert fid.mean() == pytest.approx(1.0, abs=1e-12)
-        assert leak.mean() == pytest.approx(0.5, abs=1e-12)
+        # each input keeps half its power, and the pair's fidelity to its own
+        # coupler does not see the lost half
+        fid, _, leak = pair_metrics(m, coupler_split(0.3))
+        assert fid == pytest.approx(1.0, abs=1e-12)
+        assert leak == pytest.approx(0.5, abs=1e-12)
 
 
 class TestDistributionFidelity:
