@@ -878,38 +878,38 @@ class TestGoldenCompile:
     # (device, config, gates, restarts, seed), pins
     CASES = [
         (('xx', 'config2', 'XX', 50, (1 << 32) | 0), dict(
-            objective='0x1.2057ce84342c8p-52',
+            objective='0x1.2057ce9bf7d06p-52',
             voltages=(
-                '0x1.4000000000000p+3', '0x1.55f2320a8cfd0p-12',
-                '0x1.4000000000000p+3', '-0x1.9a61e49302360p-10',
-                '-0x1.4000000000000p+3', '-0x1.0bd847d4bbf70p-11',
-                '-0x1.4000000000000p+3', '-0x1.ee3f3d1477360p-12'),
+                '0x1.4000000000000p+3', '0x1.55f2320a28ed0p-12',
+                '0x1.4000000000000p+3', '-0x1.9a61e492bca40p-10',
+                '-0x1.4000000000000p+3', '-0x1.0bd847d4d1c1cp-11',
+                '-0x1.4000000000000p+3', '-0x1.ee3f3d143aa00p-12'),
             trace=(
-                '0x1.aba54cc0fd01bp-7', '0x1.abfc1720be9f5p-6',
-                '0x1.ad5861c2b8e33p-7', '0x1.ac4c20172576cp-7',
-                '0x1.1a589c78b019ep-4', '0x1.ae48b07615fcfp-7',
-                '0x1.355a280cdd91ap-6', '0x1.1a78675813815p-3',
-                '0x1.abe343885267ap-7', '0x1.1a756078c77e0p-4',
-                '0x1.abea3a19f772ap-7', '0x1.c1efa4809a403p-45',
-                '0x1.3176b99bcaca7p-5', '0x1.1a783af1dd917p-4',
-                '0x1.4fcfa22b96718p-4', '0x1.67b2d44eee21dp-4',
-                '0x1.02b9bbdf0b518p-1', '0x1.1a77ff5ff3689p-4',
-                '0x1.1ae04adf601e7p-4', '0x1.3516bbf12f563p-6',
-                '0x1.67ce840b0b0bcp-4', '0x1.1a7a2abd0172bp-4',
-                '0x1.1a756f4213a76p-4', '0x1.64767049cbe7ap-4',
-                '0x1.045c4e3f28c10p-42', '0x1.34b50e076b655p-6',
-                '0x1.67ce838ba351ep-4', '0x1.ac436f7e3fb1cp-7',
-                '0x1.1a77b44e8e36bp-3', '0x1.abc6b152a9438p-6',
-                '0x1.1a75d5e148831p-3', '0x1.abcfa4f5434f6p-7',
-                '0x1.2057ce84342c8p-52', '0x1.abd9cbeb9fb5ep-7',
-                '0x1.ac559e64bcd29p-6', '0x1.abc09629d8af6p-6',
-                '0x1.f3c0b752d4757p-6', '0x1.b93eff84dc128p-41',
-                '0x1.500f8787a76c5p-4', '0x1.055009db416e0p-5',
-                '0x1.abc5220f15184p-7', '0x1.ab8ffdc31140bp-7',
-                '0x1.ac146a5c62b4cp-7', '0x1.ab563c55f013fp-6',
-                '0x1.6a89890bd3a4cp-44', '0x1.1a76f0fa59eadp-4',
-                '0x1.33df6ae3e2aedp-6', '0x1.acfb29e5456d8p-7',
-                '0x1.f5269328b832bp-7', '0x1.1a794feb8149dp-4'),
+                '0x1.aba54cc0fcf57p-7', '0x1.abfc1720be9e6p-6',
+                '0x1.ad5861c2b8e3cp-7', '0x1.ac4c201725761p-7',
+                '0x1.1a589c78b0195p-4', '0x1.ae48b07615ff4p-7',
+                '0x1.355a280cdd91ap-6', '0x1.1a78675813820p-3',
+                '0x1.abe34388526aep-7', '0x1.1a756078c77c7p-4',
+                '0x1.abea3a19f7723p-7', '0x1.c1efa4796bb47p-45',
+                '0x1.3176b99bcac89p-5', '0x1.1a783af1dd917p-4',
+                '0x1.4fcfa22b966fap-4', '0x1.67b2d44eee1fep-4',
+                '0x1.02b9bbdf0b507p-1', '0x1.1a77ff5ff3685p-4',
+                '0x1.1ae04adf601f7p-4', '0x1.3516bbf12f515p-6',
+                '0x1.67ce840b0b0bap-4', '0x1.1a7a2abd01733p-4',
+                '0x1.1a756f4213a7ep-4', '0x1.64767049cbe70p-4',
+                '0x1.045c4e3f37266p-42', '0x1.34b50e076b65cp-6',
+                '0x1.67ce838ba3509p-4', '0x1.ac436f7e3fb27p-7',
+                '0x1.1a77b44e8e36dp-3', '0x1.abc6b152a943bp-6',
+                '0x1.1a75d5e148843p-3', '0x1.abcfa4f5434b2p-7',
+                '0x1.2057ce9bf7d06p-52', '0x1.abd9cbeb9faf1p-7',
+                '0x1.ac559e64bcd33p-6', '0x1.abc09629d8b28p-6',
+                '0x1.f3c0b752d42a3p-6', '0x1.b93eff8592d09p-41',
+                '0x1.500f8787a76b8p-4', '0x1.055009db416e9p-5',
+                '0x1.abc5220f15156p-7', '0x1.ab8ffdc311440p-7',
+                '0x1.ac146a5c62b3bp-7', '0x1.ab563c55f0131p-6',
+                '0x1.6a8989115bca9p-44', '0x1.1a76f0fa59ea0p-4',
+                '0x1.33df6ae3e2b06p-6', '0x1.acfb29e545543p-7',
+                '0x1.f5269328b831cp-7', '0x1.1a794feb814a2p-4'),
             status='00000000000000000000000000000000000000000000000000',
             reason='66666666661166666666166616166661066161666166166666',
             nfev=(
@@ -921,43 +921,43 @@ class TestGoldenCompile:
                 11, 9, 12, 14, 24, 11, 11, 14, 11, 14, 11, 9, 15, 15, 16, 20, 13,
                 13, 15, 13, 13, 11, 10, 12, 12, 9, 16, 12, 9, 12, 12, 12, 9))),
         (('xx', 'config3', 'XX', 45, (1 << 32) | 1), dict(
-            objective='0x1.5a4cae60a19d6p-53',
+            objective='0x1.5a4c25ccb68b2p-53',
             voltages=(
-                '-0x1.a35159d535a0fp+2', '-0x1.415295824521cp-12',
-                '-0x1.a35033b91d1bfp+2', '0x1.025a248aa8920p-9',
-                '0x1.4000000000000p+3', '0x1.33eb99c48ee88p-1',
-                '-0x1.9dc6deddcb841p+1', '-0x1.d77c93442a7c9p+1',
-                '-0x1.149d0de39f85bp+3', '0x1.0075380460e11p+3',
-                '0x1.3b904b55799c9p+2', '0x1.9b1a4aba157e6p-3',
-                '-0x1.340944005741dp+3', '-0x1.1624c336c79e0p-11',
-                '0x1.0516d2bb4e2d2p+3', '-0x1.7e8dde62913ecp-12',
-                '0x1.051d823221c2bp+3', '0x1.7ce3dbfd3a444p-11',
-                '-0x1.b2a7f23bca758p+2', '-0x1.b29864c6780cbp+2',
-                '0x1.859894382cd60p+2', '-0x1.05fcb1de306dap+3'),
+                '-0x1.a35159d621f07p+2', '-0x1.415283fd74aa8p-12',
+                '-0x1.a35033ba7a08fp+2', '0x1.025a1ed146bacp-9',
+                '0x1.4000000000000p+3', '0x1.33eb99bc75642p-1',
+                '-0x1.9dc6deddd0942p+1', '-0x1.d77c93442ca88p+1',
+                '-0x1.149d0de39f7acp+3', '0x1.0075380460439p+3',
+                '0x1.3b904b55764efp+2', '0x1.9b1a4aaf3a3a3p-3',
+                '-0x1.340943fdf1c5ap+3', '-0x1.16249dbc67d50p-11',
+                '0x1.0516d2bb69e45p+3', '-0x1.7e8dbb7327d7cp-12',
+                '0x1.051d82317e44ep+3', '0x1.7ce3cd9811614p-11',
+                '-0x1.b2a7f23a31fc4p+2', '-0x1.b29864c890c18p+2',
+                '0x1.859894375aa34p+2', '-0x1.05fcb1de306dap+3'),
             trace=(
-                '0x1.098cf40053cc8p-5', '0x1.348d1c071fcb1p-5',
-                '0x1.1f974e9bb40e0p-5', '0x1.1a78ed5ecb73cp-4',
-                '0x1.8ba26728b46eap-49', '0x1.8679b611ec74ep-7',
-                '0x1.1ac4d882e7d23p-4', '0x1.35419c3b4520ep-6',
-                '0x1.9d721c99f5f17p-6', '0x1.3559f4ad06cbfp-6',
-                '0x1.05999214eb442p-5', '0x1.2f3834f44b1a4p-6',
-                '0x1.2af6a278529b2p-12', '0x1.4925733ed7999p-42',
-                '0x1.af62668c510dep-6', '0x1.ab935125c551cp-7',
-                '0x1.05c7a75c0eadep-5', '0x1.67cd52e02efecp-4',
-                '0x1.a01abca797ac1p-6', '0x1.1a94a20f53b17p-4',
-                '0x1.355a477906898p-6', '0x1.1a66699984171p-4',
-                '0x1.6185fc8e15344p-4', '0x1.ac0c3d2b5fe2cp-7',
-                '0x1.16252d8acc2cfp-5', '0x1.ff665e6801685p-7',
-                '0x1.305c1d2ef3686p-49', '0x1.1a7d4a8923f6cp-4',
-                '0x1.ac055e5e4a7c7p-6', '0x1.52c1940ef12e5p-4',
-                '0x1.34ee7a3b1a818p-6', '0x1.67dca28709605p-4',
-                '0x1.0469379fac521p-5', '0x1.355a68fc66d61p-6',
-                '0x1.be98709baf16fp-6', '0x1.5a4cae60a19d6p-53',
-                '0x1.b4b96f26bad99p-7', '0x1.3aa982280b84ep-6',
-                '0x1.506b48ecc09bbp-4', '0x1.355a43876d661p-6',
-                '0x1.ac61373c60415p-7', '0x1.1a601e3963719p-3',
-                '0x1.abb5e1c7b29e2p-7', '0x1.072e736b65cd8p-5',
-                '0x1.1a77f66287c32p-4'),
+                '0x1.098cf40053e1fp-5', '0x1.348d1c07337d5p-5',
+                '0x1.1f974e9bb4001p-5', '0x1.1a78ed5ecb71ap-4',
+                '0x1.8ba2678d55035p-49', '0x1.8679b611ebeb2p-7',
+                '0x1.1ac4d882e7d0cp-4', '0x1.35419c3b44cecp-6',
+                '0x1.9d721c99f5b46p-6', '0x1.3559f4ad06c9cp-6',
+                '0x1.05999214eb455p-5', '0x1.2f3834f44a38ap-6',
+                '0x1.2af6a27852f65p-12', '0x1.492572f89363bp-42',
+                '0x1.af62668c510d6p-6', '0x1.ab935125c552dp-7',
+                '0x1.05c7a75c0ea7fp-5', '0x1.67cd52e02efd2p-4',
+                '0x1.a01abca792d57p-6', '0x1.1a94a20f53dd8p-4',
+                '0x1.355a47790688fp-6', '0x1.1a6669993011bp-4',
+                '0x1.6185fc8e15169p-4', '0x1.ac0c3d2b28887p-7',
+                '0x1.16252d8ab2e2dp-5', '0x1.ff665e680033dp-7',
+                '0x1.305c1fd6b7937p-49', '0x1.1a7d4a8923efbp-4',
+                '0x1.ac055e5e4bb24p-6', '0x1.52c1940ef11edp-4',
+                '0x1.34ee7a3b1a7edp-6', '0x1.67dca287093b6p-4',
+                '0x1.0469379fac4d5p-5', '0x1.355a68fc66d58p-6',
+                '0x1.be98709bb91b9p-6', '0x1.5a4c25ccb68b2p-53',
+                '0x1.b4b96f26bad1ep-7', '0x1.3aa982280b772p-6',
+                '0x1.506b48ecc09b7p-4', '0x1.355a43876d684p-6',
+                '0x1.ac61373dd9ba4p-7', '0x1.1a601e3963727p-3',
+                '0x1.abb5e1c7b2974p-7', '0x1.072e736b65ea6p-5',
+                '0x1.1a77f66287c3fp-4'),
             status='000000000000000000000000000000000000000000000',
             reason='666616666666116666661666661666666660666666661',
             nfev=(
@@ -969,38 +969,38 @@ class TestGoldenCompile:
                 10, 17, 12, 11, 9, 10, 14, 16, 11, 12, 10, 11, 13, 16, 15, 17, 10,
                 15, 22, 18, 15, 15, 15, 14, 13, 16, 12, 10))),
         (('xx', 'config2', 'XX', 50, (2 << 32) | 0), dict(
-            objective='0x1.679016db1801ep-54',
+            objective='0x1.6790175ed51dap-54',
             voltages=(
-                '0x1.15877b151eb2ep+1', '0x1.bafa8e860fac8p-14',
-                '0x1.156b970e86fc5p+1', '-0x1.b27df733a45b0p-13',
-                '-0x1.4000000000000p+3', '0x1.57b8628600c96p-14',
-                '-0x1.4000000000000p+3', '0x1.a104191e4e400p-14'),
+                '0x1.15877b151eb2ap+1', '0x1.bafa8e85eb5c8p-14',
+                '0x1.156b970e86fc5p+1', '-0x1.b27df73399000p-13',
+                '-0x1.4000000000000p+3', '0x1.57b86286380d4p-14',
+                '-0x1.4000000000000p+3', '0x1.a104191e4aa00p-14'),
             trace=(
-                '0x1.abab1b9afaaafp-7', '0x1.ab8300258cd7fp-6',
-                '0x1.ac61d57e84d3ap-6', '0x1.4ff6d62d0d9f3p-4',
-                '0x1.abcddc12a0736p-7', '0x1.ac49547e00f5cp-6',
-                '0x1.72717018af3d6p-49', '0x1.abd4d5729a007p-7',
-                '0x1.abf39953e9c32p-7', '0x1.1a77f63287872p-3',
-                '0x1.ac2145bfbbea6p-7', '0x1.abb49229e21f4p-6',
-                '0x1.abfc96343280cp-7', '0x1.abf105a52ead4p-7',
-                '0x1.ac6c860318a79p-7', '0x1.197e0828de047p-50',
-                '0x1.abf1081fc525ap-7', '0x1.67ce8517bda63p-4',
-                '0x1.abae8b6aab2f7p-7', '0x1.aba3cc565cdecp-7',
-                '0x1.5003bb9ea32d6p-4', '0x1.5000627b80402p-4',
-                '0x1.50348e682fcfdp-4', '0x1.acbaea3201fd5p-7',
-                '0x1.1a7654a9f3113p-4', '0x1.1a77ee52eb4b4p-4',
-                '0x1.ac0b681cf0322p-7', '0x1.059f76b0e350ep-5',
-                '0x1.c83c7fe57d874p-7', '0x1.8a6a68b53d274p-54',
-                '0x1.abbab45269a84p-6', '0x1.1a779f150e3c5p-4',
-                '0x1.50228682f056cp-4', '0x1.129c16e88429cp-6',
-                '0x1.679016db1801ep-54', '0x1.67cd67d49637dp-4',
-                '0x1.1a76f041ef45dp-4', '0x1.abd5935eadabep-7',
-                '0x1.4f834e9f5be7ap-4', '0x1.5017122060d38p-4',
-                '0x1.35555c34de18dp-5', '0x1.05a7cde7bd8c8p-5',
-                '0x1.4f80b1405a269p-4', '0x1.330bc7c2b8454p-1',
-                '0x1.5001fc9378508p-4', '0x1.abf035e810851p-7',
-                '0x1.abc73d01919d4p-7', '0x1.4ff8b29426762p-4',
-                '0x1.67cc45cbd397bp-4', '0x1.758f989451c95p-40'),
+                '0x1.abab1b9afab3bp-7', '0x1.ab8300258cd3ep-6',
+                '0x1.ac61d57e84d07p-6', '0x1.4ff6d62d0d9f2p-4',
+                '0x1.abcddc12a0769p-7', '0x1.ac49547e00f47p-6',
+                '0x1.727170195f6f6p-49', '0x1.abd4d57299fdfp-7',
+                '0x1.abf39953e9c3ap-7', '0x1.1a77f63287864p-3',
+                '0x1.ac2145bfbbed9p-7', '0x1.abb49229e21dap-6',
+                '0x1.abfc9634327fdp-7', '0x1.abf105a52ead7p-7',
+                '0x1.ac6c860318a29p-7', '0x1.197e0879d027ap-50',
+                '0x1.abf1081fc5288p-7', '0x1.67ce8517bda62p-4',
+                '0x1.abae8b6aab27bp-7', '0x1.aba3cc565cc45p-7',
+                '0x1.5003bb9ea32b7p-4', '0x1.5000627b80407p-4',
+                '0x1.50348e682fcf8p-4', '0x1.acbaea320200dp-7',
+                '0x1.1a7654a9f3113p-4', '0x1.1a77ee52eb4acp-4',
+                '0x1.ac0b681cf030cp-7', '0x1.059f76b0e3539p-5',
+                '0x1.c83c7fe57da5ep-7', '0x1.8a6a68e0e169dp-54',
+                '0x1.abbab45269adap-6', '0x1.1a779f150e3bdp-4',
+                '0x1.50228682f0574p-4', '0x1.129c16e884293p-6',
+                '0x1.6790175ed51dap-54', '0x1.67cd67d496375p-4',
+                '0x1.1a76f041ef465p-4', '0x1.abd5935eadad0p-7',
+                '0x1.4f834e9f5be84p-4', '0x1.5017122060d2fp-4',
+                '0x1.35555c34de196p-5', '0x1.05a7cde7bd8c6p-5',
+                '0x1.4f80b1405a2d3p-4', '0x1.330bc7c2b844bp-1',
+                '0x1.5001fc9378515p-4', '0x1.abf035e810800p-7',
+                '0x1.abc73d01919c2p-7', '0x1.4ff8b2942676cp-4',
+                '0x1.67cc45cbd397ep-4', '0x1.758f98945fc3fp-40'),
             status='00000000000000000000000000000000000000000000000000',
             reason='66661616116661611166666666666066660611666666666661',
             nfev=(
@@ -1012,43 +1012,43 @@ class TestGoldenCompile:
                 19, 13, 15, 14, 13, 11, 16, 11, 9, 12, 16, 12, 11, 14, 10, 10, 14,
                 19, 12, 10, 14, 15, 19, 11, 11, 16, 9, 11, 17, 12, 14, 11, 8))),
         (('xx', 'config3', 'XX', 45, (2 << 32) | 1), dict(
-            objective='0x1.fdda4fccc14f8p-55',
+            objective='0x1.fdda42c34eb32p-55',
             voltages=(
-                '0x1.68a2d163b90d1p-2', '-0x1.2431926b8c96cp-12',
-                '0x1.687116fe90829p-2', '0x1.44a88aae6aaa8p-12',
-                '-0x1.10eb86e762afep+1', '-0x1.02b4f43d3f139p+2',
-                '-0x1.3290697e04838p+2', '-0x1.fd017b5772b52p+2',
-                '-0x1.09d6939c4412cp+3', '0x1.32f0976367781p+3',
-                '-0x1.92eef939b41c5p-2', '-0x1.bea6be2199e7dp+2',
-                '0x1.1e3d481ec506bp+3', '-0x1.b71acb56fa6f8p-11',
-                '-0x1.2bf766340a671p+1', '0x1.362d984a6892cp-13',
-                '-0x1.2bee5b4454436p+1', '-0x1.f5b960ae4c7f0p-12',
-                '0x1.8b764c615779cp+1', '0x1.8ccbc8f5c6b77p+2',
-                '0x1.2ecb98389e20ep+0', '0x1.63a501d20ba40p+2'),
+                '0x1.68a2d163ba8d2p-2', '-0x1.2431928465e4cp-12',
+                '0x1.687116fe8e801p-2', '0x1.44a88abcf73e4p-12',
+                '-0x1.10eb86e7629dfp+1', '-0x1.02b4f43d3f141p+2',
+                '-0x1.3290697e04838p+2', '-0x1.fd017b5772b57p+2',
+                '-0x1.09d6939c4412dp+3', '0x1.32f097636777cp+3',
+                '-0x1.92eef939b490ep-2', '-0x1.bea6be2199df4p+2',
+                '0x1.1e3d481ec51fep+3', '-0x1.b71acb41f2328p-11',
+                '-0x1.2bf766340ac65p+1', '0x1.362d985bb6630p-13',
+                '-0x1.2bee5b445473ep+1', '-0x1.f5b9608e96a50p-12',
+                '0x1.8b764c6157b89p+1', '0x1.8ccbc8f5c6ba3p+2',
+                '0x1.2ecb98389e15ap+0', '0x1.63a501d20ba40p+2'),
             trace=(
-                '0x1.abd90f0e765f4p-7', '0x1.5b6f9955f7a8fp-4',
-                '0x1.9bfafb4751d3cp-6', '0x1.1a7965ad9407ep-4',
-                '0x1.50ff690229627p-4', '0x1.1aaa7ed030b69p-4',
-                '0x1.fdda4fccc14f8p-55', '0x1.aeda488d0b855p-7',
-                '0x1.29672c0894932p-12', '0x1.f81fa2693d182p-7',
-                '0x1.1a6726f71c331p-4', '0x1.1a77b83862542p-4',
-                '0x1.ab1d46795239ap-7', '0x1.355a3abdeb22ep-6',
-                '0x1.33da08508c694p-6', '0x1.51b51e6f7fc34p-47',
-                '0x1.1a7f0d60f5f3dp-4', '0x1.3a19037a0588bp-6',
-                '0x1.670ec92f683e5p-4', '0x1.00078b2929c47p-5',
-                '0x1.b76f514a062c1p-7', '0x1.a9107ed9d1fcfp-7',
-                '0x1.1a7c63746524cp-4', '0x1.51ea6f5bca95ap-4',
-                '0x1.1a77ec14a2a55p-4', '0x1.355a37d99c985p-6',
-                '0x1.1a97b630f26c2p-4', '0x1.aa538c003e428p-7',
-                '0x1.ac20d2f520ad9p-6', '0x1.aa8d7d52db35bp-7',
-                '0x1.d1952fbd0d819p-38', '0x1.1a7abd8f9f9bep-4',
-                '0x1.5a0625af853d8p-4', '0x1.3527f2bbb38d1p-6',
-                '0x1.15e7e27f7b4c2p-6', '0x1.67d1e4835854bp-4',
-                '0x1.1a791a60f08b8p-4', '0x1.07773f9c3ade1p-39',
-                '0x1.ab9d5c109ba9ap-7', '0x1.681aa7c857ffbp-4',
-                '0x1.6293298d96eb3p-4', '0x1.34f8b57b93268p-6',
-                '0x1.6fb28ed2be374p-7', '0x1.77f2b64e4e043p-47',
-                '0x1.0aa6b2683c80cp-5'),
+                '0x1.abd90f0e765b8p-7', '0x1.5b6f9955f7ad2p-4',
+                '0x1.9bfafb4751da4p-6', '0x1.1a7965ad9407dp-4',
+                '0x1.50ff6902295c4p-4', '0x1.1aaa7ed030fb1p-4',
+                '0x1.fdda42c34eb32p-55', '0x1.aeda488d0b7a0p-7',
+                '0x1.29672c0894db2p-12', '0x1.f81fa2693c528p-7',
+                '0x1.1a6726f71c319p-4', '0x1.1a77b83862589p-4',
+                '0x1.ab1d4679526ecp-7', '0x1.355a3abdeb20bp-6',
+                '0x1.33da08508eb9bp-6', '0x1.51b51f151e4f4p-47',
+                '0x1.1a7f0d60f5f13p-4', '0x1.3a19037a05860p-6',
+                '0x1.670ec92f683e0p-4', '0x1.00078b2929bafp-5',
+                '0x1.b76f514a0634ep-7', '0x1.a9107eda2402bp-7',
+                '0x1.1a7c637464de3p-4', '0x1.51ea6f5bc7a7fp-4',
+                '0x1.1a77ec14a2a2fp-4', '0x1.355a37d99c97cp-6',
+                '0x1.1a97b630f26e8p-4', '0x1.aa538c003e49fp-7',
+                '0x1.ac20d2f520a97p-6', '0x1.aa8d7d52db497p-7',
+                '0x1.d1952ff32ff43p-38', '0x1.1a7abd8f9f9aep-4',
+                '0x1.5a0625b0236ecp-4', '0x1.3527f2bbb3898p-6',
+                '0x1.15e7e27f7a792p-6', '0x1.67d1e483584fap-4',
+                '0x1.1a791a60f08a2p-4', '0x1.07773f914e4e4p-39',
+                '0x1.ab9d5c109bb0dp-7', '0x1.681aa7c858028p-4',
+                '0x1.6293298d96f35p-4', '0x1.34f8b57b930d3p-6',
+                '0x1.6fb28ed2c3381p-7', '0x1.77f2b63f7e5a0p-47',
+                '0x1.0aa6b2683fbd2p-5'),
             status='000000000000000000000000000000000000000000000',
             reason='166666061666616166666666666666166666616666616',
             nfev=(
@@ -1060,28 +1060,28 @@ class TestGoldenCompile:
                 17, 13, 13, 20, 18, 21, 16, 11, 12, 12, 16, 14, 19, 12, 12, 28, 13,
                 12, 11, 13, 12, 17, 12, 11, 10, 11, 15, 11))),
         (('default', 'config2', 'XH', 20, 3), dict(
-            objective='0x1.e06c42489af00p-6',
+            objective='0x1.e06c42489af82p-6',
             voltages=(
-                '-0x1.571de1526cf1ep+2', '0x1.fc0d8d85c89a6p+2',
+                '-0x1.571de1526cf0cp+2', '0x1.fc0d8d85c89c7p+2',
                 '-0x1.4000000000000p+3', '0x1.4000000000000p+3',
-                '0x1.3d06f05a207d9p+3', '0x1.1fd7e48d0fae6p+3',
-                '-0x1.971e1ada489dep+2', '0x1.62c69a75c8b5cp-1'),
+                '0x1.3d06f05a207cbp+3', '0x1.1fd7e48d0fafep+3',
+                '-0x1.971e1ada4890ap+2', '0x1.62c69a75c87a7p-1'),
             trace=(
-                '0x1.791efdf6d96fdp-2', '0x1.4f6160a346051p-2',
-                '0x1.4ed0d4b88b95ep-2', '0x1.3e057577e4c68p-2',
-                '0x1.e06c42489af00p-6', '0x1.eb4bd26198196p-4',
-                '0x1.448041d1644f4p-3', '0x1.6d5f29b20f43ap-3',
-                '0x1.ef125ffe9f328p-4', '0x1.baa2524e0015cp-3',
-                '0x1.144955048e6e3p-5', '0x1.b798c6609ab1fp-4',
-                '0x1.9d8f1ed1c3a18p-4', '0x1.75954935c3af4p-4',
-                '0x1.638c50779362ep-4', '0x1.ffba812592ea6p-5',
-                '0x1.e06c4248abaf8p-6', '0x1.144955048e4b2p-5',
-                '0x1.485cea4b19f9ep-5', '0x1.485cea4b19f1ap-5'),
+                '0x1.791efdf6d978bp-2', '0x1.4f6160a346044p-2',
+                '0x1.4ed0d4b88b92ep-2', '0x1.3e057577e4c83p-2',
+                '0x1.e06c42489af82p-6', '0x1.eb4bd26198209p-4',
+                '0x1.448041d164423p-3', '0x1.6d5f29b20f45bp-3',
+                '0x1.ef125ffe9f2f9p-4', '0x1.baa2524e000eep-3',
+                '0x1.144955048e62ap-5', '0x1.b798c6609ab72p-4',
+                '0x1.9d8f1ed1c3a23p-4', '0x1.75954935c3b9fp-4',
+                '0x1.638c507793681p-4', '0x1.ffba812592f26p-5',
+                '0x1.e06c4248abb31p-6', '0x1.144955048e4b0p-5',
+                '0x1.485cea4b19fccp-5', '0x1.485cea4b19f4bp-5'),
             status='00000000000000000000',
-            reason='66660101011110111111',
+            reason='66660101011010111110',
             nfev=(
-                14, 12, 16, 14, 36, 38, 26, 32, 28, 25, 38, 32, 36, 30, 50, 26, 39,
-                39, 41, 41),
+                14, 12, 16, 14, 36, 38, 26, 32, 28, 25, 38, 31, 36, 30, 50, 26, 39,
+                39, 41, 32),
             nit=(
                 13, 11, 14, 12, 31, 29, 23, 29, 24, 22, 34, 27, 33, 28, 43, 24, 35,
                 36, 39, 28))),
