@@ -356,15 +356,24 @@ def fit_hom_dips(scans, max_iterations: int = 500) -> list[DipFit]:
     if not all(np.array_equal(scan.delays, x) for scan in scans[1:]):
         raise ValueError("scans must share their delays")
     y = np.stack([scan.counts for scan in scans])
-    # the fit's tolerance scales with each scan's sum of squared counts: an
-    # all-zero scan has no dip to fit, and counts near 1e308 overflow it
-    # (einsum overflows to inf without a warning)
-    for s, yy in enumerate(np.einsum("ij,ij->i", y, y).tolist()):
-        if not 0 < yy < math.inf:
-            raise ValueError(f"counts must be not all zero and small enough for a"
-                             f" finite sum of squares, got {yy:g} for scan {s}")
     lower = np.array([-np.inf, -np.inf, 0.0, x[0], 0.5 * (x[1:] - x[:-1]).min()])
     upper = np.array([np.inf, np.inf, 1.0, x[-1], 0.5 * (x[-1] - x[0])])
+    # dip_jacobian's columns are at most the baseline times g, g |u| / a4 and
+    # g u^2 / a4 (u = (x - a3) / a4), so at most its magnitude times
+    # max(1, 1 / a4): with the baseline at most the largest count c and a4
+    # at least its lower bound w, every entry of the normal matrix J^T J and
+    # the sum of squared counts are at most n (c max(1, 1 / w))^2, which
+    # must be finite; an all-zero scan has no dip to fit.  Python floats
+    # overflow to inf without a warning.
+    n, w = y.shape[1], float(lower[4])
+    for s, c in enumerate(y.max(axis=1).tolist()):
+        entry = c * max(1.0, 1.0 / w)
+        if not 0 < n * entry * entry < math.inf:
+            raise ValueError(f"counts must be not all zero and small enough that"
+                             f" n (c max(1, 1/w))^2, a bound on the fit's normal"
+                             f" matrix, is finite for the n = {n} delays, the"
+                             f" smallest width w = {w:g} mm and the largest count"
+                             f" c = {c:g}; got {n * entry * entry:g} for scan {s}")
     guesses = np.clip([_initial_guess(scan) for scan in scans], lower, upper)
     starts = np.concatenate((_grid_seeds(x, y, lower, upper), guesses[:, None]), 1)
     k = starts.shape[1]
@@ -395,8 +404,10 @@ def fit_hom_dip(scan: HomScan, max_iterations: int = 500) -> DipFit:
     changes the cost by at most 1e-10 of it; the lowest cost wins.  If that
     start has not converged within `max_iterations` steps, `FitFailureError`
     is raised.  The visibility error comes from `visibility_error`.  A scan
-    whose counts are all zero, or whose sum of squared counts is not finite,
-    is refused with ValueError before any fit.
+    whose counts are all zero, or whose largest count c could overflow the
+    fit's normal matrix J^T J, is refused with ValueError before any fit:
+    over n delays, with w the smallest width (half the smallest delay step),
+    J^T J's entries are at most n (c max(1, 1/w))^2, which must be finite.
     """
     return fit_hom_dips([scan], max_iterations)[0]
 

@@ -248,6 +248,9 @@ class TestHom:
         (["--baseline", "1e308", "--slope", "1e308"], "baseline_rate and slope"),
         (["--baseline", "1e308", "--slope", "1e308", "--noiseless", "--fit"], "counts"),
         (["--baseline", "1e-300", "--fit"], "counts"),
+        (["--baseline", "5e152", "--noiseless", "--fit"], "counts"),
+        (["--baseline", "1e153", "--noiseless", "--fit"], "counts"),
+        (["--baseline", "1.3e153", "--noiseless", "--fit"], "counts"),
     ])
     def test_non_finite_scan_parameters_exit_3(self, tmp_path, capsys, flags, name):
         # each once exited 0 with a flat or all-zero scan (the last fitted

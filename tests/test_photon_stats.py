@@ -278,6 +278,25 @@ class TestFitHomDip:
         with pytest.raises(ValueError, match="for scan 0"):
             fit_hom_dip(bad)
 
+    @pytest.mark.parametrize("baseline", [5e152, 1e153, 1.3e153])
+    def test_counts_that_could_overflow_the_normal_matrix_refused(self, baseline):
+        # these noiseless scans have a finite sum of squared counts, but J^T J
+        # overflowed in least_squares ("overflow encountered in matmul",
+        # which pytest raises) before the fit ended unconverged
+        scan = simulate_hom_scan(0.5, np.linspace(-0.6, 0.6, 121), baseline)
+        with pytest.raises(ValueError, match=r"^counts must .* w = 0\.005 mm and"
+                                             r" the largest count c = \S+; got inf"
+                                             r" for scan 0$"):
+            fit_hom_dip(scan)
+
+    def test_counts_below_the_normal_matrix_bound_fit(self):
+        # n (c / w)^2 finite: c below w sqrt(max / n), about 6.09e150 here
+        x = np.linspace(-0.6, 0.6, 121)
+        bound = 0.5 * np.diff(x).min() * math.sqrt(np.finfo(float).max / x.size)
+        fit = fit_hom_dip(simulate_hom_scan(0.5, x, 0.99 * bound))
+        assert fit.a2 == pytest.approx(1.0, abs=1e-6)
+        assert fit.a1 == pytest.approx(0.99 * bound, rel=1e-9)
+
     def test_evaluation_cap_raises(self):
         # a noiseless full dip pins a2 on its bound 1, which takes more
         # than the one step max_iterations=1 allows
