@@ -267,11 +267,11 @@ def objective_with_gradient(
                       spec.coupling_sensitivity[:, active]))
     base, sens_t = np.concatenate((spec.base_beta, spec.base_coupling)), sens.T.copy()
     # d objective / dx = diags @ grad_sens over R's doubled diagonal and its
-    # two off-diagonals summed, 2 tr(R dH) in all
+    # two off-diagonals summed, 2 tr(R dH) in all: diags adds R's flat
+    # entries diags_at[0] and diags_at[1]
     grad_sens = sens * np.repeat([length, 2.0 * length], [n, n - 1])[:, None]
-    flat = np.arange(n - 1) * (n + 1)
-    diags_at = np.array([np.append(np.arange(n) * (n + 1), flat + 1),
-                         np.append(np.arange(n) * (n + 1), flat + n)])
+    on = np.arange(n) * (n + 1)
+    diags_at = np.array([np.append(on, on[:-1] + 1), np.append(on, on[:-1] + n)])
     cols = np.array([*config.pairs[0].indices(n), *config.pairs[1].indices(n)])
     target_p = np.vstack(targets)
     check_rows_normalized("target", target_p)
