@@ -347,8 +347,9 @@ def objective_with_gradient(
         # divided by their own sums, and the targets are checked once
         split = own_p / own[..., None]
         fid = _bhattacharyya(target_p, split)  # 0 where the pair keeps nothing
-        # metrics[b, k, s] and the residuals r[b, k, s]: 1 - fidelity, the
-        # crosstalk and the leakage of subcircuit s
+        # metrics[b, k, s]: subcircuit s's fidelity, crosstalk and leakage,
+        # each averaged over its two inputs; r[b, k, s]: the residuals
+        # 1 - fidelity, the crosstalk and the leakage
         metrics = np.empty((b, 3, 2))
         np.matmul(fid, half_sum, out=metrics[:, 0])
         np.multiply(sums[..., 0::2] + sums[..., 1::2], half_sums, out=metrics[:, 1:])
@@ -357,10 +358,11 @@ def objective_with_gradient(
         value = np.vecdot(r.reshape(b, 6), r.reshape(b, 6) + eps)
 
         # d objective / d powers, with d (r^2 + eps r) / dr = 2 (r + eps / 2)
-        # and the 2 in the gradient's 2 tr(R dH).  A power p_o kept in the
-        # own pair enters the fidelity as sqrt(t_o p_o / own): d / dp_o is
-        # a root, with a = (r_F + eps / 2) / (2 own) and root =
-        # sqrt(t_o / split_o), and d / d own is c + the leakage's dr.  root is
+        # = 2 dr and the 2 taken into the gradient's 2 tr(R dH).  A power
+        # p_o kept in the own pair enters the fidelity F as sqrt(t_o p_o /
+        # own), own = p_0 + p_1, so d / dp_o gets -a root_o, a = dr_F /
+        # (2 own) and root_o = sqrt(t_o / split_o), plus c = a F - dr_leak
+        # for both own outputs; the other pair's outputs get dr_ct.  root is
         # set to 0 where p_o is zero up to rounding: sqrt(t p) = sqrt(t) |u|
         # has a cone there, and 0 is its central difference.
         z = np.empty((b, 18))
