@@ -8,4 +8,4 @@ profiles), `subcircuits`, `photon_stats` (HOM statistics and dip fit),
 scipy.
 """
 
-__version__ = "0.20.0"
+__version__ = "0.21.0"

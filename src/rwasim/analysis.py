@@ -13,6 +13,7 @@ from .csvio import write_csv
 
 PER_MZI_DB_DEFAULT = 0.2
 WA_DB_PER_CM_DEFAULT = 0.1
+WA_LENGTH_CM_DEFAULT = 2.4
 
 # The array scheme sees about half the bending sections of an MZI mesh,
 # but no per-bend figure is available, so the claim stays qualitative.
@@ -27,7 +28,6 @@ class LossReport:
     clements_loss_db: float
     wa_length_cm: float
     wa_loss_db: float
-    note: str = BENDING_NOTE
 
     def to_text(self) -> str:
         rows = [
@@ -40,7 +40,7 @@ class LossReport:
         ]
         width = max(len(k) for k, _ in rows)
         lines = [f"{k:<{width}}  {v}" for k, v in rows]
-        lines.append(f"note: {self.note}")
+        lines.append(f"note: {BENDING_NOTE}")
         return "\n".join(lines)
 
     def to_csv(self, path) -> None:
@@ -59,12 +59,15 @@ def clements_loss(
         raise ValueError(f"need at least 2 modes, got {n_modes}")
     count = n_modes * (n_modes - 1) // 2
     depth = n_modes
-    return count, depth, n_modes * _checked("per-MZI loss", per_mzi_db)
+    total = n_modes * _checked("per-MZI loss", per_mzi_db)
+    return count, depth, _checked(
+        f"Clements loss of {n_modes} modes at {per_mzi_db:g} dB per MZI", total)
 
 
 def wa_loss(length_cm: float, db_per_cm: float = WA_DB_PER_CM_DEFAULT) -> float:
     """Propagation loss of a waveguide array of the given length."""
-    return _checked("length", length_cm) * _checked("loss per cm", db_per_cm)
+    return _checked(f"WA loss of {length_cm:g} cm at {db_per_cm:g} dB per cm",
+                    _checked("length", length_cm) * _checked("loss per cm", db_per_cm))
 
 
 def _checked(name: str, value: float) -> float:
@@ -77,7 +80,7 @@ def _checked(name: str, value: float) -> float:
 def loss_report(
     n_modes: int,
     per_mzi_db: float = PER_MZI_DB_DEFAULT,
-    wa_length_cm: float = 2.4,
+    wa_length_cm: float = WA_LENGTH_CM_DEFAULT,
     db_per_cm: float = WA_DB_PER_CM_DEFAULT,
 ) -> LossReport:
     count, depth, total = clements_loss(n_modes, per_mzi_db)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .csvio import grid_lead, write_csv
 from .device import DeviceSpec, VoltageConfig, frozen_array
-from .subcircuits import SubcircuitPair, reflectivity_and_leakage
+from .subcircuits import GATE_ETAS, SubcircuitPair, reflectivity_and_leakage
 from . import device as device_mod
 from . import evolution
 
@@ -44,9 +44,9 @@ def uniform_grid(lo: float, hi: float, step: float) -> np.ndarray:
     return np.linspace(lo, hi, int(round(intervals)) + 1)
 
 
-def default_grid(limit: float = 10.0, step: float = 0.5) -> np.ndarray:
-    """Uniform sweep from -limit to +limit inclusive, by `uniform_grid`."""
-    return uniform_grid(-limit, limit, step)
+def default_grid() -> np.ndarray:
+    """-10 V to +10 V inclusive in 0.5 V steps, by `uniform_grid`."""
+    return uniform_grid(-10.0, 10.0, 0.5)
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ class LookupMap:
     leakage_in1: np.ndarray
     leakage_in2: np.ndarray
     input_guides: tuple[int, int]
-    fixed_voltages: np.ndarray | None = None
+    fixed_voltages: np.ndarray
 
     def __post_init__(self):
         for name in ("grid_a", "grid_b"):
@@ -78,9 +78,8 @@ class LookupMap:
             if not np.all((t >= -slack) & (t <= hi + slack)):
                 raise ValueError(f"{name} entries must lie in [0, {hi}]")
             object.__setattr__(self, name, t)
-        if self.fixed_voltages is not None:
-            object.__setattr__(self, "fixed_voltages", frozen_array(
-                self.fixed_voltages, "fixed_voltages", error=ValueError))
+        object.__setattr__(self, "fixed_voltages", frozen_array(
+            self.fixed_voltages, "fixed_voltages", error=ValueError))
 
     @property
     def mean_leakage(self) -> np.ndarray:
@@ -237,12 +236,9 @@ def _monotone_run_containing(values: np.ndarray, index: int) -> tuple[int, int]:
     return best
 
 
-def gate_voltages_by_linear_fit(
-    lut: LookupMap,
-    fixed_v_b: float,
-    targets=(0.0, 0.5, 1.0),
-) -> list[GateVoltage]:
-    """Invert a 1-D reflectivity slice with a least-squares line.
+def gate_voltages_by_linear_fit(lut: LookupMap, fixed_v_b: float) -> list[GateVoltage]:
+    """Invert a 1-D reflectivity slice with a least-squares line, at each
+    eta of `subcircuits.GATE_ETAS` in its order.
 
     The slice runs along electrode_a at the grid_b point nearest fixed_v_b.
     Only the longest strictly monotone segment bracketing eta = 0.5 is
@@ -264,7 +260,7 @@ def gate_voltages_by_linear_fit(
         raise FlatCurveError(f"reflectivity slope {m:.3g} below 1e-6 per volt")
     limit = float(max(abs(lut.grid_a[0]), abs(lut.grid_a[-1])))
     out = []
-    for target in targets:
+    for target in GATE_ETAS.values():
         raw = (target - c) / m
         clamped = abs(raw) > limit
         volt = float(np.clip(raw, -limit, limit))
@@ -295,7 +291,5 @@ def map_metadata(lut: LookupMap) -> dict:
         "input_guides": list(lut.input_guides),
         "grid_a_points": int(lut.grid_a.size),
         "grid_b_points": int(lut.grid_b.size),
-        "fixed_voltages": (
-            lut.fixed_voltages.tolist() if lut.fixed_voltages is not None else None
-        ),
+        "fixed_voltages": lut.fixed_voltages.tolist(),
     }

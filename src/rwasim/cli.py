@@ -28,7 +28,7 @@ from .device import DeviceSpec, VoltageConfig
 from .csvio import write_csv, write_json
 from .manifest import Run, file_sha256, read_manifest
 from .photon_stats import FitFailureError
-from .subcircuits import SubcircuitPair
+from .subcircuits import GATE_ETAS, SubcircuitPair
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -213,11 +213,9 @@ def _cmd_compile(args, run: Run) -> dict:
         config = compiler.preset_config(name)
     except KeyError as exc:
         raise UsageError(str(exc)) from exc
-    if len(args.gates) != 2 or any(g not in compiler.GATE_ETAS for g in args.gates):
-        raise UsageError(
-            f"--gates expects two letters from {sorted(compiler.GATE_ETAS)}, "
-            f"got {args.gates!r}"
-        )
+    if len(args.gates) != 2 or any(g not in GATE_ETAS for g in args.gates):
+        raise UsageError(f"--gates expects two letters from {sorted(GATE_ETAS)}, "
+                         f"got {args.gates!r}")
     targets = (compiler.gate_target(args.gates[0]),
                compiler.gate_target(args.gates[1]))
 
@@ -348,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("loss", help="architecture loss comparison")
     p.add_argument("--modes", type=int, required=True)
     p.add_argument("--per-mzi", type=float, default=analysis.PER_MZI_DB_DEFAULT)
-    p.add_argument("--length-cm", type=float, default=2.4)
+    p.add_argument("--length-cm", type=float, default=analysis.WA_LENGTH_CM_DEFAULT)
     p.add_argument("--db-per-cm", type=float,
                    default=analysis.WA_DB_PER_CM_DEFAULT)
     p.add_argument("--out", default=".")
@@ -402,7 +400,7 @@ def main(argv: list[str] | None = None, *, replay: bool = False) -> int:
     except (FitFailureError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, IndexError, KeyError, OSError) as exc:
+    except (ValueError, IndexError, KeyError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -22,7 +22,7 @@ minima, and this polish takes them back.  The polish starts from the scoring
 call's value and gradient at its end points rather than evaluating them again.
 Each stage has its own stop rule on the relative reduction of its objective:
 the search only has to reach a restart's basin and stops at `SEARCH_FTOL`,
-the polish at `POLISH_FTOL`; both stop at a projected gradient of 1e-10.  A
+the polish at `POLISH_FTOL`; both stop at a projected gradient of `GTOL`.  A
 restart that hits an exact solution stops on f_eps's quadratic bottom, so its
 sum r^2 ends near 1e-16 rather than at rounding.  The search also stops a
 restart whose f_eps has stalled above a floor: once an accepted step leaves
@@ -79,6 +79,7 @@ from .csvio import write_csv
 from .device import (N_GUIDES_DEFAULT, DeviceSpec, DeviceSpecError,
                      VoltageBoundError, VoltageConfig, frozen_array)
 from .subcircuits import (
+    GATE_ETAS,
     SubcircuitPair,
     _bhattacharyya,
     check_rows_normalized,
@@ -89,6 +90,8 @@ from .subcircuits import (
 from .subcircuits import distribution_fidelity  # noqa: F401
 
 MAX_ITERATIONS = 500
+GTOL = 1e-10
+MAX_EVALUATIONS = 15000
 # the search's objective is sum (r^2 + SEARCH_EPS r) over the six residuals,
 # and it stops once an iteration lowers that by at most SEARCH_FTOL relative,
 # or once it has stalled above SEARCH_STALL_FLOOR (the module docstring); the
@@ -107,8 +110,6 @@ POLISH_WINDOW = 10.0
 ZERO_POWER = 1e-26
 
 logger = logging.getLogger("rwasim.compiler")
-
-GATE_ETAS = {"X": 0.0, "H": 0.5, "I": 1.0}
 
 
 def __getattr__(name):
@@ -251,11 +252,11 @@ def objective_with_gradient(
     target split, one row per input.  All B points share one stacked
     eigensolve.  Each point forms only the two pairs' 4x4 block of U and,
     for the gradient, the three diagonals of the real adjoint
-    R = L Q (S o Im C) Q^T, all in real arithmetic.  No step mixes points,
-    and each of the kernel's constant maps sums at most two terms with
-    power-of-two weights, which round once in any order, so a row's results
-    do not depend on its batch mates on devices whose sensitivities give
-    each guide and coupling one electrode, as the built-in ones do.
+    R = L Q (S o Im C) Q^T, all in real arithmetic.  No step mixes points:
+    the two products with the sensitivities run one row at a time, and each
+    of the kernel's constant maps sums at most two terms with power-of-two
+    weights, which round once in any order, so a row's results do not
+    depend on its batch mates.
     """
     config.validate(spec)
     n = spec.n_guides
@@ -325,7 +326,7 @@ def objective_with_gradient(
           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if not np.abs(x).max() <= limit:  # also rejects NaN
             raise VoltageBoundError(f"voltages {x} exceed limit +/-{limit} V")
-        h = x @ sens_t
+        h = (x[:, None] @ sens_t)[:, 0]
         h += base
         w, q = evolution.eigh_tridiagonal(h[:, :n], h[:, n:])
         b = len(w)
@@ -385,7 +386,7 @@ def objective_with_gradient(
         m = (np.sin(dw) / dw).take(s_at, axis=1).reshape(b, n, n) * im_c
         r_adj = ((q @ m) @ q.transpose(0, 2, 1).copy()).reshape(b, n * n)
         diags = r_adj.take(diags_at, axis=1)
-        return value, (diags[:, 0] + diags[:, 1]) @ grad_sens, metrics.transpose(1, 2, 0)
+        return value, ((diags[:, :1] + diags[:, 1:]) @ grad_sens)[:, 0], metrics.transpose(1, 2, 0)
 
     return f
 
@@ -400,8 +401,7 @@ STOP_STATUS = np.array([0, 0, 1, 1, 2, 0, 0])  # 0 converged, 1 limit reached, 2
 BoxResult = namedtuple("BoxResult", "x fun nit nfev stop")  # stop: STOP_REASONS index
 
 
-def minimize_box(fun, x0: np.ndarray, lower: float, upper: float, *, maxiter: int,
-                 ftol: float, gtol: float, maxfun: int = 15000,
+def minimize_box(fun, x0: np.ndarray, lower: float, upper: float, *, ftol: float,
                  start: tuple[np.ndarray, np.ndarray] | None = None,
                  stall: tuple[int, float, float] | None = None) -> BoxResult:
     """Bound-constrained L-BFGS from each row of x0, clipped into the box.
@@ -420,13 +420,14 @@ def minimize_box(fun, x0: np.ndarray, lower: float, upper: float, *, maxiter: in
     that shows no positive curvature multiplies gamma by 4, the largest
     extrapolation of Moré & Thuente's line search: a row on a nearly linear
     or concave slope would otherwise creep at the gradient's own length.  A
-    row stops once its largest projected gradient entry is at most gtol, an
-    iteration lowers f by at most ftol * max(|f_old|, |f|, 1), or at maxiter
-    iterations or maxfun evaluations.  A row whose line search fails stops
-    as converged, "no decrease above rounding", if its largest projected
+    row stops once its largest projected gradient entry is at most `GTOL`,
+    an iteration lowers f by at most ftol * max(|f_old|, |f|, 1), or at
+    `MAX_ITERATIONS` iterations; every row stops once the call has made
+    `MAX_EVALUATIONS` evaluations.  A row whose line search fails stops as
+    converged, "no decrease above rounding", if its largest projected
     gradient entry p has p^2 <= eps * max(|f|, 1), f's rounding on the ftol
-    test's scale: a unit step along that entry, the longest the retry
-    tries, then promises less decrease than f's rounding.  With
+    test's scale: a unit step along that entry, the longest the retry tries,
+    then promises less decrease than f's rounding.  With
     `stall` = (window, ratio, floor), a row also stops as converged, "f
     stalled over the window", once an accepted step leaves f >= floor after
     f fell by at most ratio * f over the row's last `window` accepted
@@ -490,7 +491,7 @@ def minimize_box(fun, x0: np.ndarray, lower: float, upper: float, *, maxiter: in
     fresh = np.ones(n_rows, dtype=bool)  # start an iteration
     # the projected gradient is zero at a binding variable, and at a free one
     # only where its gradient is (to rounding)
-    done = np.maximum.reduce(np.abs(vec[2]), axis=1) <= gtol
+    done = np.maximum.reduce(np.abs(vec[2]), axis=1) <= GTOL
     reasons = [0] * np.count_nonzero(done)
     while True:
         if reasons or not n_run:  # the running rows changed
@@ -575,7 +576,7 @@ def minimize_box(fun, x0: np.ndarray, lower: float, upper: float, *, maxiter: in
             np.multiply(gamma, 4.0, out=gamma,
                         where=(ok & (count == 0) & (s_y <= eps_yy))[:, None])
         # an accepted step converged, or reduced f by little
-        conv = (np.abs(pg_t) <= gtol).all(axis=1)
+        conv = (np.abs(pg_t) <= GTOL).all(axis=1)
         reduced = drop <= ftol * np.maximum(np.maximum(f, -f_t), 1.0)
         np.copyto(vec[:3], accepted, where=ok[:, None])
         np.copyto(f, f_t, where=ok)
@@ -587,7 +588,7 @@ def minimize_box(fun, x0: np.ndarray, lower: float, upper: float, *, maxiter: in
             row[retry, 2], row[retry, pairs_at:] = 1.0, 0.0  # gamma, and no pairs
             ints[retry, 2:4] = 0, evaluations
             fresh, give_up = ok | retry, give_up & ~retry
-        limit = nit >= maxiter
+        limit = nit >= MAX_ITERATIONS
         done = ok & (conv | reduced) | limit | give_up
         if window:  # the ring slot of f after nit - window iterations takes f
             at = ring_at + nit % window
@@ -596,7 +597,7 @@ def minimize_box(fun, x0: np.ndarray, lower: float, upper: float, *, maxiter: in
             done |= stalled
         else:
             stalled = np.zeros(n_run, dtype=bool)
-        if evaluations >= maxfun:
+        if evaluations >= MAX_EVALUATIONS:
             done[:] = True
         reasons = [0 if ok[i] and conv[i] else 1 if ok[i] and reduced[i]
                    else 6 if stalled[i] else 2 if limit[i]
@@ -629,10 +630,8 @@ def optimize_parallel_gates(
 
     def search(x0, eps, ftol, start=None, stall=None):  # minimize_box by block
         runs = [minimize_box(lambda x: kernel(x, eps)[:2], x0[lo:lo + block],
-                             -limit, limit, maxiter=MAX_ITERATIONS, ftol=ftol,
-                             gtol=1e-10,
-                             start=start and tuple(a[lo:lo + block] for a in start),
-                             stall=stall)
+                             -limit, limit, ftol=ftol, stall=stall,
+                             start=start and tuple(a[lo:lo + block] for a in start))
                 for lo in range(0, len(x0), block)]
         return [np.concatenate(field) for field in zip(*runs)]
 

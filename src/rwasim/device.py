@@ -214,8 +214,9 @@ def hamiltonian_diagonals(
             f"electrode {e + 1} at {volts[b, e]} V exceeds limit "
             f"+/-{spec.voltage_limit} V"
         )
-    return (spec.base_beta + volts @ spec.beta_sensitivity.T,
-            spec.base_coupling + volts @ spec.coupling_sensitivity.T)
+    # a product per row, as for one row: numpy sums a many-row one in another order
+    return (spec.base_beta + (volts[:, None] @ spec.beta_sensitivity.T)[:, 0],
+            spec.base_coupling + (volts[:, None] @ spec.coupling_sensitivity.T)[:, 0])
 
 
 def build_hamiltonian(spec: DeviceSpec, v: VoltageConfig) -> TridiagonalHamiltonian:

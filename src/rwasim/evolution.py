@@ -58,7 +58,6 @@ _TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
 @dataclass(frozen=True)
 class TransferUnitary:
     matrix: np.ndarray  # complex (N, N)
-    length: float  # mm
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", frozen_array(self.matrix, "matrix", dtype=complex))
@@ -107,7 +106,7 @@ def unitary(h: TridiagonalHamiltonian, length: float) -> TransferUnitary:
     """U = exp(-i H L) = (Q e^{-iwL}) Q^T, from `eigh_tridiagonal`."""
     length = _checked_length(length)
     [w], [q] = eigh_tridiagonal(h.diag[None], h.offdiag[None])
-    return TransferUnitary(matrix=(q * np.exp(-1j * length * w)) @ q.T, length=length)
+    return TransferUnitary(matrix=(q * np.exp(-1j * length * w)) @ q.T)
 
 
 def pair_blocks(diag: np.ndarray, offdiag: np.ndarray, length: float, i: int) -> np.ndarray:

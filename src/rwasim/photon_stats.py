@@ -27,6 +27,7 @@ from .evolution import TransferUnitary
 DEFAULT_COHERENCE_SIGMA_MM = (0.8075e-3**2 / 3.1e-6) / (2 * math.sqrt(2 * math.log(2)))
 
 FWHM_FACTOR = 2 * math.sqrt(2 * math.log(2))
+MAX_FIT_ITERATIONS = 500  # `least_squares`'s step limit, read at each call
 
 
 class FitFailureError(RuntimeError):
@@ -293,11 +294,11 @@ def _grid_seeds(x, y, lower, upper) -> np.ndarray:
 LeastSquaresResult = namedtuple("LeastSquaresResult", "x cost converged nfev")
 
 
-def least_squares(x, y, p0, lower, upper, max_iterations: int) -> LeastSquaresResult:
+def least_squares(x, y, p0, lower, upper) -> LeastSquaresResult:
     """Bound-projected Levenberg-Marquardt fits of `dip_model` to each row of
     y (R, n) from p0 (R, 5): x (R, 5), cost (R,) = half the squared residual,
     converged (R,) and nfev, the batched evaluations, after at most
-    max_iterations steps.  A step solves the damped normal equations of
+    `MAX_FIT_ITERATIONS` steps.  A step solves the damped normal equations of
     `dip_jacobian` (Nielsen's damping rule) for the free parameters, clips
     into the bounds and is kept if the cost fell.  A parameter on a bound its
     gradient points out of, or with a vanishing column (a3 and a4 at a2 = 0),
@@ -317,7 +318,7 @@ def least_squares(x, y, p0, lower, upper, max_iterations: int) -> LeastSquaresRe
     floor = 1e-24 * (y * y).sum(-1)
     lam, converged = np.full(len(p), 1e-3), np.zeros(len(p), dtype=bool)
     nfev, eye = 1, np.eye(5)
-    while nfev <= max_iterations and not converged.all():
+    while nfev <= MAX_FIT_ITERATIONS and not converged.all():
         h = jac.transpose(0, 2, 1) @ jac
         grad = (r[:, None] @ jac)[:, 0]
         free = np.where(grad > 0, p > lower, (grad < 0) & (p < upper))
@@ -346,7 +347,7 @@ def least_squares(x, y, p0, lower, upper, max_iterations: int) -> LeastSquaresRe
     return LeastSquaresResult(p, cost, converged, nfev)
 
 
-def fit_hom_dips(scans, max_iterations: int = 500) -> list[DipFit]:
+def fit_hom_dips(scans) -> list[DipFit]:
     """`fit_hom_dip` on each of `scans`, which must share their delays, in
     one batched `least_squares`; fit s equals fit_hom_dip(scans[s]) bit for
     bit."""
@@ -377,8 +378,7 @@ def fit_hom_dips(scans, max_iterations: int = 500) -> list[DipFit]:
     guesses = np.clip([_initial_guess(scan) for scan in scans], lower, upper)
     starts = np.concatenate((_grid_seeds(x, y, lower, upper), guesses[:, None]), 1)
     k = starts.shape[1]
-    result = least_squares(x, y.repeat(k, axis=0), starts.reshape(-1, 5),
-                           lower, upper, max_iterations)
+    result = least_squares(x, y.repeat(k, axis=0), starts.reshape(-1, 5), lower, upper)
     best = k * np.arange(len(y)) + result.cost.reshape(-1, k).argmin(1)
     fits = []
     for i, n_min in zip(best, y.min(1).tolist()):
@@ -392,7 +392,7 @@ def fit_hom_dips(scans, max_iterations: int = 500) -> list[DipFit]:
     return fits
 
 
-def fit_hom_dip(scan: HomScan, max_iterations: int = 500) -> DipFit:
+def fit_hom_dip(scan: HomScan) -> DipFit:
     """Nonlinear least-squares fit of the Gaussian-plus-linear dip model.
 
     Bounds keep a2 in [0, 1], the centre a3 inside the scan and the width a4
@@ -402,14 +402,15 @@ def fit_hom_dip(scan: HomScan, max_iterations: int = 500) -> DipFit:
     baseline profiled out (`_grid_seeds`) and `_initial_guess`, are polished
     by the bound-projected Levenberg-Marquardt `least_squares` until a step
     changes the cost by at most 1e-10 of it; the lowest cost wins.  If that
-    start has not converged within `max_iterations` steps, `FitFailureError`
-    is raised.  The visibility error comes from `visibility_error`.  A scan
-    whose counts are all zero, or whose largest count c could overflow the
-    fit's normal matrix J^T J, is refused with ValueError before any fit:
-    over n delays, with w the smallest width (half the smallest delay step),
-    J^T J's entries are at most n (c max(1, 1/w))^2, which must be finite.
+    start has not converged within `MAX_FIT_ITERATIONS` steps, a module
+    constant read at each call, `FitFailureError` is raised.  The visibility
+    error comes from `visibility_error`.  A scan whose counts are all zero,
+    or whose largest count c could overflow the fit's normal matrix J^T J,
+    is refused with ValueError before any fit: over n delays, with w the
+    smallest width (half the smallest delay step), J^T J's entries are at
+    most n (c max(1, 1/w))^2, which must be finite.
     """
-    return fit_hom_dips([scan], max_iterations)[0]
+    return fit_hom_dips([scan])[0]
 
 
 def dip_extrema(fit: DipFit, scan: HomScan) -> tuple[float, float]:

@@ -3,15 +3,15 @@
 A subcircuit is a pair of adjacent guides operated as a tunable directional
 coupler once the couplings at its boundary are driven to zero.  Its
 reflectivity and leakage have one rule, `reflectivity_and_leakage`.  A gate
-is judged by its post-selected output power split alone, and
-`coupler_split` is the one rule for an eta-coupler's ideal split: the
-compiler's gate targets and the truth tables both take it.  Gate truth
-tables follow the classical balanced-input scheme: half the power enters
-each subcircuit's selected guide, each subcircuit's post-selected output
-distribution is taken over its own two guides, and the joint 4x4 table is
-the product of the two single-qubit distributions.  The compiler's
-per-input fidelity, crosstalk and leakage fractions are formed inside
-`compiler.objective_with_gradient`, the one kernel that scores every
+is judged by its post-selected output power split alone, and `coupler_split`
+is the one rule for an eta-coupler's ideal split: the compiler's gate
+targets and the truth tables both take it, and `GATE_ETAS` is the one table
+of gate etas.  Gate truth tables follow the classical balanced-input scheme:
+half the power enters each subcircuit's selected guide, each subcircuit's
+post-selected output distribution is taken over its own two guides, and the
+joint 4x4 table is the product of the two single-qubit distributions.  The
+compiler's per-input fidelity, crosstalk and leakage fractions are formed
+inside `compiler.objective_with_gradient`, the one kernel that scores every
 compiler point; `distribution_fidelity` is the checked fidelity for truth
 tables.
 """
@@ -115,6 +115,9 @@ class TruthTable:
         if np.any(np.abs(t.sum(axis=1) - 1.0) > 1e-12):
             raise ValueError("truth table rows must sum to 1 within 1e-12")
         object.__setattr__(self, "table", t)
+
+
+GATE_ETAS = {"X": 0.0, "H": 0.5, "I": 1.0}
 
 
 def coupler_split(eta: float) -> np.ndarray:

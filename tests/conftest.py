@@ -40,6 +40,15 @@ def random_device(rng: np.random.Generator) -> DeviceSpec:
     )
 
 
+def dense_sensitivity_device() -> DeviceSpec:
+    """Default base with every guide and coupling tied to all 22 electrodes,
+    as a YAML device's sensitivities may tie them: each entry of H then sums
+    22 products, whose rounding depends on the order of the sum."""
+    rng = np.random.default_rng(0)
+    return DeviceSpec(beta_sensitivity=rng.uniform(-0.02, 0.02, (11, 22)),
+                      coupling_sensitivity=rng.uniform(-0.01, 0.01, (10, 22)))
+
+
 def with_electrode(v: VoltageConfig, electrode: int, value: float) -> VoltageConfig:
     """Copy of `v` with 1-based `electrode` set to `value`."""
     volts = v.volts.copy()

@@ -1,8 +1,9 @@
 import math
+import re
 
 import pytest
 
-from rwasim.analysis import clements_loss, loss_report, wa_loss
+from rwasim.analysis import BENDING_NOTE, clements_loss, loss_report, wa_loss
 
 
 class TestClementsLoss:
@@ -29,6 +30,12 @@ class TestClementsLoss:
     def test_non_finite_or_negative_loss_rejected(self, per_mzi):
         with pytest.raises(ValueError, match="per-MZI loss"):
             clements_loss(4, per_mzi_db=per_mzi)
+
+    @pytest.mark.parametrize("n_modes,per_mzi", [(11, 1e308), (3_000_000_000, 1e300)])
+    def test_total_that_is_not_a_finite_float_rejected(self, n_modes, per_mzi):
+        # each input is finite, but their product overflows a float
+        with pytest.raises(ValueError, match=f"Clements loss of {n_modes} modes"):
+            clements_loss(n_modes, per_mzi_db=per_mzi)
 
     def test_monotone_in_modes(self):
         counts, totals = zip(*(
@@ -60,6 +67,11 @@ class TestWaLoss:
         with pytest.raises(ValueError, match=name):
             wa_loss(length, db_per_cm)
 
+    @pytest.mark.parametrize("length,db_per_cm", [(2.4, 1e308), (1e308, 2.0)])
+    def test_total_that_is_not_a_finite_float_rejected(self, length, db_per_cm):
+        with pytest.raises(ValueError, match=re.escape(f"WA loss of {length:g} cm")):
+            wa_loss(length, db_per_cm)
+
     def test_linear_in_length(self):
         assert wa_loss(3.7) + wa_loss(1.3) == wa_loss(5.0)
 
@@ -70,7 +82,7 @@ class TestLossReport:
         assert report.mzi_count == 55
         assert report.clements_loss_db == pytest.approx(2.2)
         assert report.wa_loss_db == pytest.approx(0.24)
-        assert "bending" in report.note
+        assert report.to_text().endswith(f"note: {BENDING_NOTE}")
 
     def test_text_and_csv(self, tmp_path):
         report = loss_report(11)

@@ -43,8 +43,7 @@ CASES = {
     "HomScan": (HomScan, lambda: dict(delays=np.linspace(-1, 1, 9),
                                       counts=np.full(9, 10.0))),
     "TruthTable": (TruthTable, lambda: dict(table=np.eye(4))),
-    "TransferUnitary": (lambda **a: TransferUnitary(length=1.0, **a),
-                        lambda: dict(matrix=np.eye(3, dtype=complex))),
+    "TransferUnitary": (TransferUnitary, lambda: dict(matrix=np.eye(3, dtype=complex))),
     "IntensityProfile": (IntensityProfile, lambda: dict(
         z_points=np.linspace(0.0, 1.0, 5), intensities=np.full((5, 2), 0.5))),
     "simulate_hom_scan": (lambda delays: simulate_hom_scan(0.5, delays, 1e3),

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rwasim import calibration, evolution
+from rwasim import calibration, evolution, subcircuits
+from rwasim.compiler import gate_target
 from rwasim.calibration import (
     FlatCurveError,
     LookupMap,
@@ -17,6 +18,7 @@ from rwasim.calibration import (
     map_to_csv,
     pair_response,
     solve_voltage,
+    uniform_grid,
 )
 from rwasim.device import (
     DeviceSpec,
@@ -27,12 +29,14 @@ from rwasim.device import (
     default_device,
 )
 from rwasim.evolution import output_power, unitary
-from rwasim.subcircuits import SubcircuitPair, effective_reflectivity, leakage
+from rwasim.subcircuits import SubcircuitPair, coupler_split, effective_reflectivity, leakage
 
-from conftest import make_xx_device, random_device, with_electrode
+from conftest import dense_sensitivity_device, make_xx_device, random_device, with_electrode
 
 # a lookup map cell's eta against `effective_reflectivity` of `unitary`
 ETA_TOL = 1e-12
+# the other electrodes' voltages of a map built by hand
+FIXED = np.zeros(22)
 
 
 def reference_cells(spec, pair, electrode_a, electrode_b, grid_a, grid_b,
@@ -96,6 +100,7 @@ def linear_eta_map(grid=None):
     return LookupMap(
         electrode_a=1, electrode_b=4, grid_a=grid, grid_b=grid,
         eta=eta, leakage_in1=zeros, leakage_in2=zeros, input_guides=(1, 2),
+        fixed_voltages=FIXED,
     )
 
 
@@ -263,7 +268,7 @@ class TestBuildLookupMap:
     def test_default_grid_keeps_step_or_refuses(self, limit, step):
         # no silent respacing: 0.3 V steps would become 0.2985 V
         with pytest.raises(ValueError, match="step that divides"):
-            default_grid(limit, step)
+            uniform_grid(-limit, limit, step)
 
     @pytest.mark.parametrize("grid_a", [[np.nan], [0.0, np.inf], [-np.inf, 0.0]])
     def test_non_finite_grid_rejected(self, grid_a):
@@ -273,7 +278,7 @@ class TestBuildLookupMap:
         with pytest.raises(ValueError, match="grid_a"):
             LookupMap(electrode_a=1, electrode_b=4, grid_a=grid_a, grid_b=[0.0],
                       eta=np.full((n, 1), 0.5), leakage_in1=np.zeros((n, 1)),
-                      leakage_in2=np.zeros((n, 1)), input_guides=(1, 2))
+                      leakage_in2=np.zeros((n, 1)), input_guides=(1, 2), fixed_voltages=FIXED)
 
     @pytest.mark.parametrize("table", ["eta", "leakage_in1", "leakage_in2"])
     @pytest.mark.parametrize("bad", [np.nan, -0.5, 101.0])
@@ -284,7 +289,7 @@ class TestBuildLookupMap:
         tables[table][1, 0] = bad
         with pytest.raises(ValueError, match=table):
             LookupMap(electrode_a=1, electrode_b=4, grid_a=grid, grid_b=grid,
-                      input_guides=(1, 2), **tables)
+                      input_guides=(1, 2), fixed_voltages=FIXED, **tables)
 
 
 class TestPairResponse:
@@ -324,6 +329,18 @@ class TestPairResponse:
         for table, rows in zip((lut.eta, lut.leakage_in1, lut.leakage_in2),
                                pair_response(spec, pair, volts)):
             np.testing.assert_array_equal(rows.reshape(shape), table)
+
+
+    @pytest.mark.parametrize("lower", [1, 5, 10])
+    def test_rows_equal_single_rows_on_a_dense_device(self, lower):
+        # a one-row stack and a many-row stack must sum each entry of H in
+        # the same order, or the row's bits depend on its batch mates
+        spec, pair = dense_sensitivity_device(), SubcircuitPair(lower)
+        volts = np.random.default_rng(1).uniform(-10.0, 10.0, (40, 22))
+        stacked = np.column_stack(pair_response(spec, pair, volts))
+        alone = np.vstack([np.column_stack(pair_response(spec, pair, row[None]))
+                           for row in volts])
+        np.testing.assert_array_equal(stacked, alone)
 
 
 class TestGoldenPairResponse:
@@ -455,7 +472,7 @@ class TestSolveVoltage:
         leak1, leak2 = rng.choice([0.0, 1.0, 2.0], (2, *shape))
         lut = LookupMap(electrode_a=1, electrode_b=4, grid_a=grid_a,
                         grid_b=grid_b, eta=eta, leakage_in1=leak1,
-                        leakage_in2=leak2, input_guides=(1, 2))
+                        leakage_in2=leak2, input_guides=(1, 2), fixed_voltages=FIXED)
         assert solve_voltage(lut, target_eta, max_leakage) == \
             reference_solve(lut, target_eta, max_leakage)
 
@@ -466,7 +483,7 @@ class TestSolveVoltage:
         leak = np.zeros((3, 3))
         lut = LookupMap(electrode_a=1, electrode_b=4, grid_a=grid, grid_b=grid,
                         eta=eta, leakage_in1=leak, leakage_in2=leak,
-                        input_guides=(1, 2))
+                        input_guides=(1, 2), fixed_voltages=FIXED)
         for max_leakage in (100.0, -1.0):
             result = solve_voltage(lut, 0.5, max_leakage)
             assert (result.v_a, result.v_b) == (-1.0, -1.0)
@@ -509,13 +526,21 @@ class TestGateVoltagesByLinearFit:
         assert voltages[1.0] == pytest.approx(10.0)
         assert not any(g.clamped for g in gates)
 
+    def test_targets_and_compiler_gates_read_one_table(self, monkeypatch):
+        # a gate added to subcircuits.GATE_ETAS is fitted and compiled alike
+        monkeypatch.setitem(subcircuits.GATE_ETAS, "Y", 0.25)
+        gates = gate_voltages_by_linear_fit(linear_eta_map(), fixed_v_b=0.0)
+        assert [g.target_eta for g in gates] == [0.0, 0.5, 1.0, 0.25]
+        assert gates[-1].voltage == pytest.approx(-5.0)
+        np.testing.assert_array_equal(gate_target("Y"), coupler_split(0.25))
+
     def test_clamping_flag(self):
         grid = default_grid()
         eta = np.clip(0.02 * grid[:, None] + 0.5 + 0 * grid[None, :], 0, 1)
         zeros = np.zeros_like(eta)
         lut = LookupMap(electrode_a=1, electrode_b=4, grid_a=grid, grid_b=grid,
                         eta=eta, leakage_in1=zeros, leakage_in2=zeros,
-                        input_guides=(1, 2))
+                        input_guides=(1, 2), fixed_voltages=FIXED)
         gates = gate_voltages_by_linear_fit(lut, fixed_v_b=0.0)
         x_gate = next(g for g in gates if g.target_eta == 0.0)
         assert x_gate.clamped
@@ -527,7 +552,7 @@ class TestGateVoltagesByLinearFit:
         zeros = np.zeros_like(eta)
         lut = LookupMap(electrode_a=1, electrode_b=4, grid_a=grid, grid_b=grid,
                         eta=eta, leakage_in1=zeros, leakage_in2=zeros,
-                        input_guides=(1, 2))
+                        input_guides=(1, 2), fixed_voltages=FIXED)
         with pytest.raises(FlatCurveError):
             gate_voltages_by_linear_fit(lut, fixed_v_b=0.0)
 
@@ -556,7 +581,7 @@ class TestMapExport:
                                   [12.0, 99.99999999999999]]),
             leakage_in2=np.array([[2.0 / 3.0, 7.0], [0.0, 1e-9],
                                   [50.0, 3.141592653589793]]),
-            input_guides=(1, 2),
+            input_guides=(1, 2), fixed_voltages=FIXED,
         )
         path = tmp_path / "map.csv"
         map_to_csv(lut, path)

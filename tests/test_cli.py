@@ -1,4 +1,3 @@
-import functools
 import json
 from unittest import mock
 
@@ -199,8 +198,7 @@ class TestHom:
 
     def test_fit_failure_is_numerical_exit(self, tmp_path, monkeypatch, capsys):
         # a noiseless full dip needs more than the 10 evaluations this allows
-        monkeypatch.setattr(photon_stats, "fit_hom_dip", functools.partial(
-            photon_stats.fit_hom_dip, max_iterations=1))
+        monkeypatch.setattr(photon_stats, "MAX_FIT_ITERATIONS", 1)
         out = tmp_path / "run"
         assert run("hom", "--eta", "0.5", "--scan=-0.5,0.5,0.01",
                    "--noiseless", "--fit", "--out", str(out)) == 4
@@ -491,6 +489,21 @@ class TestLoss:
         assert "non-negative and finite" in capsys.readouterr().err
         assert not (out / "loss.csv").exists()
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--modes", "11", "--per-mzi", "1e308"], "Clements loss of 11 modes"),
+        (["--modes", "11", "--db-per-cm", "1e308"], "WA loss of 2.4 cm"),
+        (["--modes", "3000000000", "--per-mzi", "1e300"], "Clements loss of 3000000000"),
+        (["--modes", "1" + "0" * 400], "too large to convert to float")],
+        ids=["per-mzi-1e308", "db-per-cm-1e308", "3e9-modes", "401-digit-modes"])
+    def test_loss_that_is_not_a_finite_float_refused(self, tmp_path, capsys, flags,
+                                                      message):
+        # finite inputs whose product overflows: inf was printed and written,
+        # or, past a float's range, a traceback ended the run with exit 1
+        out = tmp_path / "run"
+        assert run("loss", *flags, "--out", str(out)) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestReplay:
     def test_replay_reproduces_bytes(self, tmp_path):
@@ -593,6 +606,11 @@ class TestReplay:
         # arithmetic, which moves compiled objectives, voltages and traces
         pytest.param("0.19.0", ["compile", "--config", "2", "--gates", "XH",
                                 "--restarts", "3", "--seed", "4"], id="0.19.0-compile"),
+        # 0.21.0 forms each voltage row's products with the sensitivities
+        # alone, which moves map cells and compiles on devices that tie a
+        # guide or coupling to several electrodes
+        pytest.param("0.20.0", ["map", "--electrodes", "1,4", "--range=-2,2",
+                                "--step", "2"], id="0.20.0-map"),
     ])
     def test_replay_refuses_old_version(self, device_file, tmp_path, capsys,
                                         version, argv):

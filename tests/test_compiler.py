@@ -5,13 +5,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rwasim import compiler, evolution
 from rwasim.compiler import (
     ElectrodeConfig,
-    GATE_ETAS,
     best_so_far,
     gate_target,
     minimize_box,
@@ -26,9 +25,10 @@ from rwasim.compiler import (
 from rwasim.csvio import write_json
 from rwasim.device import (DeviceSpec, DeviceSpecError, VoltageBoundError,
                            VoltageConfig, default_device)
-from rwasim.subcircuits import SubcircuitPair, coupler_split
+from rwasim.subcircuits import GATE_ETAS, SubcircuitPair, coupler_split
 
-from conftest import kernel_block_metrics, make_xx_device, spec_equal, with_electrode
+from conftest import (dense_sensitivity_device, kernel_block_metrics, make_xx_device,
+                      spec_equal, with_electrode)
 from scalar_reference import (
     full_u_evaluate,
     scalar_objective_with_gradient,
@@ -254,17 +254,22 @@ class TestObjectiveWithGradient:
             assert np.max(np.abs(grad - ref_grad)) <= 1e-12
 
     @settings(max_examples=20, deadline=None)
-    @given(device_seed=st.one_of(st.none(), st.integers(0, 2**16)),
+    @given(device_seed=st.one_of(st.none(), st.just("dense"), st.integers(0, 2**16)),
            config_name=st.sampled_from(["config1", "config2", "config3"]),
            gates=st.tuples(GATES, GATES),
            batch=st.sampled_from([7, 64, 256]),
            eps=st.sampled_from([0.0, compiler.SEARCH_EPS]),
            point_seed=st.integers(0, 2**32 - 1))
+    # every electrode moves every guide and coupling of the dense device, so
+    # the kernel's products with the sensitivities sum 22 terms a row
+    @example(device_seed="dense", config_name="config3", gates=("X", "H"), batch=40,
+             eps=compiler.SEARCH_EPS, point_seed=0)
     def test_rows_equal_single_point_calls(self, device_seed, config_name, gates,
                                            batch, eps, point_seed):
         # the lockstep's determinism rests on this: a restart's values do not
         # depend on which restarts share its round
         spec = (make_xx_device() if device_seed is None
+                else dense_sensitivity_device() if device_seed == "dense"
                 else random_base_device(device_seed))
         config = preset_config(config_name)
         f = objective_with_gradient(spec, config, tuple(gate_target(g) for g in gates))
@@ -577,12 +582,11 @@ class TestOptimize:
         # the f_eps search only has to put each restart in its basin, so it
         # stops at the looser SEARCH_FTOL or once f_eps stalls above a floor;
         # the polish on sum r^2 keeps 1e-13 and no stall rule, and both stages
-        # keep gtol 1e-10
+        # stop at GTOL = 1e-10
         solver, calls = compiler.minimize_box, []
 
         def recorded(fun, x0, *args, start=None, **kwargs):
-            calls.append((start is not None, kwargs["ftol"], kwargs["gtol"],
-                          kwargs.get("stall")))
+            calls.append((start is not None, kwargs["ftol"], kwargs.get("stall")))
             return solver(fun, x0, *args, start=start, **kwargs)
 
         with mock.patch.object(compiler, "minimize_box", recorded):
@@ -590,9 +594,9 @@ class TestOptimize:
                                     (gate_target("H"), gate_target("H")),
                                     restarts=20, seed=5)
         [search, *polish] = calls
-        assert search == (False, 1e-6, 1e-10, (5, 0.1, 0.01))
-        assert polish and set(polish) == {(True, 1e-13, 1e-10, None)}
-        assert compiler.SEARCH_FTOL == 1e-6
+        assert search == (False, 1e-6, (5, 0.1, 0.01))
+        assert polish and set(polish) == {(True, 1e-13, None)}
+        assert (compiler.SEARCH_FTOL, compiler.GTOL) == (1e-6, 1e-10)
 
     def test_default_device_sweep_stops_converged(self, caplog):
         # restarts here stop at bound-constrained minima where no line search
@@ -693,13 +697,14 @@ class TestMinimizeBox:
         f, x_star, lower, upper = problem
         x0 = np.random.default_rng(start_seed).uniform(lower - 1, upper + 1,
                                                        (4, x_star.size))
-        result = minimize_box(f, x0, lower, upper, maxiter=500, ftol=0.0,
-                              gtol=1e-12)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(compiler, "GTOL", 1e-12)
+            result = minimize_box(f, x0, lower, upper, ftol=0.0)
         assert result.stop.tolist() == [0] * 4
         np.testing.assert_allclose(result.x, np.broadcast_to(x_star, x0.shape),
                                    rtol=0, atol=1e-10)
 
-    def test_step_cut_at_a_bound_lands_on_it(self):
+    def test_step_cut_at_a_bound_lands_on_it(self, monkeypatch):
         # found by a random search: rounding left the last row's first cut
         # step one ulp inside a bound, where the next step had no room and
         # the line search failed
@@ -707,8 +712,8 @@ class TestMinimizeBox:
         where = rng.integers(-1, 2, rng.integers(1, 9))
         f, x_star, lower, upper = box_quadratic(where, rng.integers(0, 2**32))
         x0 = rng.uniform(lower - 1, upper + 1, (4, where.size))
-        result = minimize_box(f, x0, lower, upper, maxiter=500, ftol=0.0,
-                              gtol=1e-12)
+        monkeypatch.setattr(compiler, "GTOL", 1e-12)
+        result = minimize_box(f, x0, lower, upper, ftol=0.0)
         assert result.stop.tolist() == [0] * 4
         np.testing.assert_allclose(result.x, np.broadcast_to(x_star, x0.shape),
                                    rtol=0, atol=1e-10)
@@ -716,16 +721,14 @@ class TestMinimizeBox:
     @pytest.mark.parametrize("upper", [2.0, 0.8])  # 0.8: minimum on the bound
     def test_rows_equal_single_row_runs(self, upper):
         x0 = np.random.default_rng(0).uniform(-1.5, upper + 0.5, (9, 5))
-        batch = minimize_box(rosen_rows, x0, -1.5, upper, maxiter=500,
-                             ftol=1e-13, gtol=1e-10)
+        batch = minimize_box(rosen_rows, x0, -1.5, upper, ftol=1e-13)
         assert len(set(batch.nfev.tolist())) > 1  # rows leave at different rounds
         for i, start in enumerate(x0):
-            single = minimize_box(rosen_rows, start[None], -1.5, upper,
-                                  maxiter=500, ftol=1e-13, gtol=1e-10)
+            single = minimize_box(rosen_rows, start[None], -1.5, upper, ftol=1e-13)
             for got, want in zip(batch, single):
                 np.testing.assert_array_equal(got[i], want[0])
 
-    def test_rows_stopping_for_every_reason_equal_single_row_runs(self):
+    def test_rows_stopping_for_every_reason_equal_single_row_runs(self, monkeypatch):
         # rows that stop for each of STOP_REASONS in order, then a tilted row
         # and a shallow row started near its minimum.  The shallow row from
         # far holds a curvature pair when its line search first fails, so it
@@ -749,9 +752,11 @@ class TestMinimizeBox:
                     values[mine], grads[mine, :-1] = f(x[mine, :-1])
             return values, grads
 
+        for name, value in (("MAX_ITERATIONS", 40), ("GTOL", 0.0), ("MAX_EVALUATIONS", 49)):
+            monkeypatch.setattr(compiler, name, value)
+
         def solve(x):
-            return minimize_box(fun, x, -1.0, 1.0, maxiter=40, ftol=1e-13, gtol=0.0,
-                                maxfun=49)
+            return minimize_box(fun, x, -1.0, 1.0, ftol=1e-13)
 
         batch = solve(x0)
         assert batch.stop.tolist() == [0, 1, 2, 3, 4, 5, 0, 5]
@@ -760,27 +765,26 @@ class TestMinimizeBox:
             for got, want in zip(batch, solve(x0[i:i + 1])):
                 np.testing.assert_array_equal(got[i], want[0])
 
-    def test_iteration_limit(self):
+    def test_iteration_limit(self, monkeypatch):
         x0 = np.random.default_rng(1).uniform(-1.5, 2.0, (4, 5))
-        result = minimize_box(rosen_rows, x0, -1.5, 2.0, maxiter=3, ftol=1e-13,
-                              gtol=1e-10)
+        monkeypatch.setattr(compiler, "MAX_ITERATIONS", 3)
+        result = minimize_box(rosen_rows, x0, -1.5, 2.0, ftol=1e-13)
         assert result.nit.tolist() == [3] * 4
         assert compiler.STOP_STATUS[result.stop].tolist() == [1] * 4
         assert {compiler.STOP_REASONS[k] for k in result.stop} == {
             "iteration limit reached"}
 
-    def test_evaluation_limit(self):
+    def test_evaluation_limit(self, monkeypatch):
         x0 = np.random.default_rng(1).uniform(-1.5, 2.0, (4, 5))
-        result = minimize_box(rosen_rows, x0, -1.5, 2.0, maxiter=500, ftol=1e-13,
-                              gtol=1e-10, maxfun=6)
+        monkeypatch.setattr(compiler, "MAX_EVALUATIONS", 6)
+        result = minimize_box(rosen_rows, x0, -1.5, 2.0, ftol=1e-13)
         assert result.nfev.tolist() == [6] * 4
         assert compiler.STOP_STATUS[result.stop].tolist() == [1] * 4
         assert {compiler.STOP_REASONS[k] for k in result.stop} == {
             "evaluation limit reached"}
 
     def test_failed_line_search_stops_with_status_2(self):
-        result = minimize_box(uphill, np.full((2, 3), 0.5), -1.0, 1.0,
-                              maxiter=500, ftol=1e-13, gtol=1e-10)
+        result = minimize_box(uphill, np.full((2, 3), 0.5), -1.0, 1.0, ftol=1e-13)
         assert compiler.STOP_STATUS[result.stop].tolist() == [2, 2]
         assert result.nit.tolist() == [0, 0]
         assert result.nfev.tolist() == [21, 21]  # the start and 20 trials
@@ -789,17 +793,15 @@ class TestMinimizeBox:
     def test_flat_slope_lengthens_the_step(self):
         # a slope of 1e-5 with slight negative curvature: at the gradient's own
         # length a step would cover 1e-5, and the bound at -10 lies 1e6 away
-        result = minimize_box(tilted, np.zeros((1, 1)), -10.0, 10.0, maxiter=500,
-                              ftol=0.0, gtol=1e-10)
+        result = minimize_box(tilted, np.zeros((1, 1)), -10.0, 10.0, ftol=0.0)
         assert result.x.tolist() == [[-10.0]]
         assert compiler.STOP_STATUS[result.stop].tolist() == [0]
         assert result.nit[0] <= 20
 
     def test_no_decrease_above_rounding_stops_converged(self):
         # |x - c| = 1e-9 at the clipped start: the projected gradient is above
-        # gtol, yet no step can lower f by more than its rounding
-        result = minimize_box(shallow, np.array([[0.5, 1.0, 1.5]]), -1.0, 1.0,
-                              maxiter=500, ftol=0.0, gtol=1e-10)
+        # GTOL, yet no step can lower f by more than its rounding
+        result = minimize_box(shallow, np.array([[0.5, 1.0, 1.5]]), -1.0, 1.0, ftol=0.0)
         assert [compiler.STOP_REASONS[k] for k in result.stop] == [
             "no decrease above rounding"]
         assert compiler.STOP_STATUS[result.stop].tolist() == [0]
@@ -809,10 +811,8 @@ class TestMinimizeBox:
         # f - 1 about halves an iteration, so f falls by at most 0.1 f over 5
         # iterations once f - 1 is about 0.1 / (2^5 - 1): after 9, at 0.0031
         x0 = np.array([[0.0, 0.0, 1.0]])
-        result = minimize_box(settling, x0, -1.0, 50.0, maxiter=500, ftol=0.0,
-                              gtol=1e-10, stall=STALL)
-        plain = minimize_box(settling, x0, -1.0, 50.0, maxiter=500, ftol=0.0,
-                             gtol=1e-10)
+        result = minimize_box(settling, x0, -1.0, 50.0, ftol=0.0, stall=STALL)
+        plain = minimize_box(settling, x0, -1.0, 50.0, ftol=0.0)
         assert [compiler.STOP_REASONS[k] for k in result.stop] == [
             "f stalled over the window"]
         assert compiler.STOP_STATUS[result.stop].tolist() == [0]
@@ -823,10 +823,8 @@ class TestMinimizeBox:
         # the same descent toward f = 0.001, under the 0.01 floor by the time
         # its relative fall shrinks: it runs as it would without the rule
         x0 = np.array([[0.0, 0.0, 0.001]])
-        result = minimize_box(settling, x0, -1.0, 50.0, maxiter=500, ftol=0.0,
-                              gtol=1e-10, stall=STALL)
-        plain = minimize_box(settling, x0, -1.0, 50.0, maxiter=500, ftol=0.0,
-                             gtol=1e-10)
+        result = minimize_box(settling, x0, -1.0, 50.0, ftol=0.0, stall=STALL)
+        plain = minimize_box(settling, x0, -1.0, 50.0, ftol=0.0)
         assert result.stop.tolist() == [0]
         assert result.nit[0] > 12
         for got, want in zip(result, plain):
@@ -848,8 +846,7 @@ class TestMinimizeBox:
             return values, grads
 
         def solve(x):
-            return minimize_box(fun, x, -1.0, 50.0, maxiter=500, ftol=1e-13,
-                                gtol=1e-10, stall=STALL)
+            return minimize_box(fun, x, -1.0, 50.0, ftol=1e-13, stall=STALL)
 
         batch = solve(x0)
         assert {6, 0} <= set(batch.stop.tolist())
@@ -859,8 +856,7 @@ class TestMinimizeBox:
                 np.testing.assert_array_equal(got[i], want[0])
 
     def test_converged_start_takes_no_step(self):
-        result = minimize_box(rosen_rows, np.ones((1, 4)), -2.0, 2.0,
-                              maxiter=500, ftol=1e-13, gtol=1e-10)
+        result = minimize_box(rosen_rows, np.ones((1, 4)), -2.0, 2.0, ftol=1e-13)
         assert (result.nit.tolist(), result.nfev.tolist(), result.stop.tolist()) == (
             [0], [1], [0])
 

@@ -21,6 +21,7 @@ from rwasim.evolution import (
 from rwasim.photon_stats import HomScan, scan_to_csv
 
 SUB = 5e-324
+FIXED = np.zeros(22)  # a hand-built map's other electrodes
 SUB_TEXT = "4.9406564584124654e-324"
 TENTH = "0.10000000000000001"
 
@@ -40,8 +41,7 @@ def test_powers(tmp_path):
 
 def test_unitary(tmp_path):
     u = TransferUnitary(matrix=np.array([[complex(-0.0, SUB), 0.1 + 2j],
-                                         [complex(3.0, -0.0), complex(1 / 3, -0.1)]]),
-                        length=1.0)
+                                         [complex(3.0, -0.0), complex(1 / 3, -0.1)]]))
     assert written(tmp_path, unitary_to_csv, u) == (
         "re_1_1,im_1_1,re_1_2,im_1_2,re_2_1,im_2_1,re_2_2,im_2_2\n"
         f"-0,{SUB_TEXT},{TENTH},2,3,-0,0.33333333333333331,-{TENTH}\n"
@@ -90,7 +90,7 @@ def test_map(tmp_path):
         eta=np.array([[0.0, 1.0], [SUB, 0.1]]),
         leakage_in1=np.array([[100.0, -0.0], [SUB, 0.1]]),
         leakage_in2=np.array([[2.0, 0.1], [0.0, 7.0]]),
-        input_guides=(1, 2),
+        input_guides=(1, 2), fixed_voltages=FIXED,
     )
     assert written(tmp_path, map_to_csv, lut) == (
         "v_a,v_b,eta,leak_in1,leak_in2\n"
@@ -109,7 +109,8 @@ def test_map_grid_columns_as_one_format_per_value(tmp_path):
     eta = rng.uniform(0.0, 1.0, (3, 4))
     leak1, leak2 = rng.uniform(0.0, 100.0, (2, 3, 4))
     lut = LookupMap(electrode_a=1, electrode_b=4, grid_a=grid_a, grid_b=grid_b,
-                    eta=eta, leakage_in1=leak1, leakage_in2=leak2, input_guides=(1, 2))
+                    eta=eta, leakage_in1=leak1, leakage_in2=leak2, input_guides=(1, 2),
+                    fixed_voltages=FIXED)
     assert written(tmp_path, map_to_csv, lut) == "v_a,v_b,eta,leak_in1,leak_in2\n" + "".join(
         "%.17g,%.17g,%.17g,%.17g,%.17g\n" % (va, vb, eta[ia, ib], leak1[ia, ib], leak2[ia, ib])
         for ia, va in enumerate(grid_a) for ib, vb in enumerate(grid_b))

@@ -48,8 +48,7 @@ def fit_cost(fit: DipFit, scan: HomScan) -> float:
 
 def eta_coupler(eta: float) -> TransferUnitary:
     t, r = math.sqrt(eta), math.sqrt(1 - eta)
-    return TransferUnitary(matrix=np.array([[t, 1j * r], [1j * r, t]]),
-                           length=1.0)
+    return TransferUnitary(matrix=np.array([[t, 1j * r], [1j * r, t]]))
 
 
 class TestTwoPhotonCoincidence:
@@ -297,13 +296,14 @@ class TestFitHomDip:
         assert fit.a2 == pytest.approx(1.0, abs=1e-6)
         assert fit.a1 == pytest.approx(0.99 * bound, rel=1e-9)
 
-    def test_evaluation_cap_raises(self):
+    def test_evaluation_cap_raises(self, monkeypatch):
         # a noiseless full dip pins a2 on its bound 1, which takes more
-        # than the one step max_iterations=1 allows
+        # than the one step MAX_FIT_ITERATIONS = 1 allows
         scan = simulate_hom_scan(0.5, np.linspace(-0.6, 0.6, 121), 1e4)
         assert fit_hom_dip(scan).a2 == pytest.approx(1.0, abs=1e-9)
+        monkeypatch.setattr(photon_stats, "MAX_FIT_ITERATIONS", 1)
         with pytest.raises(FitFailureError) as info:
-            fit_hom_dip(scan, max_iterations=1)
+            fit_hom_dip(scan)
         assert math.isfinite(info.value.residual_norm)
         assert info.value.residual_norm > 0
 
@@ -595,7 +595,7 @@ class TestLeastSquaresBuffers:
 
         monkeypatch.setattr(photon_stats, "dip_jacobian", recording_jacobian)
         monkeypatch.setattr(np, "copyto", recording_copyto)
-        batch = least_squares(x, y.repeat(3, axis=0), starts, lower, upper, 500)
+        batch = least_squares(x, y.repeat(3, axis=0), starts, lower, upper)
         # a trial lands in the other buffer only after a round that swapped
         trials = buffers[1:]
         assert sum(a != b for a, b in zip(trials, trials[1:])) > 0
@@ -603,7 +603,7 @@ class TestLeastSquaresBuffers:
         assert copies and all(0 < keep.sum() < keep.size for keep in copies)
         monkeypatch.undo()
         for i in range(3):
-            single = least_squares(x, y, starts[i:i + 1], lower, upper, 500)
+            single = least_squares(x, y, starts[i:i + 1], lower, upper)
             assert batch.x[i].tobytes() == single.x[0].tobytes(), i
             assert batch.cost[i].tobytes() == single.cost[0].tobytes(), i
             assert batch.converged[i] == single.converged[0], i

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwasim.compiler import GATE_ETAS, gate_target
+from rwasim.compiler import gate_target
 from rwasim.evolution import TransferUnitary
 from rwasim.subcircuits import (
+    GATE_ETAS,
     SubcircuitPair,
     average_fidelity,
     coupler_split,
@@ -31,7 +32,7 @@ def embed_coupler(eta, pair_lower, n=11):
     m = np.eye(n, dtype=complex)
     k = pair_lower - 1
     m[k:k + 2, k:k + 2] = coupler(eta)
-    return TransferUnitary(matrix=m, length=24.0)
+    return TransferUnitary(matrix=m)
 
 
 from conftest import kernel_block_metrics
@@ -133,7 +134,7 @@ class TestEffectiveReflectivity:
         base = coupler(0.37, 0.4) * math.sqrt(0.6)
         m = np.eye(11, dtype=complex)
         m[:2, :2] = base
-        u = TransferUnitary(matrix=m, length=1.0)
+        u = TransferUnitary(matrix=m)
         p = np.abs(base) ** 2
         p_renorm = p / p.sum(axis=0, keepdims=True)
         r = math.sqrt((p_renorm[0, 0] * p_renorm[1, 1])
@@ -144,7 +145,7 @@ class TestEffectiveReflectivity:
 
 
     def test_no_crossing_gives_one(self):
-        u = TransferUnitary(matrix=np.eye(11, dtype=complex), length=24.0)
+        u = TransferUnitary(matrix=np.eye(11, dtype=complex))
         assert effective_reflectivity(u, SubcircuitPair(4)) == 1.0
 
 
