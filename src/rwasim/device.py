@@ -32,6 +32,10 @@ BASE_COUPLING = 0.14  # rad/mm
 BETA_GAIN = 0.02  # rad/(mm V)
 COUPLING_GAIN = -0.01  # rad/(mm V)
 
+# Largest phase w L a device may reach: past 2^52 rad, e^{-i w L} keeps no
+# fractional digit of its phase.
+MAX_PHASE = 2.0**52  # rad
+
 
 class DeviceSpecError(ValueError):
     """Device description is missing fields or dimensionally inconsistent."""
@@ -176,6 +180,7 @@ class DeviceSpec:
                 default if value is None else value, name, default.shape))
         if np.any(self.base_coupling < 0):
             raise DeviceSpecError("base_coupling entries must be >= 0")
+        _check_phase_bound(self, length, limit)
         object.__setattr__(self, "n_guides", n)
         object.__setattr__(self, "n_electrodes", e)
         object.__setattr__(self, "coupling_length", length)
@@ -183,6 +188,33 @@ class DeviceSpec:
 
     def with_length(self, coupling_length: float) -> "DeviceSpec":
         return dataclasses.replace(self, coupling_length=coupling_length)
+
+
+def _check_phase_bound(spec: DeviceSpec, length: float, limit: float) -> None:
+    """Refuse a device whose phases w L could pass `MAX_PHASE` within the
+    voltage limit V.  By Gershgorin every eigenvalue w of H is at most
+    rho = max_n (a_n + c_(n-1) + c_n) in size, with a = |beta| + V sum_e
+    |d beta / d V_e| and c = |C| + V sum_e |d C / d V_e|.  The message names
+    the larger factor of rho L: `coupling_length`, or the field with the
+    largest term of rho."""
+    with np.errstate(over="ignore"):  # an overflow to inf is refused below
+        terms = {"base_beta": np.abs(spec.base_beta),
+                 "beta_sensitivity": limit * np.abs(spec.beta_sensitivity).sum(1),
+                 "base_coupling": spec.base_coupling,
+                 "coupling_sensitivity":
+                     limit * np.abs(spec.coupling_sensitivity).sum(1)}
+        a = terms["base_beta"] + terms["beta_sensitivity"]
+        c = np.pad(terms["base_coupling"] + terms["coupling_sensitivity"], 1)
+        rho = float((a + c[:-1] + c[1:]).max())
+    if rho * length <= MAX_PHASE:
+        return
+    bound = (f"the eigenvalue bound rho = {rho:.6g} rad/mm of H within the voltage"
+             f" limit times coupling_length {length:g} mm must be at most 2^52 rad")
+    if length >= rho:
+        raise DeviceSpecError(f"coupling_length too long: {bound}")
+    name = max(terms, key=lambda k: terms[k].max())
+    at = " at voltage_limit" if name.endswith("sensitivity") else ""
+    raise DeviceSpecError(f"{name}{at} too large: {bound}")
 
 
 def default_device() -> DeviceSpec:

@@ -22,11 +22,11 @@ from .csvio import write_csv
 from .device import frozen_array
 from .evolution import TransferUnitary
 
+FWHM_FACTOR = 2 * math.sqrt(2 * math.log(2))
 # Coherence length from a 3.1 nm FWHM filter at 807.5 nm:
 # l_c ~ lambda^2 / dlambda ~ 0.21 mm; Gaussian sigma = l_c / 2.355.
-DEFAULT_COHERENCE_SIGMA_MM = (0.8075e-3**2 / 3.1e-6) / (2 * math.sqrt(2 * math.log(2)))
+DEFAULT_COHERENCE_SIGMA_MM = (0.8075e-3**2 / 3.1e-6) / FWHM_FACTOR
 
-FWHM_FACTOR = 2 * math.sqrt(2 * math.log(2))
 MAX_FIT_ITERATIONS = 500  # `least_squares`'s step limit, read at each call
 
 
@@ -235,6 +235,15 @@ def _initial_guess(scan: HomScan) -> np.ndarray:
     return np.array([a0, a1, a2, a3, a4])
 
 
+def fit_bounds(x) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) bounds of the dip fit on delays x: a2 in [0, 1], the
+    centre a3 inside the scan and the width a4 between half the smallest
+    delay step and half the span, as a narrower dip cannot be told from
+    noise, nor a wider one from the linear baseline; a0 and a1 are free."""
+    return (np.array([-np.inf, -np.inf, 0.0, x[0], 0.5 * (x[1:] - x[:-1]).min()]),
+            np.array([np.inf, np.inf, 1.0, x[-1], 0.5 * (x[-1] - x[0])]))
+
+
 # seed grid: 11 a2 in [0.01, 1] and, across their bounds, 13 a3 by 6 a4 (log)
 _SEED_A2 = np.geomspace(0.01, 1.0, 11)[:, None]
 _SEED_A3 = np.repeat(np.linspace(0.0, 1.0, 13), 6)
@@ -248,13 +257,15 @@ _SeedTables = namedtuple("_SeedTables", "g h0 h1 h2 det params")
 
 
 @lru_cache(maxsize=_SEED_TABLES_KEPT)
-def _seed_tables(x: bytes, lower: bytes, upper: bytes) -> _SeedTables:
-    """What `_grid_seeds` needs of the delays and bounds alone, read-only:
-    the Gaussian table g (a3 and a4, delays), the sums h0, h1, h2 of
-    [x^2, x, 1] * h^2 with h = 1 - a2*g, their determinant h0*h2 - h1^2 and
-    the grid's (a2, a3, a4), all flat over the grid.  The arguments are the
-    float64 bytes of the arrays, so that equal grids share one entry."""
-    x, lower, upper = (np.frombuffer(arg) for arg in (x, lower, upper))
+def _seed_tables(x: bytes) -> _SeedTables:
+    """What `_grid_seeds` needs of the delays alone, read-only: the Gaussian
+    table g (a3 and a4 across their `fit_bounds`, delays), the sums h0, h1,
+    h2 of [x^2, x, 1] * h^2 with h = 1 - a2*g, their determinant
+    h0*h2 - h1^2 and the grid's (a2, a3, a4), all flat over the grid.  The
+    argument is the delays' float64 bytes, so that equal grids share one
+    entry."""
+    x = np.frombuffer(x)
+    lower, upper = fit_bounds(x)
     a3 = lower[3] + (upper[3] - lower[3]) * _SEED_A3
     a4 = lower[4] * (upper[4] / lower[4]) ** _SEED_A4
     k = -0.5 / a4**2
@@ -270,14 +281,14 @@ def _seed_tables(x: bytes, lower: bytes, upper: bytes) -> _SeedTables:
                                                 (g, h0, h1, h2, h0 * h2 - h1 * h1, params))))
 
 
-def _grid_seeds(x, y, lower, upper) -> np.ndarray:
+def _grid_seeds(x, y) -> np.ndarray:
     """The two best seed-grid points (S, 2, 5) for each scan row of y.
 
     At fixed (a2, a3, a4) a closed-form 2x2 solve profiles out (a0, a1).
     Its sums are polynomials in a2 of g @ [x^2, x, 1, x*y, y] and
     (g*g) @ [x^2, x, 1], for the Gaussian table g of every (a3, a4); all
     but the two that hold y are built once per delay grid (`_seed_tables`)."""
-    t = _seed_tables(x.tobytes(), lower.tobytes(), upper.tobytes())
+    t = _seed_tables(x.tobytes())
     # one product per scan row, so that no row depends on its batch mates
     xy = np.stack((x * y, y), axis=1)
     # sums of [x*y, y] * h, with h = 1 - a2*g
@@ -294,24 +305,25 @@ def _grid_seeds(x, y, lower, upper) -> np.ndarray:
 LeastSquaresResult = namedtuple("LeastSquaresResult", "x cost converged nfev")
 
 
-def least_squares(x, y, p0, lower, upper) -> LeastSquaresResult:
+def least_squares(x, y, p0) -> LeastSquaresResult:
     """Bound-projected Levenberg-Marquardt fits of `dip_model` to each row of
     y (R, n) from p0 (R, 5): x (R, 5), cost (R,) = half the squared residual,
     converged (R,) and nfev, the batched evaluations, after at most
     `MAX_FIT_ITERATIONS` steps.  A step solves the damped normal equations of
     `dip_jacobian` (Nielsen's damping rule) for the free parameters, clips
-    into the bounds and is kept if the cost fell.  A parameter on a bound its
-    gradient points out of, or with a vanishing column (a3 and a4 at a2 = 0),
-    is held.  A row converges once a step changes, or is predicted to change,
-    its cost by at most 1e-10 * cost + 1e-24 * y.y, and is frozen from then on
-    so that no row depends on its batch mates.  The Jacobians of the kept
-    and the trial parameters live in two buffers that trade places when
-    every row keeps its step."""
+    into the delays' `fit_bounds` and is kept if the cost fell.  A parameter
+    on a bound its gradient points out of, or with a vanishing column (a3
+    and a4 at a2 = 0), is held.  A row converges once a step changes, or is
+    predicted to change, its cost by at most 1e-10 * cost + 1e-24 * y.y, and
+    is frozen from then on so that no row depends on its batch mates.  The
+    Jacobians of the kept and the trial parameters live in two buffers that
+    trade places when every row keeps its step."""
     def evaluate(p, jac):
         dip_jacobian(x, *p.T[:, :, None], out=jac)
         r = p[:, :1] * jac[..., 0] + p[:, 1:2] * jac[..., 1] - y
         return r, 0.5 * (r * r).sum(-1)
 
+    lower, upper = fit_bounds(x)
     p = np.array(p0, dtype=float)
     jac, jac_t = np.empty((2, len(p), x.size, 5))
     r, cost = evaluate(p, jac)
@@ -357,8 +369,7 @@ def fit_hom_dips(scans) -> list[DipFit]:
     if not all(np.array_equal(scan.delays, x) for scan in scans[1:]):
         raise ValueError("scans must share their delays")
     y = np.stack([scan.counts for scan in scans])
-    lower = np.array([-np.inf, -np.inf, 0.0, x[0], 0.5 * (x[1:] - x[:-1]).min()])
-    upper = np.array([np.inf, np.inf, 1.0, x[-1], 0.5 * (x[-1] - x[0])])
+    lower, upper = fit_bounds(x)
     # dip_jacobian's columns are at most the baseline times g, g |u| / a4 and
     # g u^2 / a4 (u = (x - a3) / a4), so at most its magnitude times
     # max(1, 1 / a4): with the baseline at most the largest count c and a4
@@ -376,9 +387,9 @@ def fit_hom_dips(scans) -> list[DipFit]:
                              f" smallest width w = {w:g} mm and the largest count"
                              f" c = {c:g}; got {n * entry * entry:g} for scan {s}")
     guesses = np.clip([_initial_guess(scan) for scan in scans], lower, upper)
-    starts = np.concatenate((_grid_seeds(x, y, lower, upper), guesses[:, None]), 1)
+    starts = np.concatenate((_grid_seeds(x, y), guesses[:, None]), 1)
     k = starts.shape[1]
-    result = least_squares(x, y.repeat(k, axis=0), starts.reshape(-1, 5), lower, upper)
+    result = least_squares(x, y.repeat(k, axis=0), starts.reshape(-1, 5))
     best = k * np.arange(len(y)) + result.cost.reshape(-1, k).argmin(1)
     fits = []
     for i, n_min in zip(best, y.min(1).tolist()):
@@ -395,12 +406,10 @@ def fit_hom_dips(scans) -> list[DipFit]:
 def fit_hom_dip(scan: HomScan) -> DipFit:
     """Nonlinear least-squares fit of the Gaussian-plus-linear dip model.
 
-    Bounds keep a2 in [0, 1], the centre a3 inside the scan and the width a4
-    between half the smallest delay step and half the span: a narrower dip
-    cannot be told from noise, nor a wider one from the linear baseline.
-    Three starts, the two best points of a coarse (a2, a3, a4) grid with the
-    baseline profiled out (`_grid_seeds`) and `_initial_guess`, are polished
-    by the bound-projected Levenberg-Marquardt `least_squares` until a step
+    The parameters stay within `fit_bounds` of the delays.  Three starts,
+    the two best points of a coarse (a2, a3, a4) grid with the baseline
+    profiled out (`_grid_seeds`) and `_initial_guess`, are polished by the
+    bound-projected Levenberg-Marquardt `least_squares` until a step
     changes the cost by at most 1e-10 of it; the lowest cost wins.  If that
     start has not converged within `MAX_FIT_ITERATIONS` steps, a module
     constant read at each call, `FitFailureError` is raised.  The visibility

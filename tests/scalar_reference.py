@@ -25,8 +25,8 @@ of points: `evolution.unitary` forms U this way at one point, and
 minors, is tested against it.
 
 `trf_dip_fit` fits the HOM dip model with scipy's trust-region reflective
-`least_squares`, within the bounds and tolerances `fit_hom_dip` used while it
-ran that solver.
+`least_squares`, within the package's `fit_bounds` and the tolerances
+`fit_hom_dip` used while it ran that solver.
 """
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -35,7 +35,7 @@ from scipy.optimize import least_squares, minimize
 from rwasim import compiler
 from rwasim.device import VoltageBoundError, VoltageConfig, build_hamiltonian
 from rwasim.evolution import eigh_tridiagonal as stacked_eigh, unitary
-from rwasim.photon_stats import dip_jacobian, dip_model
+from rwasim.photon_stats import dip_jacobian, dip_model, fit_bounds
 from rwasim.subcircuits import distribution_fidelity
 
 
@@ -175,8 +175,7 @@ def trf_dip_fit(scan, x0, exact_jacobian=False):
     The Jacobian is `dip_jacobian` or, by default, scipy's finite
     differences."""
     x, y = scan.delays, scan.counts
-    lower = [-np.inf, -np.inf, 0.0, x[0], 0.5 * np.diff(x).min()]
-    upper = [np.inf, np.inf, 1.0, x[-1], 0.5 * (x[-1] - x[0])]
+    lower, upper = fit_bounds(x)
     jac = (lambda p: dip_jacobian(x, *p)) if exact_jacobian else "2-point"
     return least_squares(
         lambda p: dip_model(x, *p) - y, np.clip(x0, lower, upper), jac=jac,

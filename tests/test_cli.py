@@ -26,6 +26,20 @@ def device_file(tmp_path):
     return str(path)
 
 
+def write_device(tmp_path, text: str) -> str:
+    """Path of a device YAML holding `text`."""
+    path = tmp_path / "device.yaml"
+    path.write_text(text)
+    return str(path)
+
+
+def refused(argv, out, capsys) -> str:
+    """stderr of `argv` run into `out`, which must exit 3 and leave no `out`."""
+    assert run(*argv, "--out", str(out)) == 3
+    assert not out.exists()
+    return capsys.readouterr().err
+
+
 class TestSimulate:
     def test_zero_voltage_power_csv(self, tmp_path):
         out = tmp_path / "run"
@@ -56,16 +70,31 @@ class TestSimulate:
 
     @pytest.mark.parametrize("field,value", [
         ("coupling_length", "null"), ("voltage_limit", "[1, 2]"), ("n_guides", "2.7"),
+        ("beta_sensitivity", "[1, 2, 3]"), ("beta_sensitivity", "[[1, 2], [3, 4]]"),
     ])
     def test_ill_typed_device_field_is_validation_error(self, tmp_path, capsys,
                                                          field, value):
-        # null and lists crashed with a TypeError traceback; 2.7 ran 2 guides
+        # null and lists crashed with a TypeError traceback; 2.7 ran 2 guides;
+        # a sensitivity that is neither a matrix nor triplets is named too
         device = tmp_path / "device.yaml"
         device.write_text(f"{field}: {value}\n")
         out = tmp_path / "run"
         assert run("simulate", "--device", str(device), "--out", str(out)) == 3
         assert field in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "is empty"), ("- 1\n- 2\n", "device document is not a mapping"),
+        ("a: [1, 2\n", "cannot parse"),
+    ], ids=["empty", "list", "unparsable"])
+    def test_unusable_device_file_refused(self, tmp_path, capsys, text, message):
+        argv = ["simulate", "--device", write_device(tmp_path, text)]
+        assert message in refused(argv, tmp_path / "run", capsys)
+
+    def test_input_guide_out_of_range(self, tmp_path, capsys):
+        err = refused(["simulate", "--profile", "10", "--input-guide", "12"],
+                      tmp_path / "run", capsys)
+        assert "input_guide 12 out of range 1..11" in err
 
     def test_eigensolver_failure_is_numerical_exit(self, tmp_path, monkeypatch,
                                                    capsys):
@@ -124,6 +153,19 @@ class TestMap:
             "eta=0.5: v1=-8.86 V at v4=+10.00 V",
             "eta=1.0: v1=-10.00 V at v4=+10.00 V (clamped)",
         ]
+
+    def test_electrode_out_of_range(self, tmp_path, capsys):
+        err = refused(["map", "--electrodes", "1,40"], tmp_path / "run", capsys)
+        assert "electrode 40 out of range 1..22" in err
+
+    def test_device_coupling_past_the_phase_bound_refused(self, tmp_path, capsys):
+        # exited 3 after numpy's overflow warnings, with "eta: contains
+        # non-finite entries", which names no device field
+        device = write_device(tmp_path, "base_coupling: [%s]\n" % ", ".join(
+            ["5.0e+306"] * 10))
+        err = refused(["map", "--electrodes", "1,4", "--step", "5", "--device", device],
+                      tmp_path / "run", capsys)
+        assert err.startswith("error: base_coupling too large")
 
     def test_step_must_divide_range(self, tmp_path, capsys):
         # 0.3 V steps cannot span 2 V; a 0.2857 V grid would not match the
@@ -261,6 +303,21 @@ class TestHom:
                    "--out", str(out)) == 3
         assert capsys.readouterr().err.startswith(f"error: {name} must be")
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--pair", "0"], "pair lower guide must be >= 1, got 0"),
+        (["--eta", "0.5", "--slope=-1e6"], "model mean went negative"),
+    ], ids=["pair-0", "negative-mean"])
+    def test_refused_scan_exits_3(self, tmp_path, capsys, flags, message):
+        err = refused(["hom", *flags, "--scan=-0.6,0.6,0.01"], tmp_path / "run", capsys)
+        assert message in err
+
+    def test_device_length_past_the_phase_bound_refused(self, tmp_path, capsys):
+        # exited 0 on phases near 1e20 rad
+        device = write_device(tmp_path, "coupling_length: 1.0e+20\n")
+        err = refused(["hom", "--device", device, "--scan=-0.6,0.6,0.01"],
+                      tmp_path / "run", capsys)
+        assert err.startswith("error: coupling_length too long")
 
     @pytest.mark.parametrize("eta", ["0.5", "0.5,1.0,0.25"])
     @pytest.mark.parametrize("flag", ["--device", "--pair", "--voltages"])
@@ -433,6 +490,19 @@ class TestCompile:
         assert len(result["restart_nit"]) == 3
         assert result["objective"] == min(result["restart_trace"])
 
+    def test_config_beyond_the_device_electrodes(self, tmp_path, capsys):
+        device = write_device(tmp_path, "n_electrodes: 8\n")
+        err = refused(["compile", "--config", "3", "--gates", "XX", "--device", device],
+                      tmp_path / "run", capsys)
+        assert "electrode 9 out of range 1..8" in err
+
+    def test_device_length_past_the_phase_bound_refused(self, tmp_path, capsys):
+        # exited 0 after an overflow warning, with every restart at status 2
+        device = write_device(tmp_path, "coupling_length: 1.0e+250\n")
+        err = refused(["compile", "--config", "2", "--gates", "XH", "--restarts", "2",
+                       "--device", device], tmp_path / "run", capsys)
+        assert err.startswith("error: coupling_length too long")
+
     def test_invalid_length_leaves_no_out(self, tmp_path, capsys):
         # the length is checked before the first compile, and --out is made
         # only by the first output
@@ -506,16 +576,6 @@ class TestLoss:
 
 
 class TestReplay:
-    def test_replay_reproduces_bytes(self, tmp_path):
-        first = tmp_path / "first"
-        assert run("hom", "--eta", "0.7", "--scan=-0.5,0.5,0.02",
-                   "--seed", "12", "--fit", "--out", str(first)) == 0
-        second = tmp_path / "second"
-        assert run("replay", str(first / "manifest.json"),
-                   "--out", str(second)) == 0
-        for name in ("scan.csv", "dipfit.json"):
-            assert (first / name).read_bytes() == (second / name).read_bytes()
-
     @pytest.mark.parametrize("argv", [
         ["simulate", "--unitary", "--profile", "20"],
         ["map", "--electrodes", "1,4", "--range=-2,2", "--step", "2"],
@@ -676,11 +736,11 @@ class TestReplay:
         assert device_file in capsys.readouterr().err
         assert not second.exists()
 
-    def test_replay_map(self, tmp_path):
-        first = tmp_path / "first"
-        run("map", "--electrodes", "1,4", "--range=-2,2", "--step", "2",
-            "--out", str(first))
-        second = tmp_path / "second"
-        assert run("replay", str(first / "manifest.json"),
-                   "--out", str(second)) == 0
-        assert (first / "map.csv").read_bytes() == (second / "map.csv").read_bytes()
+    def test_out_given_with_equals_sign_is_not_recorded(self, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run("simulate", "--profile", "5", f"--out={first}") == 0
+        manifest = read_manifest(first / "manifest.json")
+        assert not any(tok.startswith("--out") for tok in manifest["argv"])
+        assert run("replay", str(first / "manifest.json"), "--out", str(second)) == 0
+        for name in manifest["outputs"] + ["manifest.json"]:
+            assert (first / name).read_bytes() == (second / name).read_bytes()

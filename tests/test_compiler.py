@@ -81,6 +81,11 @@ class TestPresets:
             ElectrodeConfig(name="bad", active_electrodes=(1, 2),
                             pairs=(SubcircuitPair(1), SubcircuitPair(2)))
 
+    def test_duplicate_electrodes_rejected(self):
+        with pytest.raises(ValueError, match="duplicates"):
+            ElectrodeConfig(name="bad", active_electrodes=(1, 2, 1),
+                            pairs=(SubcircuitPair(1),))
+
 
 class TestObjective:
     def test_exact_device_scores_zero(self):

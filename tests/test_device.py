@@ -45,6 +45,24 @@ class TestDeviceSpecLoading:
         with pytest.raises(DeviceSpecError, match="coupling_length"):
             DeviceSpec(coupling_length=0.0)
 
+    @pytest.mark.parametrize("fields,message", [
+        (dict(coupling_length=1e15), "coupling_length too long"),
+        (dict(base_beta=np.full(11, 1e15)), "base_beta too large"),
+        (dict(base_coupling=np.full(10, 5e306)), "base_coupling too large"),
+        (dict(beta_sensitivity=np.full((11, 22), 1e14)),
+         "beta_sensitivity at voltage_limit too large"),
+        # V sum |dC/dV| overflows to inf, which must not warn
+        (dict(voltage_limit=1.7e308, coupling_sensitivity=np.full((10, 22), 1.0)),
+         "coupling_sensitivity at voltage_limit too large"),
+    ], ids=["length", "beta", "coupling", "beta-sensitivity", "inf-rho"])
+    def test_phases_past_2_52_rad_rejected(self, fields, message):
+        # by Gershgorin the default device's eigenvalues are at most 4.68
+        # rad/mm in size within +/-10 V, so 9e14 mm keeps every phase below
+        # 2^52 rad
+        assert DeviceSpec(coupling_length=9e14).coupling_length == 9e14
+        with pytest.raises(DeviceSpecError, match=f"^{message}: "):
+            DeviceSpec(**fields)
+
     def test_missing_numeric_field(self):
         with pytest.raises(DeviceSpecError):
             device_spec_from_dict({"base_beta": ["a", "b"]})

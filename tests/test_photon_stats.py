@@ -20,6 +20,7 @@ from rwasim.photon_stats import (
     dip_extrema,
     dip_jacobian,
     dip_model,
+    fit_bounds,
     fit_hom_dip,
     fit_hom_dips,
     ideal_visibility,
@@ -70,6 +71,10 @@ class TestTwoPhotonCoincidence:
             two_photon_coincidence(eta_coupler(0.5), (1, 1), (1, 2))
         with pytest.raises(ValueError):
             two_photon_coincidence(eta_coupler(0.5), (1, 2), (2, 2))
+
+    def test_guide_out_of_range_rejected(self):
+        with pytest.raises(IndexError, match="guide 3 out of range 1..2"):
+            two_photon_coincidence(eta_coupler(0.5), (1, 2), (1, 3))
 
     def test_indistinguishable_outputs_normalized(self):
         # coincidences over unordered pairs plus bunched terms sum to 1
@@ -139,6 +144,11 @@ class TestSimulateHomScan:
             simulate_hom_scan(0.5, [0.0], baseline_rate=0.0)
         with pytest.raises(ValueError):
             simulate_hom_scan(0.5, [0.0], baseline_rate=10.0, coherence_width=0.0)
+
+    @pytest.mark.parametrize("overlap", [-0.1, 1.1])
+    def test_overlap_outside_unit_interval_rejected(self, overlap):
+        with pytest.raises(ValueError, match="overlap must be in"):
+            simulate_hom_scan(0.5, [0.0], 10.0, overlap=overlap)
 
     @pytest.mark.parametrize("kwargs,name", [
         (dict(baseline_rate=np.inf), "baseline_rate"),
@@ -251,6 +261,7 @@ class TestFitHomDip:
         # with a3 and a4 unbounded, 7 (1e3) and 5 (1e4) of these 40 fits hit
         # the evaluation cap and 2 more fitted a2 > 0.5
         x = np.linspace(-0.6, 0.6, 121)
+        lower, upper = fit_bounds(x)
         failures = 0
         for seed in range(40):
             try:
@@ -259,8 +270,8 @@ class TestFitHomDip:
                 failures += 1
                 continue
             assert fit.a2 <= 0.5, seed
-            assert x[0] <= fit.a3 <= x[-1], seed
-            assert 0.5 * np.diff(x).min() <= fit.a4 <= 0.5 * (x[-1] - x[0]), seed
+            assert lower[3] <= fit.a3 <= upper[3], seed
+            assert lower[4] <= fit.a4 <= upper[4], seed
         assert failures == 0
 
     @pytest.mark.parametrize("counts,got", [(0.0, "got 0 for scan 1"),
@@ -291,7 +302,7 @@ class TestFitHomDip:
     def test_counts_below_the_normal_matrix_bound_fit(self):
         # n (c / w)^2 finite: c below w sqrt(max / n), about 6.09e150 here
         x = np.linspace(-0.6, 0.6, 121)
-        bound = 0.5 * np.diff(x).min() * math.sqrt(np.finfo(float).max / x.size)
+        bound = fit_bounds(x)[0][4] * math.sqrt(np.finfo(float).max / x.size)
         fit = fit_hom_dip(simulate_hom_scan(0.5, x, 0.99 * bound))
         assert fit.a2 == pytest.approx(1.0, abs=1e-6)
         assert fit.a1 == pytest.approx(0.99 * bound, rel=1e-9)
@@ -377,8 +388,6 @@ class TestGlobalFit:
     starts, and the batched fit against one fit per scan."""
 
     DELAYS = np.linspace(-0.6, 0.6, 121)
-    BOUNDS = (np.array([-np.inf, -np.inf, 0.0, -0.6, 0.5 * np.diff(DELAYS).min()]),
-              np.array([np.inf, np.inf, 1.0, 0.6, 0.6]))
 
     @pytest.mark.parametrize("baseline", [1e3, 1e4])
     @pytest.mark.parametrize("eta", [0.1, 0.3, 0.5, 0.7, 0.9, 1.0])
@@ -388,7 +397,7 @@ class TestGlobalFit:
             scan = simulate_hom_scan(eta, self.DELAYS, baseline, noise_seed=seed)
             fit = fit_hom_dip(scan)
             starts = (_initial_guess(scan),
-                      _grid_seeds(self.DELAYS, scan.counts[None], *self.BOUNDS)[0, 0])
+                      _grid_seeds(self.DELAYS, scan.counts[None])[0, 0])
             trf = min(trf_dip_fit(scan, x0, exact_jacobian=True).cost for x0 in starts)
             assert fit_cost(fit, scan) <= (1 + 1e-9) * trf, seed
             if eta == 1.0:
@@ -427,12 +436,6 @@ def golden_scan(eta, points, half_span, baseline, slope, seed):
 
 def hexes(fit: DipFit) -> tuple:
     return tuple(float(v).hex() for v in fit.to_dict().values())
-
-
-def fit_bounds(x) -> tuple:
-    """The (lower, upper) bounds `fit_hom_dips` gives `least_squares`."""
-    return (np.array([-np.inf, -np.inf, 0.0, x[0], 0.5 * np.diff(x).min()]),
-            np.array([np.inf, np.inf, 1.0, x[-1], 0.5 * (x[-1] - x[0])]))
 
 
 class TestGoldenFits:
@@ -538,19 +541,18 @@ class TestSeedTableCache:
         for name, scan in scans.items():
             _seed_tables.cache_clear()
             fresh[name] = hexes(fit_hom_dip(scan))
-            seeds[name] = _grid_seeds(scan.delays, scan.counts[None],
-                                      *fit_bounds(scan.delays)).tobytes()
+            seeds[name] = _grid_seeds(scan.delays, scan.counts[None]).tobytes()
         assert seeds["A"] != seeds["C"]
         _seed_tables.cache_clear()
         for name in "ABACACBCA":
             scan = scans[name]
             assert hexes(fit_hom_dip(scan)) == fresh[name], name
-            assert _grid_seeds(scan.delays, scan.counts[None],
-                               *fit_bounds(scan.delays)).tobytes() == seeds[name], name
+            seed = _grid_seeds(scan.delays, scan.counts[None]).tobytes()
+            assert seed == seeds[name], name
         assert _seed_tables.cache_info().currsize == 3
 
     def test_tables_are_read_only(self):
-        tables = _seed_tables(*(a.tobytes() for a in (self.A, *fit_bounds(self.A))))
+        tables = _seed_tables(self.A.tobytes())
         assert len(tables) == 6
         for table in tables:
             assert not table.flags.writeable
@@ -579,7 +581,7 @@ class TestLeastSquaresBuffers:
         lower, upper = fit_bounds(x)
         scan = simulate_hom_scan(0.9, x, 1e4, noise_seed=1)
         y = scan.counts[None]
-        starts = np.concatenate((_grid_seeds(x, y, lower, upper)[0],
+        starts = np.concatenate((_grid_seeds(x, y)[0],
                                  np.clip(_initial_guess(scan), lower, upper)[None]))
         buffers, copies = [], []
         jacobian = photon_stats.dip_jacobian
@@ -595,7 +597,7 @@ class TestLeastSquaresBuffers:
 
         monkeypatch.setattr(photon_stats, "dip_jacobian", recording_jacobian)
         monkeypatch.setattr(np, "copyto", recording_copyto)
-        batch = least_squares(x, y.repeat(3, axis=0), starts, lower, upper)
+        batch = least_squares(x, y.repeat(3, axis=0), starts)
         # a trial lands in the other buffer only after a round that swapped
         trials = buffers[1:]
         assert sum(a != b for a, b in zip(trials, trials[1:])) > 0
@@ -603,7 +605,7 @@ class TestLeastSquaresBuffers:
         assert copies and all(0 < keep.sum() < keep.size for keep in copies)
         monkeypatch.undo()
         for i in range(3):
-            single = least_squares(x, y, starts[i:i + 1], lower, upper)
+            single = least_squares(x, y, starts[i:i + 1])
             assert batch.x[i].tobytes() == single.x[0].tobytes(), i
             assert batch.cost[i].tobytes() == single.cost[0].tobytes(), i
             assert batch.converged[i] == single.converged[0], i
@@ -646,6 +648,10 @@ class TestVisibilityError:
         with pytest.raises(ValueError):
             visibility_error(0.0, 1.0)
 
+    def test_negative_min_rejected(self):
+        with pytest.raises(ValueError, match="N_min must be non-negative"):
+            visibility_error(100.0, -1.0)
+
 
 class TestScanCsv:
     def test_round_trip(self, tmp_path):
@@ -661,6 +667,10 @@ class TestHomScanValidation:
     def test_delays_must_increase(self):
         with pytest.raises(ValueError):
             HomScan(delays=np.array([0.0, 0.0, 1.0]), counts=np.zeros(3))
+
+    def test_delays_must_be_1d(self):
+        with pytest.raises(ValueError, match="1-D"):
+            HomScan(delays=np.zeros((2, 2)), counts=np.zeros((2, 2)))
 
     def test_counts_non_negative(self):
         with pytest.raises(ValueError):

@@ -7,31 +7,13 @@ just filled so that the map can keep them without a copy.  These tests parse
 the package with `ast`, without importing it.
 """
 import ast
-from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "rwasim"
-
-
-def nodes():
-    """(module, innermost enclosing function, node) of every node."""
-    paths = sorted(PACKAGE.glob("*.py"))
-    assert paths
-    found = []
-    for path in paths:
-        def visit(node, scope):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                scope = node.name
-            found.append((path.stem, scope, node))
-            for child in ast.iter_child_nodes(node):
-                visit(child, scope)
-        visit(ast.parse(path.read_text()), path.stem)
-    return found
+from package_ast import calls, nodes
 
 
 def test_arrays_are_frozen_only_by_frozen_array_and_the_map_hand_over():
-    freezes = [(module, scope) for module, scope, node in nodes()
-               if isinstance(node, ast.Call)
-               and ast.unparse(node.func).endswith(".setflags")]
+    freezes = [(module, scope) for module, scope, node in calls()
+               if ast.unparse(node.func).endswith(".setflags")]
     assert sorted(freezes) == [("calibration", "build_lookup_map"),
                                ("device", "frozen_array")]
 

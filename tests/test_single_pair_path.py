@@ -7,42 +7,13 @@ map and `rwasim hom` both call it.  These tests parse the package with
 `evolution.pair_blocks`, or calls `subcircuits.reflectivity_and_leakage`
 apart from the single-unitary `subcircuits.effective_reflectivity`.
 """
-import ast
-from pathlib import Path
-
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "rwasim"
-
-
-class Callers(ast.NodeVisitor):
-    """(module, innermost enclosing function) of each call to `name`."""
-
-    def __init__(self, module, name):
-        self.scope = [module]
-        self.name = name
-        self.found = []
-
-    def visit_FunctionDef(self, node):
-        self.scope.append(node.name)
-        self.generic_visit(node)
-        self.scope.pop()
-
-    def visit_Call(self, node):
-        callee = node.func
-        if (callee.attr if isinstance(callee, ast.Attribute)
-                else getattr(callee, "id", None)) == self.name:
-            self.found.append((self.scope[0], self.scope[-1]))
-        self.generic_visit(node)
+from package_ast import callee_name, calls
 
 
 def callers(name: str) -> list[tuple[str, str]]:
-    paths = sorted(PACKAGE.glob("*.py"))
-    assert paths
-    found = []
-    for path in paths:
-        visitor = Callers(path.stem, name)
-        visitor.visit(ast.parse(path.read_text()))
-        found += visitor.found
-    return sorted(found)
+    """(module, innermost enclosing function) of each call to `name`."""
+    return sorted((module, scope) for module, scope, node in calls()
+                  if callee_name(node) == name)
 
 
 def test_pair_blocks_callers():

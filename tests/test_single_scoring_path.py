@@ -7,19 +7,13 @@ importing it, and fails on a call to the full-U path: `build_hamiltonian`,
 `unitary` or the checked `distribution_fidelity`.
 """
 import ast
-from pathlib import Path
 
-COMPILER = Path(__file__).resolve().parent.parent / "src" / "rwasim" / "compiler.py"
+from package_ast import callee_name, calls
+
 FULL_U_PATH = {"build_hamiltonian", "unitary", "distribution_fidelity"}
 
 
 def test_compiler_calls_no_full_u_path():
-    found = []
-    for node in ast.walk(ast.parse(COMPILER.read_text())):
-        if isinstance(node, ast.Call):
-            callee = node.func
-            name = callee.attr if isinstance(callee, ast.Attribute) else getattr(
-                callee, "id", None)
-            if name in FULL_U_PATH:
-                found.append((node.lineno, ast.unparse(callee)))
+    found = [(node.lineno, ast.unparse(node.func)) for _, _, node in calls("compiler")
+             if callee_name(node) in FULL_U_PATH]
     assert found == []

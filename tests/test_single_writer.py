@@ -8,26 +8,8 @@ leave an output directory that its manifest does not describe.  These tests
 parse the package with `ast`, without importing it.
 """
 import ast
-from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "rwasim"
-
-
-def calls():
-    """(module, innermost enclosing function, call node) of every call."""
-    paths = sorted(PACKAGE.glob("*.py"))
-    assert paths
-    found = []
-    for path in paths:
-        def visit(node, scope):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                scope = node.name
-            if isinstance(node, ast.Call):
-                found.append((path.stem, scope, node))
-            for child in ast.iter_child_nodes(node):
-                visit(child, scope)
-        visit(ast.parse(path.read_text()), path.stem)
-    return found
+from package_ast import calls
 
 
 def callee(node: ast.Call) -> str:

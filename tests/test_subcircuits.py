@@ -11,6 +11,7 @@ from rwasim.evolution import TransferUnitary
 from rwasim.subcircuits import (
     GATE_ETAS,
     SubcircuitPair,
+    TruthTable,
     average_fidelity,
     coupler_split,
     distribution_fidelity,
@@ -241,6 +242,20 @@ class TestGateTruthTable:
         table = gate_truth_table(0.5, 1.0).table
         assert not np.all(np.isin(table, (0.0, 1.0)))
 
+    @pytest.mark.parametrize("eta_a,eta_b,name", [(-0.1, 0.5, "eta_a"),
+                                                  (0.5, 1.5, "eta_b")])
+    def test_eta_outside_unit_interval_rejected(self, eta_a, eta_b, name):
+        with pytest.raises(ValueError, match=f"{name} must be in"):
+            gate_truth_table(eta_a, eta_b)
+
+    @pytest.mark.parametrize("table,message", [
+        (np.eye(4) + np.outer([1, 0, 0, 0], [0.5, -0.5, 0, 0]), "non-negative"),
+        (np.full((4, 4), 0.3), "sum to 1"),
+    ], ids=["negative-entry", "row-sum"])
+    def test_invalid_truth_table_rejected(self, table, message):
+        with pytest.raises(ValueError, match=message):
+            TruthTable(table)
+
     def test_post_selection_ignores_leakage(self):
         m = np.eye(11, dtype=complex)
         m[:2, :2] = coupler(0.3) * math.sqrt(0.5)
@@ -265,6 +280,10 @@ class TestDistributionFidelity:
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
             distribution_fidelity(np.array([0.5, 0.2]), np.array([0.5, 0.5]))
+
+    def test_row_shapes_must_match(self):
+        with pytest.raises(ValueError, match="row shapes differ"):
+            distribution_fidelity(np.array([0.5, 0.5]), np.full(4, 0.25))
 
     def test_average_fidelity_identity_vs_xx(self):
         assert average_fidelity(gate_truth_table(1.0, 1.0),
