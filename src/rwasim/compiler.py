@@ -69,6 +69,7 @@ metrics are the ones behind it; `objective` is the same kernel at one point.
 from __future__ import annotations
 
 import logging
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -77,7 +78,8 @@ import numpy as np
 from . import evolution
 from .csvio import write_csv
 from .device import (N_GUIDES_DEFAULT, DeviceSpec, DeviceSpecError,
-                     VoltageBoundError, VoltageConfig, frozen_array)
+                     VoltageBoundError, VoltageConfig, eigenvalue_bound,
+                     frozen_array)
 from .subcircuits import (
     GATE_ETAS,
     SubcircuitPair,
@@ -620,7 +622,12 @@ def optimize_parallel_gates(
     restarts: int = 100,
     seed: int = 0,
 ) -> CompileResult:
-    """Best voltage setting over `restarts` random multi-starts."""
+    """Best voltage setting over `restarts` random multi-starts.
+
+    Raises ValueError when no restart takes a step, every one ending at
+    status 2 after 0 iterations, naming `coupling_length` and rho L, the
+    `eigenvalue_bound` times the length: a length near the device's 2^52 rad
+    phase bound leaves phases too coarse for any step."""
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     limit = spec.voltage_limit
@@ -639,6 +646,12 @@ def optimize_parallel_gates(
                                                  size=(restarts, n_active))
     xs, _, nit, nfev, stop = search(starts, SEARCH_EPS, SEARCH_FTOL, stall=(
         SEARCH_STALL_ITERATIONS, SEARCH_STALL_RATIO, SEARCH_STALL_FLOOR))
+    if not nit.any() and (STOP_STATUS[stop] == 2).all():
+        phase = eigenvalue_bound(spec)[0] * spec.coupling_length
+        raise ValueError(f"no restart took a step (status 2 after 0 iterations):"
+                         f" with coupling_length {spec.coupling_length:g} mm the"
+                         f" phases may reach rho L = {phase:.6g} rad, whose last"
+                         f" bit is {math.ulp(phase):g} rad")
     # score every end point on sum r^2, then polish the converged ones near the
     # best from there
     fun, grad = (np.concatenate(part) for part in zip(

@@ -69,10 +69,10 @@ def frozen_array(value, name: str, shape: tuple | None = None,
         raise error(f"{name}: not numeric ({exc})") from exc
     if shape is not None and arr.shape != shape:
         raise error(f"{name} has shape {arr.shape}, expected {shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise error(f"{name}: contains non-finite entries")
     if integral:
-        if not np.all(arr == np.trunc(arr)):
+        if not (arr == np.trunc(arr)).all():
             raise error(f"{name}: entries must be whole numbers")
         arr = arr.astype(dtype, copy=False)
     if arr.flags.writeable:
@@ -180,24 +180,24 @@ class DeviceSpec:
                 default if value is None else value, name, default.shape))
         if np.any(self.base_coupling < 0):
             raise DeviceSpecError("base_coupling entries must be >= 0")
-        _check_phase_bound(self, length, limit)
         object.__setattr__(self, "n_guides", n)
         object.__setattr__(self, "n_electrodes", e)
         object.__setattr__(self, "coupling_length", length)
         object.__setattr__(self, "voltage_limit", limit)
+        _check_phase_bound(self)
 
     def with_length(self, coupling_length: float) -> "DeviceSpec":
         return dataclasses.replace(self, coupling_length=coupling_length)
 
 
-def _check_phase_bound(spec: DeviceSpec, length: float, limit: float) -> None:
-    """Refuse a device whose phases w L could pass `MAX_PHASE` within the
-    voltage limit V.  By Gershgorin every eigenvalue w of H is at most
-    rho = max_n (a_n + c_(n-1) + c_n) in size, with a = |beta| + V sum_e
-    |d beta / d V_e| and c = |C| + V sum_e |d C / d V_e|.  The message names
-    the larger factor of rho L: `coupling_length`, or the field with the
-    largest term of rho."""
-    with np.errstate(over="ignore"):  # an overflow to inf is refused below
+def eigenvalue_bound(spec: DeviceSpec) -> tuple[float, dict[str, np.ndarray]]:
+    """rho, the Gershgorin bound (rad/mm) on the size of every eigenvalue w
+    of H within the voltage limit V, and its terms by field, per guide or
+    boundary: rho = max_n (a_n + c_(n-1) + c_n), with a = |beta| + V sum_e
+    |d beta / d V_e| and c = |C| + V sum_e |d C / d V_e|.  An overflow gives
+    inf, without a warning."""
+    limit = spec.voltage_limit
+    with np.errstate(over="ignore"):
         terms = {"base_beta": np.abs(spec.base_beta),
                  "beta_sensitivity": limit * np.abs(spec.beta_sensitivity).sum(1),
                  "base_coupling": spec.base_coupling,
@@ -205,7 +205,16 @@ def _check_phase_bound(spec: DeviceSpec, length: float, limit: float) -> None:
                      limit * np.abs(spec.coupling_sensitivity).sum(1)}
         a = terms["base_beta"] + terms["beta_sensitivity"]
         c = np.pad(terms["base_coupling"] + terms["coupling_sensitivity"], 1)
-        rho = float((a + c[:-1] + c[1:]).max())
+        return float((a + c[:-1] + c[1:]).max()), terms
+
+
+def _check_phase_bound(spec: DeviceSpec) -> None:
+    """Refuse a device whose phases w L could pass `MAX_PHASE` within the
+    voltage limit: rho L, with rho the `eigenvalue_bound`, must not.  The
+    message names the larger factor of rho L: `coupling_length`, or the
+    field with the largest term of rho."""
+    rho, terms = eigenvalue_bound(spec)
+    length = spec.coupling_length
     if rho * length <= MAX_PHASE:
         return
     bound = (f"the eigenvalue bound rho = {rho:.6g} rad/mm of H within the voltage"
@@ -237,11 +246,11 @@ def hamiltonian_diagonals(
         raise DeviceSpecError(
             f"voltage stack has shape {volts.shape}, expected (B, {spec.n_electrodes})"
         )
-    if not np.all(np.isfinite(volts)):
+    if not np.isfinite(volts).all():
         raise DeviceSpecError("voltage stack contains non-finite entries")
-    bad = np.argwhere(np.abs(volts) > spec.voltage_limit)
-    if bad.size:
-        b, e = bad[0]
+    over = np.abs(volts) > spec.voltage_limit
+    if over.any():
+        b, e = np.argwhere(over)[0]
         raise VoltageBoundError(
             f"electrode {e + 1} at {volts[b, e]} V exceeds limit "
             f"+/-{spec.voltage_limit} V"

@@ -8,6 +8,11 @@ Grid seeds with the linear baseline profiled out (Golub & Pereyra 1973)
 start a batched, bound-projected Levenberg-Marquardt fit (More 1978).  The
 seed grid's tables depend on the delays alone and are built once per delay
 grid.
+A simulate+fit is a fixed cost of many numpy calls on small arrays, so its
+path calls ndarray methods and indexing forms (`a.all()`, `a.argmin()`,
+`(d[1:] > d[:-1]).all()`, filled buffers) rather than numpy's module-level
+`np.all`, `np.any`, `np.argmin`, `np.diff`, `np.stack` or `np.clip`, which
+run Python code before the same C loop; the values are the same to the bit.
 """
 from __future__ import annotations
 
@@ -49,10 +54,10 @@ class HomScan:
         delays = frozen_array(self.delays, "delays", error=ValueError)
         if delays.ndim != 1:
             raise ValueError("delays must be 1-D")
-        if not np.all(np.diff(delays) > 0):
+        if not (delays[1:] > delays[:-1]).all():
             raise ValueError("delays must be strictly increasing")
         counts = frozen_array(self.counts, "counts", delays.shape, ValueError)
-        if np.any(counts < 0):
+        if (counts < 0).any():
             raise ValueError("counts must be non-negative")
         object.__setattr__(self, "delays", delays)
         object.__setattr__(self, "counts", counts)
@@ -195,7 +200,7 @@ def simulate_hom_scan(
                              f" {coherence_width}")
     v = overlap * ideal_visibility(eta)
     mean = dip_model(x, slope, baseline_rate, v, dip_center, coherence_width)
-    if np.any(mean < 0):
+    if (mean < 0).any():
         raise ValueError("model mean went negative; check slope/baseline")
     if noise_seed is None:
         counts = mean
@@ -220,14 +225,14 @@ def _initial_guess(scan: HomScan) -> np.ndarray:
     # the dip is deepest relative to the edge-fitted baseline: a drift larger
     # than the dip would put the raw minimum at the scan edge
     line = a0 * x + a1
-    i_min = int(np.argmin(y / line if np.all(line > 0) else y))
+    i_min = int((y / line if (line > 0).all() else y).argmin())
     a3 = x[i_min]
     baseline_at_min = line[i_min]
     a2 = 1.0 - y[i_min] / baseline_at_min if baseline_at_min > 0 else 0.0
     a2 = min(max(a2, 0.0), 1.0)
     # width where counts cross halfway between the minimum and the baseline
     half = 0.5 * (y[i_min] + baseline_at_min)
-    below = np.flatnonzero(y < half)
+    below = (y < half).nonzero()[0]
     if below.size:
         a4 = 0.5 * max(x[below[-1]] - x[below[0]], x[1] - x[0])
     else:
@@ -290,16 +295,23 @@ def _grid_seeds(x, y) -> np.ndarray:
     but the two that hold y are built once per delay grid (`_seed_tables`)."""
     t = _seed_tables(x.tobytes())
     # one product per scan row, so that no row depends on its batch mates
-    xy = np.stack((x * y, y), axis=1)
+    xy = np.empty((len(y), 2, x.size))
+    np.multiply(x, y, out=xy[:, 0])
+    xy[:, 1] = y
     # sums of [x*y, y] * h, with h = 1 - a2*g
     b = xy.sum(-1)[..., None, None] - _SEED_A2 * (xy @ t.g.T)[:, :, None]
     b0, b1 = b[:, 0].reshape(len(y), -1), b[:, 1].reshape(len(y), -1)
     a0 = (t.h2 * b0 - t.h1 * b1) / t.det
     a1 = (t.h0 * b1 - t.h1 * b0) / t.det
     # the profiled cost is (y.y - a0*b0 - a1*b1) / 2
-    best = np.argpartition(-(a0 * b0 + a1 * b1), 1, axis=1)[:, :2]
-    return np.dstack((np.take_along_axis(a0, best, 1), np.take_along_axis(a1, best, 1),
-                      t.params[best]))
+    best = (-(a0 * b0 + a1 * b1)).argpartition(1, axis=1)[:, :2]
+    seeds = np.empty(best.shape + (5,))
+    # best's flat indices into the (S, grid) tables a0 and a1
+    flat = best + a0.shape[1] * np.arange(len(y))[:, None]
+    seeds[..., 0] = a0.take(flat)
+    seeds[..., 1] = a1.take(flat)
+    seeds[..., 2:] = t.params[best]
+    return seeds
 
 
 LeastSquaresResult = namedtuple("LeastSquaresResult", "x cost converged nfev")
@@ -350,7 +362,7 @@ def least_squares(x, y, p0) -> LeastSquaresResult:
         ok = (cost_t < cost) & ~converged
         converged |= np.abs(fall) <= tol
         lam = np.where(ok, lam * np.maximum(1 / 3, 1 - (2 * rho - 1) ** 3),
-                       np.where(converged, lam, 2.0 * lam))
+                       np.where(converged, 1.0, 2.0) * lam)
         if ok.all():
             p, jac, jac_t, r, cost = trial, jac_t, jac, r_t, cost_t
         elif ok.any():
@@ -368,7 +380,7 @@ def fit_hom_dips(scans) -> list[DipFit]:
     x = scans[0].delays
     if not all(np.array_equal(scan.delays, x) for scan in scans[1:]):
         raise ValueError("scans must share their delays")
-    y = np.stack([scan.counts for scan in scans])
+    y = np.array([scan.counts for scan in scans])
     lower, upper = fit_bounds(x)
     # dip_jacobian's columns are at most the baseline times g, g |u| / a4 and
     # g u^2 / a4 (u = (x - a3) / a4), so at most its magnitude times
@@ -386,7 +398,8 @@ def fit_hom_dips(scans) -> list[DipFit]:
                              f" matrix, is finite for the n = {n} delays, the"
                              f" smallest width w = {w:g} mm and the largest count"
                              f" c = {c:g}; got {n * entry * entry:g} for scan {s}")
-    guesses = np.clip([_initial_guess(scan) for scan in scans], lower, upper)
+    guesses = np.minimum(np.maximum([_initial_guess(scan) for scan in scans], lower),
+                         upper)
     starts = np.concatenate((_grid_seeds(x, y), guesses[:, None]), 1)
     k = starts.shape[1]
     result = least_squares(x, y.repeat(k, axis=0), starts.reshape(-1, 5))

@@ -503,6 +503,15 @@ class TestCompile:
                        "--device", device], tmp_path / "run", capsys)
         assert err.startswith("error: coupling_length too long")
 
+    def test_compile_that_takes_no_step_refused(self, tmp_path, capsys):
+        # inside the phase bound, yet exited 0 with both restarts at status 2
+        # after 0 iterations
+        device = write_device(tmp_path, "coupling_length: 9.0e+14\n")
+        err = refused(["compile", "--config", "2", "--gates", "XH", "--restarts", "2",
+                       "--device", device], tmp_path / "run", capsys)
+        assert err.startswith("error: no restart took a step")
+        assert "coupling_length 9e+14 mm" in err and "rho L = 4.212e+15 rad" in err
+
     def test_invalid_length_leaves_no_out(self, tmp_path, capsys):
         # the length is checked before the first compile, and --out is made
         # only by the first output

@@ -468,6 +468,18 @@ class TestOptimize:
         assert warning.getMessage().endswith(
             "(line search found no acceptable step)")
 
+    @pytest.mark.parametrize("config", ["config1", "config2", "config3"])
+    def test_built_in_devices_take_a_step_in_every_restart(self, config):
+        # far from refusing the compile, which takes every restart at 0
+        # iterations (TestCompile::test_compile_that_takes_no_step_refused in
+        # test_cli.py)
+        for spec in [default_device(), make_xx_device()] + [
+                random_base_device(seed) for seed in range(4)]:
+            result = optimize_parallel_gates(spec, preset_config(config),
+                                             (gate_target("X"), gate_target("H")),
+                                             restarts=10)
+            assert result.restart_nit.min() >= 1
+
     def test_converged_restarts_log_nothing(self, caplog):
         with caplog.at_level(logging.WARNING, logger="rwasim.compiler"):
             result = optimize_parallel_gates(make_xx_device(),

@@ -187,6 +187,10 @@ class TestHamiltonianDiagonals:
         volts[2, 6] = -10.5
         with pytest.raises(VoltageBoundError, match="electrode 7"):
             hamiltonian_diagonals(device, volts)
+        # of two, the first in row-major order is named, not the lower electrode
+        volts[1, 15] = 10.5
+        with pytest.raises(VoltageBoundError, match=r"^electrode 16 at 10\.5 V exceeds"):
+            hamiltonian_diagonals(device, volts)
         volts[2, 6] = np.nan
         with pytest.raises(DeviceSpecError):
             hamiltonian_diagonals(device, volts)
