@@ -5,7 +5,7 @@ The package loads no submodule; import each name from its own module:
 profiles), `subcircuits`, `photon_stats` (HOM statistics and dip fit),
 `calibration` (lookup maps), `compiler` (gate compilation), `analysis`
 (loss accounting), `csvio`, `manifest` and `cli`.  No submodule imports
-scipy.
+scipy, in any scope.
 """
 
 __version__ = "0.21.0"

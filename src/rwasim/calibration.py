@@ -131,9 +131,7 @@ def build_lookup_map(
     """
     if electrode_a == electrode_b:
         raise ValueError(f"electrodes must be distinct, both are {electrode_a}")
-    for e in (electrode_a, electrode_b):
-        if not 1 <= e <= spec.n_electrodes:
-            raise IndexError(f"electrode {e} out of range 1..{spec.n_electrodes}")
+    col_a, col_b = spec.electrode_indices((electrode_a, electrode_b))
     ga = _checked_grid(grid_a, "grid_a", device_mod.DeviceSpecError)
     gb = _checked_grid(grid_b, "grid_b", device_mod.DeviceSpecError)
     for name, g in (("grid_a", ga), ("grid_b", gb)):
@@ -152,8 +150,8 @@ def build_lookup_map(
     for start in range(0, n_cells, block):
         cells = np.arange(start, min(start + block, n_cells))
         v = volts[:cells.size]
-        v[:, electrode_a - 1] = ga[cells // gb.size]
-        v[:, electrode_b - 1] = gb[cells % gb.size]
+        v[:, col_a] = ga[cells // gb.size]
+        v[:, col_b] = gb[cells % gb.size]
         eta[cells], leak1[cells], leak2[cells] = pair_response(spec, pair, v)
     # the map takes the filled tables over read-only rather than copying them
     tables.setflags(write=False)

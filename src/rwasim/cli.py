@@ -2,9 +2,9 @@
 
 Subcommands: simulate, map, hom, compile, loss, replay.  Only `compile`
 optimises, so only it imports `compiler`; the other commands start without
-it.  No command loads scipy.  Each run computes its results before the
-first output creates --out, so a failed run leaves no directory; a run that
-succeeds writes its outputs plus a manifest.json.
+it.  No rwasim module imports scipy.  Each run computes its results before
+the first output creates --out, so a failed run leaves no directory; a run
+that succeeds writes its outputs plus a manifest.json.
 `replay <manifest>` re-runs the recorded command into a fresh directory, and
 refuses a manifest written by another rwasim version or one whose input
 files have changed since.

@@ -114,18 +114,6 @@ ZERO_POWER = 1e-26
 logger = logging.getLogger("rwasim.compiler")
 
 
-def __getattr__(name):
-    """`minimize` is scipy's, imported on first lookup (PEP 562).
-
-    Only the benchmark tracer's `compiler.minimize` layer looks it up;
-    ROADMAP item 1 deletes this once that layer binds `minimize_box`.
-    """
-    if name == "minimize":
-        from scipy.optimize import minimize
-        return minimize
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 @dataclass(frozen=True)
 class ElectrodeConfig:
     """Active electrode set and the two subcircuits it controls."""
@@ -140,12 +128,13 @@ class ElectrodeConfig:
         if set(self.pairs[0].guides) & set(self.pairs[1].guides):
             raise ValueError("subcircuit pairs must be disjoint")
 
-    def validate(self, spec: DeviceSpec) -> None:
-        for e in self.active_electrodes:
-            if not 1 <= e <= spec.n_electrodes:
-                raise IndexError(f"electrode {e} out of range 1..{spec.n_electrodes}")
+    def indices(self, spec: DeviceSpec) -> list[int]:
+        """The active electrodes' 0-based indices, once they and both pairs
+        are checked to fit `spec`."""
+        active = spec.electrode_indices(self.active_electrodes)
         for pair in self.pairs:
             pair.indices(spec.n_guides)
+        return active
 
 
 def preset_config(name: str) -> ElectrodeConfig:
@@ -233,7 +222,7 @@ def objective(
     are ignored)."""
     if v.volts.shape != (spec.n_electrodes,):
         raise DeviceSpecError(f"{v.volts.size} voltages, expected {spec.n_electrodes}")
-    x = v.volts[[e - 1 for e in config.active_electrodes]]
+    x = v.volts[config.indices(spec)]
     [value], _, _ = objective_with_gradient(spec, config, targets)(x[None])
     return float(value)
 
@@ -260,9 +249,8 @@ def objective_with_gradient(
     weights, which round once in any order, so a row's results do not
     depend on its batch mates.
     """
-    config.validate(spec)
+    active = config.indices(spec)
     n = spec.n_guides
-    active = [e - 1 for e in config.active_electrodes]
     length = spec.coupling_length
     limit = spec.voltage_limit
     # H's diagonal and couplings, stacked, as base + x @ sens
@@ -615,6 +603,11 @@ def minimize_box(fun, x0: np.ndarray, lower: float, upper: float, *, ftol: float
     return BoxResult(x[order], f[order], *(ints[order, c] for c in (1, 4, 5)))
 
 
+# uncalled alias for the benchmark tracer's `compiler.minimize` binding, whose
+# hook reads scalar results, not a BoxResult; ROADMAP item 1 retires both
+minimize = minimize_box
+
+
 def optimize_parallel_gates(
     spec: DeviceSpec,
     config: ElectrodeConfig,
@@ -672,7 +665,7 @@ def optimize_parallel_gates(
     [obj], _, means = kernel(best[None])
     fid, ct, leak = (tuple(m) for m in means[..., 0].tolist())
     volts = np.zeros(spec.n_electrodes)
-    volts[[e - 1 for e in config.active_electrodes]] = best
+    volts[config.indices(spec)] = best
     return CompileResult(
         best_voltages=VoltageConfig(volts),
         objective=float(obj),

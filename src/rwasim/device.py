@@ -189,6 +189,14 @@ class DeviceSpec:
     def with_length(self, coupling_length: float) -> "DeviceSpec":
         return dataclasses.replace(self, coupling_length=coupling_length)
 
+    def electrode_indices(self, electrodes) -> list[int]:
+        """0-based indices of 1-based `electrodes`; IndexError names the
+        first one outside 1..n_electrodes."""
+        for e in electrodes:
+            if not 1 <= e <= self.n_electrodes:
+                raise IndexError(f"electrode {e} out of range 1..{self.n_electrodes}")
+        return [e - 1 for e in electrodes]
+
 
 def eigenvalue_bound(spec: DeviceSpec) -> tuple[float, dict[str, np.ndarray]]:
     """rho, the Gershgorin bound (rad/mm) on the size of every eigenvalue w

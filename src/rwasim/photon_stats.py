@@ -3,7 +3,7 @@
 Covers the quantum side of the toolkit: two-photon coincidence
 probabilities from a transfer unitary, the ideal dip visibility of a
 two-mode coupler, synthetic delay scans, and the Gaussian-plus-linear dip
-fit with its error estimate.
+fit with its error estimate, whose N_max and N_min come from `dip_extrema`.
 Grid seeds with the linear baseline profiled out (Golub & Pereyra 1973)
 start a batched, bound-projected Levenberg-Marquardt fit (More 1978).  The
 seed grid's tables depend on the delays alone and are built once per delay
@@ -81,10 +81,6 @@ class DipFit:
     @property
     def visibility(self) -> float:
         return self.a2
-
-    def model(self, x) -> np.ndarray:
-        return dip_model(np.asarray(x, dtype=float),
-                         self.a0, self.a1, self.a2, self.a3, self.a4)
 
     def to_dict(self) -> dict:
         return {
@@ -405,14 +401,14 @@ def fit_hom_dips(scans) -> list[DipFit]:
     result = least_squares(x, y.repeat(k, axis=0), starts.reshape(-1, 5))
     best = k * np.arange(len(y)) + result.cost.reshape(-1, k).argmin(1)
     fits = []
-    for i, n_min in zip(best, y.min(1).tolist()):
+    for i, scan in zip(best, scans):
         if not result.converged[i]:
             raise FitFailureError("HOM dip fit did not converge",
                                   math.sqrt(2.0 * result.cost[i]))
         params = result.x[i].tolist()
-        n_max = _half_max_counts(*params)
+        n_max, n_min = dip_extrema(DipFit(*params), scan)
         err = visibility_error(n_max, n_min) if n_max > 0 else 0.0
-        fits.append(DipFit(*params, visibility_error=float(err)))
+        fits.append(DipFit(*params, visibility_error=err))
     return fits
 
 
@@ -426,30 +422,27 @@ def fit_hom_dip(scan: HomScan) -> DipFit:
     changes the cost by at most 1e-10 of it; the lowest cost wins.  If that
     start has not converged within `MAX_FIT_ITERATIONS` steps, a module
     constant read at each call, `FitFailureError` is raised.  The visibility
-    error comes from `visibility_error`.  A scan whose counts are all zero,
-    or whose largest count c could overflow the fit's normal matrix J^T J,
-    is refused with ValueError before any fit: over n delays, with w the
-    smallest width (half the smallest delay step), J^T J's entries are at
-    most n (c max(1, 1/w))^2, which must be finite.
+    error is `visibility_error` of `dip_extrema`.  A scan whose counts are
+    all zero, or whose largest count c could overflow the fit's normal
+    matrix J^T J, is refused with ValueError before any fit: over n delays,
+    with w the smallest width (half the smallest delay step), J^T J's
+    entries are at most n (c max(1, 1/w))^2, which must be finite.
     """
     return fit_hom_dips([scan])[0]
 
 
 def dip_extrema(fit: DipFit, scan: HomScan) -> tuple[float, float]:
-    """(N_max, N_min) for the error estimate.
+    """(N_max, N_min) for the error estimate, the one source of both for
+    `fit_hom_dips` and the CLI's sweep table.
 
     N_max averages the fitted curve at the half-maximum offsets a3 +/- alpha/2
     with alpha the Gaussian FWHM; N_min is the raw scan minimum.
     """
-    return (_half_max_counts(fit.a0, fit.a1, fit.a2, fit.a3, fit.a4),
-            float(np.min(scan.counts)))
-
-
-def _half_max_counts(a0, a1, a2, a3, a4) -> float:
-    """`dip_extrema`'s N_max from the fitted parameters as floats."""
-    alpha = FWHM_FACTOR * a4
-    return 0.5 * (float(dip_model(np.asarray(a3 - alpha / 2), a0, a1, a2, a3, a4))
-                  + float(dip_model(np.asarray(a3 + alpha / 2), a0, a1, a2, a3, a4)))
+    params = fit.a0, fit.a1, fit.a2, fit.a3, fit.a4
+    alpha = FWHM_FACTOR * fit.a4
+    return (0.5 * (float(dip_model(np.asarray(fit.a3 - alpha / 2), *params))
+                   + float(dip_model(np.asarray(fit.a3 + alpha / 2), *params))),
+            float(scan.counts.min()))
 
 
 def visibility_error(n_max: float, n_min: float) -> float:

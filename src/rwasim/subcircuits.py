@@ -1,8 +1,8 @@
 """Subcircuits, their leakage and reflectivity, and gate power splits.
 
 A subcircuit is a pair of adjacent guides operated as a tunable directional
-coupler once the couplings at its boundary are driven to zero.  Its
-reflectivity and leakage have one rule, `reflectivity_and_leakage`.  A gate
+coupler once its boundary couplings are driven to zero.  Its reflectivity
+has one rule, `reflectivity_and_leakage`, and leakage one, `_leakage`.  A gate
 is judged by its post-selected output power split alone, and `coupler_split`
 is the one rule for an eta-coupler's ideal split: the compiler's gate
 targets and the truth tables both take it, and `GATE_ETAS` is the one table
@@ -55,12 +55,20 @@ def check_rows_normalized(name: str, rows: np.ndarray) -> None:
         raise ValueError(f"{name} sums to {sums}, not normalized")
 
 
+def _leakage(p_0, p_1):
+    """100 (1 - p_0 - p_1) percent, elementwise, for the powers an input keeps
+    in the pair's two guides: a power above 1 leaks nothing, and the result
+    is clipped into [0, 100] against rounding."""
+    return np.minimum(np.maximum(
+        100.0 * (1.0 - np.minimum(p_0, 1.0) - np.minimum(p_1, 1.0)), 0.0), 100.0)
+
+
 def leakage(powers, pair: SubcircuitPair) -> float:
-    """Percentage of power escaping the pair's own guides."""
+    """Percentage of a normalized power vector escaping the pair's guides."""
     p = np.asarray(powers, dtype=float)
     check_rows_normalized("power vector", p)
     i, j = pair.indices(p.size)
-    return 100.0 * float(np.sum(p) - p[i] - p[j])
+    return float(_leakage(p[i], p[j]))
 
 
 def reflectivity_and_leakage(p):
@@ -72,8 +80,7 @@ def reflectivity_and_leakage(p):
     power crosses (p_10 or p_01 is 0).  r is formed from mantissas and binary
     exponents apart, so it keeps the formula's bits wherever its products and
     quotient are normal doubles and stays finite for any non-negative finite
-    block.  Leakage is 100 (1 - p_0n - p_1n) percent, clipped into [0, 100]
-    against rounding.
+    block.  Leakage is `_leakage` of p_0n and p_1n.
     """
     p = np.asarray(p, dtype=float)
     m, e = np.frexp(p)  # p = m 2^e, 0.5 <= m < 1 (m = e = 0 at p = 0)
@@ -84,9 +91,7 @@ def reflectivity_and_leakage(p):
     # r = sqrt(q 2^k); from r = 2^64 on, r / (1 + r) rounds to 1 anyway
     r = np.ldexp(np.sqrt(np.ldexp(q, k % 2)), np.minimum(k // 2, 64))
     eta = np.where(crosses, r / (1.0 + r), 1.0)
-    capped = np.minimum(p, 1.0)  # a power above 1 leaks nothing; keeps sums finite
-    leak = np.minimum(np.maximum(
-        100.0 * (1.0 - capped[..., 0, :] - capped[..., 1, :]), 0.0), 100.0)
+    leak = _leakage(p[..., 0, :], p[..., 1, :])
     return eta, leak[..., 0], leak[..., 1]
 
 

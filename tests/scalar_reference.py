@@ -85,7 +85,7 @@ def full_u_evaluate(spec, v, config, targets):
     pair's metrics its (fidelity, crosstalk, leakage) means."""
     volts = v.volts.copy()
     inactive = np.ones(spec.n_electrodes, dtype=bool)
-    inactive[[e - 1 for e in config.active_electrodes]] = False
+    inactive[config.indices(spec)] = False
     volts[inactive] = 0.0
     u = unitary(build_hamiltonian(spec, VoltageConfig(volts)),
                 spec.coupling_length)
@@ -97,9 +97,8 @@ def full_u_evaluate(spec, v, config, targets):
 def scalar_objective_with_gradient(spec, config, targets):
     """f(x, eps=0) -> (objective, d objective / dx) at one point x
     (n_active,), the objective sum (r^2 + eps r) over the six residuals."""
-    config.validate(spec)
+    active = config.indices(spec)
     n = spec.n_guides
-    active = [e - 1 for e in config.active_electrodes]
     s_beta = spec.beta_sensitivity[:, active]
     s_coupling = spec.coupling_sensitivity[:, active]
     length = spec.coupling_length

@@ -54,8 +54,8 @@ def reference_cells(spec, pair, electrode_a, electrode_b, grid_a, grid_b,
             u = unitary(build_hamiltonian(spec, VoltageConfig(volts)),
                         spec.coupling_length)
             out[:, ia, ib] = (effective_reflectivity(u, pair),
-                              min(max(leakage(output_power(u, g1), pair), 0.0), 100.0),
-                              min(max(leakage(output_power(u, g2), pair), 0.0), 100.0))
+                              leakage(output_power(u, g1), pair),
+                              leakage(output_power(u, g2), pair))
     return out
 
 

@@ -41,7 +41,7 @@ XX = (gate_target("X"), gate_target("X"))
 def kernel_metrics(spec, config, targets, v):
     """(objective, per-pair (fidelity, crosstalk, leakage)) from the kernel
     at the active electrodes' voltages of v."""
-    x = v.volts[np.array(config.active_electrodes) - 1]
+    x = v.volts[config.indices(spec)]
     [value], _, means = objective_with_gradient(spec, config, targets)(x[None])
     return value, tuple(map(tuple, means[..., 0].T.tolist()))
 
@@ -151,6 +151,13 @@ class TestObjective:
                 objective(make_xx_device(), VoltageConfig.zeros(n),
                           preset_config("config2"), XX)
 
+    def test_electrode_beyond_the_device_named(self):
+        # numpy's "index 8 is out of bounds" came first: the voltages were
+        # indexed before the kernel checked the electrodes
+        with pytest.raises(IndexError, match=r"^electrode 9 out of range 1\.\.8$"):
+            objective(DeviceSpec(n_electrodes=8), VoltageConfig.zeros(8),
+                      preset_config("config3"), XX)
+
     def test_inactive_electrodes_forced_to_zero(self):
         spec = make_xx_device()
         config = preset_config("config2")
@@ -177,9 +184,9 @@ class TestObjectiveWithGradient:
                 else random_base_device(device_seed))
         config = preset_config(config_name)
         targets = tuple(gate_target(g) for g in gates)
-        active = np.array(config.active_electrodes) - 1
+        active = config.indices(spec)
         inner = spec.voltage_limit - 1e-3
-        x = np.random.default_rng(point_seed).uniform(-inner, inner, active.size)
+        x = np.random.default_rng(point_seed).uniform(-inner, inner, len(active))
 
         def embed(y):
             volts = np.zeros(spec.n_electrodes)
@@ -201,7 +208,7 @@ class TestObjectiveWithGradient:
         for m, ref in zip(metrics, ref_metrics):
             assert np.max(np.abs(np.subtract(m, ref))) <= 1e-12
         h = 1e-5
-        step = h * np.eye(active.size)
+        step = h * np.eye(len(active))
         central = np.array([(reference(x + e) - reference(x - e)) / (2 * h)
                             for e in step])
         assert np.max(np.abs(grad - central)) <= 1e-6 * np.max(np.abs(central))
@@ -566,7 +573,7 @@ class TestOptimize:
                 [restart] = np.flatnonzero((search.x == start).all(axis=1))
                 ends[restart] = end
         assert polish
-        active = np.array(config.active_electrodes) - 1
+        active = config.indices(spec)
         for restart, end in enumerate(ends):
             volts = np.zeros(spec.n_electrodes)
             volts[active] = end
@@ -1109,7 +1116,7 @@ class TestGoldenCompile:
         result = optimize_parallel_gates(spec, config, (gate_target(gates[0]),
                                                         gate_target(gates[1])),
                                          restarts=restarts, seed=seed)
-        active = np.array(config.active_electrodes) - 1
+        active = config.indices(spec)
         volts = result.best_voltages.volts
         assert not np.delete(volts, active).any()
         assert result.objective.hex() == pins["objective"]

@@ -216,3 +216,17 @@ class TestValidateVoltages:
             build_hamiltonian(device, with_electrode(zero_volts, 7, -12.0))
         with pytest.raises(DeviceSpecError, match="expected"):
             build_hamiltonian(device, VoltageConfig.zeros(21))
+
+
+class TestElectrodeIndices:
+    """`DeviceSpec.electrode_indices`, the one 1-based electrode rule that
+    the compiler's configs and the lookup map take."""
+
+    def test_zero_based_in_given_order(self):
+        assert DeviceSpec(n_electrodes=8).electrode_indices((8, 1, 3)) == [7, 0, 2]
+
+    @pytest.mark.parametrize("electrodes,named", [((0,), 0), ((2, 9, 10), 9),
+                                                  ((-1,), -1)])
+    def test_first_outside_the_device_named(self, electrodes, named):
+        with pytest.raises(IndexError, match=rf"^electrode {named} out of range 1\.\.8$"):
+            DeviceSpec(n_electrodes=8).electrode_indices(electrodes)

@@ -16,9 +16,9 @@ PER_SCAN = {("device", "frozen_array"), ("device", "hamiltonian_diagonals"),
             ("photon_stats", "__post_init__"), ("photon_stats", "simulate_hom_scan"),
             ("photon_stats", "_initial_guess"), ("photon_stats", "_grid_seeds"),
             ("photon_stats", "least_squares"), ("photon_stats", "evaluate"),
-            ("photon_stats", "fit_hom_dips")}
+            ("photon_stats", "fit_hom_dips"), ("photon_stats", "dip_extrema")}
 WRAPPERS = {"all", "any", "argmin", "argpartition", "clip", "diff", "dstack",
-            "flatnonzero", "stack", "take_along_axis"}
+            "flatnonzero", "max", "min", "stack", "take_along_axis"}
 
 
 def test_per_scan_path_calls_no_numpy_wrapper():

@@ -44,7 +44,8 @@ def reference_fit(scan: HomScan) -> np.ndarray:
 
 
 def fit_cost(fit: DipFit, scan: HomScan) -> float:
-    return 0.5 * float(np.sum((fit.model(scan.delays) - scan.counts) ** 2))
+    curve = dip_model(scan.delays, fit.a0, fit.a1, fit.a2, fit.a3, fit.a4)
+    return 0.5 * float(np.sum((curve - scan.counts) ** 2))
 
 
 def eta_coupler(eta: float) -> TransferUnitary:
@@ -213,7 +214,8 @@ class TestFitHomDip:
     def test_fit_idempotent(self):
         fit1 = fit_hom_dip(self.make_scan(5.0, 900.0, 0.5, 0.0, 0.12))
         x = np.linspace(-1, 1, 81)
-        scan2 = HomScan(delays=x, counts=fit1.model(x))
+        scan2 = HomScan(delays=x, counts=dip_model(
+            x, fit1.a0, fit1.a1, fit1.a2, fit1.a3, fit1.a4))
         fit2 = fit_hom_dip(scan2)
         for attr in ("a0", "a1", "a2", "a3", "a4"):
             assert getattr(fit2, attr) == pytest.approx(
@@ -614,13 +616,28 @@ class TestLeastSquaresBuffers:
 class TestDipExtrema:
     def test_fwhm_factor(self):
         fit = DipFit(a0=0.0, a1=100.0, a2=0.5, a3=0.0, a4=1.0)
+        params = fit.a0, fit.a1, fit.a2, fit.a3, fit.a4
         scan = HomScan(delays=np.linspace(-3, 3, 21),
-                       counts=fit.model(np.linspace(-3, 3, 21)))
+                       counts=dip_model(np.linspace(-3, 3, 21), *params))
         alpha = 2 * math.sqrt(2 * math.log(2))
         assert alpha == pytest.approx(2.35482, abs=1e-5)
         n_max, _ = dip_extrema(fit, scan)
-        expected = 0.5 * (fit.model(-alpha / 2) + fit.model(alpha / 2))
+        expected = 0.5 * (dip_model(-alpha / 2, *params)
+                          + dip_model(alpha / 2, *params))
         assert n_max == pytest.approx(float(expected), abs=1e-12)
+
+    def test_fit_error_is_visibility_error_of_dip_extrema(self):
+        # one owner of N_max and N_min: the fit's error and the CLI sweep's
+        # table read the same pair; the noiseless eta = 0.5 scan has N_min 0
+        delays = np.linspace(-0.6, 0.6, 121)
+        scans = [simulate_hom_scan(eta, delays, baseline, slope=slope, noise_seed=seed)
+                 for eta, baseline, slope, seed in (
+                     (0.5, 1e3, 0.0, None), (0.1, 1e2, 0.0, 1), (0.3, 1e3, 50.0, 2),
+                     (0.7, 1e4, -80.0, 3), (0.9, 1e2, 0.0, 4), (1.0, 1e3, 0.0, 5))]
+        fits = fit_hom_dips(scans)
+        assert fits[0].visibility_error == 0.0
+        for fit, scan in zip(fits, scans):
+            assert fit.visibility_error == visibility_error(*dip_extrema(fit, scan))
 
     def test_n_min_from_raw_data(self):
         fit = DipFit(a0=0.0, a1=100.0, a2=0.0, a3=0.0, a4=1.0)

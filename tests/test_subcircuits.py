@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rwasim.compiler import gate_target
-from rwasim.evolution import TransferUnitary
+from rwasim.evolution import TransferUnitary, output_power
 from rwasim.subcircuits import (
     GATE_ETAS,
     SubcircuitPair,
@@ -37,6 +37,12 @@ def embed_coupler(eta, pair_lower, n=11):
 
 
 from conftest import kernel_block_metrics
+
+
+def random_symmetric_unitary(rng, n=11):
+    """A random symmetric unitary, as every U = exp(-iHL) is."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return (q * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))) @ q.T
 
 
 def pair_metrics(u, target=coupler_split(1.0)):
@@ -89,12 +95,21 @@ class TestLeakageAndCrosstalk:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_crosstalk_bounded_by_leakage(self, seed):
-        # a random symmetric unitary, as every U = exp(-iHL) is
-        rng = np.random.default_rng(seed)
-        q, _ = np.linalg.qr(rng.normal(size=(11, 11)))
-        u = (q * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 11))) @ q.T
-        _, ct, leak = pair_metrics(u)
+        _, ct, leak = pair_metrics(random_symmetric_unitary(np.random.default_rng(seed)))
         assert ct <= leak + 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_leakage_is_the_blocks_rule(self, seed):
+        # one rule: an input's `leakage` is, bit for bit, the leak that
+        # `reflectivity_and_leakage` reads from the pair's |U|^2 block
+        rng = np.random.default_rng(seed)
+        u = TransferUnitary(matrix=random_symmetric_unitary(rng))
+        pair = SubcircuitPair(int(rng.integers(1, 11)))
+        i, j = pair.indices(u.n_guides)
+        _, leak1, leak2 = reflectivity_and_leakage(np.abs(u.matrix[i:j + 1, i:j + 1]) ** 2)
+        assert leakage(output_power(u, i + 1), pair) == leak1
+        assert leakage(output_power(u, j + 1), pair) == leak2
 
 
 class TestPostSelection:
