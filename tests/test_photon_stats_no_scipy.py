@@ -1,21 +1,14 @@
 """The HOM dip fit runs on numpy alone.
 
-`photon_stats` fits with its own batched Levenberg-Marquardt solver.  This
-parses the module with `ast`, without importing it, and fails on an import
-of any `scipy` module there.
+`photon_stats` fits with its own batched Levenberg-Marquardt solver, where it
+once called scipy's `least_squares`.  This reads the module's syntax tree
+through `package_ast`, without importing it, and fails on any scipy use there
+that `package_ast.scipy_use` finds; `test_no_private_scipy.py` holds the
+package as a whole to the same rule.
 """
-import ast
-from pathlib import Path
-
-MODULE = Path(__file__).resolve().parent.parent / "src" / "rwasim" / "photon_stats.py"
+from package_ast import nodes, scipy_use
 
 
 def test_photon_stats_imports_no_scipy():
-    found = []
-    for node in ast.walk(ast.parse(MODULE.read_text())):
-        if isinstance(node, ast.Import):
-            found += [a.name for a in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            found.append(node.module or "")
-    assert [name for name in found
-            if name == "scipy" or name.startswith("scipy.")] == []
+    assert [(scope, scipy_use(node)) for _, scope, node in nodes("photon_stats")
+            if scipy_use(node)] == []
