@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import grid_lead, write_csv
-from .device import DeviceSpec, VoltageConfig, frozen_array
+from .device import DeviceSpec, VoltageConfig, frozen_array, increasing_vector
 from .subcircuits import GATE_ETAS, SubcircuitPair, reflectivity_and_leakage
 from . import device as device_mod
 from . import evolution
@@ -69,7 +69,8 @@ class LookupMap:
 
     def __post_init__(self):
         for name in ("grid_a", "grid_b"):
-            object.__setattr__(self, name, _checked_grid(getattr(self, name), name))
+            object.__setattr__(self, name, increasing_vector(getattr(self, name), name,
+                                                             nonempty=True))
         shape = (self.grid_a.size, self.grid_b.size)
         # leakage gets 1e-9 of rounding slack
         for name, hi, slack in (("eta", 1, 0.0), ("leakage_in1", 100, 1e-9),
@@ -89,17 +90,6 @@ class LookupMap:
 def _mean_leakage(leak_in1, leak_in2):
     """Leakage averaged over the pair's two inputs, elementwise."""
     return 0.5 * (leak_in1 + leak_in2)
-
-
-def _checked_grid(value, name: str, error: type[Exception] = ValueError):
-    """`value` frozen as a non-empty, strictly increasing 1-D grid, else
-    ValueError; `error` for non-finite entries."""
-    g = frozen_array(value, name, error=error)
-    if g.ndim != 1 or g.size < 1:
-        raise ValueError(f"{name} must be a non-empty finite 1-D vector")
-    if not np.all(np.diff(g) > 0):
-        raise ValueError(f"{name} must be strictly increasing")
-    return g
 
 
 def pair_response(spec: DeviceSpec, pair: SubcircuitPair, volts):
@@ -132,13 +122,10 @@ def build_lookup_map(
     if electrode_a == electrode_b:
         raise ValueError(f"electrodes must be distinct, both are {electrode_a}")
     col_a, col_b = spec.electrode_indices((electrode_a, electrode_b))
-    ga = _checked_grid(grid_a, "grid_a", device_mod.DeviceSpecError)
-    gb = _checked_grid(grid_b, "grid_b", device_mod.DeviceSpecError)
-    for name, g in (("grid_a", ga), ("grid_b", gb)):
-        if np.any(np.abs(g) > spec.voltage_limit):
-            raise device_mod.VoltageBoundError(
-                f"{name} exceeds voltage limit +/-{spec.voltage_limit} V"
-            )
+    ga, gb = (increasing_vector(g, name, device_mod.DeviceSpecError, nonempty=True)
+              for g, name in ((grid_a, "grid_a"), (grid_b, "grid_b")))
+    for e, g in ((electrode_a, ga), (electrode_b, gb)):
+        spec.check_voltages(g[:, None], (e,))
     base = (fixed_voltages.volts if fixed_voltages is not None
             else np.zeros(spec.n_electrodes))
     n_cells = ga.size * gb.size
@@ -241,7 +228,7 @@ def gate_voltages_by_linear_fit(lut: LookupMap, fixed_v_b: float) -> list[GateVo
     The slice runs along electrode_a at the grid_b point nearest fixed_v_b.
     Only the longest strictly monotone segment bracketing eta = 0.5 is
     fitted (the curves oscillate; the operating branch is the one fitted).
-    Out-of-range solutions clamp to the grid's voltage extremes with a flag.
+    Solutions outside grid_a clamp to its ends with a flag.
     """
     ib = int(np.argmin(np.abs(lut.grid_b - fixed_v_b)))
     etas = lut.eta[:, ib]
@@ -256,12 +243,12 @@ def gate_voltages_by_linear_fit(lut: LookupMap, fixed_v_b: float) -> list[GateVo
     m, c = np.polyfit(v, y, 1)
     if abs(m) < 1e-6:
         raise FlatCurveError(f"reflectivity slope {m:.3g} below 1e-6 per volt")
-    limit = float(max(abs(lut.grid_a[0]), abs(lut.grid_a[-1])))
+    lo, hi = float(lut.grid_a[0]), float(lut.grid_a[-1])
     out = []
     for target in GATE_ETAS.values():
         raw = (target - c) / m
-        clamped = abs(raw) > limit
-        volt = float(np.clip(raw, -limit, limit))
+        clamped = not lo <= raw <= hi
+        volt = float(np.clip(raw, lo, hi))
         out.append(GateVoltage(target_eta=float(target), voltage=volt,
                                clamped=bool(clamped)))
     return out

@@ -78,8 +78,7 @@ import numpy as np
 from . import evolution
 from .csvio import write_csv
 from .device import (N_GUIDES_DEFAULT, DeviceSpec, DeviceSpecError,
-                     VoltageBoundError, VoltageConfig, eigenvalue_bound,
-                     frozen_array)
+                     VoltageConfig, eigenvalue_bound, frozen_array)
 from .subcircuits import (
     GATE_ETAS,
     SubcircuitPair,
@@ -252,7 +251,6 @@ def objective_with_gradient(
     active = config.indices(spec)
     n = spec.n_guides
     length = spec.coupling_length
-    limit = spec.voltage_limit
     # H's diagonal and couplings, stacked, as base + x @ sens
     sens = np.vstack((spec.beta_sensitivity[:, active],
                       spec.coupling_sensitivity[:, active]))
@@ -314,8 +312,7 @@ def objective_with_gradient(
 
     def f(x: np.ndarray, eps: float = 0.0
           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if not np.abs(x).max() <= limit:  # also rejects NaN
-            raise VoltageBoundError(f"voltages {x} exceed limit +/-{limit} V")
+        spec.check_voltages(x, config.active_electrodes)
         h = (x[:, None] @ sens_t)[:, 0]
         h += base
         w, q = evolution.eigh_tridiagonal(h[:, :n], h[:, n:])

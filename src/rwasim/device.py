@@ -82,6 +82,28 @@ def frozen_array(value, name: str, shape: tuple | None = None,
     return arr
 
 
+def zero_based(k, n: int, name: str) -> int:
+    """0-based index of the 1-based number `k` of one of `n` guides, pairs or
+    electrodes; IndexError names `k` unless it is an integer (not a bool) in
+    1..n."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 1 <= k <= n:
+        raise IndexError(f"{name} {k} out of range 1..{n}")
+    return int(k) - 1
+
+
+def increasing_vector(value, name: str, error: type[Exception] = ValueError,
+                      nonempty: bool = False) -> np.ndarray:
+    """`value` as a `frozen_array` (`error` for non-finite entries), checked
+    1-D, strictly increasing and, if `nonempty`, not empty, else ValueError."""
+    v = frozen_array(value, name, error=error)
+    if v.ndim != 1 or v.size < nonempty:
+        kind = "non-empty finite" if nonempty else "finite"
+        raise ValueError(f"{name} must be a {kind} 1-D vector")
+    if not (v[1:] > v[:-1]).all():
+        raise ValueError(f"{name} must be strictly increasing")
+    return v
+
+
 def _as_count(x, name: str, minimum: int) -> int:
     if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < minimum:
         raise DeviceSpecError(f"{name} must be an integer >= {minimum}, got {x!r}")
@@ -191,11 +213,20 @@ class DeviceSpec:
 
     def electrode_indices(self, electrodes) -> list[int]:
         """0-based indices of 1-based `electrodes`; IndexError names the
-        first one outside 1..n_electrodes."""
-        for e in electrodes:
-            if not 1 <= e <= self.n_electrodes:
-                raise IndexError(f"electrode {e} out of range 1..{self.n_electrodes}")
-        return [e - 1 for e in electrodes]
+        first one that `zero_based` refuses."""
+        return [zero_based(e, self.n_electrodes, "electrode") for e in electrodes]
+
+    def check_voltages(self, volts: np.ndarray, electrodes=None) -> None:
+        """Raise VoltageBoundError unless every entry of the (B, columns)
+        voltage stack lies within +/-voltage_limit, naming the first electrode
+        out of range (NaN is) and its voltage.  Column c is electrode c + 1,
+        or electrodes[c] if given.  In range, this is one reduction."""
+        inside = np.abs(volts) <= self.voltage_limit
+        if not inside.all():
+            b, c = np.argwhere(~inside)[0]
+            e = c + 1 if electrodes is None else electrodes[c]
+            raise VoltageBoundError(f"electrode {e} at {volts[b, c]} V exceeds limit "
+                                    f"+/-{self.voltage_limit} V")
 
 
 def eigenvalue_bound(spec: DeviceSpec) -> tuple[float, dict[str, np.ndarray]]:
@@ -245,9 +276,8 @@ def hamiltonian_diagonals(
     """Diagonals of H for each row of a (B, E) voltage stack.
 
     Returns the (B, N) diagonals and (B, N-1) off-diagonals.  Every entry
-    must be finite and within [-limit, +limit]; `build_hamiltonian` passes a
-    one-row stack, and the compiler's kernel checks its active-electrode batch
-    itself.
+    must be finite and pass `DeviceSpec.check_voltages`; `build_hamiltonian`
+    passes a one-row stack.
     """
     volts = np.asarray(volts, dtype=float)
     if volts.ndim != 2 or volts.shape[1] != spec.n_electrodes:
@@ -256,13 +286,7 @@ def hamiltonian_diagonals(
         )
     if not np.isfinite(volts).all():
         raise DeviceSpecError("voltage stack contains non-finite entries")
-    over = np.abs(volts) > spec.voltage_limit
-    if over.any():
-        b, e = np.argwhere(over)[0]
-        raise VoltageBoundError(
-            f"electrode {e + 1} at {volts[b, e]} V exceeds limit "
-            f"+/-{spec.voltage_limit} V"
-        )
+    spec.check_voltages(volts)
     # a product per row, as for one row: numpy sums a many-row one in another order
     return (spec.base_beta + (volts[:, None] @ spec.beta_sensitivity.T)[:, 0],
             spec.base_coupling + (volts[:, None] @ spec.coupling_sensitivity.T)[:, 0])

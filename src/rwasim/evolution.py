@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import write_csv
-from .device import TridiagonalHamiltonian, frozen_array
+from .device import TridiagonalHamiltonian, frozen_array, zero_based
 
 # most rows a batch caller stacks into one eigensolve: per lookup-map cell,
 # the numpy calls' fixed cost stops falling beyond about 1024 rows, where the
@@ -120,8 +120,7 @@ def pair_blocks(diag: np.ndarray, offdiag: np.ndarray, length: float, i: int) ->
     """
     length = _checked_length(length)
     b, n = diag.shape
-    if not 0 <= i < n - 1:
-        raise IndexError(f"pair at guide {i} out of range 0..{n - 2}")
+    zero_based(i + 1, n - 1, "pair")  # pair k is guides k and k + 1, 1-based
     w = np.linalg.eigvalsh(_dense(diag, offdiag)).T.copy()  # (N, B), ascending
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         dprod = _difference_products(w)
@@ -178,10 +177,7 @@ def _phase_sums(w, length, scale, v):
 
 def output_power(u: TransferUnitary, input_guide: int) -> np.ndarray:
     """|U[m, j]|^2 over output guides m for 1-based input guide j."""
-    n = u.n_guides
-    if not 1 <= input_guide <= n:
-        raise IndexError(f"input_guide {input_guide} out of range 1..{n}")
-    return np.abs(u.matrix[:, input_guide - 1]) ** 2
+    return np.abs(u.matrix[:, zero_based(input_guide, u.n_guides, "input_guide")]) ** 2
 
 
 def propagation_profile(
@@ -194,12 +190,10 @@ def propagation_profile(
     if n_steps < 2:
         raise ValueError(f"n_steps must be >= 2, got {n_steps}")
     length = _checked_length(length)
-    n = h.n_guides
-    if not 1 <= input_guide <= n:
-        raise IndexError(f"input_guide {input_guide} out of range 1..{n}")
+    j = zero_based(input_guide, h.n_guides, "input_guide")
     [w], [q] = eigh_tridiagonal(h.diag[None], h.offdiag[None])
     z = np.linspace(0.0, length, n_steps)
-    c = q[input_guide - 1, :]  # expansion of the input state in eigenmodes
+    c = q[j, :]  # expansion of the input state in eigenmodes
     phases = np.exp(-1j * np.outer(z, w))  # (n_steps, N)
     amps = (phases * c) @ q.T
     return IntensityProfile(z_points=z, intensities=np.abs(amps) ** 2)

@@ -3,8 +3,8 @@ reproducibility.
 
 Every CLI command records the exact argument vector (minus the output
 directory) and the SHA-256 of every input file it read, so `rwasim replay`
-can regenerate byte-identical numeric outputs anywhere, or refuse when an
-input has changed.
+can regenerate byte-identical numeric outputs on the same numpy and OpenBLAS
+kernels, or refuse when an input has changed.
 """
 from __future__ import annotations
 

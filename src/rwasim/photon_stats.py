@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .csvio import write_csv
-from .device import frozen_array
+from .device import frozen_array, increasing_vector, zero_based
 from .evolution import TransferUnitary
 
 FWHM_FACTOR = 2 * math.sqrt(2 * math.log(2))
@@ -51,11 +51,7 @@ class HomScan:
     counts: np.ndarray  # coincidences per integration window, >= 0
 
     def __post_init__(self):
-        delays = frozen_array(self.delays, "delays", error=ValueError)
-        if delays.ndim != 1:
-            raise ValueError("delays must be 1-D")
-        if not (delays[1:] > delays[:-1]).all():
-            raise ValueError("delays must be strictly increasing")
+        delays = increasing_vector(self.delays, "delays")
         counts = frozen_array(self.counts, "counts", delays.shape, ValueError)
         if (counts < 0).any():
             raise ValueError("counts must be non-negative")
@@ -133,13 +129,10 @@ def two_photon_coincidence(
         raise ValueError(f"repeated input guide {j}")
     if m == n:
         raise ValueError(f"repeated output guide {m}")
-    size = u.n_guides
-    for g in (j, k, m, n):
-        if not 1 <= g <= size:
-            raise IndexError(f"guide {g} out of range 1..{size}")
+    j, k, m, n = (zero_based(g, u.n_guides, "guide") for g in (j, k, m, n))
     mat = u.matrix
-    amp_direct = mat[m - 1, j - 1] * mat[n - 1, k - 1]
-    amp_swap = mat[m - 1, k - 1] * mat[n - 1, j - 1]
+    amp_direct = mat[m, j] * mat[n, k]
+    amp_swap = mat[m, k] * mat[n, j]
     if indistinguishable:
         return float(np.abs(amp_direct + amp_swap) ** 2)
     return float(np.abs(amp_direct) ** 2 + np.abs(amp_swap) ** 2)

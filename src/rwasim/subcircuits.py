@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import frozen_array
+from .device import frozen_array, zero_based
 from .evolution import TransferUnitary
 
 
@@ -40,12 +40,10 @@ class SubcircuitPair:
         return (self.lower, self.lower + 1)
 
     def indices(self, n_guides: int) -> tuple[int, int]:
-        """0-based indices, validated against the array size."""
-        if self.lower + 1 > n_guides:
-            raise IndexError(
-                f"pair ({self.lower}, {self.lower + 1}) exceeds {n_guides} guides"
-            )
-        return (self.lower - 1, self.lower)
+        """0-based indices of both guides; IndexError names the pair, by its
+        lower guide, unless `zero_based` takes it as one of n_guides - 1."""
+        i = zero_based(self.lower, n_guides - 1, "pair")
+        return (i, i + 1)
 
 
 def check_rows_normalized(name: str, rows: np.ndarray) -> None:

@@ -546,6 +546,16 @@ class TestGateVoltagesByLinearFit:
         assert x_gate.clamped
         assert x_gate.voltage == -10.0
 
+    def test_clamps_to_the_grids_own_ends(self, device):
+        # an asymmetric grid clamped to +/- its larger end: eta = 1 came out
+        # at -5.92 V, unflagged, on a map that starts at -2 V
+        grid = uniform_grid(-2.0, 10.0, 0.5)
+        lut = build_lookup_map(device, SubcircuitPair(1), 1, 4, grid, grid)
+        gates = {g.target_eta: g for g in gate_voltages_by_linear_fit(lut, 0.0)}
+        assert (gates[1.0].voltage, gates[1.0].clamped) == (-2.0, True)
+        assert (gates[0.0].voltage, gates[0.0].clamped) == (10.0, True)
+        assert -2.0 < gates[0.5].voltage < 10.0 and not gates[0.5].clamped
+
     def test_flat_slice_rejected(self):
         grid = default_grid()
         eta = np.full((grid.size, grid.size), 0.5)

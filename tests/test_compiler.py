@@ -158,6 +158,15 @@ class TestObjective:
             objective(DeviceSpec(n_electrodes=8), VoltageConfig.zeros(8),
                       preset_config("config3"), XX)
 
+    def test_over_limit_voltage_names_the_electrode(self):
+        # the kernel printed its whole batch, "voltages [[11.  0. ...]] exceed ..."
+        config = preset_config("config2")  # active electrodes 1-4 and 15-18
+        for electrode, volts in ((1, 11.0), (16, -10.5)):
+            v = with_electrode(VoltageConfig.zeros(22), electrode, volts)
+            with pytest.raises(VoltageBoundError, match=rf"^electrode {electrode} at "
+                               rf"{volts} V exceeds limit \+/-10\.0 V$"):
+                objective(make_xx_device(), v, config, XX)
+
     def test_inactive_electrodes_forced_to_zero(self):
         spec = make_xx_device()
         config = preset_config("config2")

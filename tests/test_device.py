@@ -14,7 +14,11 @@ from rwasim.device import (
     hamiltonian_diagonals,
     load_device_spec,
     save_device_spec,
+    zero_based,
 )
+from rwasim.evolution import output_power, propagation_profile, unitary
+from rwasim.photon_stats import two_photon_coincidence
+from rwasim.subcircuits import SubcircuitPair, effective_reflectivity
 
 from conftest import spec_equal, with_electrode
 
@@ -230,3 +234,35 @@ class TestElectrodeIndices:
     def test_first_outside_the_device_named(self, electrodes, named):
         with pytest.raises(IndexError, match=rf"^electrode {named} out of range 1\.\.8$"):
             DeviceSpec(n_electrodes=8).electrode_indices(electrodes)
+
+
+class TestOneBasedNumbers:
+    """`zero_based`, the one rule for 1-based guide, pair and electrode
+    numbers, at each entry point that takes one."""
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda spec, h, u: output_power(u, 2.5), "input_guide 2.5 out of range 1..11"),
+        (lambda spec, h, u: propagation_profile(h, 24.0, input_guide=2.5),
+         "input_guide 2.5 out of range 1..11"),
+        (lambda spec, h, u: two_photon_coincidence(u, (1.5, 2), (1, 2)),
+         "guide 1.5 out of range 1..11"),
+        (lambda spec, h, u: effective_reflectivity(u, SubcircuitPair(1.5)),
+         "pair 1.5 out of range 1..10"),
+        (lambda spec, h, u: spec.electrode_indices((1.5,)),
+         "electrode 1.5 out of range 1..22"),
+    ], ids=["output_power", "propagation_profile", "two_photon_coincidence",
+            "effective_reflectivity", "electrode_indices"])
+    def test_non_integral_number_named(self, device, zero_volts, call, message):
+        # numpy's "only integers, slices ..." IndexError, a slicing TypeError
+        # or an index of 0.5 came out instead
+        h = build_hamiltonian(device, zero_volts)
+        with pytest.raises(IndexError) as info:
+            call(device, h, unitary(h, device.coupling_length))
+        assert str(info.value) == message
+
+    def test_integers_taken_and_bools_refused(self):
+        assert zero_based(np.int64(11), 11, "guide") == 10
+        assert type(zero_based(np.int64(11), 11, "guide")) is int
+        for k in (True, 0, 12, 3.0, "3"):
+            with pytest.raises(IndexError, match=rf"^guide {k} out of range 1\.\.11$"):
+                zero_based(k, 11, "guide")
