@@ -152,48 +152,37 @@ def build_lookup_map(
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Outcome of a lookup-map inversion.
+    """The lookup-map cell `solve_voltage` picks."""
 
-    When no cell satisfies the leakage cap, `found` is False and the fields
-    carry the best infeasible candidate instead.
-    """
-
-    found: bool
     v_a: float
     v_b: float
     eta: float
     mean_leakage: float
 
 
-def solve_voltage(
-    lut: LookupMap, target_eta: float, max_leakage: float = 100.0
-) -> SolveResult:
-    """Pick the feasible cell closest to the target reflectivity.
+def solve_voltage(lut: LookupMap, target_eta: float) -> SolveResult:
+    """Pick the cell closest to the target reflectivity.
 
     Ties break by lower mean leakage, then smaller voltage norm, then
-    lexicographic grid order.  Infeasible cells (mean leakage above the cap)
-    rank after every feasible one, so with none feasible the same ranking
-    picks the best infeasible cell.  Each grid_a row is ranked with one
-    lexsort and the row winners are compared in row order, which keeps the
-    working set at one row however large the map is.
+    lexicographic grid order.  Each grid_a row is ranked with one lexsort
+    and the row winners are compared in row order, which keeps the working
+    set at one row however large the map is.
     """
     best, best_key = None, None
     for ia in range(lut.grid_a.size):
         dist = np.abs(lut.eta[ia] - target_eta)
         leak = _mean_leakage(lut.leakage_in1[ia], lut.leakage_in2[ia])
         norm = np.hypot(lut.grid_a[ia], lut.grid_b)
-        infeasible = ~(leak <= max_leakage)  # a NaN cap admits nothing
-        ib = int(np.lexsort((norm, leak, dist, infeasible))[0])
-        key = (infeasible[ib], dist[ib], leak[ib], norm[ib])
+        ib = int(np.lexsort((norm, leak, dist))[0])
+        key = (dist[ib], leak[ib], norm[ib])
         if best_key is None or key < best_key:
             best, best_key = (ia, ib), key
     ia, ib = best
     return SolveResult(
-        found=not best_key[0],
         v_a=float(lut.grid_a[ia]),
         v_b=float(lut.grid_b[ib]),
         eta=float(lut.eta[ia, ib]),
-        mean_leakage=float(best_key[2]),
+        mean_leakage=float(best_key[1]),
     )
 
 

@@ -276,16 +276,14 @@ def hamiltonian_diagonals(
     """Diagonals of H for each row of a (B, E) voltage stack.
 
     Returns the (B, N) diagonals and (B, N-1) off-diagonals.  Every entry
-    must be finite and pass `DeviceSpec.check_voltages`; `build_hamiltonian`
-    passes a one-row stack.
+    must pass `DeviceSpec.check_voltages`, which refuses NaN and +/-inf too;
+    `build_hamiltonian` passes a one-row stack.
     """
     volts = np.asarray(volts, dtype=float)
     if volts.ndim != 2 or volts.shape[1] != spec.n_electrodes:
         raise DeviceSpecError(
             f"voltage stack has shape {volts.shape}, expected (B, {spec.n_electrodes})"
         )
-    if not np.isfinite(volts).all():
-        raise DeviceSpecError("voltage stack contains non-finite entries")
     spec.check_voltages(volts)
     # a product per row, as for one row: numpy sums a many-row one in another order
     return (spec.base_beta + (volts[:, None] @ spec.beta_sensitivity.T)[:, 0],

@@ -27,13 +27,10 @@ from .evolution import TransferUnitary
 
 @dataclass(frozen=True)
 class SubcircuitPair:
-    """Adjacent guide pair (k, k+1), 1-based."""
+    """Adjacent guide pair (k, k+1), 1-based.  `lower` is checked only by
+    `indices`, against the device it is used on."""
 
     lower: int
-
-    def __post_init__(self):
-        if self.lower < 1:
-            raise ValueError(f"pair lower guide must be >= 1, got {self.lower}")
 
     @property
     def guides(self) -> tuple[int, int]:

@@ -59,24 +59,20 @@ def reference_cells(spec, pair, electrode_a, electrode_b, grid_a, grid_b,
     return out
 
 
-def reference_solve(lut, target_eta, max_leakage=100.0):
+def reference_solve(lut, target_eta):
     """Cell-by-cell scan keeping the smallest (|eta - target|, mean leakage,
     voltage norm) key; a tie keeps the earlier cell in grid order."""
     mean_leak = lut.mean_leakage
-    best = best_key = fallback = fallback_key = None
+    best = best_key = None
     for ia in range(lut.grid_a.size):
         for ib in range(lut.grid_b.size):
             key = (abs(lut.eta[ia, ib] - target_eta), mean_leak[ia, ib],
                    float(np.hypot(lut.grid_a[ia], lut.grid_b[ib])))
-            if mean_leak[ia, ib] <= max_leakage and (best_key is None
-                                                     or key < best_key):
+            if best_key is None or key < best_key:
                 best, best_key = (ia, ib), key
-            if fallback_key is None or key < fallback_key:
-                fallback, fallback_key = (ia, ib), key
-    ia, ib = best if best is not None else fallback
-    return SolveResult(found=best is not None, v_a=float(lut.grid_a[ia]),
-                       v_b=float(lut.grid_b[ib]), eta=float(lut.eta[ia, ib]),
-                       mean_leakage=float(mean_leak[ia, ib]))
+    ia, ib = best
+    return SolveResult(v_a=float(lut.grid_a[ia]), v_b=float(lut.grid_b[ib]),
+                       eta=float(lut.eta[ia, ib]), mean_leakage=float(mean_leak[ia, ib]))
 
 
 def reference_csv(lut) -> str:
@@ -442,7 +438,6 @@ class TestSolveVoltage:
     def test_exact_cell_selected(self):
         lut = linear_eta_map()
         result = solve_voltage(lut, target_eta=0.6)
-        assert result.found
         assert result.v_a == pytest.approx(2.0)
         assert result.eta == pytest.approx(0.6)
 
@@ -451,19 +446,11 @@ class TestSolveVoltage:
         result = solve_voltage(lut, target_eta=0.5)
         assert (result.v_a, result.v_b) == (0.0, 0.0)
 
-    def test_infeasible_leakage_cap(self):
-        lut = linear_eta_map()
-        result = solve_voltage(lut, target_eta=0.6, max_leakage=-1.0)
-        assert not result.found
-        assert result.v_a == pytest.approx(2.0)  # best infeasible candidate
-
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
            shape=st.tuples(st.integers(1, 9), st.integers(1, 9)),
-           target_eta=st.sampled_from([0.0, 0.25, 0.5, 0.625, 1.0]),
-           max_leakage=st.sampled_from([-1.0, 0.0, 1.0, 1.5, 100.0]))
-    def test_matches_cell_scan_under_ties(self, seed, shape, target_eta,
-                                          max_leakage):
+           target_eta=st.sampled_from([0.0, 0.25, 0.5, 0.625, 1.0]))
+    def test_matches_cell_scan_under_ties(self, seed, shape, target_eta):
         # few distinct values and grids symmetric about 0 tie every key:
         # distance (0.25 and 0.75 around 0.5), mean leakage, and norm
         rng = np.random.default_rng(seed)
@@ -473,8 +460,7 @@ class TestSolveVoltage:
         lut = LookupMap(electrode_a=1, electrode_b=4, grid_a=grid_a,
                         grid_b=grid_b, eta=eta, leakage_in1=leak1,
                         leakage_in2=leak2, input_guides=(1, 2), fixed_voltages=FIXED)
-        assert solve_voltage(lut, target_eta, max_leakage) == \
-            reference_solve(lut, target_eta, max_leakage)
+        assert solve_voltage(lut, target_eta) == reference_solve(lut, target_eta)
 
     def test_full_ties_keep_grid_order(self):
         # the four corners tie on every key
@@ -484,10 +470,8 @@ class TestSolveVoltage:
         lut = LookupMap(electrode_a=1, electrode_b=4, grid_a=grid, grid_b=grid,
                         eta=eta, leakage_in1=leak, leakage_in2=leak,
                         input_guides=(1, 2), fixed_voltages=FIXED)
-        for max_leakage in (100.0, -1.0):
-            result = solve_voltage(lut, 0.5, max_leakage)
-            assert (result.v_a, result.v_b) == (-1.0, -1.0)
-            assert result.found == (max_leakage >= 0)
+        result = solve_voltage(lut, 0.5)
+        assert (result.v_a, result.v_b) == (-1.0, -1.0)
 
     def test_round_trip_within_grid_resolution(self, device):
         grid = np.linspace(-10, 10, 21)

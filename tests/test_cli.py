@@ -305,7 +305,7 @@ class TestHom:
         assert not out.exists()
 
     @pytest.mark.parametrize("flags,message", [
-        (["--pair", "0"], "pair lower guide must be >= 1, got 0"),
+        (["--pair", "0"], "pair 0 out of range 1..10"),
         (["--eta", "0.5", "--slope=-1e6"], "model mean went negative"),
     ], ids=["pair-0", "negative-mean"])
     def test_refused_scan_exits_3(self, tmp_path, capsys, flags, message):

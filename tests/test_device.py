@@ -195,9 +195,10 @@ class TestHamiltonianDiagonals:
         volts[1, 15] = 10.5
         with pytest.raises(VoltageBoundError, match=r"^electrode 16 at 10\.5 V exceeds"):
             hamiltonian_diagonals(device, volts)
+        # NaN is out of range too, refused by the same check
         volts[2, 6] = np.nan
-        with pytest.raises(DeviceSpecError):
-            hamiltonian_diagonals(device, volts)
+        with pytest.raises(VoltageBoundError, match=r"^electrode 7 at nan V exceeds"):
+            hamiltonian_diagonals(device, volts[2:])
         for bad in (np.zeros(22), np.zeros((3, 21))):
             with pytest.raises(DeviceSpecError):
                 hamiltonian_diagonals(device, bad)
@@ -259,6 +260,13 @@ class TestOneBasedNumbers:
         with pytest.raises(IndexError) as info:
             call(device, h, unitary(h, device.coupling_length))
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("lower", [0, True, 1.5])
+    def test_pair_refused_only_by_its_indices(self, lower):
+        # SubcircuitPair(0) raised its own ValueError at construction, while
+        # True and 1.5 were taken there
+        with pytest.raises(IndexError, match=rf"^pair {lower} out of range 1\.\.10$"):
+            SubcircuitPair(lower).indices(11)
 
     def test_integers_taken_and_bools_refused(self):
         assert zero_based(np.int64(11), 11, "guide") == 10
