@@ -6,10 +6,10 @@ loss over depth N, the array only propagation loss over its length.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .csvio import write_csv
+from .device import count, finite_real
 
 PER_MZI_DB_DEFAULT = 0.2
 WA_DB_PER_CM_DEFAULT = 0.1
@@ -55,26 +55,16 @@ def clements_loss(
     n_modes: int, per_mzi_db: float = PER_MZI_DB_DEFAULT
 ) -> tuple[int, int, float]:
     """(mzi_count, depth, total_db) for a universal N-mode MZI mesh."""
-    if n_modes < 2:
-        raise ValueError(f"need at least 2 modes, got {n_modes}")
-    count = n_modes * (n_modes - 1) // 2
-    depth = n_modes
-    total = n_modes * _checked("per-MZI loss", per_mzi_db)
-    return count, depth, _checked(
-        f"Clements loss of {n_modes} modes at {per_mzi_db:g} dB per MZI", total)
+    n_modes = count(n_modes, "n_modes", 2)
+    total = n_modes * finite_real(per_mzi_db, "per-MZI loss", 0.0)
+    return n_modes * (n_modes - 1) // 2, n_modes, finite_real(
+        total, f"Clements loss of {n_modes} modes at {per_mzi_db:g} dB per MZI", 0.0)
 
 
 def wa_loss(length_cm: float, db_per_cm: float = WA_DB_PER_CM_DEFAULT) -> float:
     """Propagation loss of a waveguide array of the given length."""
-    return _checked(f"WA loss of {length_cm:g} cm at {db_per_cm:g} dB per cm",
-                    _checked("length", length_cm) * _checked("loss per cm", db_per_cm))
-
-
-def _checked(name: str, value: float) -> float:
-    """`value` as a float, else ValueError unless it is finite and >= 0."""
-    if not 0 <= value < math.inf:
-        raise ValueError(f"{name} must be non-negative and finite, got {value}")
-    return float(value)
+    total = finite_real(length_cm, "length", 0.0) * finite_real(db_per_cm, "loss per cm", 0.0)
+    return finite_real(total, f"WA loss of {length_cm:g} cm at {db_per_cm:g} dB per cm", 0.0)
 
 
 def loss_report(
@@ -83,10 +73,10 @@ def loss_report(
     wa_length_cm: float = WA_LENGTH_CM_DEFAULT,
     db_per_cm: float = WA_DB_PER_CM_DEFAULT,
 ) -> LossReport:
-    count, depth, total = clements_loss(n_modes, per_mzi_db)
+    mzi_count, depth, total = clements_loss(n_modes, per_mzi_db)
     return LossReport(
         n_modes=n_modes,
-        mzi_count=count,
+        mzi_count=mzi_count,
         mzi_depth=depth,
         clements_loss_db=total,
         wa_length_cm=wa_length_cm,

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import grid_lead, write_csv
-from .device import DeviceSpec, VoltageConfig, frozen_array, increasing_vector
+from .device import (DeviceSpec, VoltageConfig, finite_real, frozen_array,
+                     increasing_vector)
 from .subcircuits import GATE_ETAS, SubcircuitPair, reflectivity_and_leakage
 from . import device as device_mod
 from . import evolution
@@ -166,8 +167,10 @@ def solve_voltage(lut: LookupMap, target_eta: float) -> SolveResult:
     Ties break by lower mean leakage, then smaller voltage norm, then
     lexicographic grid order.  Each grid_a row is ranked with one lexsort
     and the row winners are compared in row order, which keeps the working
-    set at one row however large the map is.
+    set at one row however large the map is.  `target_eta` must be a finite
+    real; outside [0, 1] it still has a nearest cell.
     """
+    target_eta = finite_real(target_eta, "target_eta")
     best, best_key = None, None
     for ia in range(lut.grid_a.size):
         dist = np.abs(lut.eta[ia] - target_eta)
@@ -217,9 +220,10 @@ def gate_voltages_by_linear_fit(lut: LookupMap, fixed_v_b: float) -> list[GateVo
     The slice runs along electrode_a at the grid_b point nearest fixed_v_b.
     Only the longest strictly monotone segment bracketing eta = 0.5 is
     fitted (the curves oscillate; the operating branch is the one fitted).
-    Solutions outside grid_a clamp to its ends with a flag.
+    Solutions outside grid_a clamp to its ends with a flag.  `fixed_v_b`
+    must be a finite real.
     """
-    ib = int(np.argmin(np.abs(lut.grid_b - fixed_v_b)))
+    ib = int(np.argmin(np.abs(lut.grid_b - finite_real(fixed_v_b, "fixed_v_b"))))
     etas = lut.eta[:, ib]
     if etas.size < 3:
         raise FlatCurveError(f"slice needs >= 3 points, got {etas.size}")

@@ -78,7 +78,7 @@ import numpy as np
 from . import evolution
 from .csvio import write_csv
 from .device import (N_GUIDES_DEFAULT, DeviceSpec, DeviceSpecError,
-                     VoltageConfig, eigenvalue_bound, frozen_array)
+                     VoltageConfig, count, eigenvalue_bound, frozen_array)
 from .subcircuits import (
     GATE_ETAS,
     SubcircuitPair,
@@ -121,18 +121,16 @@ class ElectrodeConfig:
     active_electrodes: tuple[int, ...]
     pairs: tuple[SubcircuitPair, SubcircuitPair]
 
-    def __post_init__(self):
-        if len(set(self.active_electrodes)) != len(self.active_electrodes):
-            raise ValueError("active electrode list has duplicates")
-        if set(self.pairs[0].guides) & set(self.pairs[1].guides):
-            raise ValueError("subcircuit pairs must be disjoint")
-
     def indices(self, spec: DeviceSpec) -> list[int]:
         """The active electrodes' 0-based indices, once they and both pairs
-        are checked to fit `spec`."""
+        are checked to fit `spec`, the electrodes not to repeat and the pairs
+        to share no guide."""
         active = spec.electrode_indices(self.active_electrodes)
-        for pair in self.pairs:
-            pair.indices(spec.n_guides)
+        guides = [g for pair in self.pairs for g in pair.indices(spec.n_guides)]
+        if len(set(active)) != len(active):
+            raise ValueError("active electrode list has duplicates")
+        if len(set(guides)) != len(guides):
+            raise ValueError("subcircuit pairs must be disjoint")
         return active
 
 
@@ -618,8 +616,7 @@ def optimize_parallel_gates(
     status 2 after 0 iterations, naming `coupling_length` and rho L, the
     `eigenvalue_bound` times the length: a length near the device's 2^52 rad
     phase bound leaves phases too coarse for any step."""
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    restarts = count(restarts, "restarts", 1)
     limit = spec.voltage_limit
     n_active = len(config.active_electrodes)
     kernel = objective_with_gradient(spec, config, targets)

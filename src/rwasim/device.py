@@ -5,6 +5,12 @@ The per-length dynamics are captured by a real symmetric tridiagonal
 Hamiltonian whose diagonal holds the propagation constants beta_n and whose
 off-diagonal holds the nearest-neighbour couplings C_{n,n+1}.  Electrode
 voltages shift both linearly through user-supplied sensitivity matrices.
+
+Five input rules have one owner each here, which every entry point calls:
+a 1-based guide, pair or electrode number (`zero_based`), a voltage within
+the device's limit (`DeviceSpec.check_voltages`), a finite, strictly
+increasing 1-D vector (`increasing_vector`), a count (`count`) and a finite
+real number in a range (`finite_real`).
 """
 from __future__ import annotations
 
@@ -104,16 +110,31 @@ def increasing_vector(value, name: str, error: type[Exception] = ValueError,
     return v
 
 
-def _as_count(x, name: str, minimum: int) -> int:
+def count(x, name: str, minimum: int, error: type[Exception] = ValueError) -> int:
+    """`x` as an int; `error` names `x` unless it is an integer (not a bool)
+    of at least `minimum`."""
     if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < minimum:
-        raise DeviceSpecError(f"{name} must be an integer >= {minimum}, got {x!r}")
+        raise error(f"{name} must be an integer >= {minimum}, got {x!r}")
     return int(x)
 
 
-def _as_positive(x, name: str) -> float:
-    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not 0 < x < math.inf:
-        raise DeviceSpecError(f"{name} must be a positive finite number, got {x!r}")
-    return float(x)
+def finite_real(x, name: str, lo: float = -math.inf, hi: float = math.inf,
+                above: bool = False, error: type[Exception] = ValueError) -> float:
+    """`x` as a float; `error` names `x` unless it is a real number (not a
+    bool), finite and in [lo, hi], or in (lo, hi] if `above`."""
+    v = math.nan
+    # a float skips the numbers.Real test, an abstract-class check several
+    # times slower than the rest: a HOM simulate+fit runs this nine times
+    if type(x) is float or not isinstance(x, bool) and isinstance(x, numbers.Real):
+        try:
+            v = float(x)
+        except OverflowError:  # an integer past the float range
+            pass
+    if not (math.isfinite(v) and (lo < v if above else lo <= v) and v <= hi):
+        kind = (f" in {'(' if above else '['}{lo:g}, {hi:g}]" if hi < math.inf
+                else f" {'>' if above else '>='} {lo:g}" if lo > -math.inf else "")
+        raise error(f"{name} must be a finite real{kind}, got {x!r}")
+    return v
 
 
 def _electrode_gains(rows: int, n_electrodes: int, first: int, gain: float) -> np.ndarray:
@@ -184,10 +205,12 @@ class DeviceSpec:
     voltage_limit: float = VOLTAGE_LIMIT_DEFAULT
 
     def __post_init__(self):
-        n = _as_count(self.n_guides, "n_guides", 2)
-        e = _as_count(self.n_electrodes, "n_electrodes", 1)
-        length = _as_positive(self.coupling_length, "coupling_length")
-        limit = _as_positive(self.voltage_limit, "voltage_limit")
+        n = count(self.n_guides, "n_guides", 2, DeviceSpecError)
+        e = count(self.n_electrodes, "n_electrodes", 1, DeviceSpecError)
+        length = finite_real(self.coupling_length, "coupling_length", 0.0, above=True,
+                             error=DeviceSpecError)
+        limit = finite_real(self.voltage_limit, "voltage_limit", 0.0, above=True,
+                            error=DeviceSpecError)
 
         # a missing array field takes its default, which also fixes its shape
         defaults = {

@@ -37,13 +37,12 @@ lockstep restarts) bound B by `STACK_ROWS`, which they read at call time.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .csvio import write_csv
-from .device import TridiagonalHamiltonian, frozen_array, zero_based
+from .device import TridiagonalHamiltonian, count, finite_real, frozen_array, zero_based
 
 # most rows a batch caller stacks into one eigensolve: per lookup-map cell,
 # the numpy calls' fixed cost stops falling beyond about 1024 rows, where the
@@ -79,12 +78,6 @@ class IntensityProfile:
             object.__setattr__(self, name, frozen_array(getattr(self, name), name))
 
 
-def _checked_length(length) -> float:
-    if not 0 < length < math.inf:
-        raise ValueError(f"length must be positive and finite, got {length}")
-    return float(length)
-
-
 def _dense(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
     """(B, N, N) dense forms of B stacked tridiagonals."""
     b, n = diag.shape
@@ -104,7 +97,7 @@ def eigh_tridiagonal(diag: np.ndarray, offdiag: np.ndarray):
 
 def unitary(h: TridiagonalHamiltonian, length: float) -> TransferUnitary:
     """U = exp(-i H L) = (Q e^{-iwL}) Q^T, from `eigh_tridiagonal`."""
-    length = _checked_length(length)
+    length = finite_real(length, "length", 0.0, above=True)
     [w], [q] = eigh_tridiagonal(h.diag[None], h.offdiag[None])
     return TransferUnitary(matrix=(q * np.exp(-1j * length * w)) @ q.T)
 
@@ -118,7 +111,7 @@ def pair_blocks(diag: np.ndarray, offdiag: np.ndarray, length: float, i: int) ->
     formula, or from `eigh_tridiagonal` if the formula does not serve it
     (module docstring), by arithmetic on that row alone.
     """
-    length = _checked_length(length)
+    length = finite_real(length, "length", 0.0, above=True)
     b, n = diag.shape
     zero_based(i + 1, n - 1, "pair")  # pair k is guides k and k + 1, 1-based
     w = np.linalg.eigvalsh(_dense(diag, offdiag)).T.copy()  # (N, B), ascending
@@ -187,9 +180,8 @@ def propagation_profile(
     input_guide: int = 1,
 ) -> IntensityProfile:
     """Intensity in every guide at n_steps points from z=0 to z=L."""
-    if n_steps < 2:
-        raise ValueError(f"n_steps must be >= 2, got {n_steps}")
-    length = _checked_length(length)
+    n_steps = count(n_steps, "n_steps", 2)
+    length = finite_real(length, "length", 0.0, above=True)
     j = zero_based(input_guide, h.n_guides, "input_guide")
     [w], [q] = eigh_tridiagonal(h.diag[None], h.offdiag[None])
     z = np.linspace(0.0, length, n_steps)

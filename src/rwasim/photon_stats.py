@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .csvio import write_csv
-from .device import frozen_array, increasing_vector, zero_based
+from .device import finite_real, frozen_array, increasing_vector, zero_based
 from .evolution import TransferUnitary
 
 FWHM_FACTOR = 2 * math.sqrt(2 * math.log(2))
@@ -140,8 +140,7 @@ def two_photon_coincidence(
 
 def ideal_visibility(eta: float) -> float:
     """Dip visibility 2*eta*(1-eta) / (1 - 2*eta + 2*eta^2) of an eta-coupler."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must be in [0, 1], got {eta}")
+    eta = finite_real(eta, "eta", 0.0, 1.0)
     return 2.0 * eta * (1.0 - eta) / (1.0 - 2.0 * eta + 2.0 * eta**2)
 
 
@@ -164,18 +163,14 @@ def simulate_hom_scan(
     """
     # dip_model divides by 2 coherence_width^2, which must be finite and
     # non-zero too
-    width = float(coherence_width)
-    if not (width > 0 and 0.0 < 2.0 * width * width < math.inf):
+    width = finite_real(coherence_width, "coherence_width", 0.0, above=True)
+    if not 0.0 < 2.0 * width * width < math.inf:
         raise ValueError(f"coherence_width must be positive, with 2 width^2 finite"
                          f" and non-zero, got {coherence_width}")
-    if not 0 < baseline_rate < math.inf:
-        raise ValueError(f"baseline_rate must be positive and finite,"
-                         f" got {baseline_rate}")
-    for name, value in (("slope", slope), ("dip_center", dip_center)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    if not 0.0 <= overlap <= 1.0:
-        raise ValueError(f"overlap must be in [0, 1], got {overlap}")
+    baseline_rate = finite_real(baseline_rate, "baseline_rate", 0.0, above=True)
+    slope = finite_real(slope, "slope")
+    dip_center = finite_real(dip_center, "dip_center")
+    overlap = finite_real(overlap, "overlap", 0.0, 1.0)
     x = np.asarray(delays, dtype=float)
     # dip_model's line and its Gaussian's exponent are largest at the scan's
     # ends, where Python floats overflow to inf without a warning
@@ -188,7 +183,7 @@ def simulate_hom_scan(
                              f" dip_center)^2 / (2 width^2) stays finite, got"
                              f" {coherence_width}")
     v = overlap * ideal_visibility(eta)
-    mean = dip_model(x, slope, baseline_rate, v, dip_center, coherence_width)
+    mean = dip_model(x, slope, baseline_rate, v, dip_center, width)
     if (mean < 0).any():
         raise ValueError("model mean went negative; check slope/baseline")
     if noise_seed is None:
@@ -440,10 +435,8 @@ def dip_extrema(fit: DipFit, scan: HomScan) -> tuple[float, float]:
 
 def visibility_error(n_max: float, n_min: float) -> float:
     """eps_V = (N_min/N_max) * sqrt(1/N_max + 1/N_min); 0 in the N_min -> 0 limit."""
-    if n_max <= 0:
-        raise ValueError(f"N_max must be positive, got {n_max}")
-    if n_min < 0:
-        raise ValueError(f"N_min must be non-negative, got {n_min}")
+    n_max = finite_real(n_max, "N_max", 0.0, above=True)
+    n_min = finite_real(n_min, "N_min", 0.0)
     if n_min == 0.0:
         return 0.0
     return (n_min / n_max) * math.sqrt(1.0 / n_max + 1.0 / n_min)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import frozen_array, zero_based
+from .device import finite_real, frozen_array, zero_based
 from .evolution import TransferUnitary
 
 
@@ -128,10 +128,8 @@ def coupler_split(eta: float) -> np.ndarray:
 
 def gate_truth_table(eta_a: float, eta_b: float) -> TruthTable:
     """Ideal parallel-gate truth table for two decoupled eta-couplers."""
-    for name, eta in (("eta_a", eta_a), ("eta_b", eta_b)):
-        if not 0.0 <= eta <= 1.0:
-            raise ValueError(f"{name} must be in [0, 1], got {eta}")
-    return TruthTable(table=np.kron(coupler_split(eta_a), coupler_split(eta_b)))
+    return TruthTable(table=np.kron(coupler_split(finite_real(eta_a, "eta_a", 0.0, 1.0)),
+                                    coupler_split(finite_real(eta_b, "eta_b", 0.0, 1.0))))
 
 
 def distribution_fidelity(target_row, measured_row):

@@ -473,6 +473,15 @@ class TestSolveVoltage:
         result = solve_voltage(lut, 0.5)
         assert (result.v_a, result.v_b) == (-1.0, -1.0)
 
+    @pytest.mark.parametrize("target", [np.nan, np.inf, True])
+    def test_non_finite_or_bool_target_refused(self, target):
+        # NaN picked the map's first cell and True ranked against eta = 1
+        with pytest.raises(ValueError, match=f"^target_eta must be a finite real, got {target}"):
+            solve_voltage(linear_eta_map(), target)
+
+    def test_target_outside_unit_interval_has_a_nearest_cell(self):
+        assert solve_voltage(linear_eta_map(), 1.5).eta == 1.0
+
     def test_round_trip_within_grid_resolution(self, device):
         grid = np.linspace(-10, 10, 21)
         lut = build_lookup_map(device, SubcircuitPair(1), 1, 4, grid, grid)
@@ -539,6 +548,12 @@ class TestGateVoltagesByLinearFit:
         assert (gates[1.0].voltage, gates[1.0].clamped) == (-2.0, True)
         assert (gates[0.0].voltage, gates[0.0].clamped) == (10.0, True)
         assert -2.0 < gates[0.5].voltage < 10.0 and not gates[0.5].clamped
+
+    @pytest.mark.parametrize("v_b", [np.nan, -np.inf, True])
+    def test_non_finite_or_bool_v_b_refused(self, v_b):
+        # NaN fitted the first grid_b column
+        with pytest.raises(ValueError, match=f"^fixed_v_b must be a finite real, got {v_b}"):
+            gate_voltages_by_linear_fit(linear_eta_map(), v_b)
 
     def test_flat_slice_rejected(self):
         grid = default_grid()

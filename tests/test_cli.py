@@ -565,7 +565,7 @@ class TestLoss:
     def test_non_finite_or_negative_loss_refused(self, tmp_path, capsys, flags):
         out = tmp_path / "run"
         assert run("loss", "--modes", "4", *flags, "--out", str(out)) == 3
-        assert "non-negative and finite" in capsys.readouterr().err
+        assert "a finite real >= 0" in capsys.readouterr().err
         assert not (out / "loss.csv").exists()
 
     @pytest.mark.parametrize("flags,message", [

@@ -77,14 +77,23 @@ class TestPresets:
             preset_config("config4")
 
     def test_overlapping_pairs_rejected(self):
-        with pytest.raises(ValueError):
-            ElectrodeConfig(name="bad", active_electrodes=(1, 2),
-                            pairs=(SubcircuitPair(1), SubcircuitPair(2)))
+        config = ElectrodeConfig(name="bad", active_electrodes=(1, 2),
+                                 pairs=(SubcircuitPair(1), SubcircuitPair(2)))
+        with pytest.raises(ValueError, match="disjoint"):
+            config.indices(default_device())
 
     def test_duplicate_electrodes_rejected(self):
+        config = ElectrodeConfig(name="bad", active_electrodes=(1, 2, 1),
+                                 pairs=(SubcircuitPair(1),))
         with pytest.raises(ValueError, match="duplicates"):
-            ElectrodeConfig(name="bad", active_electrodes=(1, 2, 1),
-                            pairs=(SubcircuitPair(1),))
+            config.indices(default_device())
+
+    def test_pair_numbers_checked_before_disjointness(self):
+        # construction read the string pair's guides and raised Python's
+        # "can only concatenate str (not "int") to str" TypeError
+        config = ElectrodeConfig("c", (1, 2), (SubcircuitPair("1"), SubcircuitPair(3)))
+        with pytest.raises(IndexError, match=r"^pair 1 out of range 1\.\.10$"):
+            config.indices(default_device())
 
 
 class TestObjective:

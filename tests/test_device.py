@@ -9,16 +9,21 @@ from rwasim.device import (
     VoltageBoundError,
     VoltageConfig,
     build_hamiltonian,
+    count,
     default_device,
     device_spec_from_dict,
+    finite_real,
     hamiltonian_diagonals,
     load_device_spec,
     save_device_spec,
     zero_based,
 )
+from rwasim.analysis import clements_loss, wa_loss
+from rwasim.compiler import gate_target, optimize_parallel_gates, preset_config
 from rwasim.evolution import output_power, propagation_profile, unitary
-from rwasim.photon_stats import two_photon_coincidence
-from rwasim.subcircuits import SubcircuitPair, effective_reflectivity
+from rwasim.photon_stats import (ideal_visibility, simulate_hom_scan,
+                                 two_photon_coincidence, visibility_error)
+from rwasim.subcircuits import SubcircuitPair, effective_reflectivity, gate_truth_table
 
 from conftest import spec_equal, with_electrode
 
@@ -274,3 +279,61 @@ class TestOneBasedNumbers:
         for k in (True, 0, 12, 3.0, "3"):
             with pytest.raises(IndexError, match=rf"^guide {k} out of range 1\.\.11$"):
                 zero_based(k, 11, "guide")
+
+
+XX = (gate_target("X"), gate_target("X"))
+DELAYS = np.linspace(-0.6, 0.6, 121)
+
+
+class TestScalarRules:
+    """`count` and `finite_real`, the one rule each for a count and for a
+    finite real in a range, at each entry point that takes such a scalar."""
+
+    @pytest.mark.parametrize("call,name", [
+        (lambda h: unitary(h, True), "length"),
+        (lambda h: propagation_profile(h, True), "length"),
+        (lambda h: propagation_profile(h, 24.0, n_steps=3.0), "n_steps"),
+        (lambda h: wa_loss(True), "length"),
+        (lambda h: clements_loss(2.5), "n_modes"),
+        (lambda h: ideal_visibility(True), "eta"),
+        (lambda h: simulate_hom_scan(0.5, DELAYS, True), "baseline_rate"),
+        (lambda h: simulate_hom_scan(0.5, DELAYS, 1e3, slope=True), "slope"),
+        (lambda h: simulate_hom_scan(0.5, DELAYS, 1e3, overlap=True), "overlap"),
+        (lambda h: gate_truth_table(True, 0.5), "eta_a"),
+        (lambda h: visibility_error(np.nan, 1.0), "N_max"),
+        (lambda h: visibility_error(1.0, np.nan), "N_min"),
+        (lambda h: optimize_parallel_gates(default_device(), preset_config("config2"),
+                                           XX, restarts=2.5), "restarts"),
+        (lambda h: optimize_parallel_gates(default_device(), preset_config("config2"),
+                                           XX, restarts=True), "restarts"),
+    ], ids=["unitary", "profile-length", "profile-steps", "wa_loss", "clements_loss",
+            "ideal_visibility", "baseline", "slope", "overlap", "gate_truth_table",
+            "N_max", "N_min", "restarts-2.5", "restarts-True"])
+    def test_bool_fraction_and_nan_refused_by_name(self, device, zero_volts, call, name):
+        # each returned a value (True taken as 1, 2.5 modes as a 2.5-mode
+        # mesh, NaN as a NaN error) or raised numpy's TypeError
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            call(build_hamiltonian(device, zero_volts))
+
+    def test_count_takes_integers_only(self):
+        assert count(np.int64(3), "n", 2) == 3
+        assert type(count(np.int64(3), "n", 2)) is int
+        for x in (True, 1, 3.0, "3", None):
+            with pytest.raises(ValueError, match=rf"^n must be an integer >= 2, got {x!r}$"):
+                count(x, "n", 2)
+
+    def test_finite_real_bounds(self):
+        assert finite_real(np.float64(0.5), "x", 0.0, 1.0) == 0.5
+        assert type(finite_real(np.float32(0.5), "x")) is float
+        assert finite_real(0.0, "x", 0.0) == 0.0
+        assert finite_real(-1e308, "x") == -1e308
+        for x, lo, hi, above, kind in [
+                (0.0, 0.0, None, True, "> 0"), (-1.0, 0.0, None, False, ">= 0"),
+                (1.5, 0.0, 1.0, False, "in [0, 1]"), (0.0, 0.0, 1.0, True, "in (0, 1]"),
+                (np.nan, None, None, False, ""), (np.inf, None, None, False, ""),
+                (10**400, None, None, False, ""), (True, None, None, False, ""),
+                ("1", None, None, False, "")]:
+            bounds = {k: v for k, v in (("lo", lo), ("hi", hi)) if v is not None}
+            with pytest.raises(ValueError) as info:
+                finite_real(x, "x", above=above, **bounds)
+            assert str(info.value) == f"x must be a finite real{kind and ' ' + kind}, got {x!r}"

@@ -62,7 +62,7 @@ class TestUnitary:
     def test_length_must_be_positive_and_finite(self, length):
         # an infinite length gave a RuntimeWarning, then blamed the matrix
         # for containing non-finite entries
-        with pytest.raises(ValueError, match="length must be positive and finite"):
+        with pytest.raises(ValueError, match="length must be a finite real > 0"):
             unitary(two_mode(0.0, 0.0, 0.1), length)
 
     def test_composition(self):
@@ -225,7 +225,7 @@ class TestPropagationProfile:
 
     @pytest.mark.parametrize("length", [math.inf, math.nan, -1.0])
     def test_length_must_be_positive_and_finite(self, length):
-        with pytest.raises(ValueError, match="length must be positive and finite"):
+        with pytest.raises(ValueError, match="length must be a finite real > 0"):
             propagation_profile(two_mode(0.0, 0.0, 0.1), length)
 
 

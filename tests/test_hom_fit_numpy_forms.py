@@ -14,7 +14,7 @@ from package_ast import calls, nodes
 # (module, function) of the path; `evaluate` is nested in `least_squares`
 PER_SCAN = {("device", "frozen_array"), ("device", "hamiltonian_diagonals"),
             ("device", "check_voltages"), ("device", "zero_based"),
-            ("device", "increasing_vector"),
+            ("device", "increasing_vector"), ("device", "finite_real"),
             ("photon_stats", "__post_init__"), ("photon_stats", "simulate_hom_scan"),
             ("photon_stats", "_initial_guess"), ("photon_stats", "_grid_seeds"),
             ("photon_stats", "least_squares"), ("photon_stats", "evaluate"),

@@ -148,7 +148,7 @@ class TestSimulateHomScan:
 
     @pytest.mark.parametrize("overlap", [-0.1, 1.1])
     def test_overlap_outside_unit_interval_rejected(self, overlap):
-        with pytest.raises(ValueError, match="overlap must be in"):
+        with pytest.raises(ValueError, match="overlap must be a finite real in"):
             simulate_hom_scan(0.5, [0.0], 10.0, overlap=overlap)
 
     @pytest.mark.parametrize("kwargs,name", [
@@ -666,7 +666,7 @@ class TestVisibilityError:
             visibility_error(0.0, 1.0)
 
     def test_negative_min_rejected(self):
-        with pytest.raises(ValueError, match="N_min must be non-negative"):
+        with pytest.raises(ValueError, match="N_min must be a finite real >= 0"):
             visibility_error(100.0, -1.0)
 
 

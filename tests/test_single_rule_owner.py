@@ -1,7 +1,8 @@
-"""Each of three input rules has one owner in `device`, which every entry
+"""Each of five input rules has one owner in `device`, which every entry
 point calls: a 1-based guide, pair or electrode number (`zero_based`), a
-voltage within the device's limit (`DeviceSpec.check_voltages`) and a finite,
-strictly increasing 1-D vector (`increasing_vector`).
+voltage within the device's limit (`DeviceSpec.check_voltages`), a finite,
+strictly increasing 1-D vector (`increasing_vector`), a count (`count`) and a
+finite real in a range (`finite_real`).
 
 The tests parse the package with `ast`, without importing it, and fail if a
 function other than the owner raises the rule's refusal.
@@ -15,7 +16,9 @@ from package_ast import nodes, walk
 # the mark of each rule's refusal in a raise statement, and its owner
 OWNERS = {"out of range": ("device", "zero_based"),
           "VoltageBoundError": ("device", "check_voltages"),
-          "strictly increasing": ("device", "increasing_vector")}
+          "strictly increasing": ("device", "increasing_vector"),
+          "an integer >=": ("device", "count"),
+          "a finite real": ("device", "finite_real")}
 
 
 def refusals(node: ast.AST) -> set[str]:
@@ -46,9 +49,12 @@ def d(): raise ValueError("delays must be strictly increasing") from None
 def e(): raise ValueError(f"{name} must be strictly increasing")
 def f(): raise IndexError("index out of bounds")
 def g(): raise
+def h(): raise ValueError(f"restarts must be an integer >= 1, got {restarts}")
+def i(): raise ValueError(f"{name} must be a finite real in [0, 1], got {eta}")
 '''
     found = [(scope, refusals(node)) for scope, node in walk(ast.parse(source), "m")
              if refusals(node)]
     assert found == [("a", {"out of range"}), ("b", {"VoltageBoundError"}),
                      ("c", {"VoltageBoundError"}), ("d", {"strictly increasing"}),
-                     ("e", {"strictly increasing"})]
+                     ("e", {"strictly increasing"}), ("h", {"an integer >="}),
+                     ("i", {"a finite real"})]

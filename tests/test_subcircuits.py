@@ -260,7 +260,7 @@ class TestGateTruthTable:
     @pytest.mark.parametrize("eta_a,eta_b,name", [(-0.1, 0.5, "eta_a"),
                                                   (0.5, 1.5, "eta_b")])
     def test_eta_outside_unit_interval_rejected(self, eta_a, eta_b, name):
-        with pytest.raises(ValueError, match=f"{name} must be in"):
+        with pytest.raises(ValueError, match=f"{name} must be a finite real in"):
             gate_truth_table(eta_a, eta_b)
 
     @pytest.mark.parametrize("table,message", [
