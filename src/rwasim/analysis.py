@@ -56,7 +56,9 @@ def clements_loss(
 ) -> tuple[int, int, float]:
     """(mzi_count, depth, total_db) for a universal N-mode MZI mesh."""
     n_modes = count(n_modes, "n_modes", 2)
-    total = n_modes * finite_real(per_mzi_db, "per-MZI loss", 0.0)
+    # a count past the float range is refused by name, not by the product
+    total = (finite_real(n_modes, "n_modes")
+             * finite_real(per_mzi_db, "per-MZI loss", 0.0))
     return n_modes * (n_modes - 1) // 2, n_modes, finite_real(
         total, f"Clements loss of {n_modes} modes at {per_mzi_db:g} dB per MZI", 0.0)
 

@@ -10,14 +10,20 @@ U, from one stacked `numpy.linalg.eigvalsh` and the minors of w - H, and
 `subcircuits.reflectivity_and_leakage` reads it.  A map calls it per block
 of `evolution.STACK_ROWS` cells, which bounds the working set (the stacked
 H of the default 11-guide device takes about 1 MB) without changing any
-cell's value; `rwasim hom` calls it for one row.  A cell's eta agrees with
-the one `subcircuits.effective_reflectivity` reads from `evolution.unitary`
-at the same voltages within 1e-12, not bit for bit: the two form U
-differently.
+cell's value; `rwasim hom` calls it for one row.  The map's blocks run on
+up to `evolution.STACK_THREADS` threads of the one process, never more than
+the CPUs it may run on, each with a block's working set of its own; a
+cell's bits do not depend on which thread computes it or how many run.  A
+cell's eta agrees with the one `subcircuits.effective_reflectivity` reads
+from `evolution.unitary` at the same voltages within 1e-12, not bit for
+bit: the two form U differently.
 """
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,14 +121,19 @@ def build_lookup_map(
     """Simulate the device over the grid and record eta plus both leakages.
 
     electrode_a / electrode_b are 1-based and must be distinct; all other
-    electrodes stay at `fixed_voltages` (zero if omitted).  Cells are
-    evaluated in grid order, `evolution.STACK_ROWS` at a time, and each
-    cell's values depend only on its own voltages, so two builds with
-    identical inputs are bit-identical.
+    electrodes stay at `fixed_voltages` (zero if omitted).  Every input is
+    checked before the first cell.  Cells are evaluated in blocks of
+    `evolution.STACK_ROWS` in grid order, each block on one of `_threads`
+    threads: the calling thread and helpers that end before the call
+    returns.  Each cell's values depend only on its own voltages, so two
+    builds with identical inputs are bit-identical whatever the thread
+    count.  A failing block raises as it would in a serial build, from the
+    lowest failing block.
     """
     if electrode_a == electrode_b:
         raise ValueError(f"electrodes must be distinct, both are {electrode_a}")
     col_a, col_b = spec.electrode_indices((electrode_a, electrode_b))
+    pair.indices(spec.n_guides)
     ga, gb = (increasing_vector(g, name, device_mod.DeviceSpecError, nonempty=True)
               for g, name in ((grid_a, "grid_a"), (grid_b, "grid_b")))
     for e, g in ((electrode_a, ga), (electrode_b, gb)):
@@ -130,17 +141,29 @@ def build_lookup_map(
     base = (fixed_voltages.volts if fixed_voltages is not None
             else np.zeros(spec.n_electrodes))
     n_cells = ga.size * gb.size
+    block = evolution.STACK_ROWS
+    # every row is `base` with the swept electrodes at the cell's grid point
+    # (the first cell's row checks base's length and voltages for all rows)
+    rows = np.tile(base, (min(n_cells, block), 1))
+    rows[0, [col_a, col_b]] = ga[0], gb[0]
+    device_mod.hamiltonian_diagonals(spec, rows[:1])
     tables = np.empty((3, n_cells))
     eta, leak1, leak2 = tables
-    # every row is `base` with the swept electrodes at the cell's grid point
-    block = evolution.STACK_ROWS
-    volts = np.tile(base, (min(n_cells, block), 1))
-    for start in range(0, n_cells, block):
+
+    def fill(volts, start):
         cells = np.arange(start, min(start + block, n_cells))
         v = volts[:cells.size]
         v[:, col_a] = ga[cells // gb.size]
         v[:, col_b] = gb[cells % gb.size]
         eta[cells], leak1[cells], leak2[cells] = pair_response(spec, pair, v)
+
+    starts = range(0, n_cells, block)
+    threads = _threads(len(starts))
+    if threads == 1:
+        for start in starts:
+            fill(rows, start)
+    else:
+        _fill_in_threads(fill, starts, threads, rows)
     # the map takes the filled tables over read-only rather than copying them
     tables.setflags(write=False)
     eta, leak1, leak2 = tables.reshape(3, ga.size, gb.size)
@@ -149,6 +172,49 @@ def build_lookup_map(
         eta=eta, leakage_in1=leak1, leakage_in2=leak2, input_guides=pair.guides,
         fixed_voltages=base,
     )
+
+
+def _threads(blocks: int) -> int:
+    """Threads for a map of `blocks` blocks: one per CPU this process may run
+    on, at most one per block and at most `evolution.STACK_THREADS`."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, blocks, evolution.STACK_THREADS)
+
+
+def _fill_in_threads(fill, starts, threads: int, rows: np.ndarray) -> None:
+    """fill(volts, start) for each block start, thread k of `threads` taking
+    starts[k::threads] in order with a copy of `rows` as its voltage buffer.
+    The calling thread is k = 0, so no more threads run than `threads`; the
+    helpers run in a copy of the caller's context (its `np.errstate`).
+    Every helper is joined before the error of the lowest failing start, if
+    any, is raised."""
+    failed = {}
+
+    def share(k):
+        mine = starts[k::threads]
+        start = mine[0]
+        try:
+            volts = rows.copy()
+            for start in mine:
+                fill(volts, start)
+        except BaseException as exc:  # re-raised by the caller after the join
+            failed[start] = exc
+
+    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(share, k))
+               for k in range(1, threads)]
+    try:
+        for t in helpers:
+            t.start()
+        share(0)
+    finally:
+        for t in helpers:
+            if t.ident is not None:
+                t.join()
+    if failed:
+        raise failed[min(failed)]
 
 
 @dataclass(frozen=True)

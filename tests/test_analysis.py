@@ -37,6 +37,12 @@ class TestClementsLoss:
         with pytest.raises(ValueError, match=f"Clements loss of {n_modes} modes"):
             clements_loss(n_modes, per_mzi_db=per_mzi)
 
+    def test_mode_count_past_float_range_refused_by_name(self):
+        # n_modes * per_mzi_db raised Python's OverflowError, which named
+        # neither argument, before the total reached its check
+        with pytest.raises(ValueError, match="n_modes must be a finite real, got 1000"):
+            clements_loss(10**400)
+
     def test_monotone_in_modes(self):
         counts, totals = zip(*(
             (clements_loss(n)[0], clements_loss(n)[2]) for n in range(2, 30)

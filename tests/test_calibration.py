@@ -1,3 +1,6 @@
+import hashlib
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -337,6 +340,131 @@ class TestPairResponse:
         alone = np.vstack([np.column_stack(pair_response(spec, pair, row[None]))
                            for row in volts])
         np.testing.assert_array_equal(stacked, alone)
+
+
+class TestThreadedBuild:
+    """The map's blocks split over the CPUs the process may use.  With
+    `STACK_ROWS` = 64 the default 41x41 map has 27 blocks: one CPU builds
+    them on the calling thread, four on it and three helpers."""
+
+    GRID = default_grid()
+    # SHA-256 of eta, leak_in1 and leak_in2 stacked, of the default device's
+    # map on pair 1 over electrodes 1 and 4 at `default_grid`, as the serial
+    # loop built it; captured with numpy 2.4 and OpenBLAS at one thread on
+    # x86-64, like the `TestGoldenPairResponse` pins
+    GOLDEN_SHA256 = "c0b18843a02cdbf9ca495c3bf55e9cbc433581b46e01f81afc2782f888fa9775"
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(evolution, "STACK_ROWS", 64)
+
+    @staticmethod
+    def on_cpus(monkeypatch, n):
+        monkeypatch.setattr(calibration.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    def build(self, grid=GRID):
+        with mock.patch.object(calibration.threading, "Thread",
+                               wraps=threading.Thread) as spy:
+            lut = build_lookup_map(default_device(), SubcircuitPair(1), 1, 4, grid, grid)
+        return lut, spy.call_count
+
+    @staticmethod
+    def digest(lut):
+        tables = np.stack((lut.eta, lut.leakage_in1, lut.leakage_in2))
+        return hashlib.sha256(tables.tobytes()).hexdigest()
+
+    def test_tables_do_not_depend_on_the_cpu_count(self, monkeypatch):
+        before = threading.active_count()
+        maps = []
+        for cpus, helpers in ((1, 0), (4, 3)):
+            self.on_cpus(monkeypatch, cpus)
+            lut, started = self.build()
+            assert started == helpers
+            assert threading.active_count() == before
+            maps.append(lut)
+        for name in ("eta", "leakage_in1", "leakage_in2"):
+            np.testing.assert_array_equal(getattr(maps[0], name), getattr(maps[1], name))
+        assert [self.digest(lut) for lut in maps] == [self.GOLDEN_SHA256] * 2
+
+    def test_many_blocks_under_fast_thread_switching(self, monkeypatch):
+        # 211 blocks of 8 cells on four threads switching every microsecond:
+        # a lost or misplaced write would change the digest
+        monkeypatch.setattr(evolution, "STACK_ROWS", 8)
+        self.on_cpus(monkeypatch, 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            lut, started = self.build()
+        finally:
+            sys.setswitchinterval(interval)
+        assert started == 3
+        assert self.digest(lut) == self.GOLDEN_SHA256
+
+    def test_one_block_starts_no_thread(self, monkeypatch):
+        self.on_cpus(monkeypatch, 4)
+        lut, started = self.build(np.array([-1.0, 0.0, 1.0]))
+        assert started == 0
+        assert lut.eta.shape == (3, 3)
+
+    @pytest.mark.parametrize("fixed,error", [
+        (VoltageConfig(np.where(np.arange(22) == 6, 10.5, 0.0)), VoltageBoundError),
+        (VoltageConfig(np.zeros(21)), DeviceSpecError)], ids=["over-limit", "short"])
+    def test_fixed_voltages_checked_before_any_thread(self, monkeypatch, fixed, error):
+        self.on_cpus(monkeypatch, 4)
+        with mock.patch.object(calibration.threading, "Thread",
+                               wraps=threading.Thread) as spy, \
+                mock.patch.object(calibration, "pair_response") as response:
+            with pytest.raises(error):
+                build_lookup_map(default_device(), SubcircuitPair(1), 1, 4,
+                                 self.GRID, self.GRID, fixed)
+        assert spy.call_count == response.call_count == 0
+
+    def test_error_of_the_lowest_failing_block_reaches_the_caller(self, monkeypatch):
+        # blocks 9 and 6, told apart by their first cell's voltages, fall to
+        # helpers 1 and 2 of four threads; a serial build stops at block 6
+        first = {(self.GRID[k * 64 // 41], self.GRID[k * 64 % 41]): k for k in (9, 6)}
+        real = calibration.pair_response
+
+        def pair_response(spec, pair, volts):
+            k = first.get((volts[0, 0], volts[0, 3]))
+            if k is not None:
+                raise RuntimeError(f"block {k}")
+            return real(spec, pair, volts)
+
+        monkeypatch.setattr(calibration, "pair_response", pair_response)
+        before = threading.active_count()
+        raised = []
+        for cpus, helpers in ((1, 0), (4, 3)):
+            self.on_cpus(monkeypatch, cpus)
+            with mock.patch.object(calibration.threading, "Thread",
+                                   wraps=threading.Thread) as spy:
+                with pytest.raises(RuntimeError) as info:
+                    build_lookup_map(default_device(), SubcircuitPair(1), 1, 4,
+                                     self.GRID, self.GRID)
+            assert spy.call_count == helpers
+            assert threading.active_count() == before
+            raised.append((type(info.value), str(info.value)))
+        assert raised == [(RuntimeError, "block 6")] * 2
+
+    def test_helpers_run_in_the_callers_context_with_own_buffers(self, monkeypatch):
+        self.on_cpus(monkeypatch, 4)
+        seen = []
+        real = calibration.pair_response
+
+        def pair_response(spec, pair, volts):
+            # a buffer shared with another thread would change under the call
+            before = volts.copy()
+            out = real(spec, pair, volts)
+            seen.append((threading.current_thread(), np.geterr()["over"],
+                         np.array_equal(volts, before)))
+            return out
+
+        monkeypatch.setattr(calibration, "pair_response", pair_response)
+        with np.errstate(over="raise"):
+            self.build()
+        assert len(seen) == 27
+        assert len({thread for thread, _, _ in seen}) == 4
+        assert {(over, kept) for _, over, kept in seen} == {("raise", True)}
 
 
 class TestGoldenPairResponse:
