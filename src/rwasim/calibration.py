@@ -11,8 +11,8 @@ U, from one stacked `numpy.linalg.eigvalsh` and the minors of w - H, and
 of `evolution.STACK_ROWS` cells, which bounds the working set (the stacked
 H of the default 11-guide device takes about 1 MB) without changing any
 cell's value; `rwasim hom` calls it for one row.  The map's blocks run on
-up to `evolution.STACK_THREADS` threads of the one process, never more than
-the CPUs it may run on, each with a block's working set of its own; a
+up to `MAP_THREADS` threads of the one process, never more than the CPUs it
+may run on, each with a block's working set of its own (about 2.3 MB); a
 cell's bits do not depend on which thread computes it or how many run.  A
 cell's eta agrees with the one `subcircuits.effective_reflectivity` reads
 from `evolution.unitary` at the same voltages within 1e-12, not bit for
@@ -158,12 +158,7 @@ def build_lookup_map(
         eta[cells], leak1[cells], leak2[cells] = pair_response(spec, pair, v)
 
     starts = range(0, n_cells, block)
-    threads = _threads(len(starts))
-    if threads == 1:
-        for start in starts:
-            fill(rows, start)
-    else:
-        _fill_in_threads(fill, starts, threads, rows)
+    _fill_in_threads(fill, starts, _threads(len(starts)), rows)
     # the map takes the filled tables over read-only rather than copying them
     tables.setflags(write=False)
     eta, leak1, leak2 = tables.reshape(3, ga.size, gb.size)
@@ -174,34 +169,52 @@ def build_lookup_map(
     )
 
 
+# most threads a lookup map runs blocks on at once, the calling thread
+# included.  Each holds one block's working set: calibrate_map's 401x401 map
+# peaked at 71.4 MB of RSS serial, 73.8 MB on two threads and 78.4 MB on four
+# (the CPU set patched to four on a 2-vCPU Xeon), about 2.3 MB a thread.
+# Two threads halved the build there; what more threads gain on four or more
+# CPUs is not yet measured, and four would take most of the 10% RSS budget.
+MAP_THREADS = 2
+
+
 def _threads(blocks: int) -> int:
     """Threads for a map of `blocks` blocks: one per CPU this process may run
-    on, at most one per block and at most `evolution.STACK_THREADS`."""
+    on, at most one per block and at most `MAP_THREADS`."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    return min(cpus, blocks, evolution.STACK_THREADS)
+    return min(cpus, blocks, MAP_THREADS)
 
 
 def _fill_in_threads(fill, starts, threads: int, rows: np.ndarray) -> None:
     """fill(volts, start) for each block start, thread k of `threads` taking
     starts[k::threads] in order with a copy of `rows` as its voltage buffer.
-    The calling thread is k = 0, so no more threads run than `threads`; the
-    helpers run in a copy of the caller's context (its `np.errstate`).
-    Every helper is joined before the error of the lowest failing start, if
-    any, is raised."""
-    failed = {}
+    The calling thread is k = 0, so one thread starts no helper and no more
+    threads run than `threads`; the helpers run in a copy of the caller's
+    context (its `np.errstate`).  Once a block fails, no thread starts a
+    block after it, and a Ctrl-C or other error in the caller outside its
+    share stops every block.  Every helper is joined before the error of the
+    lowest failing start is raised."""
+    failed = {}  # start -> its block's error; -1 for one outside any block
+    lock = threading.Lock()
+
+    def fail(start, exc):
+        with lock:
+            failed[start] = exc
 
     def share(k):
-        mine = starts[k::threads]
-        start = mine[0]
+        start = starts[k]
         try:
             volts = rows.copy()
-            for start in mine:
+            for start in starts[k::threads]:
+                with lock:
+                    if failed and min(failed) < start:
+                        return
                 fill(volts, start)
-        except BaseException as exc:  # re-raised by the caller after the join
-            failed[start] = exc
+        except BaseException as exc:  # raised by the caller after the join
+            fail(start, exc)
 
     helpers = [threading.Thread(target=contextvars.copy_context().run, args=(share, k))
                for k in range(1, threads)]
@@ -209,7 +222,10 @@ def _fill_in_threads(fill, starts, threads: int, rows: np.ndarray) -> None:
         for t in helpers:
             t.start()
         share(0)
-    finally:
+        for t in helpers:
+            t.join()
+    except BaseException as exc:  # a helper that did not start, or a Ctrl-C in a join
+        fail(-1, exc)
         for t in helpers:
             if t.ident is not None:
                 t.join()

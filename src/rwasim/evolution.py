@@ -34,9 +34,9 @@ the eigenvector formula instead, through `eigh_tridiagonal`.  A coupling of
 exactly 0 splits H into blocks whose spectra can repeat; the X(x)X device
 at 0 V is one.  Batch callers (the lookup map's blocks and the compiler's
 lockstep restarts) bound B by `STACK_ROWS`, which they read at call time.
-The lookup map also runs its blocks on up to `STACK_THREADS` threads, each
-with one block's working set; since a row's bits depend on that row alone,
-they do not depend on the thread count either.
+The lookup map also runs its blocks on up to `calibration.MAP_THREADS`
+threads, each with one block's working set; since a row's bits depend on
+that row alone, they do not depend on the thread count either.
 """
 from __future__ import annotations
 
@@ -52,12 +52,6 @@ from .device import TridiagonalHamiltonian, count, finite_real, frozen_array, ze
 # stacked dense H of an 11-guide device takes about 1 MB, and a block's
 # working set with its temporaries about 2 MB
 STACK_ROWS = 1024
-# most threads the lookup map runs blocks on at once, the calling thread
-# included, so at most this many block working sets are live: a serial
-# 401x401 map takes about 0.9 s to build and 0.23 s to write as CSV, so at
-# four threads the build (about 0.22 s) is no longer than the serial write,
-# and a fifth thread would save about 0.04 s of a 0.45 s pass
-STACK_THREADS = 4
 # smallest eigenvalue gap, rad/mm, at which `pair_blocks` uses the residue
 # formula rather than `eigh_tridiagonal`
 GAP_BOUND = 1e-4

@@ -344,8 +344,9 @@ class TestPairResponse:
 
 class TestThreadedBuild:
     """The map's blocks split over the CPUs the process may use.  With
-    `STACK_ROWS` = 64 the default 41x41 map has 27 blocks: one CPU builds
-    them on the calling thread, four on it and three helpers."""
+    `STACK_ROWS` = 64 the default 41x41 map has 27 blocks, and with
+    `MAP_THREADS` = 4 one CPU builds them on the calling thread, four on it
+    and three helpers."""
 
     GRID = default_grid()
     # SHA-256 of eta, leak_in1 and leak_in2 stacked, of the default device's
@@ -357,6 +358,7 @@ class TestThreadedBuild:
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
         monkeypatch.setattr(evolution, "STACK_ROWS", 64)
+        monkeypatch.setattr(calibration, "MAP_THREADS", 4)
 
     @staticmethod
     def on_cpus(monkeypatch, n):
@@ -400,6 +402,13 @@ class TestThreadedBuild:
         assert started == 3
         assert self.digest(lut) == self.GOLDEN_SHA256
 
+    def test_cpus_past_map_threads_start_no_helper(self, monkeypatch):
+        monkeypatch.setattr(calibration, "MAP_THREADS", 2)
+        self.on_cpus(monkeypatch, 4)
+        lut, started = self.build()
+        assert started == 1
+        assert self.digest(lut) == self.GOLDEN_SHA256
+
     def test_one_block_starts_no_thread(self, monkeypatch):
         self.on_cpus(monkeypatch, 4)
         lut, started = self.build(np.array([-1.0, 0.0, 1.0]))
@@ -421,12 +430,17 @@ class TestThreadedBuild:
 
     def test_error_of_the_lowest_failing_block_reaches_the_caller(self, monkeypatch):
         # blocks 9 and 6, told apart by their first cell's voltages, fall to
-        # helpers 1 and 2 of four threads; a serial build stops at block 6
+        # helpers 1 and 2 of four threads, and on a helper block 6 fails
+        # only after block 9 has; a serial build stops at block 6
         first = {(self.GRID[k * 64 // 41], self.GRID[k * 64 % 41]): k for k in (9, 6)}
-        real = calibration.pair_response
+        real, nine_failed = calibration.pair_response, threading.Event()
 
         def pair_response(spec, pair, volts):
             k = first.get((volts[0, 0], volts[0, 3]))
+            if k == 9:
+                nine_failed.set()
+            elif k == 6 and threading.current_thread() is not threading.main_thread():
+                assert nine_failed.wait(10)
             if k is not None:
                 raise RuntimeError(f"block {k}")
             return real(spec, pair, volts)
@@ -445,6 +459,50 @@ class TestThreadedBuild:
             assert threading.active_count() == before
             raised.append((type(info.value), str(info.value)))
         assert raised == [(RuntimeError, "block 6")] * 2
+
+    def interrupted(self, monkeypatch, raise_in_block0):
+        """Build on four threads with a Ctrl-C in the caller's block 0 or, if
+        not `raise_in_block0`, in its first join.  Helper blocks wait until
+        the caller has joined, so the failure is recorded before they end
+        their first block.  Returns the blocks started, by number."""
+        self.on_cpus(monkeypatch, 4)
+        block = {(self.GRID[c // 41], self.GRID[c % 41]): c // 64 for c in range(0, 41 * 41, 64)}
+        started, joined = [], threading.Event()
+        real, real_thread = calibration.pair_response, threading.Thread
+
+        def pair_response(spec, pair, volts):
+            k = block[volts[0, 0], volts[0, 3]]
+            started.append(k)
+            if k == 0 and raise_in_block0:
+                raise KeyboardInterrupt
+            if k % 4:  # a helper's block
+                assert joined.wait(10)
+            return real(spec, pair, volts)
+
+        class Thread(real_thread):
+            def join(self, timeout=None):
+                first = not joined.is_set()
+                joined.set()
+                if first and not raise_in_block0:
+                    raise KeyboardInterrupt
+                super().join(timeout)
+
+        monkeypatch.setattr(calibration, "pair_response", pair_response)
+        monkeypatch.setattr(calibration.threading, "Thread", Thread)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            build_lookup_map(default_device(), SubcircuitPair(1), 1, 4, self.GRID, self.GRID)
+        assert threading.active_count() == before
+        return set(started)
+
+    def test_ctrl_c_in_the_callers_block_stops_the_helpers(self, monkeypatch):
+        # each helper ends at most its first block, not its 6 or 7 of 27
+        assert self.interrupted(monkeypatch, True) <= {0, 1, 2, 3}
+
+    def test_ctrl_c_in_a_join_stops_the_helpers(self, monkeypatch):
+        started = self.interrupted(monkeypatch, False)
+        assert {k for k in started if k % 4} <= {1, 2, 3}
+        assert {k for k in started if k % 4 == 0} == set(range(0, 27, 4))
 
     def test_helpers_run_in_the_callers_context_with_own_buffers(self, monkeypatch):
         self.on_cpus(monkeypatch, 4)

@@ -572,7 +572,8 @@ class TestLoss:
         (["--modes", "11", "--per-mzi", "1e308"], "Clements loss of 11 modes"),
         (["--modes", "11", "--db-per-cm", "1e308"], "WA loss of 2.4 cm"),
         (["--modes", "3000000000", "--per-mzi", "1e300"], "Clements loss of 3000000000"),
-        (["--modes", "1" + "0" * 400], "n_modes must be a finite real")],
+        (["--modes", "1" + "0" * 400],
+         "error: n_modes must be a finite real, got 1" + "0" * 400 + "\n")],
         ids=["per-mzi-1e308", "db-per-cm-1e308", "3e9-modes", "401-digit-modes"])
     def test_loss_that_is_not_a_finite_float_refused(self, tmp_path, capsys, flags,
                                                       message):
@@ -581,16 +582,6 @@ class TestLoss:
         out = tmp_path / "run"
         assert run("loss", *flags, "--out", str(out)) == 3
         assert message in capsys.readouterr().err
-        assert not out.exists()
-
-
-    def test_mode_count_past_float_range_named(self, tmp_path, capsys):
-        # Python's "int too large to convert to float" named no argument
-        modes = "1" + "0" * 400
-        out = tmp_path / "run"
-        assert run("loss", "--modes", modes, "--out", str(out)) == 3
-        err = capsys.readouterr().err
-        assert err.splitlines() == [f"error: n_modes must be a finite real, got {modes}"]
         assert not out.exists()
 
 
