@@ -5,9 +5,8 @@ optimises, so only it imports `compiler`; the other commands start without
 it.  No rwasim module imports scipy.  Each run computes its results before
 the first output creates --out, so a failed run leaves no directory; a run
 that succeeds writes its outputs plus a manifest.json.
-`replay <manifest>` re-runs the recorded command into a fresh directory, and
-refuses a manifest written by another rwasim version or one whose input
-files have changed since.
+`replay <manifest>` re-runs the recorded command into a fresh directory;
+`manifest` says what a run records and which manifests a replay refuses.
 
 Exit codes: 0 success, 2 usage error, 3 validation error, 4 numerical
 failure.
@@ -26,7 +25,7 @@ from . import device as device_mod
 from . import photon_stats
 from .device import DeviceSpec, VoltageConfig
 from .csvio import write_csv, write_json
-from .manifest import Run, file_sha256, read_manifest
+from .manifest import Run, replay_argv
 from .photon_stats import FitFailureError
 from .subcircuits import GATE_ETAS, SubcircuitPair
 
@@ -129,6 +128,8 @@ def _cmd_map(args, run: Run) -> dict:
     write_json(run.output("map_meta.json"), calibration.map_metadata(lut))
     return {"pair": args.pair, "electrodes": [ea, eb], "range": [lo, hi],
             "step": args.step}
+
+
 def _print_map_summary(lut: calibration.LookupMap) -> None:
     """Mean leakage, the 50/50 cell, and gate voltages from a linear fit
     along electrode a at the electrode-b voltage that leaks least."""
@@ -251,21 +252,6 @@ def _cmd_loss(args, run: Run) -> dict:
             "length_cm": args.length_cm, "db_per_cm": args.db_per_cm}
 
 
-def _replay(path: str, out: str) -> int:
-    man = read_manifest(path)
-    if man["version"] != __version__:
-        print(f"error: {path} was written by rwasim {man['version']}; "
-              f"this is rwasim {__version__}, whose outputs may differ. "
-              "Refusing to replay.", file=sys.stderr)
-        return EXIT_VALIDATION
-    for input_path, digest in man["inputs"].items():
-        if file_sha256(input_path) != digest:
-            print(f"error: input {input_path} has changed since the recorded run "
-                  "(SHA-256 differs). Refusing to replay.", file=sys.stderr)
-            return EXIT_VALIDATION
-    return main(man["argv"] + ["--out", out], replay=True)
-
-
 # -- parser ------------------------------------------------------------------
 
 def _seed(text: str) -> int:
@@ -359,23 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _strip_out(argv: list[str]) -> list[str]:
-    """Remove the --out pair so replayed runs can retarget their directory."""
-    result = []
-    skip = False
-    for tok in argv:
-        if skip:
-            skip = False
-            continue
-        if tok == "--out":
-            skip = True
-            continue
-        if tok.startswith("--out="):
-            continue
-        result.append(tok)
-    return result
-
-
 def main(argv: list[str] | None = None, *, replay: bool = False) -> int:
     """Run one subcommand; `replay` runs a recorded argv, whose device is
     fully named by it, so $RWASIM_DEVICE is not read."""
@@ -389,8 +358,8 @@ def main(argv: list[str] | None = None, *, replay: bool = False) -> int:
     args.env_device = None if replay else os.environ.get(DEVICE_ENV_VAR)
     try:
         if args.command == "replay":
-            return _replay(args.manifest, args.out)
-        run = Run(args.out, _strip_out(list(argv)))
+            return main(replay_argv(args.manifest, args.out), replay=True)
+        run = Run(args.out, argv)
         run.write(args.command, args.func(args, run), getattr(args, "seed", None))
         return EXIT_OK
     except UsageError as exc:

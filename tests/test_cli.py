@@ -754,3 +754,34 @@ class TestReplay:
         assert run("replay", str(first / "manifest.json"), "--out", str(second)) == 0
         for name in manifest["outputs"] + ["manifest.json"]:
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc, path: json.dumps([doc]),
+        lambda doc, path: json.dumps({**doc, "argv": "simulate"}),
+        lambda doc, path: json.dumps({**doc, "argv": ["simulate", 3]}),
+        lambda doc, path: json.dumps({**doc, "inputs": []}),
+        lambda doc, path: json.dumps({**doc, "argv": ["replay", str(path)]}),
+        lambda doc, path: json.dumps(doc)[:-1],
+        lambda doc, path: "[" * 10_000 + "]" * 10_000,
+    ], ids=["list", "argv_string", "argv_number", "inputs_list", "replays_itself",
+            "not_json", "nested_too_deep"])
+    def test_replay_refuses_what_is_not_a_manifest(self, tmp_path, capsys, edit):
+        first = tmp_path / "first"
+        assert run("loss", "--modes", "4", "--out", str(first)) == 0
+        manifest = first / "manifest.json"
+        manifest.write_text(edit(json.loads(manifest.read_text()), manifest))
+        capsys.readouterr()
+        err = refused(["replay", str(manifest)], tmp_path / "second", capsys)
+        [line] = err.splitlines()
+        assert line.startswith("error: ") and str(manifest) in line
+
+    @pytest.mark.parametrize("out_tokens", [
+        lambda out: ["--ou", str(out)],
+        lambda out: [f"--o={out}"],
+    ], ids=["prefix", "prefix_with_equals_sign"])
+    def test_abbreviated_out_is_not_recorded(self, tmp_path, out_tokens):
+        short, full = tmp_path / "short", tmp_path / "full"
+        assert run("simulate", *out_tokens(short)) == 0
+        assert run("simulate", "--out", str(full)) == 0
+        assert ((short / "manifest.json").read_bytes()
+                == (full / "manifest.json").read_bytes())
