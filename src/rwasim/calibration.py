@@ -12,11 +12,11 @@ of `evolution.STACK_ROWS` cells, which bounds the working set (the stacked
 H of the default 11-guide device takes about 1 MB) without changing any
 cell's value; `rwasim hom` calls it for one row.  The map's blocks run on
 up to `MAP_THREADS` threads of the one process, never more than the CPUs it
-may run on, each with a block's working set of its own (about 2.3 MB); a
-cell's bits do not depend on which thread computes it or how many run.  A
-cell's eta agrees with the one `subcircuits.effective_reflectivity` reads
-from `evolution.unitary` at the same voltages within 1e-12, not bit for
-bit: the two form U differently.
+may run on, each with a block's working set of its own (about 1.6 MB of
+peak RSS); a cell's bits do not depend on which thread computes it or how
+many run.  A cell's eta agrees with the one
+`subcircuits.effective_reflectivity` reads from `evolution.unitary` at the
+same voltages within 1e-12, not bit for bit: the two form U differently.
 """
 from __future__ import annotations
 
@@ -171,10 +171,11 @@ def build_lookup_map(
 
 # most threads a lookup map runs blocks on at once, the calling thread
 # included.  Each holds one block's working set: calibrate_map's 401x401 map
-# peaked at 71.4 MB of RSS serial, 73.8 MB on two threads and 78.4 MB on four
-# (the CPU set patched to four on a 2-vCPU Xeon), about 2.3 MB a thread.
-# Two threads halved the build there; what more threads gain on four or more
-# CPUs is not yet measured, and four would take most of the 10% RSS budget.
+# peaked at 71.0 MB of RSS serial, 72.6 MB on two threads and 75.8 MB on four
+# (the CPU set and this cap patched to four on a 2-vCPU Xeon), about 1.6 MB a
+# thread.  Two threads halved the build there; what more threads gain on four
+# or more CPUs is not yet measured, and four would take two thirds of the 10%
+# RSS budget.
 MAP_THREADS = 2
 
 

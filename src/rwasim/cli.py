@@ -8,8 +8,8 @@ that succeeds writes its outputs plus a manifest.json.
 `replay <manifest>` re-runs the recorded command into a fresh directory;
 `manifest` says what a run records and which manifests a replay refuses.
 
-Exit codes: 0 success, 2 usage error, 3 validation error, 4 numerical
-failure.
+Exit codes: 0 success, 2 usage error, 3 validation error or arrays too
+large to allocate, 4 numerical failure.
 """
 from __future__ import annotations
 
@@ -65,8 +65,12 @@ def _load_voltages(path: str | None, spec: DeviceSpec, run: Run) -> VoltageConfi
         return VoltageConfig.zeros(spec.n_electrodes)
     run.input(path)
     text = Path(path).read_text().replace(",", " ")
+    try:
+        volts = [float(tok) for tok in text.split()]
+    except ValueError as exc:
+        raise ValueError(f"{path}: voltages: {exc}") from None
     return VoltageConfig(device_mod.frozen_array(
-        [float(tok) for tok in text.split()], f"{path}: voltages", (spec.n_electrodes,)))
+        volts, f"{path}: voltages", (spec.n_electrodes,)))
 
 
 def _parse_floats(text: str, flag: str, *counts: int) -> list[float]:
@@ -371,6 +375,11 @@ def main(argv: list[str] | None = None, *, replay: bool = False) -> int:
         return EXIT_NUMERICAL
     except (ValueError, IndexError, KeyError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    # inputs whose arrays cannot be allocated, such as a grid of 1e12 points
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
+              file=sys.stderr)
         return EXIT_VALIDATION
 
 

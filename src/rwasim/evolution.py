@@ -20,10 +20,13 @@ Problem, ch. 7),
 where P_i is the leading i x i minor of w - H and S_j the trailing minor
 from guide j on.  So one stacked `numpy.linalg.eigvalsh`, a leading and a
 trailing minor recurrence run to the pair, and one product of eigenvalue
-differences give the pair's three distinct entries (U is symmetric); the sum
-over k runs along a contiguous axis, so a row's bits do not depend on the
-rest of the stack.  A map cell and the `unitary` of the same voltages are
-two formulas for the same block: their eta agree within 1e-12.
+differences give the pair's three distinct entries (U is symmetric).  The
+product takes one factor at a time and the entries are formed one at a
+time, so a block holds no N x N x B cube of differences and no stack of
+entries.  The sum over k runs along a contiguous axis, so a row's bits do
+not depend on the rest of the stack.  A map cell and the `unitary` of the
+same voltages are two formulas for the same block: their eta agree within
+1e-12.
 
 The residue loses digits as eigenvalues close up: against the eigenvector
 formula its error grew from about 1e-13 at gaps of 1e-3 rad/mm to 1e-12 at
@@ -50,7 +53,8 @@ from .device import TridiagonalHamiltonian, count, finite_real, frozen_array, ze
 # most rows a batch caller stacks into one eigensolve: per lookup-map cell,
 # the numpy calls' fixed cost stops falling beyond about 1024 rows, where the
 # stacked dense H of an 11-guide device takes about 1 MB, and a block's
-# working set with its temporaries about 2 MB
+# working set with its temporaries about 1.35 MB (the traced peak of one
+# `calibration.pair_response` block)
 STACK_ROWS = 1024
 # smallest eigenvalue gap, rad/mm, at which `pair_blocks` uses the residue
 # formula rather than `eigh_tridiagonal`
@@ -126,7 +130,7 @@ def pair_blocks(diag: np.ndarray, offdiag: np.ndarray, length: float, i: int) ->
         # (i, i), (i, i+1) and (i+1, i+1): P_i S_(N-1-i), e_i P_i S_(N-2-i)
         # and P_(i+1) S_(N-2-i), S of order N - 1 - i being the minor from
         # guide i + 1 on
-        u = _phase_sums(w, length, dprod, np.stack((p_i * s_i, p_i * s_j, p_j * s_j)))
+        u = _phase_sums(w, length, dprod, ((p_i, s_i), (p_i, s_j), (p_j, s_j)))
         u[1] *= offdiag[:, i]
         mag = np.abs(dprod)
         ok = (((mag >= _TINY) & (mag <= _HUGE)).all(axis=0)
@@ -135,16 +139,22 @@ def pair_blocks(diag: np.ndarray, offdiag: np.ndarray, length: float, i: int) ->
         bad = np.flatnonzero(~ok)
         w_bad, q = eigh_tridiagonal(diag[bad], offdiag[bad])
         q = q.transpose(1, 2, 0)  # (guide, k, B)
-        u[:, bad] = _phase_sums(w_bad.T, length, 1.0, q[[i, i, i + 1]] * q[[i, i + 1, i + 1]])
+        u[:, bad] = _phase_sums(w_bad.T, length, 1.0,
+                                ((q[i], q[i]), (q[i], q[i + 1]), (q[i + 1], q[i + 1])))
     return u[[0, 1, 1, 2]].T.reshape(b, 2, 2)
 
 
 def _difference_products(w: np.ndarray) -> np.ndarray:
-    """(N, B) products over m != k of w_k - w_m for w (N, B)."""
-    n, b = w.shape
-    diff = w[:, None] - w
-    diff.reshape(n * n, b)[::n + 1] = 1.0
-    return np.multiply.reduce(diff, axis=1)
+    """(N, B) products over m != k of w_k - w_m for w (N, B), taken one
+    factor at a time for m = 0 ... N - 1 (1.0 at m = k): the order of
+    `np.multiply.reduce` over the middle axis of the (N, N, B) differences,
+    which are never formed."""
+    prod, diff = np.ones_like(w), np.empty_like(w)
+    for m in range(w.shape[0]):
+        np.subtract(w, w[m], out=diff)
+        diff[m] = 1.0
+        prod *= diff
+    return prod
 
 
 def _minors(w: np.ndarray, a: np.ndarray, e: np.ndarray, order: int):
@@ -160,16 +170,22 @@ def _minors(w: np.ndarray, a: np.ndarray, e: np.ndarray, order: int):
     return prev, cur
 
 
-def _phase_sums(w, length, scale, v):
-    """(M, B) sum_k e^(-i L w_k) v_k / scale_k over the leading axis k of
-    w (N, B) and of scale ((N, B) or scalar), and the middle axis of v
-    (M, N, B)."""
-    v = v.swapaxes(1, 2)
-    terms = np.empty(v.shape, dtype=complex)  # (M, B, N)
-    np.multiply((np.exp(-1j * length * w) / scale).T, v, out=terms)
-    # summed along the contiguous last axis, where the order of additions
-    # depends only on N, so an entry's bits do not depend on the call
-    return np.add.reduce(terms, axis=2)
+def _phase_sums(w, length, scale, factors):
+    """(M, B) sum_k e^(-i L w_k) x_k y_k / scale_k over the leading axis k
+    of w (N, B) and of scale ((N, B) or scalar), for each of M pairs (x, y)
+    of (N, B) factors.  The entries are formed one at a time, each as B rows
+    of N contiguous terms."""
+    n, b = w.shape
+    phase = np.multiply(-1j * length, w.T, out=np.empty((b, n), dtype=complex))
+    np.divide(np.exp(phase, out=phase), np.transpose(scale), out=phase)
+    num, terms = np.empty((b, n)), np.empty((b, n), dtype=complex)
+    sums = np.empty((len(factors), b), dtype=complex)
+    for row, (x, y) in zip(sums, factors):
+        np.multiply(phase, np.multiply(x.T, y.T, out=num), out=terms)
+        # summed along the contiguous last axis, where the order of additions
+        # depends only on N, so an entry's bits do not depend on the call
+        np.add.reduce(terms, axis=1, out=row)
+    return sums
 
 
 def output_power(u: TransferUnitary, input_guide: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 import hashlib
 import sys
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -340,6 +341,21 @@ class TestPairResponse:
         alone = np.vstack([np.column_stack(pair_response(spec, pair, row[None]))
                            for row in volts])
         np.testing.assert_array_equal(stacked, alone)
+
+    def test_block_peak_memory(self):
+        # each map thread holds one block's working set, about 1.35 MB for
+        # 1,024 rows; an N x N x B cube of eigenvalue differences and a stack
+        # of the residue entries would take it past 2 MB
+        spec, pair = default_device(), SubcircuitPair(1)
+        volts = np.random.default_rng(2).uniform(-10.0, 10.0, (1024, spec.n_electrodes))
+        pair_response(spec, pair, volts)
+        tracemalloc.start()
+        try:
+            pair_response(spec, pair, volts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5e6
 
 
 class TestThreadedBuild:

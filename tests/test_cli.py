@@ -4,7 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from rwasim import __version__, compiler, photon_stats
+from rwasim import __version__, calibration, compiler, photon_stats
 from rwasim.calibration import pair_response
 from rwasim.cli import DEVICE_ENV_VAR, main
 from rwasim.compiler import random_base_device
@@ -67,6 +67,16 @@ class TestSimulate:
         bad.write_text("1 2 3")
         assert run("simulate", "--voltages", str(bad),
                    "--out", str(tmp_path / "x")) == 3
+
+    @pytest.mark.parametrize("command", ["simulate", "map"])
+    def test_non_numeric_voltage_token_names_the_file(self, tmp_path, capsys, command):
+        # the parse error named only the token, unlike a wrong count
+        bad = tmp_path / "volts.txt"
+        bad.write_text("0 1.5 abc\n")
+        flags = {"simulate": ["--voltages", str(bad)],
+                 "map": ["--electrodes", "1,4", "--step", "5", "--fixed", str(bad)]}
+        [line] = refused([command, *flags[command]], tmp_path / "run", capsys).splitlines()
+        assert line == f"error: {bad}: voltages: could not convert string to float: 'abc'"
 
     @pytest.mark.parametrize("field,value", [
         ("coupling_length", "null"), ("voltage_limit", "[1, 2]"), ("n_guides", "2.7"),
@@ -583,6 +593,32 @@ class TestLoss:
         assert run("loss", *flags, "--out", str(out)) == 3
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestOutOfMemory:
+    """Inputs whose arrays cannot be allocated are refused like invalid ones:
+    exit 3, one `error:` line, no --out directory.  Each case asks for more
+    than any address space holds, so numpy refuses it before allocating."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--profile", "10000000000000000"],
+        ["hom", "--eta", "0.5", "--scan=-0.6,0.6,1e-16"],
+        ["compile", "--config", "2", "--gates", "XX", "--restarts", "10000000000000000"],
+    ], ids=["simulate-profile", "hom-scan", "compile-restarts"])
+    def test_unallocatable_arrays_are_refused(self, tmp_path, capsys, argv):
+        [line] = refused(argv, tmp_path / "run", capsys).splitlines()
+        assert line.startswith("error: out of memory: Unable to allocate")
+
+    def test_memory_error_in_a_map_thread_is_refused(self, tmp_path, capsys, monkeypatch):
+        # a bare MemoryError has no message; raised in the map's blocks, which
+        # may run on a helper thread
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(calibration, "pair_response", exhausted)
+        err = refused(["map", "--electrodes", "1,4", "--step", "0.125"],
+                      tmp_path / "run", capsys)
+        assert err == "error: out of memory\n"
 
 
 class TestReplay:

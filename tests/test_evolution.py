@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from rwasim import evolution
 from rwasim.device import (
     TridiagonalHamiltonian,
     VoltageConfig,
@@ -104,6 +105,39 @@ class TestUnitaryBlocks:
     def test_non_positive_length_rejected(self):
         with pytest.raises(ValueError):
             pair_blocks(np.zeros((1, 3)), np.zeros((1, 2)), 0.0, 0)
+
+
+class TestStreamedResidue:
+    """`pair_blocks` takes its difference products one factor at a time and
+    forms its three entries one at a time.  Each must equal, bit for bit, the
+    stacked form: one product over the (N, N, B) eigenvalue differences, and
+    one phase sum over the stacked (3, N, B) entries."""
+
+    LENGTH = 24.0
+
+    @pytest.mark.parametrize("n", [2, 3, 11, 21])
+    def test_difference_products_equal_the_stacked_product(self, n):
+        w = np.sort(np.random.default_rng(n).uniform(-1.0, 1.0, (n, 300)), axis=0)
+        w[:, :10] = 0.5  # a repeated spectrum, with zero factors
+        diff = w[:, None] - w
+        diff.reshape(n * n, -1)[::n + 1] = 1.0
+        stacked = np.multiply.reduce(diff, axis=1)
+        assert evolution._difference_products(w).tobytes() == stacked.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 11, 21])
+    @pytest.mark.parametrize("scaled", [True, False], ids=["residue", "eigenvector"])
+    def test_phase_sums_equal_the_stacked_sums(self, n, scaled):
+        rng = np.random.default_rng(n)
+        w = rng.uniform(2.8, 3.4, (n, 300))
+        scale = rng.uniform(-1.0, 1.0, (n, 300)) if scaled else 1.0
+        x, y = rng.normal(size=(2, n, 300))
+        factors = ((x, x), (x, y), (y, y))
+        v = np.stack([a * b for a, b in factors]).swapaxes(1, 2)
+        terms = np.empty(v.shape, dtype=complex)
+        np.multiply((np.exp(-1j * self.LENGTH * w) / scale).T, v, out=terms)
+        stacked = np.add.reduce(terms, axis=2)
+        sums = evolution._phase_sums(w, self.LENGTH, scale, factors)
+        assert sums.tobytes() == stacked.tobytes()
 
 
 class TestEighTridiagonal:
